@@ -14,20 +14,17 @@ Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .energy import custom_energy, entropy_energy, power_law_energy, zero_energy
-from .errors import (
-    CapacityError,
-    DomainError,
-    InvalidInputError,
-    NumericalFailureError,
-)
+from .errors import CapacityError, DomainError, InvalidInputError, NumericalFailureError
 from .flow import (
     Coupling,
     FlowConfig,
@@ -41,631 +38,132 @@ from .flow import (
     weak_form_residual,
 )
 from .geometry import Domain, ParticleDensity, from_grid, grid_from_csv
-from .presets import (
-    barenblatt_profile,
-    bump_profile,
-    gaussian_profile,
-    profile_grid,
-)
-from .transport import (
-    barycenter_cost,
-    convexity_probe,
-    quadratic_pairwise_cost,
-    zero_cost,
-)
+from .presets import barenblatt_profile, bump_profile, gaussian_profile, profile_grid
+from .transport import barycenter_cost, convexity_probe, quadratic_pairwise_cost, zero_cost
 
-import numpy as np
+# ------------------------------------------------------------------- schema
+#
+# The scenario schema is stated once, in the tables further down.  A kind is
+# float, int or str; [kind] or {int: kind} for a YAML list or mapping, read
+# into a tuple; a Record or a Union; or Bound(kind, reject, why), refusing
+# with ``why`` the values for which ``reject`` is true.  A table key of kind
+# Opt(kind, default) is optional.
 
-ENERGY_NAMES = ("entropy", "power_law", "zero", "custom")
-COST_NAMES = ("zero", "quadratic_pairwise", "barycenter")
-PROFILE_NAMES = ("gaussian", "bump", "uniform", "barenblatt")
-PROBE_KINDS = (
-    "estimate_report",
-    "contraction_probe",
-    "convexity_probe",
-    "weak_form_residual",
-)
+Bound = namedtuple("Bound", "kind reject why")
+Opt = namedtuple("Opt", "kind default", defaults=(None,))
 
 
-# ------------------------------------------------------------ scenario model
+class Record:
+    """A YAML mapping with the keys of ``fields``, read into the frozen dataclass ``cls``."""
+
+    def __init__(self, name: str, fields: dict):
+        self.fields = fields
+        self.cls = dataclasses.make_dataclass(name, [
+            (key, object, dataclasses.field(default=getattr(kind, "default", dataclasses.MISSING)))
+            for key, kind in fields.items()
+        ], frozen=True, namespace={"__module__": __name__})
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    lower: float
-    upper: float
+class Union(Record):
+    """A YAML mapping whose ``tag`` key picks a (fields, builder) entry of ``variants``."""
+
+    def __init__(self, name: str, tag: str, label: str, variants: dict):
+        self.tag, self.label, self.variants = tag, label, variants
+        keys = {k: Opt(v) for fields, _ in variants.values() for k, v in fields.items()}
+        super().__init__(name, {tag: str, **keys})
+
+    def build(self, spec, *args):
+        """Run the builder of ``spec``'s variant on ``spec`` and ``args``."""
+        return self.variants[getattr(spec, self.tag)][1](spec, *args)
 
 
-@dataclass(frozen=True)
-class ProfileSpec:
-    type: str
-    params: tuple[tuple[str, float], ...]  # sorted by parameter name
+_NOUNS = {float: "a number", int: "an integer", str: "a string", list: "a list", dict: "a mapping"}
 
 
-@dataclass(frozen=True)
-class InitialSpec:
-    n: int
-    profile: ProfileSpec | None = None
-    csv: str | None = None
+def _fail(path: str, message: str):
+    raise InvalidInputError(f"{path or 'scenario'}: {message}")
 
 
-@dataclass(frozen=True)
-class EnergySpec:
-    type: str
-    exponent: float | None = None
-    coefficient: float | None = None  # custom monomial integrand only
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    type: str
-    partner: int | None = None  # quadratic_pairwise
-    partners: tuple[int, ...] | None = None  # zero
-    weights: tuple[tuple[int, float], ...] | None = None  # barycenter
-
-
-@dataclass(frozen=True)
-class PopulationConfigSpec:
-    energy: EnergySpec
-    initial: InitialSpec
-    coupling: CostSpec | None = None
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    domain: DomainSpec
-    h: float
-    n_steps: int
-    populations: tuple[PopulationConfigSpec, ...]
-    record_every: int = 1
-    tol: float | None = None
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    name: str
-    center: float | None = None
-    half_width: float | None = None
-    t_cut: float | None = None
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    kind: str
-    population: int | None = None
-    slack: float | None = None
-    t_samples: tuple[float, ...] | None = None
-    second_initials: tuple[ProfileSpec, ...] | None = None
-    test_function: TestFunctionSpec | None = None
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    flow: FlowSpec
-    probes: tuple[ProbeSpec, ...] = ()
-    output_dir: str | None = None
-
-
-# ------------------------------------------------------------------- parsing
-
-
-def _mapping(node, path):
-    if not isinstance(node, dict):
-        raise InvalidInputError(f"{path}: expected a mapping")
-    return node
-
-
-def _check_keys(node, path, allowed):
+def _read(node, kind, path: str):
+    """Check ``node`` against ``kind`` and return its parsed value."""
+    if isinstance(kind, Bound):
+        value = _read(node, kind.kind, path)
+        if kind.reject(value):
+            _fail(path, kind.why)
+        return value
+    shape = kind if isinstance(kind, type) else list if isinstance(kind, list) else dict
+    if isinstance(node, bool) or not isinstance(node, (int, float) if shape is float else shape):
+        _fail(path, f"expected {_NOUNS[shape]}")
+    if isinstance(kind, type):
+        return kind(node)
+    if isinstance(kind, list):
+        return tuple(_read(v, kind[0], f"{path}[{i}]") for i, v in enumerate(node))
+    if isinstance(kind, dict):
+        [(key_kind, item_kind)] = kind.items()
+        return tuple((_read(k, key_kind, f"{path}[{k!r}]"), _read(v, item_kind, f"{path}[{k!r}]"))
+                     for k, v in node.items())
+    fields = kind.fields
+    if isinstance(kind, Union):
+        tag = node.get(kind.tag)
+        if not isinstance(tag, str) or tag not in kind.variants:
+            _fail(_at(path, kind.tag),
+                  f"unknown {kind.label} {tag!r} (choose from {', '.join(kind.variants)})")
+        fields = {kind.tag: str, **kind.variants[tag][0]}
     for key in node:
-        if key not in allowed:
-            raise InvalidInputError(f"{path}.{key}: unknown key")
+        if key not in fields:
+            _fail(_at(path, key), "unknown key")
+    values = {}
+    for key, entry in fields.items():
+        required = not isinstance(entry, Opt)
+        if key in node:
+            values[key] = _read(node[key], entry if required else entry.kind, _at(path, key))
+        elif required:
+            _fail(_at(path, key), "missing required key")
+    return kind.cls(**values)
 
 
-def _number(node, key, path, *, required=True, default=None):
-    if key not in node:
-        if required:
-            raise InvalidInputError(f"{path}.{key}: missing required number")
-        return default
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidInputError(f"{path}.{key}: expected a number")
-    return float(v)
-
-def _integer(node, key, path, *, required=True, default=None):
-    if key not in node:
-        if required:
-            raise InvalidInputError(f"{path}.{key}: missing required integer")
-        return default
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InvalidInputError(f"{path}.{key}: expected an integer")
-    return int(v)
+def _dump(value):
+    """The YAML data that ``_read`` turns back into ``value``."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if getattr(value, f.name) != f.default}
+    if isinstance(value, tuple):  # pairs were read from a mapping
+        return dict(value) if value and isinstance(value[0], tuple) else [_dump(v) for v in value]
+    return value
 
 
-def _string(node, key, path, *, required=True, default=None):
-    if key not in node:
-        if required:
-            raise InvalidInputError(f"{path}.{key}: missing required string")
-        return default
-    v = node[key]
-    if not isinstance(v, str):
-        raise InvalidInputError(f"{path}.{key}: expected a string")
-    return v
-
-
-def _sequence(node, key, path, *, required=True):
-    if key not in node:
-        if required:
-            raise InvalidInputError(f"{path}.{key}: missing required list")
-        return None
-    v = node[key]
-    if not isinstance(v, list):
-        raise InvalidInputError(f"{path}.{key}: expected a list")
-    return v
-
-
-_PROFILE_PARAMS = {
-    "gaussian": ("center", "sigma"),
-    "bump": ("center", "half_width"),
-    "uniform": (),
-    "barenblatt": ("t0",),
-}
-
-
-def _parse_profile(node, path) -> ProfileSpec:
-    node = _mapping(node, path)
-    kind = _string(node, "type", path)
-    if kind not in PROFILE_NAMES:
-        raise InvalidInputError(
-            f"{path}.type: unknown profile {kind!r} (choose from {', '.join(PROFILE_NAMES)})"
-        )
-    wanted = _PROFILE_PARAMS[kind]
-    _check_keys(node, path, ("type",) + wanted)
-    params = []
-    for name in wanted:
-        value = _number(node, name, path)
-        params.append((name, value))
-    params.sort()
-    spec = ProfileSpec(kind, tuple(params))
-    _validate_profile(spec, path)
-    return spec
-
-
-def _validate_profile(spec: ProfileSpec, path) -> None:
-    params = dict(spec.params)
-    if spec.type == "gaussian" and params["sigma"] <= 0:
-        raise InvalidInputError(f"{path}.sigma: must be positive")
-    if spec.type == "bump" and params["half_width"] <= 0:
-        raise InvalidInputError(f"{path}.half_width: must be positive")
-    if spec.type == "barenblatt" and params["t0"] <= 0:
-        raise InvalidInputError(f"{path}.t0: must be positive")
-
-
-def _parse_initial(node, path) -> InitialSpec:
-    node = _mapping(node, path)
-    _check_keys(node, path, ("n", "profile", "csv"))
-    n = _integer(node, "n", path)
-    if n < 2:
-        raise InvalidInputError(f"{path}.n: need at least two particles")
-    has_profile = "profile" in node
-    has_csv = "csv" in node
-    if has_profile == has_csv:
-        raise InvalidInputError(f"{path}: give exactly one of 'profile' or 'csv'")
-    if has_profile:
-        return InitialSpec(n=n, profile=_parse_profile(node["profile"], f"{path}.profile"))
-    return InitialSpec(n=n, csv=_string(node, "csv", path))
-
-
-def _parse_energy(node, path) -> EnergySpec:
-    node = _mapping(node, path)
-    kind = _string(node, "type", path)
-    if kind not in ENERGY_NAMES:
-        raise InvalidInputError(
-            f"{path}.type: unknown energy {kind!r} (choose from {', '.join(ENERGY_NAMES)})"
-        )
-    if kind == "power_law":
-        _check_keys(node, path, ("type", "exponent"))
-        exponent = _number(node, "exponent", path)
-        if exponent <= 1.0:
-            raise InvalidInputError(f"{path}.exponent: must exceed 1")
-        return EnergySpec(kind, exponent)
-    if kind == "custom":
-        # monomial integrand coefficient * x**exponent; exponent > 0 keeps f(0) = 0
-        _check_keys(node, path, ("type", "exponent", "coefficient"))
-        exponent = _number(node, "exponent", path)
-        coefficient = _number(node, "coefficient", path)
-        if exponent <= 0:
-            raise InvalidInputError(f"{path}.exponent: must be positive")
-        return EnergySpec(kind, exponent, coefficient)
-    _check_keys(node, path, ("type",))
-    return EnergySpec(kind)
-
-
-def _parse_cost(node, path, owner: int) -> CostSpec:
-    node = _mapping(node, path)
-    kind = _string(node, "type", path)
-    if kind not in COST_NAMES:
-        raise InvalidInputError(
-            f"{path}.type: unknown cost {kind!r} (choose from {', '.join(COST_NAMES)})"
-        )
-    if kind == "quadratic_pairwise":
-        _check_keys(node, path, ("type", "partner"))
-        partner = _integer(node, "partner", path)
-        if partner == owner:
-            raise InvalidInputError(f"{path}.partner: must differ from the owning population")
-        return CostSpec(kind, partner=partner)
-    if kind == "zero":
-        _check_keys(node, path, ("type", "partners"))
-        raw = _sequence(node, "partners", path)
-        partners = []
-        for j, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise InvalidInputError(f"{path}.partners[{j}]: expected an integer")
-            partners.append(item)
-        if not partners:
-            raise InvalidInputError(f"{path}.partners: need at least one partner")
-        if owner in partners:
-            raise InvalidInputError(f"{path}.partners: must not include the owning population")
-        return CostSpec(kind, partners=tuple(partners))
-    _check_keys(node, path, ("type", "weights"))
-    if "weights" not in node:
-        raise InvalidInputError(f"{path}.weights: missing required mapping")
-    raw = node["weights"]
-    if not isinstance(raw, dict) or not raw:
-        raise InvalidInputError(f"{path}.weights: expected a nonempty mapping")
-    weights = []
-    for key, value in raw.items():
-        if isinstance(key, bool) or not isinstance(key, int):
-            raise InvalidInputError(f"{path}.weights: keys must be population indices")
-        if key == owner:
-            raise InvalidInputError(
-                f"{path}.weights: the owning population is the anchor, not a partner"
-            )
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise InvalidInputError(f"{path}.weights[{key}]: expected a positive number")
-        weights.append((key, float(value)))
-    return CostSpec(kind, weights=tuple(weights))
-
-
-def _parse_population(node, path, index: int) -> PopulationConfigSpec:
-    node = _mapping(node, path)
-    _check_keys(node, path, ("energy", "initial", "coupling"))
-    if "energy" not in node:
-        raise InvalidInputError(f"{path}.energy: missing required mapping")
-    if "initial" not in node:
-        raise InvalidInputError(f"{path}.initial: missing required mapping")
-    coupling = None
-    if "coupling" in node:
-        coupling = _parse_cost(node["coupling"], f"{path}.coupling", index)
-    return PopulationConfigSpec(
-        energy=_parse_energy(node["energy"], f"{path}.energy"),
-        initial=_parse_initial(node["initial"], f"{path}.initial"),
-        coupling=coupling,
-    )
-
-
-def _parse_flow(node, path) -> FlowSpec:
-    node = _mapping(node, path)
-    _check_keys(node, path, ("domain", "h", "n_steps", "populations", "record_every", "tol"))
-    if "domain" not in node:
-        raise InvalidInputError(f"{path}.domain: missing required mapping")
-    dom_node = _mapping(node["domain"], f"{path}.domain")
-    _check_keys(dom_node, f"{path}.domain", ("lower", "upper"))
-    lower = _number(dom_node, "lower", f"{path}.domain")
-    upper = _number(dom_node, "upper", f"{path}.domain")
-    if not upper > lower:
-        raise InvalidInputError(f"{path}.domain.upper: must exceed lower")
-    h = _number(node, "h", path)
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidInputError(f"{path}.h: must be positive")
-    n_steps = _integer(node, "n_steps", path)
-    if n_steps < 1:
-        raise InvalidInputError(f"{path}.n_steps: must be at least 1")
-    record_every = _integer(node, "record_every", path, required=False, default=1)
-    if record_every < 1:
-        raise InvalidInputError(f"{path}.record_every: must be at least 1")
-    tol = _number(node, "tol", path, required=False)
-    if tol is not None and tol <= 0:
-        raise InvalidInputError(f"{path}.tol: must be positive")
-    raw_pops = _sequence(node, "populations", path)
-    if len(raw_pops) < 2:
-        raise InvalidInputError(f"{path}.populations: need at least two populations")
-    pops = tuple(
-        _parse_population(p, f"{path}.populations[{i}]", i)
-        for i, p in enumerate(raw_pops)
-    )
-    for i, p in enumerate(pops):
-        c = p.coupling
-        if c is None:
-            continue
-        partners = _cost_partners(c)
-        for j in partners:
-            if not 0 <= j < len(pops):
-                raise InvalidInputError(
-                    f"{path}.populations[{i}].coupling: partner {j} out of range"
-                )
-        if len(set(partners)) != len(partners):
-            raise InvalidInputError(
-                f"{path}.populations[{i}].coupling: duplicate partners"
-            )
-    return FlowSpec(
-        domain=DomainSpec(lower, upper), h=h, n_steps=n_steps,
-        populations=pops, record_every=record_every, tol=tol,
-    )
-
-
-def _cost_partners(c: CostSpec) -> tuple[int, ...]:
-    if c.type == "quadratic_pairwise":
-        return (c.partner,)
-    if c.type == "zero":
-        return c.partners
-    return tuple(k for k, _ in c.weights)
-
-
-def _parse_test_function(node, path) -> TestFunctionSpec:
-    node = _mapping(node, path)
-    _check_keys(node, path, ("name", "center", "half_width", "t_cut"))
-    name = _string(node, "name", path)
-    if name != "bump":
-        raise InvalidInputError(f"{path}.name: unknown test function {name!r}")
-    center = _number(node, "center", path, required=False)
-    half_width = _number(node, "half_width", path, required=False)
-    t_cut = _number(node, "t_cut", path, required=False)
-    if half_width is not None and half_width <= 0:
-        raise InvalidInputError(f"{path}.half_width: must be positive")
-    if t_cut is not None and t_cut <= 0:
-        raise InvalidInputError(f"{path}.t_cut: must be positive")
-    return TestFunctionSpec(name, center, half_width, t_cut)
-
-
-def _parse_probe(node, path, n_pops: int) -> ProbeSpec:
-    node = _mapping(node, path)
-    kind = _string(node, "kind", path)
-    if kind not in PROBE_KINDS:
-        raise InvalidInputError(
-            f"{path}.kind: unknown probe {kind!r} (choose from {', '.join(PROBE_KINDS)})"
-        )
-    if kind == "estimate_report":
-        _check_keys(node, path, ("kind",))
-        return ProbeSpec(kind)
-    if kind in ("contraction_probe", "convexity_probe"):
-        allowed = ("kind", "second_initials") + (
-            ("slack",) if kind == "contraction_probe" else ("t_samples",)
-        )
-        _check_keys(node, path, allowed)
-        raw = _sequence(node, "second_initials", path)
-        profiles = tuple(
-            _parse_profile(p, f"{path}.second_initials[{i}]")
-            for i, p in enumerate(raw)
-        )
-        if len(profiles) != n_pops:
-            raise InvalidInputError(
-                f"{path}.second_initials: need one profile per population ({n_pops})"
-            )
-        slack = None
-        t_samples = None
-        if kind == "contraction_probe":
-            slack = _number(node, "slack", path, required=False)
-            if slack is not None and slack <= 0:
-                raise InvalidInputError(f"{path}.slack: must be positive")
-        else:
-            raw_t = _sequence(node, "t_samples", path, required=False)
-            if raw_t is not None:
-                vals = []
-                for i, t in enumerate(raw_t):
-                    if isinstance(t, bool) or not isinstance(t, (int, float)):
-                        raise InvalidInputError(f"{path}.t_samples[{i}]: expected a number")
-                    if not 0.0 <= float(t) <= 1.0:
-                        raise InvalidInputError(f"{path}.t_samples[{i}]: must lie in [0, 1]")
-                    vals.append(float(t))
-                t_samples = tuple(vals)
-        return ProbeSpec(kind, slack=slack, t_samples=t_samples, second_initials=profiles)
-    _check_keys(node, path, ("kind", "population", "test_function"))
-    population = _integer(node, "population", path)
-    if not 0 <= population < n_pops:
-        raise InvalidInputError(f"{path}.population: out of range")
-    tf = None
-    if "test_function" in node:
-        tf = _parse_test_function(node["test_function"], f"{path}.test_function")
-    return ProbeSpec(kind, population=population, test_function=tf)
-
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a single-document YAML scenario."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as err:
-        mark = getattr(err, "problem_mark", None)
-        if mark is not None:
-            raise InvalidInputError(
-                f"syntax error at line {mark.line + 1}, column {mark.column + 1}"
-            ) from err
-        raise InvalidInputError(f"syntax error: {err}") from err
-    doc = _mapping(doc, "scenario")
-    _check_keys(doc, "scenario", ("name", "flow", "probes", "output_dir"))
-    name = _string(doc, "name", "scenario")
-    if "flow" not in doc:
-        raise InvalidInputError("scenario.flow: missing required mapping")
-    flow = _parse_flow(doc["flow"], "flow")
-    probes = ()
-    raw_probes = _sequence(doc, "probes", "scenario", required=False)
-    if raw_probes is not None:
-        probes = tuple(
-            _parse_probe(p, f"probes[{i}]", len(flow.populations))
-            for i, p in enumerate(raw_probes)
-        )
-    output_dir = _string(doc, "output_dir", "scenario", required=False)
-    return Scenario(name=name, flow=flow, probes=probes, output_dir=output_dir)
-
-
-# -------------------------------------------------------------- serialization
-
-
-def _profile_dict(p: ProfileSpec) -> dict:
-    out = {"type": p.type}
-    out.update({k: v for k, v in p.params})
-    return out
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Canonical YAML for a Scenario; parse(serialize(s)) == s."""
-    doc: dict = {"name": s.name}
-    flow: dict = {
-        "domain": {"lower": s.flow.domain.lower, "upper": s.flow.domain.upper},
-        "h": s.flow.h,
-        "n_steps": s.flow.n_steps,
-    }
-    if s.flow.record_every != 1:
-        flow["record_every"] = s.flow.record_every
-    if s.flow.tol is not None:
-        flow["tol"] = s.flow.tol
-    pops = []
-    for p in s.flow.populations:
-        pop: dict = {}
-        pop["energy"] = {"type": p.energy.type}
-        if p.energy.exponent is not None:
-            pop["energy"]["exponent"] = p.energy.exponent
-        if p.energy.coefficient is not None:
-            pop["energy"]["coefficient"] = p.energy.coefficient
-        init: dict = {"n": p.initial.n}
-        if p.initial.profile is not None:
-            init["profile"] = _profile_dict(p.initial.profile)
-        else:
-            init["csv"] = p.initial.csv
-        pop["initial"] = init
-        if p.coupling is not None:
-            c: dict = {"type": p.coupling.type}
-            if p.coupling.type == "quadratic_pairwise":
-                c["partner"] = p.coupling.partner
-            elif p.coupling.type == "zero":
-                c["partners"] = list(p.coupling.partners)
-            else:
-                c["weights"] = {k: v for k, v in p.coupling.weights}
-            pop["coupling"] = c
-        pops.append(pop)
-    flow["populations"] = pops
-    doc["flow"] = flow
-    if s.probes:
-        probes = []
-        for pr in s.probes:
-            d: dict = {"kind": pr.kind}
-            if pr.population is not None:
-                d["population"] = pr.population
-            if pr.slack is not None:
-                d["slack"] = pr.slack
-            if pr.t_samples is not None:
-                d["t_samples"] = list(pr.t_samples)
-            if pr.second_initials is not None:
-                d["second_initials"] = [_profile_dict(p) for p in pr.second_initials]
-            if pr.test_function is not None:
-                tf: dict = {"name": pr.test_function.name}
-                for field in ("center", "half_width", "t_cut"):
-                    v = getattr(pr.test_function, field)
-                    if v is not None:
-                        tf[field] = v
-                d["test_function"] = tf
-            probes.append(d)
-        doc["probes"] = probes
-    if s.output_dir is not None:
-        doc["output_dir"] = s.output_dir
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
-
-
-# ------------------------------------------------------------------ building
-
-
-def _build_profile(spec: ProfileSpec, domain: Domain):
-    params = dict(spec.params)
-    if spec.type == "gaussian":
-        return gaussian_profile(domain, params["center"], params["sigma"])
-    if spec.type == "bump":
-        return bump_profile(domain, params["center"], params["half_width"])
-    if spec.type == "uniform":
-        return profile_grid(domain, lambda x: np.ones_like(x), cells=1)
-    return barenblatt_profile(params["t0"], domain)
-
-
-def _build_initial(spec: InitialSpec, domain: Domain) -> ParticleDensity:
-    if spec.profile is not None:
-        return from_grid(_build_profile(spec.profile, domain), spec.n)
-    try:
-        grid = grid_from_csv(spec.csv)
-    except OSError as err:
-        raise InvalidInputError(f"initial csv {spec.csv!r}: {err}") from err
-    return from_grid(grid, spec.n, domain=domain)
-
-
-def _build_energy(spec: EnergySpec):
-    if spec.type == "entropy":
-        return entropy_energy()
-    if spec.type == "power_law":
-        return power_law_energy(spec.exponent)
-    if spec.type == "custom":
-        c, p = spec.coefficient, spec.exponent
-        return custom_energy(lambda x: c * x**p, lambda x: c * p * x ** (p - 1.0))
-    return zero_energy()
-
-
-def _build_coupling(spec: CostSpec, owner: int, domain: Domain) -> Coupling:
-    if spec.type == "quadratic_pairwise":
-        return Coupling(quadratic_pairwise_cost(domain), (owner, spec.partner))
-    if spec.type == "zero":
-        return Coupling(zero_cost(len(spec.partners) + 1), (owner,) + spec.partners)
-    weights = [w for _, w in spec.weights]
-    members = (owner,) + tuple(k for k, _ in spec.weights)
-    return Coupling(barycenter_cost(weights, domain, anchor=0), members)
-
-
-def build_flow_config(scenario: Scenario) -> FlowConfig:
-    """Resolve a parsed scenario into runnable flow data."""
-    flow = scenario.flow
-    domain = Domain(flow.domain.lower, flow.domain.upper)
-    pops = []
-    for i, p in enumerate(flow.populations):
-        coupling = None
-        if p.coupling is not None:
-            coupling = _build_coupling(p.coupling, i, domain)
-        pops.append(PopulationSpec(
-            initial=_build_initial(p.initial, domain),
-            energy=_build_energy(p.energy),
-            coupling=coupling,
-        ))
-    return FlowConfig(
-        populations=tuple(pops),
-        h=flow.h,
-        n_steps=flow.n_steps,
-        record_every=flow.record_every,
-        tol=flow.tol,
-    )
-
-
-# -------------------------------------------------------------------- probes
+# ------------------------------------------------------------------- probes
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _run_estimate_probe(traj) -> tuple[str, list[str]]:
+def _second_initials(probe, config: FlowConfig) -> tuple[ParticleDensity, ...]:
+    return tuple(
+        from_grid(PROFILE.build(p, config.domain), pop.initial.n)
+        for p, pop in zip(probe.second_initials, config.populations)
+    )
+
+
+def _run_estimate_probe(probe, config, traj) -> tuple[str, list[str]]:
     report = estimate_report(traj)
-    lines = []
-    for row in report.populations:
-        lines.append(
-            f"population {row.population}: f_initial={_fmt(row.f_initial)} "
-            f"f_max={_fmt(row.f_max)} f_max_bound={_fmt(row.f_max_bound)} "
-            f"sum_w2_sq={_fmt(row.sum_w2_sq)} sum_w2_sq_bound={_fmt(row.sum_w2_sq_bound)}"
-        )
+    lines = [
+        f"population {row.population}: f_initial={_fmt(row.f_initial)} "
+        f"f_max={_fmt(row.f_max)} f_max_bound={_fmt(row.f_max_bound)} "
+        f"sum_w2_sq={_fmt(row.sum_w2_sq)} sum_w2_sq_bound={_fmt(row.sum_w2_sq_bound)}"
+        for row in report.populations
+    ]
     return ("PASS" if report.satisfied else "FAIL"), lines
 
 
-def _run_contraction_probe(config, probe: ProbeSpec) -> tuple[str, list[str]]:
-    others = tuple(
-        from_grid(_build_profile(p, config.domain), pop.initial.n)
-        for p, pop in zip(probe.second_initials, config.populations)
-    )
+def _run_contraction_probe(probe, config, traj) -> tuple[str, list[str]]:
     slack = probe.slack if probe.slack is not None else 1e-3
-    report = contraction_probe(config, others, slack=slack)
+    report = contraction_probe(traj, _second_initials(probe, config), slack=slack)
     lines = [f"reason: {report.reason}"]
     if report.status != "SKIPPED":
         lines += [
@@ -675,19 +173,14 @@ def _run_contraction_probe(config, probe: ProbeSpec) -> tuple[str, list[str]]:
     return report.status, lines
 
 
-def _run_convexity_probe(config, probe: ProbeSpec) -> tuple[str, list[str]]:
-    others = tuple(
-        from_grid(_build_profile(p, config.domain), pop.initial.n)
-        for p, pop in zip(probe.second_initials, config.populations)
-    )
+def _run_convexity_probe(probe, config, traj) -> tuple[str, list[str]]:
+    others = _second_initials(probe, config)
     t_samples = probe.t_samples if probe.t_samples is not None else (0.25, 0.5, 0.75)
     lines = []
     worst = 0.0
-    checked = 0
     for i, pop in enumerate(config.populations):
         if pop.coupling is None:
             continue
-        checked += 1
         members = pop.coupling.members
         end_a = tuple(config.populations[m].initial for m in members)
         end_b = tuple(others[m] for m in members)
@@ -698,23 +191,19 @@ def _run_convexity_probe(config, probe: ProbeSpec) -> tuple[str, list[str]]:
             f"max_violation={_fmt(report.max_violation)} "
             f"evaluation={report.evaluation}"
         )
-    if checked == 0:
+    if not lines:
         return "SKIPPED", ["reason: no couplings declared"]
     status = "PASS" if worst <= 1e-8 else "FAIL"
     lines.append(f"worst_violation={_fmt(worst)} tolerance={_fmt(1e-8)}")
     return status, lines
 
 
-def _run_weak_form_probe(config, traj, probe: ProbeSpec) -> tuple[str, list[str]]:
+def _run_weak_form_probe(probe, config, traj) -> tuple[str, list[str]]:
     dom = config.domain
-    tf = probe.test_function
-    center = dom.lower + 0.5 * dom.length
-    half_width = 0.35 * dom.length
-    t_cut = 0.5 * config.horizon
-    if tf is not None:
-        center = tf.center if tf.center is not None else center
-        half_width = tf.half_width if tf.half_width is not None else half_width
-        t_cut = tf.t_cut if tf.t_cut is not None else t_cut
+    tf = probe.test_function or TestFunctionSpec("bump")
+    center = tf.center if tf.center is not None else dom.lower + 0.5 * dom.length
+    half_width = tf.half_width if tf.half_width is not None else 0.35 * dom.length
+    t_cut = tf.t_cut if tf.t_cut is not None else 0.5 * config.horizon
     phi = bump_test_function(center, half_width, t_cut)
     report = weak_form_residual(traj, phi, probe.population)
     lines = [
@@ -726,14 +215,175 @@ def _run_weak_form_probe(config, traj, probe: ProbeSpec) -> tuple[str, list[str]
     return ("PASS" if report.satisfied else "FAIL"), lines
 
 
+# ------------------------------------------------------------------- tables
+
+
+def _custom_energy(spec):
+    # monomial integrand coefficient * x**exponent; exponent > 0 keeps f(0) = 0
+    c, p = spec.coefficient, spec.exponent
+    return custom_energy(lambda x: c * x**p, lambda x: c * p * x ** (p - 1.0))
+
+
+def _cost_partners(c) -> tuple[int, ...]:
+    """The populations a coupling fills its cost slots with, after its owner."""
+    if c.weights is not None:
+        return tuple(k for k, _ in c.weights)
+    return c.partners if c.partners is not None else (c.partner,)
+
+
+POSITIVE = Bound(float, lambda v: v <= 0, "must be positive")
+AT_LEAST_ONE = Bound(int, lambda v: v < 1, "must be at least 1")
+NO_PARTNER = "need at least one partner"
+
+PROFILE = Union("ProfileSpec", "type", "profile", {
+    "gaussian": ({"center": float, "sigma": POSITIVE},
+                 lambda p, dom: gaussian_profile(dom, p.center, p.sigma)),
+    "bump": ({"center": float, "half_width": POSITIVE},
+             lambda p, dom: bump_profile(dom, p.center, p.half_width)),
+    "uniform": ({}, lambda p, dom: profile_grid(dom, lambda x: np.ones_like(x), cells=1)),
+    "barenblatt": ({"t0": POSITIVE}, lambda p, dom: barenblatt_profile(p.t0, dom)),
+})
+
+ENERGY = Union("EnergySpec", "type", "energy", {
+    "entropy": ({}, lambda e: entropy_energy()),
+    "power_law": ({"exponent": Bound(float, lambda v: v <= 1.0, "must exceed 1")},
+                  lambda e: power_law_energy(e.exponent)),
+    "zero": ({}, lambda e: zero_energy()),
+    "custom": ({"exponent": POSITIVE, "coefficient": float}, _custom_energy),
+})
+
+COST = Union("CostSpec", "type", "cost", {
+    "zero": ({"partners": Bound([int], lambda v: not v, NO_PARTNER)},
+             lambda c, dom: zero_cost(len(c.partners) + 1)),
+    "quadratic_pairwise": ({"partner": int}, lambda c, dom: quadratic_pairwise_cost(dom)),
+    "barycenter": ({"weights": Bound({int: POSITIVE}, lambda v: not v, NO_PARTNER)},
+                   lambda c, dom: barycenter_cost([w for _, w in c.weights], dom, anchor=0)),
+})
+
+TEST_FUNCTION = Record("TestFunctionSpec", {
+    "name": Bound(str, lambda v: v != "bump", "unknown test function (only bump)"),
+    "center": Opt(float), "half_width": Opt(POSITIVE), "t_cut": Opt(POSITIVE),
+})
+
+PROBE = Union("ProbeSpec", "kind", "probe", {
+    "estimate_report": ({}, _run_estimate_probe),
+    "contraction_probe": ({"second_initials": [PROFILE], "slack": Opt(POSITIVE)},
+                          _run_contraction_probe),
+    "convexity_probe": ({
+        "second_initials": [PROFILE],
+        "t_samples": Opt([Bound(float, lambda v: not 0.0 <= v <= 1.0, "must lie in [0, 1]")]),
+    }, _run_convexity_probe),
+    "weak_form_residual": ({"population": int, "test_function": Opt(TEST_FUNCTION)},
+                           _run_weak_form_probe),
+})
+
+INITIAL = Record("InitialSpec", {
+    "n": Bound(int, lambda v: v < 2, "need at least two particles"),
+    "profile": Opt(PROFILE), "csv": Opt(str),
+})
+
+POPULATION = Record("PopulationConfigSpec", {
+    "energy": ENERGY,
+    "initial": Bound(INITIAL, lambda s: (s.profile is None) == (s.csv is None),
+                     "give exactly one of 'profile' or 'csv'"),
+    "coupling": Opt(COST),
+})
+
+DOMAIN = Record("DomainSpec", {"lower": float, "upper": float})
+
+FLOW = Record("FlowSpec", {
+    "domain": Bound(DOMAIN, lambda d: not d.upper > d.lower, "upper must exceed lower"),
+    "h": Bound(float, lambda v: not (math.isfinite(v) and v > 0), "must be positive"),
+    "n_steps": AT_LEAST_ONE,
+    "populations": Bound([POPULATION], lambda v: len(v) < 2, "need at least two populations"),
+    "record_every": Opt(AT_LEAST_ONE, 1),
+    "tol": Opt(POSITIVE),
+})
+
+SCENARIO = Record("Scenario", {
+    "name": str, "flow": FLOW, "probes": Opt([PROBE], ()), "output_dir": Opt(str),
+})
+
+ProfileSpec, EnergySpec, CostSpec, ProbeSpec = PROFILE.cls, ENERGY.cls, COST.cls, PROBE.cls
+TestFunctionSpec, InitialSpec, DomainSpec = TEST_FUNCTION.cls, INITIAL.cls, DOMAIN.cls
+PopulationConfigSpec, FlowSpec, Scenario = POPULATION.cls, FLOW.cls, SCENARIO.cls
+
+
+# ---------------------------------------------------------- parse and build
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a single-document YAML scenario."""
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else f": {err}"
+        raise InvalidInputError(f"syntax error{where}") from err
+    scenario = _read(doc, SCENARIO, "")
+    n_pops = len(scenario.flow.populations)
+    for i, p in enumerate(scenario.flow.populations):
+        members = (i,) + (_cost_partners(p.coupling) if p.coupling is not None else ())
+        if len(set(members)) != len(members):
+            _fail(f"flow.populations[{i}].coupling", "partners must be distinct other populations")
+        for j in members:
+            if not 0 <= j < n_pops:
+                _fail(f"flow.populations[{i}].coupling", f"partner {j} out of range")
+    for i, probe in enumerate(scenario.probes):
+        if probe.second_initials is not None and len(probe.second_initials) != n_pops:
+            _fail(f"probes[{i}].second_initials", f"need one profile per population ({n_pops})")
+        if probe.population is not None and not 0 <= probe.population < n_pops:
+            _fail(f"probes[{i}].population", "out of range")
+    return scenario
+
+
+def serialize_scenario(s: Scenario) -> str:
+    """Canonical YAML for a Scenario; parse(serialize(s)) == s."""
+    return yaml.safe_dump(_dump(s), sort_keys=False, default_flow_style=False)
+
+
+def _build_initial(spec, domain: Domain) -> ParticleDensity:
+    if spec.profile is not None:
+        return from_grid(PROFILE.build(spec.profile, domain), spec.n)
+    try:
+        grid = grid_from_csv(spec.csv)
+    except OSError as err:
+        raise InvalidInputError(f"initial csv {spec.csv!r}: {err}") from err
+    return from_grid(grid, spec.n, domain=domain)
+
+
+def build_flow_config(scenario: Scenario) -> FlowConfig:
+    """Resolve a parsed scenario into runnable flow data."""
+    flow = scenario.flow
+    domain = Domain(flow.domain.lower, flow.domain.upper)
+    pops = []
+    for i, p in enumerate(flow.populations):
+        coupling = None
+        if p.coupling is not None:
+            members = (i,) + _cost_partners(p.coupling)
+            coupling = Coupling(COST.build(p.coupling, domain), members)
+        initial = _build_initial(p.initial, domain)
+        pops.append(PopulationSpec(initial, ENERGY.build(p.energy), coupling))
+    return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.record_every, flow.tol)
+
+
 # ------------------------------------------------------------------- running
+
+FAILURES = (InvalidInputError, DomainError, CapacityError, NumericalFailureError)
+
+
+def _exit_code(err: Exception) -> int:
+    """Report a failure on stderr; 3 for a numerical failure, 2 for bad input."""
+    numerical = isinstance(err, NumericalFailureError)
+    print(f"{'numerical failure' if numerical else 'input error'}: {err}", file=sys.stderr)
+    return 3 if numerical else 2
 
 
 def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> int:
     """Run the flow, write artifacts and probe reports, return the exit code."""
-    out = Path(output_dir) if output_dir is not None else None
-    if out is None:
-        out = Path(scenario.output_dir) if scenario.output_dir else Path(f"out_{scenario.name}")
+    if output_dir is None:
+        output_dir = scenario.output_dir or f"out_{scenario.name}"
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     complete = False
@@ -753,14 +403,7 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
             kind_counts[probe.kind] = kind_counts.get(probe.kind, 0) + 1
             suffix = "" if kind_counts[probe.kind] == 1 else f"_{kind_counts[probe.kind]}"
             fname = f"probe_{probe.kind}{suffix}.txt"
-            if probe.kind == "estimate_report":
-                status, lines = _run_estimate_probe(traj)
-            elif probe.kind == "contraction_probe":
-                status, lines = _run_contraction_probe(config, probe)
-            elif probe.kind == "convexity_probe":
-                status, lines = _run_convexity_probe(config, probe)
-            else:
-                status, lines = _run_weak_form_probe(config, traj, probe)
+            status, lines = PROBE.build(probe, config, traj)
             body = "\n".join([f"probe: {probe.kind}", f"status: {status}"] + lines) + "\n"
             (out / fname).write_text(body)
             written.append(fname)
@@ -768,12 +411,8 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
             if status == "FAIL" and failed_probe is None:
                 failed_probe = probe.kind
         complete = True
-    except (InvalidInputError, DomainError, CapacityError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except NumericalFailureError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
+    except FAILURES as err:
+        return _exit_code(err)
     finally:
         manifest = [f"scenario: {scenario.name}", f"complete: {'yes' if complete else 'no'}"]
         manifest += [f"file: {name}" for name in written]
@@ -799,21 +438,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    try:
-        scenario = parse_scenario(text)
+        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
         if args.validate_only:
             build_flow_config(scenario)
             if not args.quiet:
                 print(f"scenario {scenario.name!r} is valid")
             return 0
-    except (InvalidInputError, DomainError, CapacityError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except NumericalFailureError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
+    except (OSError, *FAILURES) as err:
+        return _exit_code(err)
     return run_scenario(scenario, output_dir=args.output_dir, quiet=args.quiet)

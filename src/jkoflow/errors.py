@@ -13,7 +13,7 @@ class InvalidInputError(ValueError):
 
 
 class DomainError(ValueError):
-    """Scalar argument outside its admissible range (e.g. a quantile level not in [0, 1])."""
+    """Scalar argument outside its admissible range (e.g. an interpolation time not in [0, 1])."""
 
 
 class CapacityError(ValueError):

@@ -260,17 +260,18 @@ class ContractionReport:
 
 
 def contraction_probe(
-    config: FlowConfig,
+    traj: FlowTrajectory,
     other_initials: Sequence[ParticleDensity],
     slack: float = 1e-3,
 ) -> ContractionReport:
-    """Evolve two initial tuples and watch the product distance.
+    """Rerun the flow of ``traj`` from ``other_initials``; watch the product distance.
 
     With displacement-convex internal energies (checked here) and the
     couplings at hand, the implicit scheme should not expand the product
     W2 distance beyond solver noise.  The probe is skipped when some
     energy fails the convexity check, since nothing is claimed then.
     """
+    config = traj.config
     for i, p in enumerate(config.populations):
         report = mccann_check(p.energy)
         if not report.satisfied:
@@ -296,10 +297,9 @@ def contraction_probe(
             for p, rho in zip(config.populations, other_initials)
         ),
     )
-    traj_a = run_flow(config)
     traj_b = run_flow(config_b)
     distances = tuple(
-        product_w2(sa, sb) for sa, sb in zip(traj_a.states, traj_b.states)
+        product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states)
     )
     increases = np.diff(np.array(distances))
     max_increase = float(np.max(increases)) if increases.size else 0.0

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
-
-# Relative collision guard: gaps below this fraction of the domain length are
-# treated as floored when reconstructing densities from particle spacings.
-SPACING_FLOOR_REL = 1e-12
+from .errors import InvalidInputError
 
 # Mass defect tolerated by the GridDensity normalization invariant.
 MASS_TOL = 1e-12
@@ -49,11 +45,6 @@ class Domain:
     @property
     def length(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def spacing_floor(self) -> float:
-        """Smallest inter-particle gap treated as non-degenerate."""
-        return SPACING_FLOOR_REL * self.length
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -208,24 +199,6 @@ def grid_from_csv(path) -> GridDensity:
     return GridDensity(edges_arr, values_arr / mass)
 
 
-def quantile(rho: ParticleDensity, u):
-    """Left-continuous pseudo-inverse of the particle CDF.
-
-    Piecewise constant: value x_j on the mass interval ((j-1)/N, j/N]; u = 0
-    maps to the smallest position.  Accepts scalars or arrays in [0, 1].
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0) or np.any(u_arr > 1) or not np.all(np.isfinite(u_arr)):
-        raise DomainError("quantile levels must lie in [0, 1]")
-    n = rho.n
-    idx = np.ceil(u_arr * n).astype(int)
-    idx = np.clip(idx, 1, n)
-    out = rho.positions[idx - 1]
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def from_grid(grid: GridDensity, n: int, domain: Domain | None = None) -> ParticleDensity:
     """Particle discretization of a grid density at midpoint quantiles.
 
@@ -259,21 +232,6 @@ def from_grid(grid: GridDensity, n: int, domain: Domain | None = None) -> Partic
     pos = np.maximum.accumulate(pos)  # guard rounding at cell boundaries
     pos = np.clip(pos, domain.lower, domain.upper)
     return ParticleDensity(domain, pos)
-
-
-def to_grid(rho: ParticleDensity, cell_edges) -> GridDensity:
-    """Histogram reconstruction: particle mass per cell divided by cell width.
-
-    The edges must be strictly increasing and cover the whole domain.
-    """
-    edges = np.asarray(cell_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidInputError("cell_edges must be strictly increasing with >= 2 entries")
-    if edges[0] > rho.domain.lower or edges[-1] < rho.domain.upper:
-        raise InvalidInputError("cell_edges must cover the domain")
-    counts, _ = np.histogram(rho.positions, bins=edges)
-    values = counts / (rho.n * np.diff(edges))
-    return GridDensity(edges, values)
 
 
 def w2_distance(rho: ParticleDensity, mu: ParticleDensity) -> float:

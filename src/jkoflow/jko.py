@@ -102,7 +102,6 @@ def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
     x = np.asarray(x, dtype=float)
     prev = problem.prev.positions
-    n = prev.size
     rho = problem.prev.with_positions(x)
     val = float(np.mean((x - prev) ** 2))
     val += 2.0 * problem.h * energy_value(problem.energy, rho)
@@ -169,16 +168,16 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             if sy > 0:
                 alpha = float(np.clip(np.dot(s, s) / sy, 1e-14, 1e14))
         f_ref = max(window)
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = project_ordered_box(problem.domain, x - alpha * g)
             fc = objective(problem, cand)
             if fc <= f_ref + ARMIJO_C1 * float(np.dot(g, cand - x)):
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            break  # step collapsed to rounding noise; residual check decides
+        else:
+            raise NumericalFailureError(
+                f"step solver line search failed at iteration {iters}", residual=res
+            )
         prev_x, prev_g = x, g
         x, f = cand, fc
         window.append(f)

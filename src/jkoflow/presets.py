@@ -53,15 +53,18 @@ def bump_profile(domain: Domain, center: float, half_width: float) -> GridDensit
 def barenblatt_profile(t: float, domain: Domain) -> GridDensity:
     """Self-similar source solution of d_t rho = Lap(rho^2) at time t.
 
-    rho(t, x) = t^(-1/3) (C - x^2 t^(-2/3) / 12)_+  with C = 3^(1/3)/4,
-    which carries unit mass; the support radius is sqrt(12 C) t^(1/3).
+    rho(t, x) = t^(-1/3) (C - y^2 t^(-2/3) / 12)_+  with C = 3^(1/3)/4 and
+    y the offset of x from the domain midpoint.  It carries unit mass; the
+    support radius sqrt(12 C) t^(1/3) must stay below half the domain length.
     """
     if t <= 0:
         raise InvalidInputError("the source solution needs t > 0")
     c = 3.0 ** (1.0 / 3.0) / 4.0
+    mid = 0.5 * (domain.lower + domain.upper)
 
     def density(x):
-        return np.maximum(c - x * x * t ** (-2.0 / 3.0) / 12.0, 0.0) * t ** (-1.0 / 3.0)
+        y = x - mid
+        return np.maximum(c - y * y * t ** (-2.0 / 3.0) / 12.0, 0.0) * t ** (-1.0 / 3.0)
 
     radius = math.sqrt(12.0 * c) * t ** (1.0 / 3.0)
     if radius >= domain.length / 2.0:

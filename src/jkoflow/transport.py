@@ -5,7 +5,7 @@ coupling that matches the j-th smallest particles of every marginal.  For
 costs whose mixed second derivatives are nonpositive (``comonotone_certified``)
 this plan is optimal, so coupling values on the hot path are plain index-wise
 sums.  A brute-force LP over the full product grid is kept as a correctness
-oracle, and Kantorovich potentials / velocity fields give the dual side.
+oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError, InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity, w2_distance
+from .geometry import Domain, ParticleDensity
 
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
 
@@ -127,45 +127,6 @@ def barycenter_cost(
     )
 
 
-@dataclass(frozen=True)
-class ComonotoneReport:
-    passed: bool
-    worst_quotient: float
-    n_probes: int
-
-
-def probe_comonotone(
-    cost: CostFunction,
-    domain: Domain,
-    n_probes: int = 10_000,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> tuple[CostFunction, ComonotoneReport]:
-    """Sample mixed second differences; downgrade the certificate on failure.
-
-    The probe never upgrades: passing is only evidence, so an uncertified
-    cost stays uncertified.  Step size 1e-2 of the domain length keeps the
-    difference quotient rounding below the tolerance for O(1) costs.
-    """
-    rng = np.random.default_rng(seed)
-    h = 1e-2 * domain.length
-    x = rng.uniform(domain.lower, domain.upper - 2 * h, size=(n_probes, cost.arity))
-    worst = -math.inf
-    for i in range(cost.arity):
-        for j in range(i + 1, cost.arity):
-            xi = x.copy()
-            xi[:, i] += h
-            xj = x.copy()
-            xj[:, j] += h
-            xij = xi.copy()
-            xij[:, j] += h
-            quot = (cost.evaluate(xij) - cost.evaluate(xi) - cost.evaluate(xj) + cost.evaluate(x)) / (h * h)
-            worst = max(worst, float(np.max(quot)))
-    passed = worst <= tol
-    out = cost if passed or not cost.comonotone_certified else replace(cost, comonotone_certified=False)
-    return out, ComonotoneReport(passed, worst, n_probes)
-
-
 @dataclass(frozen=True, eq=False)
 class MultiMarginalPlan:
     """Discrete coupling of l particle densities.
@@ -244,13 +205,6 @@ def monotone_plan(
     return plan
 
 
-def _product_scale(marginals) -> int:
-    size = 1
-    for m in marginals:
-        size *= m.n
-    return size
-
-
 def lp_solve_mm(
     marginals: Sequence[ParticleDensity], cost: CostFunction
 ) -> MultiMarginalPlan:
@@ -266,7 +220,7 @@ def lp_solve_mm(
     l = len(marginals)
     if l != cost.arity:
         raise InvalidInputError("cost arity does not match marginal count")
-    size = _product_scale(marginals)
+    size = math.prod(m.n for m in marginals)
     if l * size > LP_SCALE_CAP:
         raise CapacityError(
             f"LP scale l*prod(K)={l * size} exceeds cap {LP_SCALE_CAP}"
@@ -312,149 +266,6 @@ def lp_solve_mm(
     w = np.maximum(w, 0.0)
     value = float(np.dot(w, c[keep]))
     return MultiMarginalPlan(SPARSE, marginals, support, w, cost_value=value)
-
-
-def _chain_potentials(plan: MultiMarginalPlan, cost: CostFunction) -> list[np.ndarray]:
-    """Duals tight on every support tuple, built by telescoping along ranks.
-
-    Walking the support rows in order of the first coordinate, the increment
-    of u_i is the cost change of raising slot i alone (slots before it
-    already raised).  Tightness on the support holds by construction;
-    feasibility off it follows from nonpositive mixed second derivatives
-    (the Monge inequality, telescoped one coordinate at a time).
-    """
-    l = plan.arity
-    rows = plan.support_positions()
-    idx = plan.indices
-    order = np.argsort(rows[:, 0], kind="stable")
-    rows = rows[order]
-    idx = idx[order]
-    n = rows.shape[0]
-    u = [np.full(m.n, np.inf) for m in plan.marginals]
-    c0 = float(cost.evaluate(rows[0]))
-    u[0][idx[0, 0]] = c0  # tightness on the first row pins the constant
-    for i in range(1, l):
-        u[i][idx[0, i]] = 0.0
-    if n > 1:
-        lo = rows[:-1]
-        increments = np.empty((n - 1, l))
-        mixed = lo.copy()
-        base = cost.evaluate(mixed)
-        for i in range(l):
-            mixed[:, i] = rows[1:, i]
-            lifted = cost.evaluate(mixed)
-            increments[:, i] = lifted - base
-            base = lifted
-    vals = np.zeros(l)
-    vals[0] = c0
-    for r in range(1, n):
-        vals = vals + increments[r - 1]
-        for i in range(l):
-            a = idx[r, i]
-            if np.isinf(u[i][a]):
-                u[i][a] = vals[i]
-            else:
-                vals[i] = u[i][a]  # revisited atom: keep the first value
-    for i in range(l):
-        np.nan_to_num(u[i], copy=False, posinf=0.0)
-    return u
-
-
-def kantorovich_potentials(
-    plan: MultiMarginalPlan,
-    cost: CostFunction,
-    gap_tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-) -> list[np.ndarray]:
-    """Dual potentials on each marginal's atoms for an optimal plan.
-
-    Initialized from chain potentials along the plan support, then polished
-    by alternating c-conjugate updates over the full product tensor:
-    u_i(a) = min over the other coordinates of [c - sum_{j!=i} u_j], swept
-    until the duality gap against the plan's cost closes below gap_tol.
-    Gauge: every potential except the first vanishes at its first atom.
-    """
-    l = plan.arity
-    if cost.arity != l:
-        raise InvalidInputError("cost arity does not match plan arity")
-    size = _product_scale(plan.marginals)
-    if l * size > LP_SCALE_CAP:
-        raise CapacityError(f"potential tensor l*prod(K)={l * size} exceeds cap")
-    ks = [m.n for m in plan.marginals]
-    tuple_idx = np.indices(ks).reshape(l, size)
-    pts = np.stack(
-        [m.positions[tuple_idx[i]] for i, m in enumerate(plan.marginals)], axis=-1
-    )
-    c_tensor = cost.evaluate(pts).reshape(ks)
-    primal = plan_cost(plan, cost)
-    marg_w = [np.full(k, 1.0 / k) for k in ks]
-
-    def conjugate(u, i):
-        total = c_tensor.copy()
-        for j in range(l):
-            if j != i:
-                shape = [1] * l
-                shape[j] = ks[j]
-                total = total - u[j].reshape(shape)
-        axes = tuple(j for j in range(l) if j != i)
-        return total.min(axis=axes)
-
-    def alternate(u, first_order, budget):
-        gap = math.inf
-        for sweep in range(budget):
-            changed = False
-            for i in first_order if sweep == 0 else range(l):
-                new = conjugate(u, i)
-                changed = changed or not np.array_equal(new, u[i])
-                u[i] = new
-            dual = sum(float(np.dot(u[i], marg_w[i])) for i in range(l))
-            gap = primal - dual
-            if gap <= gap_tol:
-                return u, gap, True
-            if not changed:
-                return u, gap, False  # exact fixed point above tolerance
-        return u, gap, False
-
-    # the zeros start converges for symmetric instances and picks the
-    # canonical duals there; when it stalls at a suboptimal fixed point,
-    # restart from chain potentials, which are already tight on the support
-    u = [np.zeros(k) for k in ks]
-    u, gap, converged = alternate(u, [l - 1] + list(range(l)), max_sweeps)
-    if not converged:
-        u, gap, converged = alternate(
-            _chain_potentials(plan, cost), list(range(l)), max_sweeps
-        )
-    if not converged:
-        raise NumericalFailureError(
-            f"conjugate sweeps stalled at duality gap {gap:.3e}", residual=gap
-        )
-    for i in range(1, l):
-        shift = u[i][0]
-        u[i] = u[i] - shift
-        u[0] = u[0] + shift
-    return u
-
-
-def velocity_field(plan: MultiMarginalPlan, cost: CostFunction, i: int) -> np.ndarray:
-    """Transport velocity on marginal i's atoms: E[dc/dx_i | x_i = atom].
-
-    For the comonotone form this is just the partial at each coupled tuple;
-    for sparse plans it is the weight-averaged partial over the tuples that
-    share the atom.
-    """
-    if not 0 <= i < plan.arity:
-        raise InvalidInputError(f"marginal index {i} out of range")
-    if cost.arity != plan.arity:
-        raise InvalidInputError("cost arity does not match plan arity")
-    p = cost.partial(i, plan.support_positions())
-    if plan.form == COMONOTONE:
-        return p
-    n = plan.marginals[i].n
-    num = np.bincount(plan.indices[:, i], weights=plan.weights * p, minlength=n)
-    den = np.bincount(plan.indices[:, i], weights=plan.weights, minlength=n)
-    if np.any(den <= 0):
-        raise InvalidInputError("plan support misses atoms of the requested marginal")
-    return num / den
 
 
 def displacement_interpolate(

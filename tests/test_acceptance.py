@@ -312,7 +312,7 @@ def test_contraction_on_presets():
         ("heat", heat, heat_other),
         ("barycenter", bary, bary_other),
     ):
-        report = contraction_probe(config, other, slack=1e-3)
+        report = contraction_probe(run_flow(config), other, slack=1e-3)
         results.append((label, report))
     ok = all(r.status == "PASS" and r.max_increase <= 1e-3 for _, r in results)
     detail = "; ".join(

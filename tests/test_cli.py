@@ -13,6 +13,7 @@ from jkoflow.cli import (
     run_scenario,
     serialize_scenario,
 )
+from jkoflow.energy import custom_energy
 from jkoflow.errors import InvalidInputError
 from jkoflow.flow import ContractionReport
 
@@ -202,6 +203,20 @@ def test_unsolvable_step_exits_3_with_partial_manifest(tmp_path, monkeypatch, ca
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
+
+
+def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch, capsys):
+    # the integrand's derivative with its sign flipped: the search direction
+    # climbs the step objective, so the line search fails on the first step
+    monkeypatch.setattr(
+        "jkoflow.cli.custom_energy", lambda f, df: custom_energy(f, lambda x: -df(x))
+    )
+    text = BACKWARD.replace("exponent: 0.5, coefficient: 1.0",
+                            "exponent: 2.0, coefficient: 1.0e+6").replace("h: 0.0001", "h: 0.05")
+    code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
+    assert code == 3
+    assert "line search failed" in capsys.readouterr().err
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 

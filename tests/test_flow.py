@@ -131,6 +131,20 @@ def test_barenblatt_profile_properties():
         barenblatt_profile(0.0, dom)
 
 
+def test_barenblatt_profile_centred_on_the_domain_midpoint():
+    t = 1e-3
+    g = barenblatt_profile(t, Domain(0.0, 1.0))
+    c = 3.0 ** (1.0 / 3.0) / 4.0
+    radius = math.sqrt(12.0 * c) * t ** (1.0 / 3.0)
+    mids = 0.5 * (g.cell_edges[:-1] + g.cell_edges[1:])
+    # symmetric about 0.5, with the whole support inside the domain
+    assert np.allclose(g.cell_values, g.cell_values[::-1], rtol=1e-9, atol=0.0)
+    assert np.all(g.cell_values[np.abs(mids - 0.5) > radius] == 0.0)
+    # the closed form already has unit mass, so normalizing the grid leaves its peak
+    assert math.isclose(float(np.sum(g.cell_values * np.diff(g.cell_edges))), 1.0)
+    assert math.isclose(float(np.max(g.cell_values)), c * t ** (-1.0 / 3.0), rel_tol=1e-3)
+
+
 # ------------------------------------------------------------------- dynamics
 
 
@@ -258,23 +272,25 @@ def test_contraction_passes_for_heat_flow():
         from_grid(gaussian_profile(UNIT, 0.4, 0.12), 32),
         from_grid(gaussian_profile(UNIT, 0.6, 0.12), 32),
     )
-    report = contraction_probe(cfg, shifted)
+    report = contraction_probe(run_flow(cfg), shifted)
     assert report.status == "PASS"
     assert report.max_increase <= 1e-3
     assert len(report.distances) == 16
 
 
 def test_contraction_skipped_without_displacement_convexity():
-    concave = custom_energy(lambda x: -x * x, lambda x: -2.0 * x)
+    # r * sqrt(1/r) = sqrt(r) increases, so the McCann check fails, while the
+    # steps stay solvable at small h; the probe needs the flow computed first
+    concave = custom_energy(lambda x: np.sqrt(x), lambda x: 0.5 / np.sqrt(x))
     a = from_grid(gaussian_profile(UNIT, 0.4, 0.1), 16)
     cfg = FlowConfig(
         populations=(
             PopulationSpec(initial=a, energy=concave),
             PopulationSpec(initial=a, energy=entropy_energy()),
         ),
-        h=1e-2, n_steps=3,
+        h=1e-4, n_steps=3,
     )
-    report = contraction_probe(cfg, (a, a))
+    report = contraction_probe(run_flow(cfg), (a, a))
     assert report.status == "SKIPPED"
     assert "McCann check failed" in report.reason
 
@@ -282,7 +298,7 @@ def test_contraction_skipped_without_displacement_convexity():
 def test_contraction_validates_initials():
     cfg = small_heat_config(n=16, n_steps=2)
     with pytest.raises(InvalidInputError):
-        contraction_probe(cfg, (cfg.populations[0].initial,))
+        contraction_probe(run_flow(cfg), (cfg.populations[0].initial,))
 
 
 # ------------------------------------------------------------------ weak form

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from jkoflow import (
     Domain,
-    DomainError,
     GridDensity,
     InvalidInputError,
     ParticleDensity,
     from_grid,
     grid_from_csv,
     normalized_grid,
+    particle_step_density,
     product_w2,
-    quantile,
-    to_grid,
     w2_distance,
 )
 
@@ -26,47 +24,6 @@ UNIT = Domain(0.0, 1.0)
 def uniform_particles(domain, n):
     g = GridDensity(np.array([domain.lower, domain.upper]), np.array([1.0 / domain.length]))
     return from_grid(g, n)
-
-
-def test_quantile_single_atom():
-    rho = ParticleDensity(UNIT, np.array([0.3]))
-    for u in (1e-9, 0.2, 0.5, 1.0):
-        assert quantile(rho, u) == 0.3
-    assert quantile(rho, 0.0) == 0.3
-
-
-def test_quantile_two_atoms():
-    rho = ParticleDensity(UNIT, np.array([0.0, 1.0]))
-    assert quantile(rho, 0.25) == 0.0  # first atom covers (0, 0.5]
-    assert quantile(rho, 0.5) == 0.0
-    assert quantile(rho, 0.51) == 1.0
-    assert quantile(rho, 1.0) == 1.0
-
-
-def test_quantile_hits_positions_at_midpoint_levels():
-    rng = np.random.default_rng(7)
-    pos = np.sort(rng.uniform(0, 1, size=9))
-    rho = ParticleDensity(UNIT, pos)
-    u = (np.arange(9) + 0.5) / 9
-    assert np.array_equal(quantile(rho, u), pos)
-
-
-def test_quantile_rejects_bad_levels():
-    rho = ParticleDensity(UNIT, np.array([0.5]))
-    with pytest.raises(DomainError):
-        quantile(rho, -0.01)
-    with pytest.raises(DomainError):
-        quantile(rho, 1.01)
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=1000))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_quantile_nondecreasing(n, seed):
-    rng = np.random.default_rng(seed)
-    rho = ParticleDensity(UNIT, np.sort(rng.uniform(0, 1, size=n)))
-    u = np.sort(rng.uniform(0, 1, size=50))
-    q = quantile(rho, u)
-    assert np.all(np.diff(q) >= 0)
 
 
 def test_from_grid_uniform_midpoints():
@@ -96,18 +53,6 @@ def test_from_grid_rejects_zero_mass():
         normalized_grid(np.array([0.0, 1.0]), np.array([0.0]))
 
 
-def test_to_grid_half_cells():
-    rho = ParticleDensity(UNIT, np.array([0.25, 0.75]))
-    g = to_grid(rho, np.array([0.0, 0.5, 1.0]))
-    assert np.allclose(g.cell_values, [1.0, 1.0])
-
-
-def test_to_grid_requires_covering_edges():
-    rho = ParticleDensity(UNIT, np.array([0.25, 0.75]))
-    with pytest.raises(InvalidInputError):
-        to_grid(rho, np.array([0.1, 0.5, 1.0]))
-
-
 def test_grid_roundtrip_on_uniform_spacing():
     # Midpoint-edge histogram then CDF inversion recovers the particles
     # exactly when gaps are uniform (each cell is centered on its particle).
@@ -117,8 +62,7 @@ def test_grid_roundtrip_on_uniform_spacing():
         dom = Domain(a, b)
         rho = uniform_particles(dom, n)
         x = rho.positions
-        edges = np.concatenate([[dom.lower], 0.5 * (x[1:] + x[:-1]), [dom.upper]])
-        back = from_grid(to_grid(rho, edges), n)
+        back = from_grid(particle_step_density(rho), n)
         assert np.max(np.abs(back.positions - x)) <= 1e-12 * dom.length
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from jkoflow import (
     Domain,
     InvalidInputError,
+    NumericalFailureError,
     ParticleDensity,
+    custom_energy,
     entropy_energy,
     power_law_energy,
     quadratic_pairwise_cost,
@@ -197,3 +199,15 @@ def test_zero_cost_slot_matches_uncoupled():
         cost=zero_cost(2), frozen=(other,), slot=1,
     ))
     assert float(np.max(np.abs(a.rho.positions - b.rho.positions))) <= 1e-12
+
+
+def test_failed_line_search_raises_with_residual():
+    # df has the wrong sign, so the search direction climbs the objective and
+    # every Armijo backtrack fails; the solver must say so, not return a step
+    c = 1e6
+    wrong = custom_energy(lambda x: c * x * x, lambda x: -2.0 * c * x)
+    prev = spread_particles(np.random.default_rng(5), UNIT, 8)
+    problem = StepProblem(prev=prev, energy=wrong, h=0.05)
+    with pytest.raises(NumericalFailureError, match="line search") as info:
+        solve_step(problem)
+    assert info.value.residual > problem.default_tol()

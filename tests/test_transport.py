@@ -11,19 +11,15 @@ from jkoflow import (
     Domain,
     DomainError,
     InvalidInputError,
-    NumericalFailureError,
     ParticleDensity,
     barycenter_cost,
     convexity_probe,
     displacement_interpolate,
-    kantorovich_potentials,
     lp_solve_mm,
     monotone_plan,
     plan_cost,
-    probe_comonotone,
     quadratic_pairwise_cost,
     semi_coupling_value,
-    velocity_field,
     w2_distance,
     zero_cost,
 )
@@ -86,35 +82,6 @@ def test_cost_validation():
         c.partial(2, np.zeros((3, 2)))
     with pytest.raises(InvalidInputError):
         c.evaluate(np.zeros((3, 3)))
-
-
-def test_probe_keeps_quadratic_certified():
-    c = quadratic_pairwise_cost(UNIT)
-    out, report = probe_comonotone(c, UNIT, n_probes=2000)
-    assert report.passed
-    assert out.comonotone_certified
-    assert report.worst_quotient <= 1e-10
-
-
-def test_probe_downgrades_product_cost():
-    wrong = CostFunction(
-        arity=2,
-        fn=lambda xs: xs[..., 0] * xs[..., 1],
-        partial_fns=(lambda xs: xs[..., 1], lambda xs: xs[..., 0]),
-        partial_bound=1.0,
-        comonotone_certified=True,  # a lie the probe should catch
-    )
-    out, report = probe_comonotone(wrong, UNIT, n_probes=500)
-    assert not report.passed
-    assert math.isclose(report.worst_quotient, 1.0, rel_tol=1e-6)
-    assert not out.comonotone_certified
-
-
-def test_probe_never_upgrades():
-    honest = product_cost(sign=-1.0)  # mixed derivative -1: would pass
-    out, report = probe_comonotone(honest, UNIT, n_probes=500)
-    assert report.passed
-    assert not out.comonotone_certified
 
 
 # ---------------------------------------------------------------- plans
@@ -213,142 +180,6 @@ def test_lp_capacity_guard():
     b = uniform_particles(UNIT, 1024)
     with pytest.raises(CapacityError):
         lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
-
-
-# ---------------------------------------------------------------- potentials
-
-
-def test_potentials_identical_marginals_vanish():
-    a = atoms(0.1, 0.5, 0.8)
-    plan = monotone_plan([a, a])
-    u = kantorovich_potentials(plan, quadratic_pairwise_cost(UNIT))
-    assert np.max(np.abs(u[0])) <= 1e-12
-    assert np.max(np.abs(u[1])) <= 1e-12
-
-
-def test_potentials_duality_and_feasibility():
-    rng = np.random.default_rng(21)
-    cost = quadratic_pairwise_cost(UNIT)
-    for trial in range(10):
-        n = int(rng.integers(2, 7))
-        a = spread_particles(rng, UNIT, n)
-        b = spread_particles(rng, UNIT, n)
-        plan = monotone_plan([a, b], cost)
-        u = kantorovich_potentials(plan, cost)
-        # gauge
-        assert u[1][0] == 0.0
-        # feasibility everywhere on the product grid
-        total = u[0][:, None] + u[1][None, :]
-        cmat = cost.evaluate(
-            np.stack(np.meshgrid(a.positions, b.positions, indexing="ij"), axis=-1)
-        )
-        assert float(np.max(total - cmat)) <= 1e-8
-        # equality on the plan support
-        diag = u[0] + u[1] - cmat[np.arange(n), np.arange(n)]
-        assert float(np.max(np.abs(diag))) <= 1e-8
-        # duality gap against the primal value
-        dual = float(np.mean(u[0]) + np.mean(u[1]))
-        assert abs(plan.cost_value - dual) <= 1e-10
-
-
-def test_potentials_three_marginals():
-    rng = np.random.default_rng(22)
-    cost = barycenter_cost([1.0, 1.0], UNIT)
-    margs = [spread_particles(rng, UNIT, 4) for _ in range(3)]
-    plan = monotone_plan(margs, cost)
-    u = kantorovich_potentials(plan, cost)
-    assert u[1][0] == 0.0 and u[2][0] == 0.0
-    dual = sum(float(np.mean(ui)) for ui in u)
-    assert abs(plan.cost_value - dual) <= 1e-10
-
-
-def test_potentials_translation_slopes():
-    # mass translated by s under quadratic cost: the first potential has
-    # slope -2s up to the atom spacing (from the c-concavity inequalities)
-    s = 0.1
-    a = uniform_particles(Domain(0.0, 1.0), 32)
-    dom = Domain(0.0, 1.2)
-    a = ParticleDensity(dom, a.positions)
-    b = ParticleDensity(dom, a.positions + s)
-    cost = quadratic_pairwise_cost(dom)
-    plan = monotone_plan([a, b], cost)
-    u = kantorovich_potentials(plan, cost)
-    gaps = np.diff(a.positions)
-    slopes = np.diff(u[0]) / gaps
-    assert np.max(np.abs(slopes + 2 * s)) <= np.max(gaps) + 1e-9
-
-
-def test_potentials_fail_for_suboptimal_plan():
-    # anti-monotone coupling is strictly suboptimal for the quadratic cost,
-    # so no feasible potentials can close the gap
-    a = atoms(0.0, 1.0)
-    b = atoms(0.0, 1.0)
-    anti = monotone_plan([a, b], quadratic_pairwise_cost(UNIT))
-    idx = anti.indices.copy()
-    idx[:, 1] = idx[::-1, 1]
-    import dataclasses
-
-    bad = dataclasses.replace(anti, indices=idx, cost_value=None)
-    with pytest.raises(NumericalFailureError) as info:
-        kantorovich_potentials(bad, quadratic_pairwise_cost(UNIT), max_sweeps=50)
-    assert info.value.residual > 1e-3
-
-
-# ---------------------------------------------------------------- velocities
-
-
-def test_velocity_zero_for_identical_marginals():
-    a = atoms(0.2, 0.5, 0.9)
-    plan = monotone_plan([a, a])
-    v = velocity_field(plan, quadratic_pairwise_cost(UNIT), 0)
-    assert np.max(np.abs(v)) == 0.0
-
-
-def test_velocity_translation():
-    s = 0.05
-    dom = Domain(0.0, 1.1)
-    a = ParticleDensity(dom, uniform_particles(UNIT, 16).positions)
-    b = ParticleDensity(dom, a.positions + s)
-    plan = monotone_plan([a, b])
-    v = velocity_field(plan, quadratic_pairwise_cost(dom), 0)
-    assert np.max(np.abs(v + 2 * s)) <= 1e-12
-
-
-def test_velocity_barycenter_recomputation():
-    rng = np.random.default_rng(31)
-    alpha, beta = 1.5, 0.7
-    cost = barycenter_cost([alpha, beta], UNIT)
-    margs = [spread_particles(rng, UNIT, 8) for _ in range(3)]
-    plan = monotone_plan(margs, cost)
-    v = velocity_field(plan, cost, 0)
-    x1, x2, x3 = (m.positions for m in margs)
-    want = -2 * alpha * (x2 - x1) - 2 * beta * (x3 - x1)
-    assert np.max(np.abs(v - want)) <= 1e-12
-
-
-def test_velocity_sparse_conditional_average():
-    # two atoms of a couple to one atom of b: velocity on b averages the
-    # partial over both incoming tuples
-    a = atoms(0.0, 1.0)
-    b = atoms(0.5)
-    cost = quadratic_pairwise_cost(UNIT)
-    plan = lp_solve_mm([a, b], cost)
-    v = velocity_field(plan, cost, 1)
-    # dc/dy at (0, 0.5) is 1.0, at (1, 0.5) is -1.0; equal weights average to 0
-    assert abs(float(v[0])) <= 1e-12
-
-
-def test_velocity_bounded_and_validated():
-    rng = np.random.default_rng(32)
-    cost = quadratic_pairwise_cost(UNIT)
-    a = spread_particles(rng, UNIT, 12)
-    b = spread_particles(rng, UNIT, 12)
-    plan = monotone_plan([a, b])
-    for i in range(2):
-        v = velocity_field(plan, cost, i)
-        assert np.max(np.abs(v)) <= cost.partial_bound
-    with pytest.raises(InvalidInputError):
-        velocity_field(plan, cost, 2)
 
 
 # ---------------------------------------------------------------- geodesics
