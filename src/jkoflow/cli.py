@@ -231,7 +231,7 @@ def _cost_partners(c) -> tuple[int, ...]:
     return c.partners if c.partners is not None else (c.partner,)
 
 
-POSITIVE = Bound(float, lambda v: v <= 0, "must be positive")
+POSITIVE = Bound(float, lambda v: not 0 < v < math.inf, "must be positive and finite")
 AT_LEAST_ONE = Bound(int, lambda v: v < 1, "must be at least 1")
 NO_PARTNER = "need at least one partner"
 
@@ -293,7 +293,7 @@ DOMAIN = Record("DomainSpec", {"lower": float, "upper": float})
 
 FLOW = Record("FlowSpec", {
     "domain": Bound(DOMAIN, lambda d: not d.upper > d.lower, "upper must exceed lower"),
-    "h": Bound(float, lambda v: not (math.isfinite(v) and v > 0), "must be positive"),
+    "h": POSITIVE,
     "n_steps": AT_LEAST_ONE,
     "populations": Bound([POPULATION], lambda v: len(v) < 2, "need at least two populations"),
     "record_every": Opt(AT_LEAST_ONE, 1),

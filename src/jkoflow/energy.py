@@ -32,6 +32,8 @@ CUSTOM = "custom"
 
 # sample grid for growth / convexity certificates on custom integrands
 _CHECK_GRID = np.logspace(-6, 6, 241)
+# relative step of the central difference of a custom pressure
+_PRESSURE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,31 @@ def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
     grad[1:] += dterm
     grad[:-1] -= dterm
     return grad
+
+
+def gap_curvature(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
+    """Second derivative of each gap's term gap * f(1/(N gap)) in its gap.
+
+    That is p'(s) / (N gap^2) with s = 1/(N gap), one value per interior gap,
+    so the energy Hessian in the positions is D^T diag(curvature) D with D
+    the gap difference operator.  p' is closed form for the built-in kinds
+    and a central difference of the pressure for custom integrands; floored
+    gaps get 0, matching the flat spot of the floored evaluation.
+    """
+    if e.kind == ZERO:
+        return np.zeros(rho.n - 1)
+    floor = e.eps_floor * rho.domain.length
+    raw = np.diff(rho.positions)
+    gaps = np.maximum(raw, floor)
+    s = 1.0 / (rho.n * gaps)
+    if e.kind == ENTROPY:
+        dp = np.ones_like(s)
+    elif e.kind == POWER_LAW:
+        dp = e.exponent * (e.exponent - 1.0) * np.power(s, e.exponent - 1.0)
+    else:
+        ds = _PRESSURE_STEP * s
+        dp = (pressure(e, s + ds) - pressure(e, s - ds)) / (2.0 * ds)
+    return np.where(raw > floor, dp / (rho.n * gaps * gaps), 0.0)
 
 
 def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:

@@ -6,10 +6,22 @@ The step minimizes, over sorted particle vectors x in the domain box,
          + 2 h [ F(x) + (1/N) sum_j c(frozen_1[j], ..., x_j, ..., frozen_m[j]) ]
 
 with every other population frozen at its previous state and coupled index
-by index (rank j to rank j).  The minimizer is found by projected gradient
-descent with Barzilai-Borwein step sizes and Armijo backtracking; the
-projection onto {sorted} intersected with the domain box is isotonic
-regression followed by clamping, which is exact for uniform weights.
+by index (rank j to rank j).  The internal energy couples only neighbouring
+gaps, so the Hessian of E is tridiagonal,
+
+    H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
+
+with D the gap difference operator, q the gap curvature of the energy and
+c_ss the cost's second partial in this population's slot.  The minimizer is
+found by damped Newton on H (a banded Cholesky solve per iteration), the
+Lagrangian Newton step of Blanchet, Calvez and Carrillo on the gap
+discretization.  Negative curvature is dropped from q and c_ss, so
+H >= (2/N) I and every Newton direction descends.  The step length is cut
+by a fraction-to-boundary rule that keeps every gap positive and stops a
+wall particle exactly at its wall; a wall particle whose descent direction
+points out of the box is held fixed (an active set of at most two).
+Armijo backtracking on E decides the step, and the iteration stops when the
+projected-gradient residual reaches the tolerance.
 """
 
 from __future__ import annotations
@@ -17,17 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solveh_banded
 from scipy.optimize import isotonic_regression
 
-from .energy import InternalEnergy, energy_gradient, energy_value
+from .energy import InternalEnergy, energy_gradient, energy_value, gap_curvature
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
 from .transport import CostFunction
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
-MAX_ITERS = 100_000
-NONMONOTONE_WINDOW = 10  # Grippo reference window for the BB line search
+MAX_ITERS = 100
+BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
+COST_STEP = 1e-4  # central-difference step for c_ss, relative to the domain length
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -62,8 +77,8 @@ class StepProblem:
                     raise InvalidInputError("coupled populations must share one N")
                 if m.domain != self.prev.domain:
                     raise InvalidInputError("coupled populations must share a domain")
-        if self.tol is not None and self.tol <= 0:
-            raise InvalidInputError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise InvalidInputError("tol must be positive and finite")
 
     @property
     def domain(self) -> Domain:
@@ -127,6 +142,72 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     return g
 
 
+def _hessian_bands(problem: StepProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the step Hessian at x, negative curvature dropped."""
+    n = x.size
+    h2 = 2.0 * problem.h
+    q = np.maximum(gap_curvature(problem.energy, problem.prev.with_positions(x)), 0.0)
+    diag = np.full(n, 2.0 / n)
+    diag[:-1] += h2 * q
+    diag[1:] += h2 * q
+    if problem.cost is not None:
+        # exact up to rounding for the quadratic costs, whose partials are linear
+        step = COST_STEP * problem.domain.length
+        pts = _tuple_points(problem, x)
+        pts[:, problem.slot] += step
+        up = problem.cost.partial(problem.slot, pts)
+        pts[:, problem.slot] -= 2.0 * step
+        down = problem.cost.partial(problem.slot, pts)
+        diag += (h2 / n) * np.maximum((up - down) / (2.0 * step), 0.0)
+    return diag, -h2 * q
+
+
+def _newton_direction(problem: StepProblem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve H d = -g, holding fixed each wall particle whose descent points outward.
+
+    A wall particle is held when -g or the computed d would take it out of
+    the box; holding one changes d, so the other wall is checked again.
+    """
+    diag, off = _hessian_bands(problem, x)
+    outward = np.zeros(x.size)  # -1 at a particle on the lower wall, +1 on the upper
+    if x[0] <= problem.domain.lower:
+        outward[0] = -1.0
+    if x[-1] >= problem.domain.upper:
+        outward[-1] = 1.0
+    held = outward * g < 0.0
+    while True:
+        bands = np.zeros((2, x.size))
+        bands[0, 1:] = np.where(held[:-1] | held[1:], 0.0, off)
+        bands[1] = np.where(held, 1.0, diag)
+        # one particle has no off-diagonal band (LAPACK's tridiagonal path needs one)
+        d = solveh_banded(bands if x.size > 1 else bands[1:], np.where(held, 0.0, -g))
+        leaving = (outward * d > 0.0) & ~held
+        if not np.any(leaving):
+            return d
+        held |= leaving
+
+
+def _longest_step(domain: Domain, x: np.ndarray, d: np.ndarray) -> tuple[float, int | None]:
+    """Largest step length along d, at most 1, and the wall it stops at.
+
+    Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; a
+    wall particle moving outward stops exactly at the wall.  The wall is
+    reported as 0 (lower), -1 (upper) or None.
+    """
+    alpha = 1.0
+    dgap = np.diff(d)
+    shrink = dgap < 0.0
+    if np.any(shrink):
+        room = np.diff(x)[shrink] / -dgap[shrink]
+        alpha = min(alpha, BOUNDARY_FRACTION * float(np.min(room)))
+    wall = None
+    if d[0] < 0.0 and x[0] + alpha * d[0] <= domain.lower:
+        alpha, wall = (domain.lower - x[0]) / d[0], 0
+    if d[-1] > 0.0 and x[-1] + alpha * d[-1] >= domain.upper:
+        alpha, wall = (domain.upper - x[-1]) / d[-1], -1
+    return alpha, wall
+
+
 def _residual(problem: StepProblem, x: np.ndarray, grad: np.ndarray) -> float:
     # fixed-point gap of the natural-scale projected gradient map; the
     # (N/2) scaling turns dE/dx into position units
@@ -145,14 +226,9 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             raise InvalidInputError("initial iterate must match prev in N and domain")
         x = initial.positions.copy()
     tol = problem.tol if problem.tol is not None else problem.default_tol()
-    n = x.size
-    alpha0 = 0.5 * n  # exact prox scale for the pure W2 term
+    domain = problem.domain
     f = objective(problem, x)
     g = objective_gradient(problem, x)
-    window = [f]  # recent objective values; max is nonincreasing, so every
-    # accepted iterate stays below the start value
-    prev_x = None
-    prev_g = None
     iters = 0
     res = _residual(problem, x, g)
     while res > tol:
@@ -160,32 +236,34 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             raise NumericalFailureError(
                 f"step solver exceeded {MAX_ITERS} iterations", residual=res
             )
-        alpha = alpha0
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(np.dot(s, y))
-            if sy > 0:
-                alpha = float(np.clip(np.dot(s, s) / sy, 1e-14, 1e14))
-        f_ref = max(window)
-        for _ in range(MAX_BACKTRACKS):
-            cand = project_ordered_box(problem.domain, x - alpha * g)
+        d = _newton_direction(problem, x, g)
+        slope = float(np.dot(g, d))
+        alpha, wall = _longest_step(domain, x, d)
+        for trial in range(MAX_BACKTRACKS):
+            cand = x + alpha * d
+            if trial == 0 and wall is not None:
+                cand[wall] = domain.lower if wall == 0 else domain.upper
             fc = objective(problem, cand)
-            if fc <= f_ref + ARMIJO_C1 * float(np.dot(g, cand - x)):
-                break
+            armijo = fc <= f + ARMIJO_C1 * alpha * slope
+            # a predicted decrease within the rounding of E, a sum of about N
+            # terms, cannot be seen in E: the full step is judged by the residual
+            if armijo or (trial == 0 and -slope <= x.size * EPS * abs(f)):
+                gc = objective_gradient(problem, cand)
+                rc = _residual(problem, cand, gc)
+                if armijo or rc < res:
+                    break
             alpha *= 0.5
         else:
             raise NumericalFailureError(
                 f"step solver line search failed at iteration {iters}", residual=res
             )
-        prev_x, prev_g = x, g
-        x, f = cand, fc
-        window.append(f)
-        if len(window) > NONMONOTONE_WINDOW:
-            window.pop(0)
-        g = objective_gradient(problem, x)
+        if np.array_equal(cand, x):
+            raise NumericalFailureError(
+                f"step solver line search failed at iteration {iters}: "
+                "the accepted step does not move", residual=res,
+            )
+        x, f, g, res = cand, fc, gc, rc
         iters += 1
-        res = _residual(problem, x, g)
     rho = problem.prev.with_positions(x)
     return StepSolution(rho=rho, value=f, residual=res, iterations=iters)
 

@@ -1,13 +1,14 @@
 """Quantitative acceptance battery.
 
-Ten end-to-end gates, one test each.  Every test prints a single
+Eleven end-to-end gates, one test each.  Every test prints a single
 ``ACCEPTANCE <name>: PASS/FAIL`` line carrying the measured quantity and the
 pinned tolerance before asserting, so a red run still reports the numbers.
-Run with ``pytest tests/test_acceptance.py -v -s`` to see all ten lines.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see all eleven lines.
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -47,12 +48,15 @@ from jkoflow import (
     zero_energy,
     euler_lagrange_residual,
 )
+from jkoflow.cli import build_flow_config, parse_scenario
+from jkoflow.energy import floored_gap_count
 from jkoflow.flow import _step_problem
 from jkoflow.presets import PRESETS
 
 from helpers import spread_particles
 
 DOM = Domain(0.0, 1.0)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -457,4 +461,34 @@ def test_preset_csv_determinism(tmp_path):
         + ", ".join(PRESETS)
         + ("" if ok else f"; mismatches: {mismatched}"),
     )
+    assert ok
+
+
+# 11 ── every step of every shipped scenario is a minimizer, with no collision
+
+
+def test_shipped_scenarios_step_optimality():
+    rows = []
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        config = build_flow_config(parse_scenario(path.read_text()))
+        assert config.record_every == 1  # every step's state is checked below
+        traj = run_flow(config)
+        worst = max(
+            d.el_residual / (config.tol or 1e-9 * math.sqrt(
+                config.populations[d.population].initial.n))
+            for d in traj.diagnostics
+        )
+        floored = sum(
+            floored_gap_count(p.energy, state[i])
+            for state in traj.states[1:]
+            for i, p in enumerate(config.populations)
+        )
+        rows.append((path.stem, len(traj.diagnostics), worst, floored))
+    ok = all(worst <= 10.0 and floored == 0 for _, _, worst, floored in rows)
+    detail = "; ".join(
+        f"{name}: max EL residual / tol {worst:.3g} <= 10 and {floored} floored gaps "
+        f"over {steps} population-steps"
+        for name, steps, worst, floored in rows
+    )
+    _report("shipped-scenario step optimality", ok, detail)
     assert ok

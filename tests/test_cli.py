@@ -1,6 +1,7 @@
 """Scenario front end: parsing, round-trips, artifact runs, exit codes."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -194,10 +195,9 @@ def test_failing_probe_exits_1_and_names_probe(tmp_path, monkeypatch, capsys):
     assert "status: FAIL" in (tmp_path / "probe_contraction_probe.txt").read_text()
 
 
-def test_unsolvable_step_exits_3_with_partial_manifest(tmp_path, monkeypatch, capsys):
-    # concentrating integrand: objective has no tractable descent direction;
-    # the shrunken budget only shortens the (deterministic) nonconvergence
-    monkeypatch.setattr("jkoflow.jko.MAX_ITERS", 2000)
+def test_unsolvable_step_exits_3_with_partial_manifest(tmp_path, capsys):
+    # concentrating integrand: the step objective falls without bound as
+    # particles merge, so it has no minimizer and the solver must give up
     text = BACKWARD.replace("coefficient: 1.0", "coefficient: -1.0").replace(
         "exponent: 0.5", "exponent: 2.0").replace("h: 0.0001", "h: 0.05")
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
@@ -254,6 +254,19 @@ def test_main_validate_only_does_not_run(tmp_path):
     code = main([str(path), "--validate-only", "--quiet", "--output-dir", str(out)])
     assert code == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("  n_steps: 3\n", "  n_steps: 3\n  tol: .nan\n", r"flow\.tol"),
+    ("  n_steps: 3\n", "  n_steps: 3\n  tol: .inf\n", r"flow\.tol"),
+    ("probes: []", "probes: [{kind: contraction_probe, slack: .nan, second_initials: "
+     "[{type: uniform}, {type: uniform}]}]", r"probes\[0\]\.slack"),
+], ids=["tol-nan", "tol-inf", "slack-nan"])
+def test_main_validate_only_rejects_non_finite_tolerances(tmp_path, capsys, old, new, field):
+    path = tmp_path / "s.yaml"
+    path.write_text((MINIMAL + "probes: []\n").replace(old, new))
+    assert main([str(path), "--validate-only"]) == 2
+    assert re.search(field, capsys.readouterr().err)
 
 
 def test_main_missing_scenario_file_exits_2(capsys):

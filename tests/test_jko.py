@@ -10,8 +10,11 @@ from jkoflow import (
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
+    barycenter_cost,
     custom_energy,
     entropy_energy,
+    from_grid,
+    gaussian_profile,
     power_law_energy,
     quadratic_pairwise_cost,
     zero_cost,
@@ -19,6 +22,7 @@ from jkoflow import (
 )
 from jkoflow.jko import (
     StepProblem,
+    _hessian_bands,
     euler_lagrange_residual,
     objective,
     objective_gradient,
@@ -90,6 +94,48 @@ def test_objective_gradient_matches_finite_differences():
             fd[j] = (objective(prob, xp) - objective(prob, xm)) / (2 * eps)
         denom = max(1.0, float(np.max(np.abs(g))))
         assert float(np.max(np.abs(fd - g))) / denom <= 1e-5
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    # the tridiagonal step Hessian against a central difference of the gradient,
+    # for each energy kind alone and under each certified cost and slot
+    rng = np.random.default_rng(13)
+    n, eps = 12, 1e-6
+    energies = (
+        entropy_energy(),
+        power_law_energy(2.0),
+        custom_energy(lambda x: x**1.5, lambda x: 1.5 * x**0.5),
+    )
+    couplings = (
+        (None, 0),
+        (quadratic_pairwise_cost(UNIT), 1),
+        (barycenter_cost([1.0, 0.5], UNIT), 0),
+        (barycenter_cost([1.0, 0.5], UNIT), 2),
+    )
+    for energy in energies:
+        for cost, slot in couplings:
+            frozen = () if cost is None else tuple(
+                spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
+            )
+            prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy,
+                               h=0.05, cost=cost, frozen=frozen, slot=slot)
+            x = spread_particles(rng, UNIT, n).positions
+            diag, off = _hessian_bands(prob, x)
+            hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            fd = np.empty((n, n))
+            for j in range(n):
+                step = np.zeros(n)
+                step[j] = eps
+                fd[:, j] = (objective_gradient(prob, x + step)
+                            - objective_gradient(prob, x - step)) / (2 * eps)
+            assert np.max(np.abs(fd - hess) / np.maximum(1.0, np.abs(hess))) <= 1e-5
+
+
+def test_newton_heat_step_at_n1024_takes_few_iterations():
+    prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 1024)
+    sol = solve_step(StepProblem(prev=prev, energy=entropy_energy(), h=1e-2))
+    assert sol.iterations <= 50
+    assert sol.residual <= 1e-9 * np.sqrt(1024)
 
 
 def test_pure_w2_step_returns_prev():
