@@ -5,7 +5,8 @@ an optional list of verification probes.  Parsing is strict: unknown keys,
 out-of-range numbers, and unresolvable names are rejected with the full
 field path.  Running a scenario writes per-population trajectory CSVs, the
 step diagnostics CSV, one text report per probe, and a MANIFEST listing
-what was completed.
+what was completed.  Every initial state, probe second initials included, is
+built before the first step, and ``--validate-only`` builds them all too.
 
 Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
 2 invalid input, 3 numerical failure.
@@ -143,14 +144,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _second_initials(probe, config: FlowConfig) -> tuple[ParticleDensity, ...]:
-    return tuple(
-        from_grid(PROFILE.build(p, config.domain), pop.initial.n)
-        for p, pop in zip(probe.second_initials, config.populations)
-    )
-
-
-def _run_estimate_probe(probe, config, traj) -> tuple[str, list[str]]:
+def _run_estimate_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     report = estimate_report(traj)
     lines = [
         f"population {row.population}: f_initial={_fmt(row.f_initial)} "
@@ -161,9 +155,9 @@ def _run_estimate_probe(probe, config, traj) -> tuple[str, list[str]]:
     return ("PASS" if report.satisfied else "FAIL"), lines
 
 
-def _run_contraction_probe(probe, config, traj) -> tuple[str, list[str]]:
+def _run_contraction_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     slack = probe.slack if probe.slack is not None else 1e-3
-    report = contraction_probe(traj, _second_initials(probe, config), slack=slack)
+    report = contraction_probe(traj, others, slack=slack)
     lines = [f"reason: {report.reason}"]
     if report.status != "SKIPPED":
         lines += [
@@ -173,8 +167,7 @@ def _run_contraction_probe(probe, config, traj) -> tuple[str, list[str]]:
     return report.status, lines
 
 
-def _run_convexity_probe(probe, config, traj) -> tuple[str, list[str]]:
-    others = _second_initials(probe, config)
+def _run_convexity_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     t_samples = probe.t_samples if probe.t_samples is not None else (0.25, 0.5, 0.75)
     lines = []
     worst = 0.0
@@ -198,7 +191,7 @@ def _run_convexity_probe(probe, config, traj) -> tuple[str, list[str]]:
     return status, lines
 
 
-def _run_weak_form_probe(probe, config, traj) -> tuple[str, list[str]]:
+def _run_weak_form_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     dom = config.domain
     tf = probe.test_function or TestFunctionSpec("bump")
     center = tf.center if tf.center is not None else dom.lower + 0.5 * dom.length
@@ -257,7 +250,7 @@ COST = Union("CostSpec", "type", "cost", {
              lambda c, dom: zero_cost(len(c.partners) + 1)),
     "quadratic_pairwise": ({"partner": int}, lambda c, dom: quadratic_pairwise_cost(dom)),
     "barycenter": ({"weights": Bound({int: POSITIVE}, lambda v: not v, NO_PARTNER)},
-                   lambda c, dom: barycenter_cost([w for _, w in c.weights], dom, anchor=0)),
+                   lambda c, dom: barycenter_cost([w for _, w in c.weights], dom)),
 })
 
 TEST_FUNCTION = Record("TestFunctionSpec", {
@@ -334,6 +327,8 @@ def parse_scenario(text: str) -> Scenario:
             _fail(f"probes[{i}].second_initials", f"need one profile per population ({n_pops})")
         if probe.population is not None and not 0 <= probe.population < n_pops:
             _fail(f"probes[{i}].population", "out of range")
+        if probe.kind == "weak_form_residual" and scenario.flow.record_every != 1:
+            _fail(f"probes[{i}]", "weak-form assembly needs every step recorded (record_every: 1)")
     return scenario
 
 
@@ -367,6 +362,17 @@ def build_flow_config(scenario: Scenario) -> FlowConfig:
     return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.record_every, flow.tol)
 
 
+def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:
+    """Each probe's second initial states (None where it has none), built before any flow."""
+    return tuple(
+        None if probe.second_initials is None else tuple(
+            from_grid(PROFILE.build(p, config.domain), pop.initial.n)
+            for p, pop in zip(probe.second_initials, config.populations)
+        )
+        for probe in scenario.probes
+    )
+
+
 # ------------------------------------------------------------------- running
 
 FAILURES = (InvalidInputError, DomainError, CapacityError, NumericalFailureError)
@@ -391,6 +397,7 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     failed_probe = None
     try:
         config = build_flow_config(scenario)
+        probe_initials = _probe_initials(scenario, config)
         traj = run_flow(config)
         for i in range(len(config.populations)):
             name = f"trajectory_pop{i}.csv"
@@ -399,11 +406,11 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
         diagnostics_csv(traj, out / "diagnostics.csv")
         written.append("diagnostics.csv")
         kind_counts: dict[str, int] = {}
-        for probe in scenario.probes:
+        for probe, others in zip(scenario.probes, probe_initials):
             kind_counts[probe.kind] = kind_counts.get(probe.kind, 0) + 1
             suffix = "" if kind_counts[probe.kind] == 1 else f"_{kind_counts[probe.kind]}"
             fname = f"probe_{probe.kind}{suffix}.txt"
-            status, lines = PROBE.build(probe, config, traj)
+            status, lines = PROBE.build(probe, config, traj, others)
             body = "\n".join([f"probe: {probe.kind}", f"status: {status}"] + lines) + "\n"
             (out / fname).write_text(body)
             written.append(fname)
@@ -434,13 +441,13 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument(
         "--validate-only", action="store_true",
-        help="parse and validate the scenario, then exit without running",
+        help="parse the scenario and build its initial states, then exit without running",
     )
     args = parser.parse_args(argv)
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
         if args.validate_only:
-            build_flow_config(scenario)
+            _probe_initials(scenario, build_flow_config(scenario))
             if not args.quiet:
                 print(f"scenario {scenario.name!r} is valid")
             return 0

@@ -7,10 +7,12 @@ by the gap reconstruction: between consecutive particles the density is
 
     F(rho) ~= sum_j gap_j * f(1 / (N * gap_j))        (N - 1 interior gaps)
 
-with gaps floored at a small fraction of the domain length so coinciding
+with gaps floored at EPS_FLOOR times the domain length so coinciding
 particles give a large but finite value.  The pressure p(s) = s f'(s) - f(s)
 is what shows up in force balances: the exact gradient of the discrete
 energy at particle j is p(density right of j) - p(density left of j).
+The gap_* kernels work on plain position arrays for the step solver;
+energy_value and energy_gradient apply them to a ParticleDensity.
 """
 
 from __future__ import annotations
@@ -30,10 +32,16 @@ POWER_LAW = "power_law"
 ZERO = "zero"
 CUSTOM = "custom"
 
+EPS_FLOOR = 1e-12  # gap floor, relative to the domain length
 # sample grid for growth / convexity certificates on custom integrands
 _CHECK_GRID = np.logspace(-6, 6, 241)
 # relative step of the central difference of a custom pressure
 _PRESSURE_STEP = 1e-4
+# log-spaced dilation factors r and relative tolerance of mccann_check
+MCCANN_R_MIN = 1e-3
+MCCANN_R_MAX = 1e3
+MCCANN_SAMPLES = 200
+MCCANN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,12 +50,10 @@ class InternalEnergy:
 
     pressure_constant is a C with p(s) <= C * (1 + f(s)): analytic for the
     built-in kinds, measured on a sample grid for custom integrands.
-    eps_floor is the relative gap floor used by the discrete evaluation.
     """
 
     kind: str
     exponent: float = 0.0
-    eps_floor: float = 1e-12
     pressure_constant: float = 0.0
     f: Callable[[np.ndarray], np.ndarray] | None = None
     df: Callable[[np.ndarray], np.ndarray] | None = None
@@ -55,27 +61,24 @@ class InternalEnergy:
     def __post_init__(self):
         if self.kind not in (ENTROPY, POWER_LAW, ZERO, CUSTOM):
             raise InvalidInputError(f"unknown energy kind {self.kind!r}")
-        if not 0 < self.eps_floor < 1e-3:
-            raise InvalidInputError("eps_floor must be a small positive relative gap")
         if self.kind == POWER_LAW and not self.exponent > 1:
             raise InvalidInputError("power_law exponent must exceed 1")
         if self.kind == CUSTOM and (self.f is None or self.df is None):
             raise InvalidInputError("custom energies need f and df callables")
 
 
-def entropy_energy(eps_floor: float = 1e-12) -> InternalEnergy:
+def entropy_energy() -> InternalEnergy:
     """f(s) = s log s (Boltzmann entropy; linear diffusion)."""
-    return InternalEnergy(ENTROPY, eps_floor=eps_floor, pressure_constant=1.0)
+    return InternalEnergy(ENTROPY, pressure_constant=1.0)
 
 
-def power_law_energy(exponent: float, eps_floor: float = 1e-12) -> InternalEnergy:
+def power_law_energy(exponent: float) -> InternalEnergy:
     """f(s) = s^m with m > 1 (porous-medium diffusion)."""
     if not exponent > 1:
         raise InvalidInputError("power_law exponent must exceed 1")
     return InternalEnergy(
         POWER_LAW,
         exponent=float(exponent),
-        eps_floor=eps_floor,
         pressure_constant=max(1.0, float(exponent) - 1.0),
     )
 
@@ -88,7 +91,6 @@ def zero_energy() -> InternalEnergy:
 def custom_energy(
     f: Callable[[np.ndarray], np.ndarray],
     df: Callable[[np.ndarray], np.ndarray],
-    eps_floor: float = 1e-12,
 ) -> InternalEnergy:
     """Wrap user callables f, f' (vectorized over nonnegative arrays).
 
@@ -118,7 +120,7 @@ def custom_energy(
             f"no growth constant C with p <= C(1+f) on the sample grid "
             f"(need C >= {c_lo:g} and C <= {c_hi:g})"
         )
-    return InternalEnergy(CUSTOM, eps_floor=eps_floor, pressure_constant=c_lo, f=f, df=df)
+    return InternalEnergy(CUSTOM, pressure_constant=c_lo, f=f, df=df)
 
 
 def _integrand(e: InternalEnergy, s: np.ndarray) -> np.ndarray:
@@ -157,44 +159,41 @@ def pressure(e: InternalEnergy, x) -> np.ndarray | float:
     return out
 
 
-def _floored_gaps(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
-    if rho.n < 2:
+def _gaps(x: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps of sorted positions floored at EPS_FLOOR * length, and which sit above the floor."""
+    if x.size < 2:
         raise InvalidInputError("discrete energy needs at least two particles")
-    floor = e.eps_floor * rho.domain.length
-    return np.maximum(np.diff(rho.positions), floor)
+    raw = np.diff(x)
+    floor = EPS_FLOOR * length
+    return np.maximum(raw, floor), raw > floor
 
 
-def energy_value(e: InternalEnergy, rho: ParticleDensity) -> float:
-    """Discrete internal energy of a particle density (see module docstring)."""
+def gap_value(e: InternalEnergy, x: np.ndarray, length: float) -> float:
+    """Discrete internal energy of sorted positions x on a domain of the given length."""
     if e.kind == ZERO:
         return 0.0
-    gaps = _floored_gaps(e, rho)
-    dens = 1.0 / (rho.n * gaps)
-    return float(np.sum(gaps * _integrand(e, dens)))
+    gaps, _ = _gaps(x, length)
+    return float(np.sum(gaps * _integrand(e, 1.0 / (x.size * gaps))))
 
 
-def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
-    """Exact gradient of energy_value with respect to the particle positions.
+def gap_gradient(e: InternalEnergy, x: np.ndarray, length: float) -> np.ndarray:
+    """Exact gradient of gap_value with respect to the positions.
 
     Each gap contributes d/d(gap) [gap * f(1/(N gap))] = -p(1/(N gap)) to its
     right particle and the negative to its left one; floored (collided) gaps
     contribute nothing, matching the flat spot of the floored evaluation.
     """
     if e.kind == ZERO:
-        return np.zeros(rho.n)
-    if rho.n < 2:
-        raise InvalidInputError("discrete energy needs at least two particles")
-    floor = e.eps_floor * rho.domain.length
-    raw = np.diff(rho.positions)
-    gaps = np.maximum(raw, floor)
-    dterm = np.where(raw > floor, -pressure(e, 1.0 / (rho.n * gaps)), 0.0)
-    grad = np.zeros(rho.n)
+        return np.zeros(x.size)
+    gaps, above = _gaps(x, length)
+    dterm = np.where(above, -pressure(e, 1.0 / (x.size * gaps)), 0.0)
+    grad = np.zeros(x.size)
     grad[1:] += dterm
     grad[:-1] -= dterm
     return grad
 
 
-def gap_curvature(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
+def gap_curvature(e: InternalEnergy, x: np.ndarray, length: float) -> np.ndarray:
     """Second derivative of each gap's term gap * f(1/(N gap)) in its gap.
 
     That is p'(s) / (N gap^2) with s = 1/(N gap), one value per interior gap,
@@ -204,11 +203,9 @@ def gap_curvature(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
     gaps get 0, matching the flat spot of the floored evaluation.
     """
     if e.kind == ZERO:
-        return np.zeros(rho.n - 1)
-    floor = e.eps_floor * rho.domain.length
-    raw = np.diff(rho.positions)
-    gaps = np.maximum(raw, floor)
-    s = 1.0 / (rho.n * gaps)
+        return np.zeros(x.size - 1)
+    gaps, above = _gaps(x, length)
+    s = 1.0 / (x.size * gaps)
     if e.kind == ENTROPY:
         dp = np.ones_like(s)
     elif e.kind == POWER_LAW:
@@ -216,15 +213,22 @@ def gap_curvature(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
     else:
         ds = _PRESSURE_STEP * s
         dp = (pressure(e, s + ds) - pressure(e, s - ds)) / (2.0 * ds)
-    return np.where(raw > floor, dp / (rho.n * gaps * gaps), 0.0)
+    return np.where(above, dp / (x.size * gaps * gaps), 0.0)
+
+
+def energy_value(e: InternalEnergy, rho: ParticleDensity) -> float:
+    """Discrete internal energy of a particle density (see module docstring)."""
+    return gap_value(e, rho.positions, rho.domain.length)
+
+
+def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
+    """Exact gradient of energy_value with respect to the particle positions."""
+    return gap_gradient(e, rho.positions, rho.domain.length)
 
 
 def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:
     """How many inter-particle gaps sit at the collision floor (diagnostic)."""
-    if rho.n < 2:
-        return 0
-    floor = e.eps_floor * rho.domain.length
-    return int(np.count_nonzero(np.diff(rho.positions) <= floor))
+    return 0 if rho.n < 2 else int(np.count_nonzero(~_gaps(rho.positions, rho.domain.length)[1]))
 
 
 @dataclass(frozen=True)
@@ -234,35 +238,27 @@ class McCannReport:
     reason: str | None = None
 
 
-def mccann_check(
-    e: InternalEnergy,
-    n_dim: int = 1,
-    r_min: float = 1e-3,
-    r_max: float = 1e3,
-    samples: int = 200,
-    tol: float = 1e-10,
-) -> McCannReport:
-    """Displacement-convexity test: r -> r^n f(r^-n) convex nonincreasing.
+def mccann_check(e: InternalEnergy) -> McCannReport:
+    """One-dimensional displacement-convexity test: r -> r f(1/r) convex nonincreasing.
 
-    Checked on a log-spaced sample of dilation factors; tolerances are
-    relative to the local magnitude of the sampled values / slopes.  Returns
-    the first violating r if the check fails.
+    Checked on MCCANN_SAMPLES log-spaced dilation factors in [MCCANN_R_MIN,
+    MCCANN_R_MAX]; tolerances are MCCANN_TOL relative to the local magnitude
+    of the sampled values / slopes.  Returns the first violating r if the
+    check fails.
     """
-    if n_dim < 1 or samples < 3:
-        raise InvalidInputError("need n_dim >= 1 and at least 3 samples")
-    r = np.logspace(math.log10(r_min), math.log10(r_max), samples)
-    phi = r**n_dim * _integrand(e, r ** (-float(n_dim)))
+    r = np.logspace(math.log10(MCCANN_R_MIN), math.log10(MCCANN_R_MAX), MCCANN_SAMPLES)
+    phi = r * _integrand(e, r ** -1.0)
     if not np.all(np.isfinite(phi)):
         return McCannReport(False, float(r[np.argmax(~np.isfinite(phi))]), "non-finite")
     dphi = np.diff(phi)
     scale = np.maximum(1.0, np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
-    bad = dphi > tol * scale
+    bad = dphi > MCCANN_TOL * scale
     if np.any(bad):
         return McCannReport(False, float(r[1:][bad][0]), "increasing")
     slopes = dphi / np.diff(r)
     dslope = np.diff(slopes)
     sscale = np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
-    bad = dslope < -tol * sscale
+    bad = dslope < -MCCANN_TOL * sscale
     if np.any(bad):
         return McCannReport(False, float(r[1:-1][bad][0]), "non-convex")
     return McCannReport(True)

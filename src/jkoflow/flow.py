@@ -4,7 +4,8 @@ Each step advances every population once: population i minimizes its step
 objective with all other populations frozen at the previous step, so the
 update order cannot matter.  Diagnostics (energy, coupling value, squared
 step length, solver and optimality residuals) are recorded every step even
-when states are thinned.
+when states are thinned; all but the step length come with the step's
+solution from solve_step.
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
@@ -22,7 +23,7 @@ import numpy as np
 from .energy import InternalEnergy, energy_gradient, energy_value, mccann_check
 from .errors import InvalidInputError
 from .geometry import Domain, ParticleDensity, product_w2, w2_distance
-from .jko import StepProblem, euler_lagrange_residual, solve_step
+from .jko import StepProblem, _tuple_points, solve_step
 from .transport import CostFunction
 
 
@@ -145,16 +146,6 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     )
 
 
-def _coupling_value(config: FlowConfig, state, i: int, rho: ParticleDensity) -> float:
-    p = config.populations[i]
-    if p.coupling is None:
-        return 0.0
-    cols = [
-        rho.positions if m == i else state[m].positions for m in p.coupling.members
-    ]
-    return float(np.mean(p.coupling.cost.evaluate(np.stack(cols, axis=-1))))
-
-
 def run_flow(config: FlowConfig) -> FlowTrajectory:
     state = tuple(p.initial for p in config.populations)
     steps = [0]
@@ -163,18 +154,17 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     diagnostics = []
     for k in range(1, config.n_steps + 1):
         new = []
-        for i, p in enumerate(config.populations):
-            prob = _step_problem(config, state, i)
-            sol = solve_step(prob)
+        for i in range(len(config.populations)):
+            sol = solve_step(_step_problem(config, state, i))
             diagnostics.append(StepDiagnostics(
                 step=k,
                 time=k * config.h,
                 population=i,
-                energy=energy_value(p.energy, sol.rho),
-                coupling=_coupling_value(config, state, i, sol.rho),
+                energy=sol.energy,
+                coupling=sol.coupling,
                 w2_sq=w2_distance(sol.rho, state[i]) ** 2,
                 residual=sol.residual,
-                el_residual=euler_lagrange_residual(prob, sol.rho),
+                el_residual=sol.el_residual,
                 objective=sol.value,
                 iterations=sol.iterations,
             ))
@@ -402,7 +392,6 @@ def weak_form_residual(
     i = population
     p = config.populations[i]
     n = p.initial.n
-    total = 0.0
     terms = []
     for k in range(len(traj.states) - 1):
         t_k = traj.times[k]
@@ -411,15 +400,10 @@ def weak_form_residual(
         x_new = traj.states[k + 1][i]
         terms.append(float(np.mean(phi.value(t_k1, x_new.positions)
                                    - phi.value(t_k, x_new.positions))))
-        g = energy_gradient(p.energy, x_new)
-        drive = n * g
-        if p.coupling is not None:
-            slot = p.coupling.members.index(i)
-            cols = [
-                x_new.positions if m == i else state_k[m].positions
-                for m in p.coupling.members
-            ]
-            drive = drive + p.coupling.cost.partial(slot, np.stack(cols, axis=-1))
+        drive = n * energy_gradient(p.energy, x_new)
+        prob = _step_problem(config, state_k, i)
+        if prob.cost is not None:
+            drive = drive + prob.cost.partial(prob.slot, _tuple_points(prob, x_new.positions))
         terms.append(float(
             -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
         ))

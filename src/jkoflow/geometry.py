@@ -82,9 +82,6 @@ class ParticleDensity:
     def n(self) -> int:
         return int(self.positions.size)
 
-    def with_positions(self, positions: np.ndarray) -> "ParticleDensity":
-        return ParticleDensity(self.domain, positions)
-
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:

@@ -21,7 +21,9 @@ by a fraction-to-boundary rule that keeps every gap positive and stops a
 wall particle exactly at its wall; a wall particle whose descent direction
 points out of the box is held fixed (an active set of at most two).
 Armijo backtracking on E decides the step, and the iteration stops when the
-projected-gradient residual reaches the tolerance.
+projected-gradient residual reaches the tolerance.  The iteration runs on
+plain position arrays; a solve builds one ParticleDensity, the state it
+returns, and reports E, F, the coupling value and the EL residual there.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import isotonic_regression
 
-from .energy import InternalEnergy, energy_gradient, energy_value, gap_curvature
+from .energy import InternalEnergy, gap_curvature, gap_gradient, gap_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
 from .transport import CostFunction
@@ -90,10 +92,16 @@ class StepProblem:
 
 @dataclass(frozen=True)
 class StepSolution:
+    """The new state and, there, E (``value``), F (``energy``), the rank-diagonal
+    coupling value (0 when uncoupled) and the Euler-Lagrange residual."""
+
     rho: ParticleDensity
     value: float
     residual: float
     iterations: int
+    energy: float
+    coupling: float
+    el_residual: float
 
 
 def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
@@ -113,18 +121,18 @@ def _tuple_points(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def _coupling(problem: StepProblem, x: np.ndarray) -> float:
+    if problem.cost is None:
+        return 0.0
+    return float(np.mean(problem.cost.evaluate(_tuple_points(problem, x))))
+
+
 def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
     x = np.asarray(x, dtype=float)
-    prev = problem.prev.positions
-    rho = problem.prev.with_positions(x)
-    val = float(np.mean((x - prev) ** 2))
-    val += 2.0 * problem.h * energy_value(problem.energy, rho)
-    if problem.cost is not None:
-        val += 2.0 * problem.h * float(
-            np.mean(problem.cost.evaluate(_tuple_points(problem, x)))
-        )
-    return val
+    val = float(np.mean((x - problem.prev.positions) ** 2))
+    val += 2.0 * problem.h * gap_value(problem.energy, x, problem.domain.length)
+    return val + 2.0 * problem.h * _coupling(problem, x)
 
 
 def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
@@ -132,9 +140,8 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     prev = problem.prev.positions
     n = prev.size
-    rho = problem.prev.with_positions(x)
     g = (2.0 / n) * (x - prev)
-    g = g + 2.0 * problem.h * energy_gradient(problem.energy, rho)
+    g = g + 2.0 * problem.h * gap_gradient(problem.energy, x, problem.domain.length)
     if problem.cost is not None:
         g = g + (2.0 * problem.h / n) * problem.cost.partial(
             problem.slot, _tuple_points(problem, x)
@@ -146,7 +153,7 @@ def _hessian_bands(problem: StepProblem, x: np.ndarray) -> tuple[np.ndarray, np.
     """Diagonal and off-diagonal of the step Hessian at x, negative curvature dropped."""
     n = x.size
     h2 = 2.0 * problem.h
-    q = np.maximum(gap_curvature(problem.energy, problem.prev.with_positions(x)), 0.0)
+    q = np.maximum(gap_curvature(problem.energy, x, problem.domain.length), 0.0)
     diag = np.full(n, 2.0 / n)
     diag[:-1] += h2 * q
     diag[1:] += h2 * q
@@ -264,8 +271,19 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             )
         x, f, g, res = cand, fc, gc, rc
         iters += 1
-    rho = problem.prev.with_positions(x)
-    return StepSolution(rho=rho, value=f, residual=res, iterations=iters)
+    return StepSolution(
+        rho=ParticleDensity(domain, x), value=f, residual=res, iterations=iters,
+        energy=gap_value(problem.energy, x, domain.length),
+        coupling=_coupling(problem, x), el_residual=_el_residual(domain, x, g),
+    )
+
+
+def _el_residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
+    margin = 1e-12 * domain.length
+    interior = (x > domain.lower + margin) & (x < domain.upper - margin)
+    if not np.any(interior):
+        return 0.0
+    return float(np.max(np.abs(0.5 * x.size * grad[interior])))
 
 
 def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float:
@@ -276,10 +294,4 @@ def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float
     and U the coupling partial; this is the natural-scale objective
     gradient, so a converged step drives it to the solver tolerance.
     """
-    x = rho.positions
-    grad = objective_gradient(problem, x)
-    margin = 1e-12 * problem.domain.length
-    interior = (x > problem.domain.lower + margin) & (x < problem.domain.upper - margin)
-    if not np.any(interior):
-        return 0.0
-    return float(np.max(np.abs(0.5 * rho.n * grad[interior])))
+    return _el_residual(problem.domain, rho.positions, objective_gradient(problem, rho.positions))

@@ -92,33 +92,25 @@ def quadratic_pairwise_cost(domain: Domain) -> CostFunction:
     )
 
 
-def barycenter_cost(
-    weights: Sequence[float], domain: Domain, anchor: int = 0
-) -> CostFunction:
-    """c(x) = sum_k w_k (x_anchor - x_k)^2 over the non-anchor coordinates.
+def barycenter_cost(weights: Sequence[float], domain: Domain) -> CostFunction:
+    """c(x) = sum_k w_k (x_0 - x_k)^2 over the coordinates k >= 1.
 
-    With anchor 0 and weights (alpha, beta) this is the three-way attraction
+    With weights (alpha, beta) this is the three-way attraction
     alpha |x1 - x2|^2 + beta |x1 - x3|^2.  Mixed partials are -2 w_k <= 0.
     """
     w = np.asarray(list(weights), dtype=float)
     if w.size < 1 or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InvalidInputError("barycenter weights must be positive reals")
     arity = w.size + 1
-    if not 0 <= anchor < arity:
-        raise InvalidInputError(f"anchor {anchor} out of range for arity {arity}")
-    others = np.array([k for k in range(arity) if k != anchor])
 
     def fn(xs):
-        d = xs[..., others] - xs[..., anchor, None]
+        d = xs[..., 1:] - xs[..., :1]
         return np.sum(w * d * d, axis=-1)
 
     def make_partial(i):
-        if i == anchor:
-            return lambda xs: -2.0 * np.sum(
-                w * (xs[..., others] - xs[..., anchor, None]), axis=-1
-            )
-        k = int(np.where(others == i)[0][0])
-        return lambda xs: 2.0 * w[k] * (xs[..., i] - xs[..., anchor])
+        if i == 0:
+            return lambda xs: -2.0 * np.sum(w * (xs[..., 1:] - xs[..., :1]), axis=-1)
+        return lambda xs: 2.0 * w[i - 1] * (xs[..., i] - xs[..., 0])
 
     partials = tuple(make_partial(i) for i in range(arity))
     bound = 2.0 * domain.length * float(np.sum(w))

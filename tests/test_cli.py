@@ -269,6 +269,24 @@ def test_main_validate_only_rejects_non_finite_tolerances(tmp_path, capsys, old,
     assert re.search(field, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flow_keys, probe, message", [
+    ("  record_every: 2\n", "{kind: weak_form_residual, population: 0}", r"probes\[0\]: weak-form"),
+    ("", "{kind: contraction_probe, second_initials: "
+     "[{type: barenblatt, t0: 100.0}, {type: uniform}]}", "source solution"),
+], ids=["weak-form-thinned", "unbuildable-second-initial"])
+def test_scenario_that_cannot_run_fails_validation_and_runs_nothing(
+    tmp_path, capsys, flow_keys, probe, message
+):
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace("  n_steps: 3\n", "  n_steps: 3\n" + flow_keys)
+                    + f"probes: [{probe}]\n")
+    assert main([str(path), "--validate-only"]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    out = tmp_path / "out"
+    assert main([str(path), "--output-dir", str(out), "--quiet"]) == 2
+    assert not (out / "trajectory_pop0.csv").exists()
+
+
 def test_main_missing_scenario_file_exits_2(capsys):
     assert main(["/nonexistent/scenario.yaml"]) == 2
     assert "input error" in capsys.readouterr().err

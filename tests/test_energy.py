@@ -129,7 +129,6 @@ def test_mccann_builtin_kinds():
     for m in (1.5, 2.0, 3.0):
         assert mccann_check(power_law_energy(m)).satisfied
     assert mccann_check(zero_energy()).satisfied
-    assert mccann_check(entropy_energy(), n_dim=3).satisfied
 
 
 def test_mccann_rejects_concave_integrand():

@@ -12,6 +12,7 @@ from jkoflow import (
     ParticleDensity,
     barycenter_cost,
     custom_energy,
+    energy_value,
     entropy_energy,
     from_grid,
     gaussian_profile,
@@ -136,6 +137,47 @@ def test_newton_heat_step_at_n1024_takes_few_iterations():
     sol = solve_step(StepProblem(prev=prev, energy=entropy_energy(), h=1e-2))
     assert sol.iterations <= 50
     assert sol.residual <= 1e-9 * np.sqrt(1024)
+
+
+def test_solve_step_builds_one_density(monkeypatch):
+    # the Newton loop runs on arrays; only the returned state is validated
+    prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2)
+    builds = []
+    validate = ParticleDensity.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ParticleDensity, "__post_init__", counted)
+    sol = solve_step(problem)
+    assert sol.iterations >= 3
+    assert builds == [sol.rho]
+
+
+@pytest.mark.parametrize("cost, slot", [
+    (None, 0),
+    (quadratic_pairwise_cost(UNIT), 1),
+    (barycenter_cost([1.0, 0.5], UNIT), 0),
+    (barycenter_cost([1.0, 0.5], UNIT), 2),
+], ids=["uncoupled", "pairwise", "barycenter-slot0", "barycenter-slot2"])
+def test_solution_carries_its_step_diagnostics(cost, slot):
+    rng = np.random.default_rng(14)
+    n = 16
+    frozen = () if cost is None else tuple(
+        spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
+    )
+    prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=entropy_energy(),
+                       h=1e-2, cost=cost, frozen=frozen, slot=slot)
+    sol = solve_step(prob)
+    assert sol.iterations >= 1
+    cols = [m.positions for m in frozen]
+    cols.insert(slot, sol.rho.positions)
+    coupling = 0.0 if cost is None else float(np.mean(cost.evaluate(np.stack(cols, axis=-1))))
+    assert sol.energy == energy_value(prob.energy, sol.rho)
+    assert sol.coupling == coupling
+    assert sol.el_residual == euler_lagrange_residual(prob, sol.rho)
 
 
 def test_pure_w2_step_returns_prev():

@@ -75,8 +75,6 @@ def test_barycenter_cost_closed_form():
 def test_cost_validation():
     with pytest.raises(InvalidInputError):
         barycenter_cost([1.0, -1.0], UNIT)
-    with pytest.raises(InvalidInputError):
-        barycenter_cost([1.0], UNIT, anchor=5)
     c = quadratic_pairwise_cost(UNIT)
     with pytest.raises(InvalidInputError):
         c.partial(2, np.zeros((3, 2)))
