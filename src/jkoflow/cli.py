@@ -337,9 +337,16 @@ def serialize_scenario(s: Scenario) -> str:
     return yaml.safe_dump(_dump(s), sort_keys=False, default_flow_style=False)
 
 
-def _build_initial(spec, domain: Domain) -> ParticleDensity:
+def _build_profile(spec, domain: Domain, n: int, path: str) -> ParticleDensity:
+    try:
+        return from_grid(PROFILE.build(spec, domain), n)
+    except InvalidInputError as err:
+        _fail(path, str(err))
+
+
+def _build_initial(spec, domain: Domain, path: str) -> ParticleDensity:
     if spec.profile is not None:
-        return from_grid(PROFILE.build(spec.profile, domain), spec.n)
+        return _build_profile(spec.profile, domain, spec.n, _at(path, "profile"))
     try:
         grid = grid_from_csv(spec.csv)
     except OSError as err:
@@ -357,7 +364,7 @@ def build_flow_config(scenario: Scenario) -> FlowConfig:
         if p.coupling is not None:
             members = (i,) + _cost_partners(p.coupling)
             coupling = Coupling(COST.build(p.coupling, domain), members)
-        initial = _build_initial(p.initial, domain)
+        initial = _build_initial(p.initial, domain, f"flow.populations[{i}].initial")
         pops.append(PopulationSpec(initial, ENERGY.build(p.energy), coupling))
     return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.record_every, flow.tol)
 
@@ -366,10 +373,10 @@ def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:
     """Each probe's second initial states (None where it has none), built before any flow."""
     return tuple(
         None if probe.second_initials is None else tuple(
-            from_grid(PROFILE.build(p, config.domain), pop.initial.n)
-            for p, pop in zip(probe.second_initials, config.populations)
+            _build_profile(p, config.domain, pop.initial.n, f"probes[{j}].second_initials[{k}]")
+            for k, (p, pop) in enumerate(zip(probe.second_initials, config.populations))
         )
-        for probe in scenario.probes
+        for j, probe in enumerate(scenario.probes)
     )
 
 

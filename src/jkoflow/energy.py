@@ -10,9 +10,12 @@ by the gap reconstruction: between consecutive particles the density is
 with gaps floored at EPS_FLOOR times the domain length so coinciding
 particles give a large but finite value.  The pressure p(s) = s f'(s) - f(s)
 is what shows up in force balances: the exact gradient of the discrete
-energy at particle j is p(density right of j) - p(density left of j).
-The gap_* kernels work on plain position arrays for the step solver;
-energy_value and energy_gradient apply them to a ParticleDensity.
+energy at particle j is p(density right of j) - p(density left of j), and
+p' gives each gap's curvature.  An InternalEnergy therefore carries three
+closed forms, f, p and p', and gap_terms turns one pass over the gaps of a
+plain position array into the value, the gradient and the gap curvatures
+for the step solver; energy_value and energy_gradient apply it to a
+ParticleDensity.
 """
 
 from __future__ import annotations
@@ -27,11 +30,6 @@ from scipy.special import xlogy
 from .errors import InvalidInputError
 from .geometry import ParticleDensity
 
-ENTROPY = "entropy"
-POWER_LAW = "power_law"
-ZERO = "zero"
-CUSTOM = "custom"
-
 EPS_FLOOR = 1e-12  # gap floor, relative to the domain length
 # sample grid for growth / convexity certificates on custom integrands
 _CHECK_GRID = np.logspace(-6, 6, 241)
@@ -43,59 +41,53 @@ MCCANN_R_MAX = 1e3
 MCCANN_SAMPLES = 200
 MCCANN_TOL = 1e-10
 
+Form = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class InternalEnergy:
-    """Integrand bundle for one population's internal energy.
+    """The integrand f, the pressure p(s) = s f'(s) - f(s) and p', vectorized over s > 0.
 
+    All three are None for the zero energy, the one kind the kernels skip.
     pressure_constant is a C with p(s) <= C * (1 + f(s)): analytic for the
-    built-in kinds, measured on a sample grid for custom integrands.
+    built-in energies, measured on a sample grid for custom integrands.
     """
 
-    kind: str
-    exponent: float = 0.0
+    f: Form | None
+    p: Form | None
+    dp: Form | None
     pressure_constant: float = 0.0
-    f: Callable[[np.ndarray], np.ndarray] | None = None
-    df: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.kind not in (ENTROPY, POWER_LAW, ZERO, CUSTOM):
-            raise InvalidInputError(f"unknown energy kind {self.kind!r}")
-        if self.kind == POWER_LAW and not self.exponent > 1:
-            raise InvalidInputError("power_law exponent must exceed 1")
-        if self.kind == CUSTOM and (self.f is None or self.df is None):
-            raise InvalidInputError("custom energies need f and df callables")
 
 
 def entropy_energy() -> InternalEnergy:
-    """f(s) = s log s (Boltzmann entropy; linear diffusion)."""
-    return InternalEnergy(ENTROPY, pressure_constant=1.0)
+    """f(s) = s log s (Boltzmann entropy; linear diffusion): p = s, p' = 1."""
+    return InternalEnergy(lambda s: xlogy(s, s), np.copy, np.ones_like, 1.0)
 
 
 def power_law_energy(exponent: float) -> InternalEnergy:
-    """f(s) = s^m with m > 1 (porous-medium diffusion)."""
+    """f(s) = s^m with m > 1 (porous-medium diffusion): p = (m-1) s^m, p' = m (m-1) s^(m-1)."""
     if not exponent > 1:
         raise InvalidInputError("power_law exponent must exceed 1")
+    m = float(exponent)
     return InternalEnergy(
-        POWER_LAW,
-        exponent=float(exponent),
-        pressure_constant=max(1.0, float(exponent) - 1.0),
+        lambda s: np.power(s, m),
+        lambda s: (m - 1.0) * np.power(s, m),
+        lambda s: m * (m - 1.0) * np.power(s, m - 1.0),
+        max(1.0, m - 1.0),
     )
 
 
 def zero_energy() -> InternalEnergy:
     """f identically 0; test-only kind exempt from the convexity invariants."""
-    return InternalEnergy(ZERO)
+    return InternalEnergy(None, None, None)
 
 
-def custom_energy(
-    f: Callable[[np.ndarray], np.ndarray],
-    df: Callable[[np.ndarray], np.ndarray],
-) -> InternalEnergy:
+def custom_energy(f: Form, df: Form) -> InternalEnergy:
     """Wrap user callables f, f' (vectorized over nonnegative arrays).
 
     Requires f(0) = 0 and a growth certificate p <= C (1 + f) on a sampled
     grid; the smallest admissible C >= 0 is recorded as pressure_constant.
+    p' is a central difference of the pressure.
     """
     f0 = float(np.asarray(f(np.array([0.0])), dtype=float).reshape(-1)[0])
     if abs(f0) > 1e-12:
@@ -120,43 +112,27 @@ def custom_energy(
             f"no growth constant C with p <= C(1+f) on the sample grid "
             f"(need C >= {c_lo:g} and C <= {c_hi:g})"
         )
-    return InternalEnergy(CUSTOM, pressure_constant=c_lo, f=f, df=df)
 
+    def integrand(s):
+        return np.asarray(f(s), dtype=float)
 
-def _integrand(e: InternalEnergy, s: np.ndarray) -> np.ndarray:
-    if e.kind == ENTROPY:
-        return xlogy(s, s)
-    if e.kind == POWER_LAW:
-        return np.power(s, e.exponent)
-    if e.kind == ZERO:
-        return np.zeros_like(s)
-    return np.asarray(e.f(s), dtype=float)
+    def pressure_form(s):
+        return np.where(s > 0, s * np.asarray(df(s), dtype=float) - integrand(s), 0.0)
+
+    def pressure_slope(s):
+        ds = _PRESSURE_STEP * s
+        return (pressure_form(s + ds) - pressure_form(s - ds)) / (2.0 * ds)
+
+    return InternalEnergy(integrand, pressure_form, pressure_slope, c_lo)
 
 
 def pressure(e: InternalEnergy, x) -> np.ndarray | float:
-    """p(x) = x f'(x) - f(x), with p(0) = 0.
-
-    Closed forms for the built-in kinds (entropy: p = x; power law:
-    p = (m-1) x^m) avoid cancellation near zero.
-    """
+    """p(x) = x f'(x) - f(x), with p(0) = 0 (closed forms avoid cancellation near 0)."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise InvalidInputError("pressure argument must be nonnegative")
-    if e.kind == ENTROPY:
-        out = x_arr.copy()
-    elif e.kind == POWER_LAW:
-        out = (e.exponent - 1.0) * np.power(x_arr, e.exponent)
-    elif e.kind == ZERO:
-        out = np.zeros_like(x_arr)
-    else:
-        out = np.where(
-            x_arr > 0,
-            x_arr * np.asarray(e.df(x_arr), dtype=float) - np.asarray(e.f(x_arr), dtype=float),
-            0.0,
-        )
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = np.zeros_like(x_arr) if e.p is None else e.p(x_arr)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _gaps(x: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -168,62 +144,38 @@ def _gaps(x: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(raw, floor), raw > floor
 
 
-def gap_value(e: InternalEnergy, x: np.ndarray, length: float) -> float:
-    """Discrete internal energy of sorted positions x on a domain of the given length."""
-    if e.kind == ZERO:
-        return 0.0
-    gaps, _ = _gaps(x, length)
-    return float(np.sum(gaps * _integrand(e, 1.0 / (x.size * gaps))))
+def gap_terms(
+    e: InternalEnergy, x: np.ndarray, length: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Discrete energy of sorted positions x, its gradient and its gap curvatures.
 
-
-def gap_gradient(e: InternalEnergy, x: np.ndarray, length: float) -> np.ndarray:
-    """Exact gradient of gap_value with respect to the positions.
-
-    Each gap contributes d/d(gap) [gap * f(1/(N gap))] = -p(1/(N gap)) to its
-    right particle and the negative to its left one; floored (collided) gaps
-    contribute nothing, matching the flat spot of the floored evaluation.
+    Each gap contributes d/d(gap) [gap * f(s)] = -p(s), s = 1/(N gap), to its
+    right particle and the negative to its left one.  Its curvature, the
+    second derivative of its term in its gap, is p'(s) / (N gap^2), so the
+    energy Hessian in the positions is D^T diag(curvature) D with D the gap
+    difference operator.  Floored (collided) gaps contribute no gradient and
+    no curvature, matching the flat spot of the floored evaluation.
     """
-    if e.kind == ZERO:
-        return np.zeros(x.size)
+    if e.f is None:
+        return 0.0, np.zeros(x.size), np.zeros(x.size - 1)
     gaps, above = _gaps(x, length)
-    dterm = np.where(above, -pressure(e, 1.0 / (x.size * gaps)), 0.0)
+    s = 1.0 / (x.size * gaps)
+    dterm = np.where(above, -e.p(s), 0.0)
     grad = np.zeros(x.size)
     grad[1:] += dterm
     grad[:-1] -= dterm
-    return grad
-
-
-def gap_curvature(e: InternalEnergy, x: np.ndarray, length: float) -> np.ndarray:
-    """Second derivative of each gap's term gap * f(1/(N gap)) in its gap.
-
-    That is p'(s) / (N gap^2) with s = 1/(N gap), one value per interior gap,
-    so the energy Hessian in the positions is D^T diag(curvature) D with D
-    the gap difference operator.  p' is closed form for the built-in kinds
-    and a central difference of the pressure for custom integrands; floored
-    gaps get 0, matching the flat spot of the floored evaluation.
-    """
-    if e.kind == ZERO:
-        return np.zeros(x.size - 1)
-    gaps, above = _gaps(x, length)
-    s = 1.0 / (x.size * gaps)
-    if e.kind == ENTROPY:
-        dp = np.ones_like(s)
-    elif e.kind == POWER_LAW:
-        dp = e.exponent * (e.exponent - 1.0) * np.power(s, e.exponent - 1.0)
-    else:
-        ds = _PRESSURE_STEP * s
-        dp = (pressure(e, s + ds) - pressure(e, s - ds)) / (2.0 * ds)
-    return np.where(above, dp / (x.size * gaps * gaps), 0.0)
+    curvature = np.where(above, e.dp(s) / (x.size * gaps * gaps), 0.0)
+    return float(np.sum(gaps * e.f(s))), grad, curvature
 
 
 def energy_value(e: InternalEnergy, rho: ParticleDensity) -> float:
     """Discrete internal energy of a particle density (see module docstring)."""
-    return gap_value(e, rho.positions, rho.domain.length)
+    return gap_terms(e, rho.positions, rho.domain.length)[0]
 
 
 def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
     """Exact gradient of energy_value with respect to the particle positions."""
-    return gap_gradient(e, rho.positions, rho.domain.length)
+    return gap_terms(e, rho.positions, rho.domain.length)[1]
 
 
 def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:
@@ -246,8 +198,10 @@ def mccann_check(e: InternalEnergy) -> McCannReport:
     of the sampled values / slopes.  Returns the first violating r if the
     check fails.
     """
+    if e.f is None:
+        return McCannReport(True)
     r = np.logspace(math.log10(MCCANN_R_MIN), math.log10(MCCANN_R_MAX), MCCANN_SAMPLES)
-    phi = r * _integrand(e, r ** -1.0)
+    phi = r * e.f(r ** -1.0)
     if not np.all(np.isfinite(phi)):
         return McCannReport(False, float(r[np.argmax(~np.isfinite(phi))]), "non-finite")
     dphi = np.diff(phi)

@@ -13,7 +13,7 @@ gaps, so the Hessian of E is tridiagonal,
 
 with D the gap difference operator, q the gap curvature of the energy and
 c_ss the cost's second partial in this population's slot.  The minimizer is
-found by damped Newton on H (a banded Cholesky solve per iteration), the
+found by damped Newton on H (an L D L^T tridiagonal solve per iteration), the
 Lagrangian Newton step of Blanchet, Calvez and Carrillo on the gap
 discretization.  Negative curvature is dropped from q and c_ss, so
 H >= (2/N) I and every Newton direction descends.  The step length is cut
@@ -22,19 +22,22 @@ wall particle exactly at its wall; a wall particle whose descent direction
 points out of the box is held fixed (an active set of at most two).
 Armijo backtracking on E decides the step, and the iteration stops when the
 projected-gradient residual reaches the tolerance.  The iteration runs on
-plain position arrays; a solve builds one ParticleDensity, the state it
-returns, and reports E, F, the coupling value and the EL residual there.
+plain position arrays and evaluates each trial point once (one gap pass
+and one cost evaluation give E, F, the coupling value, dE/dx and q); a
+solve builds one ParticleDensity, the state it returns, and reports E, F,
+the coupling value and the EL residual there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import isotonic_regression
 
-from .energy import InternalEnergy, gap_curvature, gap_gradient, gap_value
+from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
 from .transport import CostFunction
@@ -121,39 +124,45 @@ def _tuple_points(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _coupling(problem: StepProblem, x: np.ndarray) -> float:
-    if problem.cost is None:
-        return 0.0
-    return float(np.mean(problem.cost.evaluate(_tuple_points(problem, x))))
+class _Point(NamedTuple):
+    value: float
+    energy: float
+    coupling: float
+    grad: np.ndarray
+    curvature: np.ndarray
+
+
+def _evaluate(problem: StepProblem, x: np.ndarray) -> _Point:
+    """E, F, the coupling value, dE/dx and the gap curvatures q at x, from one gap pass."""
+    prev = problem.prev.positions
+    n = prev.size
+    h2 = 2.0 * problem.h
+    energy, energy_grad, curvature = gap_terms(problem.energy, x, problem.domain.length)
+    value = float(np.mean((x - prev) ** 2)) + h2 * energy
+    grad = (2.0 / n) * (x - prev) + h2 * energy_grad
+    coupling = 0.0
+    if problem.cost is not None:
+        pts = _tuple_points(problem, x)
+        coupling = float(np.mean(problem.cost.evaluate(pts)))
+        grad = grad + (h2 / n) * problem.cost.partial(problem.slot, pts)
+    return _Point(value + h2 * coupling, energy, coupling, grad, curvature)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
-    x = np.asarray(x, dtype=float)
-    val = float(np.mean((x - problem.prev.positions) ** 2))
-    val += 2.0 * problem.h * gap_value(problem.energy, x, problem.domain.length)
-    return val + 2.0 * problem.h * _coupling(problem, x)
+    return _evaluate(problem, np.asarray(x, dtype=float)).value
 
 
 def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     """dE/dx, same shape as x."""
-    x = np.asarray(x, dtype=float)
-    prev = problem.prev.positions
-    n = prev.size
-    g = (2.0 / n) * (x - prev)
-    g = g + 2.0 * problem.h * gap_gradient(problem.energy, x, problem.domain.length)
-    if problem.cost is not None:
-        g = g + (2.0 * problem.h / n) * problem.cost.partial(
-            problem.slot, _tuple_points(problem, x)
-        )
-    return g
+    return _evaluate(problem, np.asarray(x, dtype=float)).grad
 
 
-def _hessian_bands(problem: StepProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hessian_bands(problem: StepProblem, x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
     """Diagonal and off-diagonal of the step Hessian at x, negative curvature dropped."""
     n = x.size
     h2 = 2.0 * problem.h
-    q = np.maximum(gap_curvature(problem.energy, x, problem.domain.length), 0.0)
+    q = np.maximum(q, 0.0)
     diag = np.full(n, 2.0 / n)
     diag[:-1] += h2 * q
     diag[1:] += h2 * q
@@ -169,13 +178,15 @@ def _hessian_bands(problem: StepProblem, x: np.ndarray) -> tuple[np.ndarray, np.
     return diag, -h2 * q
 
 
-def _newton_direction(problem: StepProblem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_direction(
+    problem: StepProblem, x: np.ndarray, g: np.ndarray, q: np.ndarray
+) -> np.ndarray:
     """Solve H d = -g, holding fixed each wall particle whose descent points outward.
 
     A wall particle is held when -g or the computed d would take it out of
     the box; holding one changes d, so the other wall is checked again.
     """
-    diag, off = _hessian_bands(problem, x)
+    diag, off = _hessian_bands(problem, x, q)
     outward = np.zeros(x.size)  # -1 at a particle on the lower wall, +1 on the upper
     if x[0] <= problem.domain.lower:
         outward[0] = -1.0
@@ -234,29 +245,27 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
         x = initial.positions.copy()
     tol = problem.tol if problem.tol is not None else problem.default_tol()
     domain = problem.domain
-    f = objective(problem, x)
-    g = objective_gradient(problem, x)
+    at = _evaluate(problem, x)
     iters = 0
-    res = _residual(problem, x, g)
+    res = _residual(problem, x, at.grad)
     while res > tol:
         if iters >= MAX_ITERS:
             raise NumericalFailureError(
                 f"step solver exceeded {MAX_ITERS} iterations", residual=res
             )
-        d = _newton_direction(problem, x, g)
-        slope = float(np.dot(g, d))
+        d = _newton_direction(problem, x, at.grad, at.curvature)
+        slope = float(np.dot(at.grad, d))
         alpha, wall = _longest_step(domain, x, d)
         for trial in range(MAX_BACKTRACKS):
             cand = x + alpha * d
             if trial == 0 and wall is not None:
                 cand[wall] = domain.lower if wall == 0 else domain.upper
-            fc = objective(problem, cand)
-            armijo = fc <= f + ARMIJO_C1 * alpha * slope
+            trial_at = _evaluate(problem, cand)
+            armijo = trial_at.value <= at.value + ARMIJO_C1 * alpha * slope
             # a predicted decrease within the rounding of E, a sum of about N
             # terms, cannot be seen in E: the full step is judged by the residual
-            if armijo or (trial == 0 and -slope <= x.size * EPS * abs(f)):
-                gc = objective_gradient(problem, cand)
-                rc = _residual(problem, cand, gc)
+            if armijo or (trial == 0 and -slope <= x.size * EPS * abs(at.value)):
+                rc = _residual(problem, cand, trial_at.grad)
                 if armijo or rc < res:
                     break
             alpha *= 0.5
@@ -269,12 +278,11 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
                 f"step solver line search failed at iteration {iters}: "
                 "the accepted step does not move", residual=res,
             )
-        x, f, g, res = cand, fc, gc, rc
+        x, at, res = cand, trial_at, rc
         iters += 1
     return StepSolution(
-        rho=ParticleDensity(domain, x), value=f, residual=res, iterations=iters,
-        energy=gap_value(problem.energy, x, domain.length),
-        coupling=_coupling(problem, x), el_residual=_el_residual(domain, x, g),
+        rho=ParticleDensity(domain, x), value=at.value, residual=res, iterations=iters,
+        energy=at.energy, coupling=at.coupling, el_residual=_el_residual(domain, x, at.grad),
     )
 
 

@@ -23,9 +23,6 @@ from .geometry import Domain, ParticleDensity
 
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
 
-COMONOTONE = "comonotone"
-SPARSE = "sparse"
-
 
 @dataclass(frozen=True)
 class CostFunction:
@@ -129,15 +126,12 @@ class MultiMarginalPlan:
     ``plan_cost``.
     """
 
-    form: str
     marginals: tuple[ParticleDensity, ...]
     indices: np.ndarray  # (n_support, l) integer
     weights: np.ndarray  # (n_support,)
     cost_value: float | None = None
 
     def __post_init__(self):
-        if self.form not in (COMONOTONE, SPARSE):
-            raise InvalidInputError(f"unknown plan form {self.form!r}")
         idx = np.asarray(self.indices)
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "indices", idx)
@@ -191,7 +185,7 @@ def monotone_plan(
             raise InvalidInputError("marginals live on different domains")
     idx = np.tile(np.arange(n)[:, None], (1, len(marginals)))
     weights = np.full(n, 1.0 / n)
-    plan = MultiMarginalPlan(COMONOTONE, marginals, idx, weights)
+    plan = MultiMarginalPlan(marginals, idx, weights)
     if cost is not None:
         plan = replace(plan, cost_value=plan_cost(plan, cost))
     return plan
@@ -257,7 +251,7 @@ def lp_solve_mm(
         w = res.x[keep]  # polish failed; fall back to raw LP weights
     w = np.maximum(w, 0.0)
     value = float(np.dot(w, c[keep]))
-    return MultiMarginalPlan(SPARSE, marginals, support, w, cost_value=value)
+    return MultiMarginalPlan(marginals, support, w, cost_value=value)
 
 
 def displacement_interpolate(
@@ -293,12 +287,8 @@ class ConvexityReport:
 
 def _coupling_value(cost: CostFunction, marginals) -> tuple[float, str]:
     if cost.comonotone_certified:
-        return plan_cost(monotone_plan(marginals), cost), COMONOTONE
-    try:
-        return float(lp_solve_mm(marginals, cost).cost_value), "lp"
-    except CapacityError:
-        # too big for the oracle: fall back to the (upper-bound) diagonal value
-        return plan_cost(monotone_plan(marginals), cost), COMONOTONE
+        return plan_cost(monotone_plan(marginals), cost), "comonotone"
+    return float(lp_solve_mm(marginals, cost).cost_value), "lp"
 
 
 def convexity_probe(
@@ -311,8 +301,9 @@ def convexity_probe(
     For each t the tuple is interpolated component-wise and the coupling
     value is compared with the chord (1-t) W(a) + t W(b); positive numbers
     are convexity violations.  Certified costs are evaluated through the
-    co-monotone plan (exact); uncertified costs go through the LP oracle
-    when affordable and the report is flagged advisory-only.
+    co-monotone plan (exact); uncertified costs go through the LP oracle,
+    which raises CapacityError past LP_SCALE_CAP, and the report is flagged
+    advisory-only.
     """
     tuple_a, tuple_b = (tuple(endpoints[0]), tuple(endpoints[1]))
     if len(tuple_a) != cost.arity or len(tuple_b) != cost.arity:

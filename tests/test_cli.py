@@ -4,6 +4,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jkoflow.cli import (
@@ -16,7 +17,8 @@ from jkoflow.cli import (
 )
 from jkoflow.energy import custom_energy
 from jkoflow.errors import InvalidInputError
-from jkoflow.flow import ContractionReport
+from jkoflow.flow import ContractionReport, run_flow
+from jkoflow.presets import PRESETS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -131,6 +133,23 @@ def test_non_mapping_document_rejected():
 def test_shipped_scenarios_round_trip(name):
     s = parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text())
     assert parse_scenario(serialize_scenario(s)) == s
+
+
+@pytest.mark.parametrize(
+    "name", ["identity", "heat_flow", "barycenter3", "porous_medium"]
+)
+def test_shipped_scenarios_match_presets(name):
+    # the gates test the presets and users run the files: both must be one flow
+    from_file = build_flow_config(parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text()))
+    preset = PRESETS[name]()
+    for field in ("h", "n_steps", "record_every", "tol"):
+        assert getattr(from_file, field) == getattr(preset, field), field
+    runs = [run_flow(dataclasses.replace(c, n_steps=2)) for c in (from_file, preset)]
+    assert runs[0].times == runs[1].times
+    for state_a, state_b in zip(runs[0].states, runs[1].states, strict=True):
+        for a, b in zip(state_a, state_b, strict=True):
+            assert a.domain == b.domain
+            assert np.array_equal(a.positions, b.positions)
 
 
 def test_round_trip_preserves_custom_energy_and_probe_options():
@@ -285,6 +304,20 @@ def test_scenario_that_cannot_run_fails_validation_and_runs_nothing(
     out = tmp_path / "out"
     assert main([str(path), "--output-dir", str(out), "--quiet"]) == 2
     assert not (out / "trajectory_pop0.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("{type: bump, center: 0.6, half_width: 0.2}", "{type: barenblatt, t0: 100.0}",
+     r"flow\.populations\[1\]\.initial\.profile: domain too small"),
+    ("probes: []", "probes: [{kind: estimate_report}, {kind: contraction_probe, second_initials: "
+     "[{type: uniform}, {type: barenblatt, t0: 100.0}]}]",
+     r"probes\[1\]\.second_initials\[1\]: domain too small"),
+], ids=["initial", "second-initial"])
+def test_unbuildable_profile_error_names_its_field(tmp_path, capsys, old, new, field):
+    path = tmp_path / "s.yaml"
+    path.write_text((MINIMAL + "probes: []\n").replace(old, new))
+    assert main([str(path), "--validate-only"]) == 2
+    assert re.search(field, capsys.readouterr().err)
 
 
 def test_main_missing_scenario_file_exits_2(capsys):

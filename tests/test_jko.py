@@ -21,6 +21,8 @@ from jkoflow import (
     zero_cost,
     zero_energy,
 )
+import jkoflow.energy as energy_module
+from jkoflow.energy import gap_terms
 from jkoflow.jko import (
     StepProblem,
     _hessian_bands,
@@ -30,6 +32,7 @@ from jkoflow.jko import (
     project_ordered_box,
     solve_step,
 )
+from jkoflow.transport import CostFunction
 from helpers import spread_particles, uniform_particles
 
 UNIT = Domain(0.0, 1.0)
@@ -121,7 +124,7 @@ def test_hessian_matches_finite_differences_of_gradient():
             prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy,
                                h=0.05, cost=cost, frozen=frozen, slot=slot)
             x = spread_particles(rng, UNIT, n).positions
-            diag, off = _hessian_bands(prob, x)
+            diag, off = _hessian_bands(prob, x, gap_terms(energy, x, UNIT.length)[2])
             hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             fd = np.empty((n, n))
             for j in range(n):
@@ -154,6 +157,33 @@ def test_solve_step_builds_one_density(monkeypatch):
     sol = solve_step(problem)
     assert sol.iterations >= 3
     assert builds == [sol.rho]
+
+
+@pytest.mark.parametrize("cost", [None, quadratic_pairwise_cost(UNIT)],
+                         ids=["uncoupled", "pairwise"])
+def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
+    # one gap pass and one cost evaluation per evaluated point: the start and
+    # each accepted step, none repeated for the gradient, Hessian or diagnostics
+    prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
+    frozen = () if cost is None else (from_grid(gaussian_profile(UNIT, 0.6, 0.1), 128),)
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost, frozen=frozen)
+    calls = {"gaps": 0, "cost": 0}
+    gaps, evaluate = energy_module._gaps, CostFunction.evaluate
+
+    def counted_gaps(*args):
+        calls["gaps"] += 1
+        return gaps(*args)
+
+    def counted_evaluate(self, xs):
+        calls["cost"] += 1
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(energy_module, "_gaps", counted_gaps)
+    monkeypatch.setattr(CostFunction, "evaluate", counted_evaluate)
+    sol = solve_step(problem)
+    assert sol.iterations >= 3
+    assert calls == {"gaps": sol.iterations + 1,
+                     "cost": 0 if cost is None else sol.iterations + 1}
 
 
 @pytest.mark.parametrize("cost, slot", [

@@ -238,6 +238,15 @@ def test_convexity_probe_flags_product_cost():
     assert report.max_violation > 1e-8
 
 
+def test_convexity_probe_refuses_uncertified_cost_past_lp_cap():
+    # the diagonal plan only bounds an uncertified coupling from above, so a
+    # tuple too large for the LP oracle is refused instead of evaluated on it
+    a = uniform_particles(UNIT, 800)
+    b = uniform_particles(UNIT, 800)
+    with pytest.raises(CapacityError):
+        convexity_probe(product_cost(+1.0), ((a, b), (b, a)))
+
+
 def test_convexity_probe_validates_times():
     ta = (atoms(0.2), atoms(0.4))
     with pytest.raises(DomainError):
