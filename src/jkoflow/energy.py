@@ -139,7 +139,7 @@ def _gaps(x: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaps of sorted positions floored at EPS_FLOOR * length, and which sit above the floor."""
     if x.size < 2:
         raise InvalidInputError("discrete energy needs at least two particles")
-    raw = np.diff(x)
+    raw = x[1:] - x[:-1]
     floor = EPS_FLOOR * length
     return np.maximum(raw, floor), raw > floor
 

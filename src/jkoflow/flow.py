@@ -432,7 +432,7 @@ def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
     n = traj.config.populations[population].initial.n
     lines = ["t," + ",".join(f"particle_{j}" for j in range(n))]
     for t, state in zip(traj.times, traj.states):
-        row = ",".join(repr(float(x)) for x in state[population].positions)
+        row = ",".join(map(repr, state[population].positions.tolist()))
         lines.append(f"{t!r},{row}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

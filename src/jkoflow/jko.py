@@ -13,28 +13,30 @@ gaps, so the Hessian of E is tridiagonal,
 
 with D the gap difference operator, q the gap curvature of the energy and
 c_ss the cost's second partial in this population's slot.  The minimizer is
-found by damped Newton on H (an L D L^T tridiagonal solve per iteration), the
-Lagrangian Newton step of Blanchet, Calvez and Carrillo on the gap
-discretization.  Negative curvature is dropped from q and c_ss, so
-H >= (2/N) I and every Newton direction descends.  The step length is cut
-by a fraction-to-boundary rule that keeps every gap positive and stops a
-wall particle exactly at its wall; a wall particle whose descent direction
-points out of the box is held fixed (an active set of at most two).
-Armijo backtracking on E decides the step, and the iteration stops when the
-projected-gradient residual reaches the tolerance.  The iteration runs on
-plain position arrays and evaluates each trial point once (one gap pass
-and one cost evaluation give E, F, the coupling value, dE/dx and q); a
-solve builds one ParticleDensity, the state it returns, and reports E, F,
-the coupling value and the EL residual there.
+found by damped Newton on H (one LAPACK dptsv call per iteration, an
+L D L^T tridiagonal solve), the Lagrangian Newton step of Blanchet, Calvez
+and Carrillo on the gap discretization.  Negative curvature is dropped from
+q and c_ss, so H >= (2/N) I and every Newton direction descends.  The step
+length is cut by a fraction-to-boundary rule that keeps every gap positive
+and stops a wall particle exactly at its wall; a wall particle whose
+descent direction points out of the box is held fixed (an active set of at
+most two).  Armijo backtracking on E decides the step, and the iteration
+stops when the projected-gradient residual reaches the tolerance; a
+non-finite E or dE/dx at any evaluated point is a numerical failure.  The
+iteration runs on plain position arrays and evaluates each trial point
+once (one gap pass and one cost evaluation give E, F, the coupling value,
+dE/dx and q); a solve builds one ParticleDensity, the state it returns,
+and reports E, F, the coupling value and the EL residual there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 from scipy.optimize import isotonic_regression
 
 from .energy import InternalEnergy, gap_terms
@@ -78,10 +80,8 @@ class StepProblem:
             if not 0 <= self.slot < self.cost.arity:
                 raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
-                if m.n != self.prev.n:
-                    raise InvalidInputError("coupled populations must share one N")
-                if m.domain != self.prev.domain:
-                    raise InvalidInputError("coupled populations must share a domain")
+                if m.n != self.prev.n or m.domain != self.prev.domain:
+                    raise InvalidInputError("coupled populations must share one N and one domain")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise InvalidInputError("tol must be positive and finite")
 
@@ -107,15 +107,16 @@ class StepSolution:
     el_residual: float
 
 
+def _project_in_place(domain: Domain, y: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto sorted vectors inside the domain box; overwrites y."""
+    if not (y[1:] >= y[:-1]).all():
+        y = isotonic_regression(y).x
+    return np.clip(y, domain.lower, domain.upper, out=y)
+
+
 def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto sorted vectors inside the domain box."""
-    y = np.asarray(y, dtype=float)
-    if np.all(np.diff(y) >= 0.0):
-        out = y.copy()
-    else:
-        out = isotonic_regression(y).x.copy()
-    np.clip(out, domain.lower, domain.upper, out=out)
-    return out
+    return _project_in_place(domain, np.array(y, dtype=float))
 
 
 def _tuple_points(problem: StepProblem, x: np.ndarray) -> np.ndarray:
@@ -134,17 +135,18 @@ class _Point(NamedTuple):
 
 def _evaluate(problem: StepProblem, x: np.ndarray) -> _Point:
     """E, F, the coupling value, dE/dx and the gap curvatures q at x, from one gap pass."""
-    prev = problem.prev.positions
-    n = prev.size
+    n = x.size
     h2 = 2.0 * problem.h
-    energy, energy_grad, curvature = gap_terms(problem.energy, x, problem.domain.length)
-    value = float(np.mean((x - prev) ** 2)) + h2 * energy
-    grad = (2.0 / n) * (x - prev) + h2 * energy_grad
+    energy, grad, curvature = gap_terms(problem.energy, x, problem.domain.length)
+    step = x - problem.prev.positions
+    value = float(np.square(step).sum()) / n + h2 * energy
+    grad *= h2
+    grad += (2.0 / n) * step
     coupling = 0.0
     if problem.cost is not None:
         pts = _tuple_points(problem, x)
         coupling = float(np.mean(problem.cost.evaluate(pts)))
-        grad = grad + (h2 / n) * problem.cost.partial(problem.slot, pts)
+        grad += (h2 / n) * problem.cost.partial(problem.slot, pts)
     return _Point(value + h2 * coupling, energy, coupling, grad, curvature)
 
 
@@ -162,10 +164,10 @@ def _hessian_bands(problem: StepProblem, x: np.ndarray, q: np.ndarray) -> tuple[
     """Diagonal and off-diagonal of the step Hessian at x, negative curvature dropped."""
     n = x.size
     h2 = 2.0 * problem.h
-    q = np.maximum(q, 0.0)
+    hq = h2 * np.maximum(q, 0.0)
     diag = np.full(n, 2.0 / n)
-    diag[:-1] += h2 * q
-    diag[1:] += h2 * q
+    diag[:-1] += hq
+    diag[1:] += hq
     if problem.cost is not None:
         # exact up to rounding for the quadratic costs, whose partials are linear
         step = COST_STEP * problem.domain.length
@@ -175,7 +177,7 @@ def _hessian_bands(problem: StepProblem, x: np.ndarray, q: np.ndarray) -> tuple[
         pts[:, problem.slot] -= 2.0 * step
         down = problem.cost.partial(problem.slot, pts)
         diag += (h2 / n) * np.maximum((up - down) / (2.0 * step), 0.0)
-    return diag, -h2 * q
+    return diag, -hq
 
 
 def _newton_direction(
@@ -187,20 +189,24 @@ def _newton_direction(
     the box; holding one changes d, so the other wall is checked again.
     """
     diag, off = _hessian_bands(problem, x, q)
-    outward = np.zeros(x.size)  # -1 at a particle on the lower wall, +1 on the upper
-    if x[0] <= problem.domain.lower:
-        outward[0] = -1.0
-    if x[-1] >= problem.domain.upper:
-        outward[-1] = 1.0
-    held = outward * g < 0.0
+    # diag > 0, so the product is finite exactly when both factors are (short of overflow)
+    if not math.isfinite(np.dot(diag, g)):
+        raise ValueError("Newton system must not contain infs or NaNs")
+    if off.size == 0:
+        off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal
+    lower, upper = problem.domain.lower, problem.domain.upper
+    # (index, outward sign) of each particle on a wall
+    walls = [(j, s) for j, s, on in ((0, -1.0, x[0] <= lower), (-1, 1.0, x[-1] >= upper)) if on]
+    held = {j for j, s in walls if s * g[j] < 0.0}
     while True:
-        bands = np.zeros((2, x.size))
-        bands[0, 1:] = np.where(held[:-1] | held[1:], 0.0, off)
-        bands[1] = np.where(held, 1.0, diag)
-        # one particle has no off-diagonal band (LAPACK's tridiagonal path needs one)
-        d = solveh_banded(bands if x.size > 1 else bands[1:], np.where(held, 0.0, -g))
-        leaving = (outward * d > 0.0) & ~held
-        if not np.any(leaving):
+        d_band, e_band, rhs = (diag.copy(), off.copy(), -g) if held else (diag, off, -g)
+        for j in held:
+            d_band[j], e_band[j], rhs[j] = 1.0, 0.0, 0.0
+        d, info = dptsv(d_band, e_band, rhs, overwrite_b=True)[2:]
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        leaving = {j for j, s in walls if s * d[j] > 0.0} - held
+        if not leaving:
             return d
         held |= leaving
 
@@ -213,11 +219,11 @@ def _longest_step(domain: Domain, x: np.ndarray, d: np.ndarray) -> tuple[float, 
     reported as 0 (lower), -1 (upper) or None.
     """
     alpha = 1.0
-    dgap = np.diff(d)
+    dgap = d[1:] - d[:-1]
     shrink = dgap < 0.0
-    if np.any(shrink):
-        room = np.diff(x)[shrink] / -dgap[shrink]
-        alpha = min(alpha, BOUNDARY_FRACTION * float(np.min(room)))
+    if shrink.any():
+        room = (x[1:] - x[:-1])[shrink] / -dgap[shrink]
+        alpha = min(alpha, BOUNDARY_FRACTION * float(room.min()))
     wall = None
     if d[0] < 0.0 and x[0] + alpha * d[0] <= domain.lower:
         alpha, wall = (domain.lower - x[0]) / d[0], 0
@@ -226,33 +232,38 @@ def _longest_step(domain: Domain, x: np.ndarray, d: np.ndarray) -> tuple[float, 
     return alpha, wall
 
 
-def _residual(problem: StepProblem, x: np.ndarray, grad: np.ndarray) -> float:
+def _residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
     # fixed-point gap of the natural-scale projected gradient map; the
     # (N/2) scaling turns dE/dx into position units
-    n = x.size
-    return float(
-        np.linalg.norm(x - project_ordered_box(problem.domain, x - 0.5 * n * grad))
-    )
+    y = (0.5 * x.size) * grad
+    np.subtract(x, y, out=y)
+    r = _project_in_place(domain, y)
+    np.subtract(x, r, out=r)
+    return math.sqrt(np.dot(r, r))
+
+
+def _require_finite(point: _Point, iteration: int, residual: float) -> None:
+    if not (math.isfinite(point.value) and np.isfinite(point.grad).all()):
+        raise NumericalFailureError("step solver met a non-finite objective or gradient "
+                                    f"at iteration {iteration}", residual=residual)
 
 
 def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:
     """Minimize the step objective; warm-started at prev unless told otherwise."""
-    if initial is None:
-        x = problem.prev.positions.copy()
-    else:
-        if initial.n != problem.prev.n or initial.domain != problem.prev.domain:
-            raise InvalidInputError("initial iterate must match prev in N and domain")
-        x = initial.positions.copy()
+    start = problem.prev if initial is None else initial
+    if start.n != problem.prev.n or start.domain != problem.prev.domain:
+        raise InvalidInputError("initial iterate must match prev in N and domain")
+    x = start.positions.copy()
     tol = problem.tol if problem.tol is not None else problem.default_tol()
     domain = problem.domain
     at = _evaluate(problem, x)
+    _require_finite(at, 0, math.nan)
     iters = 0
-    res = _residual(problem, x, at.grad)
+    res = _residual(domain, x, at.grad)
     while res > tol:
         if iters >= MAX_ITERS:
-            raise NumericalFailureError(
-                f"step solver exceeded {MAX_ITERS} iterations", residual=res
-            )
+            raise NumericalFailureError(f"step solver exceeded {MAX_ITERS} iterations",
+                                        residual=res)
         d = _newton_direction(problem, x, at.grad, at.curvature)
         slope = float(np.dot(at.grad, d))
         alpha, wall = _longest_step(domain, x, d)
@@ -261,11 +272,12 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             if trial == 0 and wall is not None:
                 cand[wall] = domain.lower if wall == 0 else domain.upper
             trial_at = _evaluate(problem, cand)
+            _require_finite(trial_at, iters, res)
             armijo = trial_at.value <= at.value + ARMIJO_C1 * alpha * slope
             # a predicted decrease within the rounding of E, a sum of about N
             # terms, cannot be seen in E: the full step is judged by the residual
             if armijo or (trial == 0 and -slope <= x.size * EPS * abs(at.value)):
-                rc = _residual(problem, cand, trial_at.grad)
+                rc = _residual(domain, cand, trial_at.grad)
                 if armijo or rc < res:
                     break
             alpha *= 0.5
@@ -289,9 +301,7 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
 def _el_residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
     margin = 1e-12 * domain.length
     interior = (x > domain.lower + margin) & (x < domain.upper - margin)
-    if not np.any(interior):
-        return 0.0
-    return float(np.max(np.abs(0.5 * x.size * grad[interior])))
+    return float(np.max(np.abs(0.5 * x.size * grad[interior]), initial=0.0))
 
 
 def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float:

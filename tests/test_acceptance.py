@@ -1,9 +1,9 @@
 """Quantitative acceptance battery.
 
-Eleven end-to-end gates, one test each.  Every test prints a single
+Twelve end-to-end gates, one test each.  Every test prints a single
 ``ACCEPTANCE <name>: PASS/FAIL`` line carrying the measured quantity and the
 pinned tolerance before asserting, so a red run still reports the numbers.
-Run with ``pytest tests/test_acceptance.py -v -s`` to see all eleven lines.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see all twelve lines.
 """
 
 import math
@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from jkoflow import (
     CostFunction,
@@ -50,7 +51,7 @@ from jkoflow import (
 )
 from jkoflow.cli import build_flow_config, parse_scenario
 from jkoflow.energy import floored_gap_count
-from jkoflow.flow import _step_problem
+from jkoflow.flow import Coupling, FlowConfig, PopulationSpec, _step_problem
 from jkoflow.presets import PRESETS
 
 from helpers import spread_particles
@@ -491,4 +492,92 @@ def test_shipped_scenarios_step_optimality():
         for name, steps, worst, floored in rows
     )
     _report("shipped-scenario step optimality", ok, detail)
+    assert ok
+
+
+# 12 ── coupled Gaussians follow the closed-form Jacobi recursion
+
+
+def _coupled_gaussian_errors(gaussians, couplings, weights, n, h=1e-3, n_steps=20):
+    """Particle flow from midpoint quantiles against the Gaussian recursion.
+
+    With entropy energies and quadratic costs a Jacobi step maps Gaussians
+    to Gaussians: m' = (m/h + 2 sum_k w_k m_k) / (1/h + 2W) and s' is the
+    positive root of (1/h + 2W) s'^2 - (s/h + 2 sum_k w_k s_k) s' - 1 = 0,
+    W = sum_k w_k.  Returns the mean error, the standard-deviation error,
+    the error over ranks 10-90 % and the Gaussian mass the box cuts off,
+    each the worst over the populations.
+    """
+    dom = Domain(-2.0, 2.0)
+    u = (np.arange(n) + 0.5) / n
+    z = ndtri(u)
+    config = FlowConfig(
+        populations=tuple(
+            PopulationSpec(ParticleDensity(dom, m + s * z), entropy_energy(), c)
+            for (m, s), c in zip(gaussians, couplings)
+        ),
+        h=h, n_steps=n_steps, record_every=n_steps,
+    )
+    traj = run_flow(config)
+    means = [float(np.mean(p.positions)) for p in traj.states[0]]
+    sigmas = [s for _, s in gaussians]
+    for _ in range(n_steps):
+        new_means, new_sigmas = [], []
+        for i, w in enumerate(weights):
+            a = 1.0 / h + 2.0 * sum(w.values())
+            new_means.append((means[i] / h + 2.0 * sum(wk * means[k] for k, wk in w.items())) / a)
+            b = sigmas[i] / h + 2.0 * sum(wk * sigmas[k] for k, wk in w.items())
+            new_sigmas.append((b + math.sqrt(b * b + 4.0 * a)) / (2.0 * a))
+        means, sigmas = new_means, new_sigmas
+    interior = (u >= 0.1) & (u <= 0.9)
+    rows = [
+        (
+            abs(float(np.mean(p.positions)) - m),
+            abs(float(np.std(p.positions)) - s),
+            float(np.max(np.abs(p.positions - (m + s * z))[interior])),
+            ndtr((dom.lower - m) / s) + ndtr((m - dom.upper) / s),
+        )
+        for p, m, s in zip(traj.final, means, sigmas)
+    ]
+    return tuple(max(col) for col in zip(*rows))
+
+
+def test_coupled_gaussian_closed_form():
+    pair = quadratic_pairwise_cost(Domain(-2.0, 2.0))
+    cases = {
+        "pairwise": (
+            ((-0.3, 0.05), (0.4, 0.1)),
+            (Coupling(pair, (0, 1)), Coupling(pair, (1, 0))),
+            ({1: 1.0}, {0: 1.0}),
+        ),
+        "barycenter": (
+            ((-0.3, 0.05), (0.0, 0.08), (0.4, 0.1)),
+            (
+                Coupling(barycenter_cost([1.0, 2.0], Domain(-2.0, 2.0)), (0, 1, 2)),
+                Coupling(pair, (1, 0)),
+                Coupling(pair, (2, 0)),
+            ),
+            ({1: 1.0, 2: 2.0}, {0: 1.0}, {0: 1.0}),
+        ),
+    }
+    # the closed form lives on the whole line; the box may cut off no more
+    # Gaussian mass than the mean check resolves
+    sizes = (256, 1024, 4096)
+    ok, details = True, []
+    for name, case in cases.items():
+        errors = [_coupled_gaussian_errors(*case, n) for n in sizes]
+        mean_err = max(e[0] for e in errors)
+        outside = max(e[3] for e in errors)
+        orders = [
+            [math.log(errors[k][col] / errors[k + 1][col]) / math.log(4.0) for k in range(2)]
+            for col in (1, 2)
+        ]
+        ok = ok and mean_err <= 1e-13 and outside <= 1e-13 and min(map(min, orders)) >= 0.9
+        details.append(
+            f"{name}: mean error {mean_err:.2e} <= 1e-13; order in N of the std error "
+            f"{orders[0][0]:.2f}, {orders[0][1]:.2f} and of the 10-90 % rank error "
+            f"{orders[1][0]:.2f}, {orders[1][1]:.2f} >= 0.9 over N = 256, 1024, 4096; "
+            f"Gaussian mass outside the box {outside:.1e} <= 1e-13"
+        )
+    _report("coupled Gaussian closed form", ok, "; ".join(details))
     assert ok

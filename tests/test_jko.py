@@ -26,6 +26,7 @@ from jkoflow.energy import gap_terms
 from jkoflow.jko import (
     StepProblem,
     _hessian_bands,
+    _newton_direction,
     euler_lagrange_residual,
     objective,
     objective_gradient,
@@ -329,3 +330,73 @@ def test_failed_line_search_raises_with_residual():
     with pytest.raises(NumericalFailureError, match="line search") as info:
         solve_step(problem)
     assert info.value.residual > problem.default_tol()
+
+
+@pytest.mark.parametrize("wall, iteration", [(0.5, 0), (0.1, 1)])
+def test_non_finite_point_raises_naming_the_iteration(wall, iteration):
+    # the cost is NaN left of `wall`: the whole start for wall = 0.5, a
+    # trial point of the second iteration for wall = 0.1
+    cost = CostFunction(
+        2,
+        lambda xs: np.sqrt(xs[..., 0] - wall),
+        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - wall), lambda xs: np.zeros(xs.shape[:-1])),
+        1.0,
+    )
+    prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
+                          frozen=(prev,), slot=0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalFailureError, match=f"non-finite .* at iteration {iteration}$"
+    ):
+        solve_step(problem)
+
+
+# ------------------------------------------------------------- Newton direction
+
+
+def _dense_held_solve(problem, g, q, held):
+    """H d = -g solved densely with the held particles' rows and columns removed."""
+    n = g.size
+    gaps = np.diff(np.eye(n), axis=0)
+    hessian = (2.0 / n) * np.eye(n) + 2.0 * problem.h * gaps.T @ np.diag(np.maximum(q, 0.0)) @ gaps
+    free = np.ones(n, dtype=bool)
+    free[list(held)] = False
+    d = np.zeros(n)
+    d[free] = np.linalg.solve(hessian[np.ix_(free, free)], -g[free])
+    return d
+
+
+_INTERIOR = np.linspace(0.1, 0.9, 6)
+_Q = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+_G = np.array([-0.2, 0.7, -0.1, 0.3, -0.5, 0.2])
+_NEWTON_CASES = {
+    # name: positions, gradient, gap curvatures, particles held
+    "no-wall": (_INTERIOR, _G, _Q, ()),
+    "lower-by-gradient": (np.r_[0.0, _INTERIOR[1:]], np.r_[1.0, _G[1:]], _Q, (0,)),
+    "upper-by-gradient": (np.r_[_INTERIOR[:-1], 1.0], np.r_[_G[:-1], -1.0], _Q, (5,)),
+    # -g points inward at the lower wall, but the stiff first gap drags
+    # particle 0 along with particle 1, out of the box
+    "lower-after-solve": (np.r_[0.0, _INTERIOR[1:]], np.r_[-0.01, 5.0, _G[2:]],
+                          np.r_[1e3, _Q[1:]], (0,)),
+    "both-walls": (np.r_[0.0, _INTERIOR[1:-1], 1.0], np.r_[1.0, _G[1:-1], -1.0], _Q, (0, 5)),
+    "single-particle": (np.array([0.4]), np.array([0.3]), np.zeros(0), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEWTON_CASES))
+def test_newton_direction_matches_dense_held_solve(case):
+    x, g, q, held = _NEWTON_CASES[case]
+    energy = zero_energy() if x.size == 1 else entropy_energy()
+    problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=energy, h=0.05)
+    if case == "lower-after-solve":
+        assert not g[0] > 0.0 and _dense_held_solve(problem, g, q, ())[0] < 0.0
+    d = _newton_direction(problem, x, g, q)
+    assert np.all(d[list(held)] == 0.0)
+    np.testing.assert_allclose(d, _dense_held_solve(problem, g, q, held), rtol=1e-12, atol=1e-15)
+
+
+def test_newton_direction_refuses_nan_gradient():
+    x, g, q, _ = _NEWTON_CASES["no-wall"]
+    problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=0.05)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _newton_direction(problem, x, np.r_[g[:3], np.nan, g[4:]], q)
