@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InvalidInputError
 from .geometry import ParticleDensity
@@ -61,6 +60,8 @@ class InternalEnergy:
 
 def entropy_energy() -> InternalEnergy:
     """f(s) = s log s (Boltzmann entropy; linear diffusion): p = s, p' = 1."""
+    from scipy.special import xlogy  # imported here: only entropy runs load scipy.special
+
     return InternalEnergy(lambda s: xlogy(s, s), np.copy, np.ones_like, 1.0)
 
 

@@ -108,9 +108,7 @@ class GridDensity:
             raise InvalidInputError("cell_edges must be strictly increasing")
         if np.any(values < 0):
             raise InvalidInputError("cell_values must be nonnegative")
-        mass = math.fsum(
-            (float(v) * float(w)) for v, w in zip(values, np.diff(edges))
-        )
+        mass = math.fsum((values * np.diff(edges)).tolist())
         if abs(mass - 1.0) > MASS_TOL:
             raise InvalidInputError(
                 f"grid density must integrate to 1, got {mass!r}"
@@ -139,7 +137,7 @@ def normalized_grid(cell_edges, cell_values) -> GridDensity:
     widths = np.diff(edges)
     if np.any(widths <= 0):
         raise InvalidInputError("cell_edges must be strictly increasing")
-    mass = math.fsum(float(v) * float(w) for v, w in zip(values, widths))
+    mass = math.fsum((values * widths).tolist())
     if mass <= 0:
         raise InvalidInputError("grid has zero total mass")
     return GridDensity(edges, values / mass)
@@ -186,7 +184,7 @@ def grid_from_csv(path) -> GridDensity:
         values.append(value)
     edges_arr = np.asarray(edges)
     values_arr = np.asarray(values)
-    mass = math.fsum(float(v) * float(w) for v, w in zip(values_arr, np.diff(edges_arr)))
+    mass = math.fsum((values_arr * np.diff(edges_arr)).tolist())
     if mass <= 0:
         raise InvalidInputError(f"{path}: zero total mass")
     if abs(mass - 1.0) > 1e-6:

@@ -21,12 +21,15 @@ length is cut by a fraction-to-boundary rule that keeps every gap positive
 and stops a wall particle exactly at its wall; a wall particle whose
 descent direction points out of the box is held fixed (an active set of at
 most two).  Armijo backtracking on E decides the step, and the iteration
-stops when the projected-gradient residual reaches the tolerance; a
-non-finite E or dE/dx at any evaluated point is a numerical failure.  The
-iteration runs on plain position arrays and evaluates each trial point
-once (one gap pass and one cost evaluation give E, F, the coupling value,
-dE/dx and q); a solve builds one ParticleDensity, the state it returns,
-and reports E, F, the coupling value and the EL residual there.
+stops when the box-projected natural gradient |x - clip(x - (N/2) dE/dx)|
+reaches the tolerance: the walls are the only constraints the Newton step
+treats as active, since the boundary rule keeps the ordering strict.  A
+non-finite E or dE/dx at any evaluated point, or a non-finite or
+indefinite Newton system, is a numerical failure.  The iteration runs on
+plain position arrays and evaluates each trial point once (one gap pass
+and one cost evaluation give E, F, the coupling value, dE/dx and q); a
+solve builds one ParticleDensity, the state it returns, and reports E, F,
+the coupling value and the EL residual there.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
-from scipy.optimize import isotonic_regression
 
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
@@ -107,16 +109,15 @@ class StepSolution:
     el_residual: float
 
 
-def _project_in_place(domain: Domain, y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto sorted vectors inside the domain box; overwrites y."""
+def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto sorted vectors inside the domain box."""
+    # imported here: the solver never projects, and scipy.optimize is slow to import
+    from scipy.optimize import isotonic_regression
+
+    y = np.array(y, dtype=float)
     if not (y[1:] >= y[:-1]).all():
         y = isotonic_regression(y).x
     return np.clip(y, domain.lower, domain.upper, out=y)
-
-
-def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto sorted vectors inside the domain box."""
-    return _project_in_place(domain, np.array(y, dtype=float))
 
 
 def _tuple_points(problem: StepProblem, x: np.ndarray) -> np.ndarray:
@@ -233,13 +234,14 @@ def _longest_step(domain: Domain, x: np.ndarray, d: np.ndarray) -> tuple[float, 
 
 
 def _residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
-    # fixed-point gap of the natural-scale projected gradient map; the
-    # (N/2) scaling turns dE/dx into position units
+    # fixed-point gap of the natural-scale gradient map projected onto the
+    # box; the (N/2) scaling turns dE/dx into position units.  The ordering
+    # is not projected: the boundary rule keeps it strict
     y = (0.5 * x.size) * grad
     np.subtract(x, y, out=y)
-    r = _project_in_place(domain, y)
-    np.subtract(x, r, out=r)
-    return math.sqrt(np.dot(r, r))
+    np.clip(y, domain.lower, domain.upper, out=y)
+    np.subtract(x, y, out=y)
+    return math.sqrt(np.dot(y, y))
 
 
 def _require_finite(point: _Point, iteration: int, residual: float) -> None:
@@ -264,7 +266,13 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
         if iters >= MAX_ITERS:
             raise NumericalFailureError(f"step solver exceeded {MAX_ITERS} iterations",
                                         residual=res)
-        d = _newton_direction(problem, x, at.grad, at.curvature)
+        try:
+            d = _newton_direction(problem, x, at.grad, at.curvature)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise NumericalFailureError(
+                "step solver met a non-finite or indefinite Newton system "
+                f"at iteration {iters}", residual=res,
+            ) from err
         slope = float(np.dot(at.grad, d))
         alpha, wall = _longest_step(domain, x, d)
         for trial in range(MAX_BACKTRACKS):

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import CapacityError, DomainError, InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
@@ -202,6 +200,10 @@ def lp_solve_mm(
     re-solved on the marginal constraints so each pushforward matches its
     marginal to machine precision.
     """
+    # imported here: no certified cost needs the LP, and both are slow to import
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     marginals = tuple(marginals)
     l = len(marginals)
     if l != cost.arity:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import jkoflow.cli as cli
 from jkoflow.cli import (
     Scenario,
     build_flow_config,
@@ -86,6 +88,21 @@ def test_unknown_key_rejected_with_field_path():
 def test_syntax_error_reports_line_and_column():
     with pytest.raises(InvalidInputError, match=r"line \d+, column \d+"):
         parse_scenario("name: [unclosed\nflow: {")
+
+
+def test_both_yaml_loaders_parse_shipped_scenarios_alike(monkeypatch):
+    # libyaml's loader, the default where PyYAML was built with it, against the pure-Python one
+    fast = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert cli.YAML_LOADER is fast
+    paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+        scenario = parse_scenario(text)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "YAML_LOADER", yaml.SafeLoader)
+            assert parse_scenario(text) == scenario
 
 
 def test_unknown_energy_name_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from jkoflow import (
     product_w2,
     w2_distance,
 )
+from jkoflow.presets import barenblatt_profile, bump_profile, gaussian_profile
 
 UNIT = Domain(0.0, 1.0)
 
@@ -154,3 +156,26 @@ def test_grid_from_csv(tmp_path):
     zero.write_text("0.0,1.0,0.0\n")
     with pytest.raises(InvalidInputError):
         grid_from_csv(zero)
+
+
+def _elementwise_mass(values, edges):
+    return math.fsum(float(v) * float(w) for v, w in zip(values, np.diff(edges)))
+
+
+def test_grid_mass_matches_elementwise_fsum(tmp_path):
+    # the products are the same IEEE products and fsum rounds exactly, so
+    # the array form must give the loop's mass to the bit
+    grids = [gaussian_profile(UNIT, 0.3, 0.1), bump_profile(UNIT, 0.7, 0.25),
+             barenblatt_profile(0.01, Domain(-1.0, 1.0))]
+    path = tmp_path / "grid.csv"
+    edges, values = grids[0].cell_edges, grids[0].cell_values * (1.0 + 1e-7)
+    rows = zip(edges.tolist(), edges[1:].tolist(), values.tolist())
+    path.write_text("".join(f"{a!r},{b!r},{v!r}\n" for a, b, v in rows))
+    from_csv = grid_from_csv(path)
+    assert np.array_equal(from_csv.cell_values, values / _elementwise_mass(values, edges))
+    for grid in grids + [from_csv]:
+        raw = 3.0 * grid.cell_values
+        mass = _elementwise_mass(raw, grid.cell_edges)
+        assert np.array_equal(normalized_grid(grid.cell_edges, raw).cell_values, raw / mass)
+        with pytest.raises(InvalidInputError, match=re.escape(f"integrate to 1, got {mass!r}")):
+            GridDensity(grid.cell_edges, raw)

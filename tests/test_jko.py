@@ -27,6 +27,7 @@ from jkoflow.jko import (
     StepProblem,
     _hessian_bands,
     _newton_direction,
+    _residual,
     euler_lagrange_residual,
     objective,
     objective_gradient,
@@ -349,6 +350,52 @@ def test_non_finite_point_raises_naming_the_iteration(wall, iteration):
         NumericalFailureError, match=f"non-finite .* at iteration {iteration}$"
     ):
         solve_step(problem)
+
+
+def test_non_finite_newton_system_is_a_numerical_failure():
+    # every particle lies where the cost is defined (x > 0.2), but the
+    # central difference for c_ss steps 1e-4 left of the first one
+    cost = CostFunction(
+        2,
+        lambda xs: np.sqrt(xs[..., 0] - 0.2),
+        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - 0.2), lambda xs: np.zeros(xs.shape[:-1])),
+        1.0,
+    )
+    prev = ParticleDensity(UNIT, np.linspace(0.20005, 0.8, 16))
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
+                          frozen=(prev,), slot=0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalFailureError, match="non-finite or indefinite Newton system at iteration 0$"
+    ) as err:
+        solve_step(problem)
+    assert math.isfinite(err.value.residual)
+
+
+def test_residual_matches_projected_residual_when_sorted():
+    # the stopping test clips x - (N/2) g to the box without reordering it;
+    # where that point is sorted it is the projected residual to the bit, and
+    # where it is not, neither residual can be small while every gap is large
+    rng = np.random.default_rng(3)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        n = int(rng.integers(2, 40))
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        if trial % 3 == 1:
+            x[0] = 0.0
+        if trial % 4 == 2:
+            x[-1] = 1.0
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0) / n
+        y = x - (0.5 * n) * g
+        got = _residual(UNIT, x, g)
+        projected = float(np.linalg.norm(x - project_ordered_box(UNIT, y)))
+        is_sorted = bool(np.all(y[1:] >= y[:-1]))
+        seen[is_sorted] += 1
+        if is_sorted:
+            assert got == projected
+        else:
+            t = 0.49 * float(np.min(np.diff(x)))
+            assert got > t and projected > t
+    assert min(seen.values()) > 50
 
 
 # ------------------------------------------------------------- Newton direction

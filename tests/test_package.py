@@ -1,11 +1,16 @@
-"""The package surface: every export resolves, and the README example runs."""
+"""The package surface: every export resolves, the README example runs, and the import stays lean."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jkoflow
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 
 def test_every_export_resolves():
@@ -18,3 +23,24 @@ def test_readme_python_example_runs_as_written(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == "True\n"
+
+
+def _heavy_modules_after(code: str) -> set[str]:
+    """The HEAVY modules a fresh interpreter holds after running code."""
+    script = f"import sys\n{code}\nprint(*(m for m in {HEAVY!r} if m in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_import_loads_only_what_runs_need(tmp_path):
+    # the LP oracle, the exact ordered-box projection and the entropy
+    # integrand import their scipy parts when called, not with the package
+    assert _heavy_modules_after("import jkoflow") == set()
+    run = "from jkoflow.cli import main\nassert main([{!r}, '--output-dir', {!r}, '--quiet']) == 0"
+    porous = run.format("scenarios/porous_medium.yaml", str(tmp_path / "porous"))
+    assert _heavy_modules_after(porous) == set()
+    heat = run.format("scenarios/heat_flow.yaml", str(tmp_path / "heat"))
+    assert _heavy_modules_after(heat) <= {"scipy.special"}
