@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .energy import custom_energy, entropy_energy, power_law_energy, zero_energy
-from .errors import CapacityError, DomainError, InvalidInputError, NumericalFailureError
+from .errors import DomainError, InvalidInputError, NumericalFailureError
 from .flow import (
     Coupling,
     FlowConfig,
@@ -181,8 +181,7 @@ def _run_convexity_probe(probe, config, traj, others) -> tuple[str, list[str]]:
         worst = max(worst, report.max_violation)
         lines.append(
             f"population {i} cost={pop.coupling.cost.name}: "
-            f"max_violation={_fmt(report.max_violation)} "
-            f"evaluation={report.evaluation}"
+            f"max_violation={_fmt(report.max_violation)}"
         )
     if not lines:
         return "SKIPPED", ["reason: no couplings declared"]
@@ -312,6 +311,11 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a single-document YAML scenario."""
+    # libyaml accepts some tabs the pure-Python loader refuses, so no loader sees one
+    tab = text.find("\t")
+    if tab >= 0:
+        line, column = text.count("\n", 0, tab) + 1, tab - text.rfind("\n", 0, tab)
+        raise InvalidInputError(f"syntax error at line {line}, column {column}")
     try:
         doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as err:
@@ -387,7 +391,7 @@ def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:
 
 # ------------------------------------------------------------------- running
 
-FAILURES = (InvalidInputError, DomainError, CapacityError, NumericalFailureError)
+FAILURES = (InvalidInputError, DomainError, NumericalFailureError)
 
 
 def _exit_code(err: Exception) -> int:

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Split by what the caller can do about the failure: fix the arguments
-(InvalidInputError, DomainError), shrink the problem (CapacityError),
-or loosen tolerances / inspect the residual (NumericalFailureError).
+(InvalidInputError, DomainError) or loosen tolerances / inspect the
+residual (NumericalFailureError).
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ class InvalidInputError(ValueError):
 
 class DomainError(ValueError):
     """Scalar argument outside its admissible range (e.g. an interpolation time not in [0, 1])."""
-
-
-class CapacityError(ValueError):
-    """Problem size exceeds a documented limit (e.g. the exhaustive LP cap)."""
 
 
 class NumericalFailureError(RuntimeError):

@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import InternalEnergy, energy_gradient, energy_value, mccann_check
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, product_w2, w2_distance
 from .jko import StepProblem, _tuple_points, solve_step
-from .transport import CostFunction
+from .transport import CostFunction, require_certified
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,7 @@ class FlowConfig:
             c = p.coupling
             if c is None:
                 continue
-            if not c.cost.comonotone_certified:
-                raise InvalidInputError(
-                    f"population {i} uses an uncertified cost; couplings are "
-                    "evaluated through the rank-diagonal plan, which is only "
-                    "optimal for certified costs"
-                )
+            require_certified(c.cost, f"population {i}")
             if c.members.count(i) != 1:
                 raise InvalidInputError(
                     f"population {i} must appear exactly once in its coupling"
@@ -155,7 +150,12 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     for k in range(1, config.n_steps + 1):
         new = []
         for i in range(len(config.populations)):
-            sol = solve_step(_step_problem(config, state, i))
+            try:
+                sol = solve_step(_step_problem(config, state, i))
+            except NumericalFailureError as err:
+                raise NumericalFailureError(
+                    f"step {k}, population {i}: {err}", residual=err.residual
+                ) from err
             diagnostics.append(StepDiagnostics(
                 step=k,
                 time=k * config.h,

@@ -1,25 +1,24 @@
 """Multi-marginal couplings of particle densities.
 
-The workhorse is the co-monotone plan: with a shared particle count the
-coupling that matches the j-th smallest particles of every marginal.  For
-costs whose mixed second derivatives are nonpositive (``comonotone_certified``)
-this plan is optimal, so coupling values on the hot path are plain index-wise
-sums.  A brute-force LP over the full product grid is kept as a correctness
-oracle.
+Only certified costs are coupled: those whose mixed second derivatives are
+nonpositive (``comonotone_certified``).  For them the co-monotone plan, which
+with a shared particle count matches the j-th smallest particles of every
+marginal, is optimal (Carlier, J. Convex Anal. 2003), so a coupling value is
+the mean of the cost over the rank-diagonal tuples (``coupling_value``).
+``require_certified`` refuses every other cost.  The exhaustive LP that
+checks this optimality is a test oracle and lives beside the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InvalidInputError, NumericalFailureError
+from .errors import DomainError, InvalidInputError
 from .geometry import Domain, ParticleDensity
-
-LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
 
 
 @dataclass(frozen=True)
@@ -114,146 +113,34 @@ def barycenter_cost(weights: Sequence[float], domain: Domain) -> CostFunction:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class MultiMarginalPlan:
-    """Discrete coupling of l particle densities.
-
-    Support rows index into each marginal's atoms; weights are the coupled
-    masses.  ``cost_value`` is filled by whichever routine built the plan
-    with a cost at hand (None otherwise) and is always recomputable with
-    ``plan_cost``.
-    """
-
-    marginals: tuple[ParticleDensity, ...]
-    indices: np.ndarray  # (n_support, l) integer
-    weights: np.ndarray  # (n_support,)
-    cost_value: float | None = None
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", w)
-        if idx.ndim != 2 or idx.shape[1] != len(self.marginals) or idx.shape[0] != w.size:
-            raise InvalidInputError("inconsistent plan support shapes")
-        if np.any(w < -1e-15):
-            raise InvalidInputError("plan weights must be nonnegative")
-
-    @property
-    def arity(self) -> int:
-        return len(self.marginals)
-
-    def support_positions(self) -> np.ndarray:
-        """(n_support, l) matrix of coupled atom positions."""
-        cols = [m.positions[self.indices[:, i]] for i, m in enumerate(self.marginals)]
-        return np.stack(cols, axis=-1)
-
-    def marginal_weights(self, i: int) -> np.ndarray:
-        """Pushforward of the plan onto coordinate i, as weights per atom."""
-        if not 0 <= i < self.arity:
-            raise InvalidInputError(f"marginal index {i} out of range")
-        return np.bincount(
-            self.indices[:, i], weights=self.weights, minlength=self.marginals[i].n
+def require_certified(cost: CostFunction, owner: str) -> None:
+    """Refuse a cost whose optimal plan is not certified to be the rank-diagonal one."""
+    if not cost.comonotone_certified:
+        raise InvalidInputError(
+            f"{owner} uses an uncertified cost; couplings are evaluated through the "
+            "rank-diagonal plan, which is only optimal for certified costs"
         )
 
 
-def plan_cost(plan: MultiMarginalPlan, cost: CostFunction) -> float:
-    if cost.arity != plan.arity:
-        raise InvalidInputError("cost arity does not match plan arity")
-    return float(np.sum(plan.weights * cost.evaluate(plan.support_positions())))
+def coupling_value(cost: CostFunction, marginals: Sequence[ParticleDensity]) -> float:
+    """Optimal coupling value of a certified cost: its mean over the rank-diagonal tuples.
 
-
-def monotone_plan(
-    marginals: Sequence[ParticleDensity], cost: CostFunction | None = None
-) -> MultiMarginalPlan:
-    """Index-diagonal coupling of the j-th smallest atoms of every marginal.
-
-    Exact optimizer for certified-comonotone costs.  All marginals must share
-    one particle count and domain; atom j carries weight 1/N.
+    One marginal per cost slot, all sharing one particle count and domain;
+    the j-th smallest atoms of every marginal are coupled with mass 1/N.
     """
+    require_certified(cost, "coupling_value")
     marginals = tuple(marginals)
-    if len(marginals) < 2:
-        raise InvalidInputError("need at least two marginals")
-    n = marginals[0].n
-    dom = marginals[0].domain
+    if len(marginals) != cost.arity:
+        raise InvalidInputError(
+            f"need one marginal per cost slot ({cost.arity}), got {len(marginals)}"
+        )
+    n, dom = marginals[0].n, marginals[0].domain
     for m in marginals[1:]:
         if m.n != n:
             raise InvalidInputError(f"marginal particle counts differ: {m.n} vs {n}")
         if m.domain != dom:
             raise InvalidInputError("marginals live on different domains")
-    idx = np.tile(np.arange(n)[:, None], (1, len(marginals)))
-    weights = np.full(n, 1.0 / n)
-    plan = MultiMarginalPlan(marginals, idx, weights)
-    if cost is not None:
-        plan = replace(plan, cost_value=plan_cost(plan, cost))
-    return plan
-
-
-def lp_solve_mm(
-    marginals: Sequence[ParticleDensity], cost: CostFunction
-) -> MultiMarginalPlan:
-    """Exact multi-marginal optimum by exhaustive LP over the product grid.
-
-    Oracle only: refuses instances with l * prod(K_i) beyond LP_SCALE_CAP.
-    Optimality is certified from the returned equality duals (reduced costs
-    >= -1e-8 and duality gap <= 1e-8); the support weights are then
-    re-solved on the marginal constraints so each pushforward matches its
-    marginal to machine precision.
-    """
-    # imported here: no certified cost needs the LP, and both are slow to import
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    marginals = tuple(marginals)
-    l = len(marginals)
-    if l != cost.arity:
-        raise InvalidInputError("cost arity does not match marginal count")
-    size = math.prod(m.n for m in marginals)
-    if l * size > LP_SCALE_CAP:
-        raise CapacityError(
-            f"LP scale l*prod(K)={l * size} exceeds cap {LP_SCALE_CAP}"
-        )
-    ks = [m.n for m in marginals]
-    tuple_idx = np.indices(ks).reshape(l, size)
-    pts = np.stack(
-        [m.positions[tuple_idx[i]] for i, m in enumerate(marginals)], axis=-1
-    )
-    c = cost.evaluate(pts)
-
-    rows = []
-    offset = 0
-    for i in range(l):
-        rows.append(offset + tuple_idx[i])
-        offset += ks[i]
-    row = np.concatenate(rows)
-    col = np.tile(np.arange(size), l)
-    a_eq = sparse.coo_matrix((np.ones(l * size), (row, col)), shape=(offset, size))
-    b_eq = np.concatenate([np.full(k, 1.0 / k) for k in ks])
-
-    res = linprog(c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise NumericalFailureError(f"oracle LP failed: {res.message}")
-    duals = res.eqlin.marginals
-    reduced = c - a_eq.T @ duals
-    if float(np.min(reduced)) < -1e-8:
-        raise NumericalFailureError(
-            "oracle LP duals infeasible", residual=float(-np.min(reduced))
-        )
-    gap = abs(float(res.fun) - float(b_eq @ duals))
-    if gap > 1e-8:
-        raise NumericalFailureError("oracle LP duality gap too large", residual=gap)
-
-    keep = res.x > 1e-10
-    support = tuple_idx[:, keep].T
-    # polish: re-solve the weights on the fixed support so every marginal
-    # is recovered exactly instead of to the LP feasibility tolerance
-    a_sup = a_eq.tocsc()[:, keep].toarray()
-    w, *_ = np.linalg.lstsq(a_sup, b_eq, rcond=None)
-    if np.any(w < -1e-9) or float(np.max(np.abs(a_sup @ w - b_eq))) > 1e-12:
-        w = res.x[keep]  # polish failed; fall back to raw LP weights
-    w = np.maximum(w, 0.0)
-    value = float(np.dot(w, c[keep]))
-    return MultiMarginalPlan(marginals, support, w, cost_value=value)
+    return float(np.mean(cost.evaluate(np.stack([m.positions for m in marginals], axis=-1))))
 
 
 def displacement_interpolate(
@@ -283,14 +170,6 @@ class ConvexityReport:
     violations: tuple[float, ...]
     max_violation: float
     endpoint_values: tuple[float, float]
-    evaluation: str  # "comonotone" or "lp"
-    advisory_only: bool
-
-
-def _coupling_value(cost: CostFunction, marginals) -> tuple[float, str]:
-    if cost.comonotone_certified:
-        return plan_cost(monotone_plan(marginals), cost), "comonotone"
-    return float(lp_solve_mm(marginals, cost).cost_value), "lp"
 
 
 def convexity_probe(
@@ -302,48 +181,22 @@ def convexity_probe(
 
     For each t the tuple is interpolated component-wise and the coupling
     value is compared with the chord (1-t) W(a) + t W(b); positive numbers
-    are convexity violations.  Certified costs are evaluated through the
-    co-monotone plan (exact); uncertified costs go through the LP oracle,
-    which raises CapacityError past LP_SCALE_CAP, and the report is flagged
-    advisory-only.
+    are convexity violations.  ``coupling_value`` refuses uncertified costs
+    and tuples that do not fill the cost's slots, ``displacement_interpolate``
+    every t outside [0, 1].
     """
     tuple_a, tuple_b = (tuple(endpoints[0]), tuple(endpoints[1]))
-    if len(tuple_a) != cost.arity or len(tuple_b) != cost.arity:
-        raise InvalidInputError("endpoint tuples must match the cost arity")
     ts = tuple(float(t) for t in t_samples)
-    for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t sample {t!r} outside [0, 1]")
-    value_a, eval_kind = _coupling_value(cost, tuple_a)
-    value_b, _ = _coupling_value(cost, tuple_b)
+    value_a = coupling_value(cost, tuple_a)
+    value_b = coupling_value(cost, tuple_b)
     violations = []
     for t in ts:
-        mid = tuple(
-            displacement_interpolate(a, b, t) for a, b in zip(tuple_a, tuple_b)
-        )
-        v_mid, _ = _coupling_value(cost, mid)
-        violations.append(v_mid - ((1.0 - t) * value_a + t * value_b))
+        mid = tuple(displacement_interpolate(a, b, t) for a, b in zip(tuple_a, tuple_b))
+        violations.append(coupling_value(cost, mid) - ((1.0 - t) * value_a + t * value_b))
     max_v = max(violations) if violations else 0.0
     return ConvexityReport(
         t_samples=ts,
         violations=tuple(violations),
         max_violation=float(max_v),
         endpoint_values=(value_a, value_b),
-        evaluation=eval_kind,
-        advisory_only=not cost.comonotone_certified,
     )
-
-
-def semi_coupling_value(
-    cost: CostFunction, frozen: Sequence[ParticleDensity], i: int, rho: ParticleDensity
-) -> float:
-    """Coupling value with rho in slot i and the frozen tuple elsewhere.
-
-    Index-diagonal evaluation: the plan matches quantile ranks across all
-    slots, which is optimal for certified costs with a shared N.
-    """
-    cols = list(frozen)
-    cols.insert(i, rho)
-    if len(cols) != cost.arity:
-        raise InvalidInputError("frozen tuple size does not match cost arity")
-    return plan_cost(monotone_plan(cols), cost)

@@ -105,6 +105,23 @@ def test_both_yaml_loaders_parse_shipped_scenarios_alike(monkeypatch):
             assert parse_scenario(text) == scenario
 
 
+def test_tab_refused_alike_by_both_yaml_loaders(monkeypatch):
+    # libyaml reads "a:\t1" as {a: 1} where the pure-Python loader raises, so a
+    # tab is refused before either loader sees the text
+    text = (SCENARIO_DIR / "identity.yaml").read_text(encoding="utf-8")
+    line = next(i for i, row in enumerate(text.splitlines()) if row.startswith("name: "))
+    tabbed = text.replace("name: ", "name:\t", 1)
+    want = f"syntax error at line {line + 1}, column 6"
+    messages = []
+    for loader in (cli.YAML_LOADER, yaml.SafeLoader):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "YAML_LOADER", loader)
+            with pytest.raises(InvalidInputError) as info:
+                parse_scenario(tabbed)
+        messages.append(str(info.value))
+    assert messages == [want, want]
+
+
 def test_unknown_energy_name_rejected():
     bad = MINIMAL.replace("type: entropy}\n      initial: {n: 8, profile: {type: gaussian",
                           "type: enthalpy}\n      initial: {n: 8, profile: {type: gaussian")
@@ -252,7 +269,9 @@ def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch,
                             "exponent: 2.0, coefficient: 1.0e+6").replace("h: 0.0001", "h: 0.05")
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
     assert code == 3
-    assert "line search failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "step 1, population 0:" in err
+    assert "line search failed" in err
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 

@@ -11,6 +11,7 @@ from jkoflow import (
     NumericalFailureError,
     ParticleDensity,
     barycenter_cost,
+    coupling_value,
     custom_energy,
     energy_value,
     entropy_energy,
@@ -210,6 +211,20 @@ def test_solution_carries_its_step_diagnostics(cost, slot):
     assert sol.energy == energy_value(prob.energy, sol.rho)
     assert sol.coupling == coupling
     assert sol.el_residual == euler_lagrange_residual(prob, sol.rho)
+
+
+@pytest.mark.parametrize("cost, slot", [
+    (quadratic_pairwise_cost(UNIT), 1),
+    (barycenter_cost([1.0, 0.5], UNIT), 0),
+], ids=["pairwise", "barycenter"])
+def test_step_coupling_is_the_coupling_value(cost, slot):
+    # the solver's coupling and the public coupling value are one computation
+    rng = np.random.default_rng(15)
+    n = 24
+    frozen = tuple(spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1))
+    sol = solve_step(StepProblem(prev=spread_particles(rng, UNIT, n), energy=entropy_energy(),
+                                 h=1e-2, cost=cost, frozen=frozen, slot=slot))
+    assert sol.coupling == coupling_value(cost, frozen[:slot] + (sol.rho,) + frozen[slot:])
 
 
 def test_pure_w2_step_returns_prev():

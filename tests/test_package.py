@@ -10,6 +10,10 @@ import jkoflow
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+# slow scipy parts that `import jkoflow` must not load: the package never
+# loads scipy.sparse (only the LP in tests/oracle.py does), and the exact
+# ordered-box projection and the entropy integrand import scipy.optimize and
+# scipy.special when called
 HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 
@@ -36,8 +40,6 @@ def _heavy_modules_after(code: str) -> set[str]:
 
 
 def test_import_loads_only_what_runs_need(tmp_path):
-    # the LP oracle, the exact ordered-box projection and the entropy
-    # integrand import their scipy parts when called, not with the package
     assert _heavy_modules_after("import jkoflow") == set()
     run = "from jkoflow.cli import main\nassert main([{!r}, '--output-dir', {!r}, '--quiet']) == 0"
     porous = run.format("scenarios/porous_medium.yaml", str(tmp_path / "porous"))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jkoflow import (
-    CapacityError,
     CostFunction,
     Domain,
     DomainError,
@@ -14,16 +13,14 @@ from jkoflow import (
     ParticleDensity,
     barycenter_cost,
     convexity_probe,
+    coupling_value,
     displacement_interpolate,
-    lp_solve_mm,
-    monotone_plan,
-    plan_cost,
     quadratic_pairwise_cost,
-    semi_coupling_value,
     w2_distance,
     zero_cost,
 )
 from helpers import spread_particles, uniform_particles
+from oracle import lp_convexity_violations
 
 UNIT = Domain(0.0, 1.0)
 
@@ -82,102 +79,49 @@ def test_cost_validation():
         c.evaluate(np.zeros((3, 3)))
 
 
-# ---------------------------------------------------------------- plans
+# ---------------------------------------------------------------- coupling value
 
 
-def test_monotone_plan_requires_shared_count_and_domain():
+def test_coupling_value_refuses_mismatched_marginals():
+    pair = quadratic_pairwise_cost(UNIT)
     with pytest.raises(InvalidInputError):
-        monotone_plan([atoms(0.1, 0.5), atoms(0.3)])
+        coupling_value(pair, [atoms(0.1, 0.5), atoms(0.3)])
     with pytest.raises(InvalidInputError):
-        monotone_plan([atoms(0.1), ParticleDensity(Domain(0.0, 2.0), np.array([0.1]))])
+        coupling_value(pair, [atoms(0.1), ParticleDensity(Domain(0.0, 2.0), np.array([0.1]))])
+    with pytest.raises(InvalidInputError):
+        coupling_value(pair, [atoms(0.1), atoms(0.3), atoms(0.5)])
 
 
 def test_monotone_plan_matches_ranks():
+    # the rank-diagonal plan couples the j-th smallest atoms with mass 1/N
     a = atoms(0.1, 0.4, 0.8)
     b = atoms(0.2, 0.3, 0.9)
-    plan = monotone_plan([a, b], quadratic_pairwise_cost(UNIT))
-    pts = plan.support_positions()
-    assert np.array_equal(pts[:, 0], a.positions)
-    assert np.array_equal(pts[:, 1], b.positions)
     want = np.mean((a.positions - b.positions) ** 2)
-    assert math.isclose(plan.cost_value, want, abs_tol=1e-15)
-    assert math.isclose(plan_cost(plan, quadratic_pairwise_cost(UNIT)), want, abs_tol=1e-15)
+    assert math.isclose(coupling_value(quadratic_pairwise_cost(UNIT), [a, b]), want, abs_tol=1e-15)
 
 
 def test_plan_marginals_exact():
+    # a cost of coordinate i alone integrates the plan's i-th marginal, so its
+    # value is the mean of that marginal's atoms exactly when the marginal is
     rng = np.random.default_rng(3)
     a = spread_particles(rng, UNIT, 17)
     b = spread_particles(rng, UNIT, 17)
-    plan = monotone_plan([a, b])
-    for i in range(2):
-        assert np.max(np.abs(plan.marginal_weights(i) - 1.0 / 17)) <= 1e-12
+    for i, m in enumerate((a, b)):
+        coordinate = CostFunction(
+            arity=2,
+            fn=lambda xs, i=i: xs[..., i],
+            partial_fns=tuple(lambda xs, k=k, i=i: np.full(xs.shape[:-1], float(k == i))
+                              for k in range(2)),
+            partial_bound=1.0,
+            comonotone_certified=True,
+        )
+        assert abs(coupling_value(coordinate, [a, b]) - np.mean(m.positions)) <= 1e-12
 
 
 def test_zero_cost_plan_value():
     a = atoms(0.1, 0.4)
     b = atoms(0.2, 0.9)
-    assert plan_cost(monotone_plan([a, b]), zero_cost(2)) == 0.0
-
-
-# ---------------------------------------------------------------- LP oracle
-
-
-def test_lp_single_atoms():
-    a, b = atoms(0.2), atoms(0.9)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
-    assert math.isclose(plan.cost_value, 0.49, abs_tol=1e-10)
-    assert plan.indices.shape == (1, 2)
-
-
-def test_lp_matches_w2_for_quadratic():
-    rng = np.random.default_rng(11)
-    for trial in range(20):
-        n = int(rng.integers(1, 6))
-        a = spread_particles(rng, UNIT, n)
-        b = spread_particles(rng, UNIT, n)
-        plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
-        assert abs(plan.cost_value - w2_distance(a, b) ** 2) <= 1e-9
-
-
-def test_lp_matches_monotone_for_barycenter():
-    rng = np.random.default_rng(12)
-    cost = barycenter_cost([1.0, 2.0], UNIT)
-    for trial in range(10):
-        margs = [spread_particles(rng, UNIT, 3) for _ in range(3)]
-        plan = lp_solve_mm(margs, cost)
-        mono = monotone_plan(margs, cost)
-        assert abs(plan.cost_value - mono.cost_value) <= 1e-9
-
-
-def test_lp_handles_unequal_counts():
-    a = atoms(0.0, 1.0)
-    b = atoms(0.5)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
-    # both atoms of a must couple to the single atom of b
-    assert math.isclose(plan.cost_value, 0.25, abs_tol=1e-10)
-    for i in range(2):
-        k = plan.marginals[i].n
-        assert np.max(np.abs(plan.marginal_weights(i) - 1.0 / k)) <= 1e-12
-
-
-def test_lp_support_monotone_for_quadratic():
-    rng = np.random.default_rng(4)
-    a = spread_particles(rng, UNIT, 5)
-    b = spread_particles(rng, UNIT, 5)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
-    pts = plan.support_positions()
-    order = np.argsort(pts[:, 0], kind="stable")
-    pts = pts[order]
-    for r in range(len(pts) - 1):
-        if pts[r, 0] < pts[r + 1, 0] - 1e-12:
-            assert pts[r, 1] <= pts[r + 1, 1] + 1e-12
-
-
-def test_lp_capacity_guard():
-    a = uniform_particles(UNIT, 1024)
-    b = uniform_particles(UNIT, 1024)
-    with pytest.raises(CapacityError):
-        lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+    assert coupling_value(zero_cost(2), [a, b]) == 0.0
 
 
 # ---------------------------------------------------------------- geodesics
@@ -219,32 +163,33 @@ def test_convexity_probe_certified_cost():
         ta = tuple(spread_particles(rng, UNIT, 6) for _ in range(2))
         tb = tuple(spread_particles(rng, UNIT, 6) for _ in range(2))
         report = convexity_probe(cost, (ta, tb))
-        assert not report.advisory_only
-        assert report.evaluation == "comonotone"
         assert report.max_violation <= 1e-8
 
 
 def test_convexity_probe_flags_product_cost():
     # swap coupling: along the interpolation the product x0*x1 rises above
-    # the chord by t(1-t)(a-b)^2
+    # the chord by t(1-t)(a-b)^2; the probe refuses the cost, and the LP
+    # oracle still measures the violation
     a, b = 0.2, 0.8
     ta = (atoms(a), atoms(b))
     tb = (atoms(b), atoms(a))
-    report = convexity_probe(product_cost(+1.0), (ta, tb), t_samples=(0.5,))
-    assert report.advisory_only
-    assert report.evaluation == "lp"
+    with pytest.raises(InvalidInputError, match="uncertified"):
+        convexity_probe(product_cost(+1.0), (ta, tb), t_samples=(0.5,))
+    (violation,) = lp_convexity_violations(product_cost(+1.0), (ta, tb), t_samples=(0.5,))
     want = 0.25 * (a - b) ** 2
-    assert math.isclose(report.max_violation, want, abs_tol=1e-9)
-    assert report.max_violation > 1e-8
+    assert math.isclose(violation, want, abs_tol=1e-9)
+    assert violation > 1e-8
 
 
 def test_convexity_probe_refuses_uncertified_cost_past_lp_cap():
-    # the diagonal plan only bounds an uncertified coupling from above, so a
-    # tuple too large for the LP oracle is refused instead of evaluated on it
-    a = uniform_particles(UNIT, 800)
-    b = uniform_particles(UNIT, 800)
-    with pytest.raises(CapacityError):
-        convexity_probe(product_cost(+1.0), ((a, b), (b, a)))
+    # the diagonal plan only bounds an uncertified coupling from above, so the
+    # probe refuses such a cost at every size: one atom, and past the LP
+    # oracle's cap, where the oracle could not evaluate it either
+    for n in (1, 800):
+        a = uniform_particles(UNIT, n)
+        b = uniform_particles(UNIT, n)
+        with pytest.raises(InvalidInputError, match="uncertified"):
+            convexity_probe(product_cost(+1.0), ((a, b), (b, a)))
 
 
 def test_convexity_probe_validates_times():
@@ -257,11 +202,12 @@ def test_convexity_probe_validates_times():
 
 
 def test_semi_coupling_value_matches_manual():
+    # rho in slot 0, the frozen tuple in the other slots
     rng = np.random.default_rng(61)
     cost = barycenter_cost([1.0, 2.0], UNIT)
     rho = spread_particles(rng, UNIT, 8)
     frozen = [spread_particles(rng, UNIT, 8) for _ in range(2)]
-    got = semi_coupling_value(cost, frozen, 0, rho)
+    got = coupling_value(cost, [rho] + frozen)
     x1, x2, x3 = rho.positions, frozen[0].positions, frozen[1].positions
     want = float(np.mean((x1 - x2) ** 2 + 2.0 * (x1 - x3) ** 2))
     assert math.isclose(got, want, abs_tol=1e-13)
