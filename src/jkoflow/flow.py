@@ -69,6 +69,8 @@ class FlowConfig:
             raise InvalidInputError("need at least one step")
         if self.record_every < 1:
             raise InvalidInputError("record_every must be a positive integer")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise InvalidInputError("tol must be positive and finite")
         dom = self.populations[0].initial.domain
         for i, p in enumerate(self.populations):
             if p.initial.domain != dom:

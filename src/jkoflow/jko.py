@@ -12,10 +12,10 @@ gaps, so the Hessian of E is tridiagonal,
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
 with D the gap difference operator, q the gap curvature of the energy and
-c_ss the cost's second partial in this population's slot.  The minimizer is
-found by damped Newton on H (one LAPACK dptsv call per iteration, an
-L D L^T tridiagonal solve), the Lagrangian Newton step of Blanchet, Calvez
-and Carrillo on the gap discretization.  Negative curvature is dropped from
+c_ss = d2c/dx_slot^2, the closed form the cost carries for this population's
+slot.  The minimizer is found by damped Newton on H (one LAPACK dptsv call
+per iteration, an L D L^T tridiagonal solve), the Lagrangian Newton step of
+Blanchet, Calvez and Carrillo on the gap discretization.  Negative curvature is dropped from
 q and c_ss, so H >= (2/N) I and every Newton direction descends.  The step
 length is cut by a fraction-to-boundary rule that keeps every gap positive
 and stops a wall particle exactly at its wall; a wall particle whose
@@ -27,9 +27,10 @@ treats as active, since the boundary rule keeps the ordering strict.  A
 non-finite E or dE/dx at any evaluated point, or a non-finite or
 indefinite Newton system, is a numerical failure.  The iteration runs on
 plain position arrays and evaluates each trial point once (one gap pass
-and one cost evaluation give E, F, the coupling value, dE/dx and q); a
-solve builds one ParticleDensity, the state it returns, and reports E, F,
-the coupling value and the EL residual there.
+and one stack of the coupled tuples give E, F, the coupling value, dE/dx,
+q and c_ss, so building H evaluates nothing more); a solve builds one
+ParticleDensity, the state it returns, and reports E, F, the coupling
+value and the EL residual there.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from scipy.linalg.lapack import dptsv
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
-from .transport import CostFunction
+from .transport import CostFunction, require_certified
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
 MAX_ITERS = 100
 BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
-COST_STEP = 1e-4  # central-difference step for c_ss, relative to the domain length
 EPS = np.finfo(float).eps
 
 
@@ -75,6 +75,7 @@ class StepProblem:
         if not np.isfinite(self.h) or self.h <= 0:
             raise InvalidInputError(f"step size h must be positive, got {self.h!r}")
         if self.cost is not None:
+            require_certified(self.cost, "StepProblem")
             if len(self.frozen) != self.cost.arity - 1:
                 raise InvalidInputError(
                     "frozen tuple must hold every other coupled population"
@@ -132,10 +133,11 @@ class _Point(NamedTuple):
     coupling: float
     grad: np.ndarray
     curvature: np.ndarray
+    cost_curvature: np.ndarray | None
 
 
 def _evaluate(problem: StepProblem, x: np.ndarray) -> _Point:
-    """E, F, the coupling value, dE/dx and the gap curvatures q at x, from one gap pass."""
+    """E, F, the coupling value, dE/dx, the gap curvatures q and c_ss (None uncoupled) at x."""
     n = x.size
     h2 = 2.0 * problem.h
     energy, grad, curvature = gap_terms(problem.energy, x, problem.domain.length)
@@ -143,12 +145,13 @@ def _evaluate(problem: StepProblem, x: np.ndarray) -> _Point:
     value = float(np.square(step).sum()) / n + h2 * energy
     grad *= h2
     grad += (2.0 / n) * step
-    coupling = 0.0
+    coupling, c_ss = 0.0, None
     if problem.cost is not None:
         pts = _tuple_points(problem, x)
         coupling = float(np.mean(problem.cost.evaluate(pts)))
         grad += (h2 / n) * problem.cost.partial(problem.slot, pts)
-    return _Point(value + h2 * coupling, energy, coupling, grad, curvature)
+        c_ss = problem.cost.curvature(problem.slot, pts)
+    return _Point(value + h2 * coupling, energy, coupling, grad, curvature, c_ss)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
@@ -161,35 +164,27 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     return _evaluate(problem, np.asarray(x, dtype=float)).grad
 
 
-def _hessian_bands(problem: StepProblem, x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Diagonal and off-diagonal of the step Hessian at x, negative curvature dropped."""
-    n = x.size
-    h2 = 2.0 * problem.h
-    hq = h2 * np.maximum(q, 0.0)
+def _hessian_bands(h: float, at: _Point) -> tuple[np.ndarray, ...]:
+    """Diagonal and off-diagonal of the step Hessian at a point, negative curvature dropped."""
+    n = at.grad.size
+    h2 = 2.0 * h
+    hq = h2 * np.maximum(at.curvature, 0.0)
     diag = np.full(n, 2.0 / n)
     diag[:-1] += hq
     diag[1:] += hq
-    if problem.cost is not None:
-        # exact up to rounding for the quadratic costs, whose partials are linear
-        step = COST_STEP * problem.domain.length
-        pts = _tuple_points(problem, x)
-        pts[:, problem.slot] += step
-        up = problem.cost.partial(problem.slot, pts)
-        pts[:, problem.slot] -= 2.0 * step
-        down = problem.cost.partial(problem.slot, pts)
-        diag += (h2 / n) * np.maximum((up - down) / (2.0 * step), 0.0)
+    if at.cost_curvature is not None:
+        diag += (h2 / n) * np.maximum(at.cost_curvature, 0.0)
     return diag, -hq
 
 
-def _newton_direction(
-    problem: StepProblem, x: np.ndarray, g: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """Solve H d = -g, holding fixed each wall particle whose descent points outward.
+def _newton_direction(problem: StepProblem, x: np.ndarray, at: _Point) -> np.ndarray:
+    """Solve H d = -g at x, holding fixed each wall particle whose descent points outward.
 
     A wall particle is held when -g or the computed d would take it out of
     the box; holding one changes d, so the other wall is checked again.
     """
-    diag, off = _hessian_bands(problem, x, q)
+    g = at.grad
+    diag, off = _hessian_bands(problem.h, at)
     # diag > 0, so the product is finite exactly when both factors are (short of overflow)
     if not math.isfinite(np.dot(diag, g)):
         raise ValueError("Newton system must not contain infs or NaNs")
@@ -267,7 +262,7 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
             raise NumericalFailureError(f"step solver exceeded {MAX_ITERS} iterations",
                                         residual=res)
         try:
-            d = _newton_direction(problem, x, at.grad, at.curvature)
+            d = _newton_direction(problem, x, at)
         except (ValueError, np.linalg.LinAlgError) as err:
             raise NumericalFailureError(
                 "step solver met a non-finite or indefinite Newton system "

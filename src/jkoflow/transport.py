@@ -12,7 +12,7 @@ checks this optimality is a test oracle and lives beside the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,17 +23,19 @@ from .geometry import Domain, ParticleDensity
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Cost c(x_1, ..., x_l) with vectorized evaluation and partials.
+    """Cost c(x_1, ..., x_l) with vectorized evaluation, partials and curvatures.
 
     ``fn`` maps arrays of shape (..., arity) to shape (...); ``partial_fns[i]``
-    gives dc/dx_i with the same convention.  ``partial_bound`` must dominate
-    every |dc/dx_i| on the domain the cost is used with.  Set
+    gives dc/dx_i and ``curvature_fns[i]`` gives d2c/dx_i^2, each in closed
+    form with the same convention.  ``partial_bound`` must dominate every
+    |dc/dx_i| on the domain the cost is used with.  Set
     ``comonotone_certified`` only when d2c/dx_i dx_j <= 0 for all i != j.
     """
 
     arity: int
     fn: Callable[[np.ndarray], np.ndarray]
     partial_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    curvature_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]
     partial_bound: float
     comonotone_certified: bool = False
     name: str = "custom"
@@ -43,54 +45,50 @@ class CostFunction:
             raise InvalidInputError("costs must couple at least two populations")
         if len(self.partial_fns) != self.arity:
             raise InvalidInputError("need one partial per coordinate")
+        if len(self.curvature_fns) != self.arity:
+            raise InvalidInputError("need one curvature per coordinate")
         if not (math.isfinite(self.partial_bound) and self.partial_bound >= 0):
             raise InvalidInputError("partial_bound must be finite and nonnegative")
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[-1] != self.arity:
-            raise InvalidInputError(f"expected trailing axis of size {self.arity}")
-        return np.asarray(self.fn(xs), dtype=float)
+        return np.asarray(self.fn(self._points(xs)), dtype=float)
 
     def partial(self, i: int, xs: np.ndarray) -> np.ndarray:
+        xs = self._points(xs, i)
+        return np.asarray(self.partial_fns[i](xs), dtype=float)
+
+    def curvature(self, i: int, xs: np.ndarray) -> np.ndarray:
+        xs = self._points(xs, i)
+        return np.asarray(self.curvature_fns[i](xs), dtype=float)
+
+    def _points(self, xs: np.ndarray, i: int = 0) -> np.ndarray:
         if not 0 <= i < self.arity:
             raise InvalidInputError(f"coordinate {i} out of range for arity {self.arity}")
         xs = np.asarray(xs, dtype=float)
         if xs.shape[-1] != self.arity:
             raise InvalidInputError(f"expected trailing axis of size {self.arity}")
-        return np.asarray(self.partial_fns[i](xs), dtype=float)
+        return xs
 
 
 def zero_cost(arity: int = 2) -> CostFunction:
-    def fn(xs):
+    def zero(xs):
         return np.zeros(xs.shape[:-1])
 
-    partials = tuple(lambda xs: np.zeros(xs.shape[:-1]) for _ in range(arity))
-    return CostFunction(arity, fn, partials, 0.0, comonotone_certified=True, name="zero")
+    zeros = (zero,) * arity
+    return CostFunction(arity, zero, zeros, zeros, 0.0, comonotone_certified=True, name="zero")
 
 
 def quadratic_pairwise_cost(domain: Domain) -> CostFunction:
-    """c(x, y) = (x - y)^2; mixed second derivative -2, so certified."""
-
-    def fn(xs):
-        d = xs[..., 0] - xs[..., 1]
-        return d * d
-
-    partials = (
-        lambda xs: 2.0 * (xs[..., 0] - xs[..., 1]),
-        lambda xs: -2.0 * (xs[..., 0] - xs[..., 1]),
-    )
-    return CostFunction(
-        2, fn, partials, 2.0 * domain.length, comonotone_certified=True,
-        name="quadratic_pairwise",
-    )
+    """c(x, y) = (x - y)^2: the barycenter cost with the single weight 1."""
+    return replace(barycenter_cost([1.0], domain), name="quadratic_pairwise")
 
 
 def barycenter_cost(weights: Sequence[float], domain: Domain) -> CostFunction:
     """c(x) = sum_k w_k (x_0 - x_k)^2 over the coordinates k >= 1.
 
     With weights (alpha, beta) this is the three-way attraction
-    alpha |x1 - x2|^2 + beta |x1 - x3|^2.  Mixed partials are -2 w_k <= 0.
+    alpha |x1 - x2|^2 + beta |x1 - x3|^2.  Curvatures are 2 sum_k w_k in slot
+    0 and 2 w_k in slot k; mixed partials are -2 w_k <= 0.
     """
     w = np.asarray(list(weights), dtype=float)
     if w.size < 1 or np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -107,9 +105,10 @@ def barycenter_cost(weights: Sequence[float], domain: Domain) -> CostFunction:
         return lambda xs: 2.0 * w[i - 1] * (xs[..., i] - xs[..., 0])
 
     partials = tuple(make_partial(i) for i in range(arity))
+    curvatures = tuple(lambda xs, c=c: np.full(xs.shape[:-1], c) for c in 2.0 * np.r_[w.sum(), w])
     bound = 2.0 * domain.length * float(np.sum(w))
     return CostFunction(
-        arity, fn, partials, bound, comonotone_certified=True, name="barycenter"
+        arity, fn, partials, curvatures, bound, comonotone_certified=True, name="barycenter"
     )
 
 

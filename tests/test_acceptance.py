@@ -166,11 +166,11 @@ def test_single_particle_step_closed_form():
             expected = (xk + 2.0 * h * y) / (1.0 + 2.0 * h)
             got = float(solve_step(problem).rho.positions[0])
             worst = max(worst, abs(got - expected))
-    ok = worst <= 1e-10
+    ok = worst <= 1e-13
     _report(
         "single-particle closed form",
         ok,
-        f"max |x - (x_k + 2hy)/(1+2h)| = {worst:.3e} <= 1e-10 for h in {{1e-3, 1e-2, 1e-1}}",
+        f"max |x - (x_k + 2hy)/(1+2h)| = {worst:.3e} <= 1e-13 for h in {{1e-3, 1e-2, 1e-1}}",
     )
     assert ok
 
@@ -346,6 +346,7 @@ def test_convexity_certified_and_counterexample():
         arity=2,
         fn=lambda pts: pts[..., 0] * pts[..., 1],
         partial_fns=(lambda pts: pts[..., 1], lambda pts: pts[..., 0]),
+        curvature_fns=(lambda pts: np.zeros(pts.shape[:-1]),) * 2,
         partial_bound=1.0,
         comonotone_certified=False,
         name="product",

@@ -206,6 +206,9 @@ def test_flow_validation():
         FlowConfig(populations=(spec, spec), h=1e-2, n_steps=0)
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(spec, spec), h=1e-2, n_steps=1, record_every=0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="tol"):
+            FlowConfig(populations=(spec, spec), h=1e-2, n_steps=1, tol=tol)
     other_domain = PopulationSpec(
         initial=ParticleDensity(Domain(0.0, 2.0), np.array([0.5])),
         energy=zero_energy(),
@@ -221,6 +224,7 @@ def test_flow_validation():
         arity=2,
         fn=lambda xs: xs[..., 0] * xs[..., 1],
         partial_fns=(lambda xs: xs[..., 1], lambda xs: xs[..., 0]),
+        curvature_fns=(lambda xs: np.zeros(xs.shape[:-1]),) * 2,
         partial_bound=1.0,
     )
     bad = PopulationSpec(initial=a, energy=entropy_energy(),

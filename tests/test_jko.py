@@ -23,9 +23,10 @@ from jkoflow import (
     zero_energy,
 )
 import jkoflow.energy as energy_module
-from jkoflow.energy import gap_terms
 from jkoflow.jko import (
     StepProblem,
+    _Point,
+    _evaluate,
     _hessian_bands,
     _newton_direction,
     _residual,
@@ -39,6 +40,10 @@ from jkoflow.transport import CostFunction
 from helpers import spread_particles, uniform_particles
 
 UNIT = Domain(0.0, 1.0)
+
+
+def _zero(xs):
+    return np.zeros(xs.shape[:-1])
 
 
 def coupled_problem(rng, n=16, h=1e-2, energy=None, tol=None):
@@ -117,7 +122,9 @@ def test_hessian_matches_finite_differences_of_gradient():
         (None, 0),
         (quadratic_pairwise_cost(UNIT), 1),
         (barycenter_cost([1.0, 0.5], UNIT), 0),
+        (barycenter_cost([1.0, 0.5], UNIT), 1),
         (barycenter_cost([1.0, 0.5], UNIT), 2),
+        (zero_cost(2), 0),
     )
     for energy in energies:
         for cost, slot in couplings:
@@ -127,7 +134,7 @@ def test_hessian_matches_finite_differences_of_gradient():
             prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy,
                                h=0.05, cost=cost, frozen=frozen, slot=slot)
             x = spread_particles(rng, UNIT, n).positions
-            diag, off = _hessian_bands(prob, x, gap_terms(energy, x, UNIT.length)[2])
+            diag, off = _hessian_bands(prob.h, _evaluate(prob, x))
             hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             fd = np.empty((n, n))
             for j in range(n):
@@ -165,28 +172,30 @@ def test_solve_step_builds_one_density(monkeypatch):
 @pytest.mark.parametrize("cost", [None, quadratic_pairwise_cost(UNIT)],
                          ids=["uncoupled", "pairwise"])
 def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
-    # one gap pass and one cost evaluation per evaluated point: the start and
-    # each accepted step, none repeated for the gradient, Hessian or diagnostics
+    # one gap pass and one cost evaluation, partial and curvature per evaluated
+    # point: the start and each accepted step, none repeated for the gradient,
+    # Hessian or diagnostics
     prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
     frozen = () if cost is None else (from_grid(gaussian_profile(UNIT, 0.6, 0.1), 128),)
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost, frozen=frozen)
-    calls = {"gaps": 0, "cost": 0}
-    gaps, evaluate = energy_module._gaps, CostFunction.evaluate
+    calls = {"_gaps": 0, "evaluate": 0, "partial": 0, "curvature": 0}
 
-    def counted_gaps(*args):
-        calls["gaps"] += 1
-        return gaps(*args)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    def counted_evaluate(self, xs):
-        calls["cost"] += 1
-        return evaluate(self, xs)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(energy_module, "_gaps", counted_gaps)
-    monkeypatch.setattr(CostFunction, "evaluate", counted_evaluate)
+    counted(energy_module, "_gaps")
+    for name in ("evaluate", "partial", "curvature"):
+        counted(CostFunction, name)
     sol = solve_step(problem)
     assert sol.iterations >= 3
-    assert calls == {"gaps": sol.iterations + 1,
-                     "cost": 0 if cost is None else sol.iterations + 1}
+    per_cost = 0 if cost is None else sol.iterations + 1
+    assert calls == {"_gaps": sol.iterations + 1, "evaluate": per_cost,
+                     "partial": per_cost, "curvature": per_cost}
 
 
 @pytest.mark.parametrize("cost, slot", [
@@ -319,6 +328,13 @@ def test_problem_validation():
         StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
                     cost=quadratic_pairwise_cost(UNIT),
                     frozen=(spread_particles(rng, UNIT, 4),), slot=2)
+    # c = x y has mixed partial +1: the rank-diagonal value is not its optimal coupling
+    product = CostFunction(2, lambda xs: xs[..., 0] * xs[..., 1],
+                           (lambda xs: xs[..., 1], lambda xs: xs[..., 0]),
+                           (_zero, _zero), 1.0)
+    with pytest.raises(InvalidInputError, match="uncertified"):
+        StepProblem(prev=prev, energy=entropy_energy(), h=0.01, cost=product,
+                    frozen=(spread_particles(rng, UNIT, 4),), slot=0)
     prob = StepProblem(prev=prev, energy=zero_energy(), h=1e-2)
     with pytest.raises(InvalidInputError):
         solve_step(prob, initial=spread_particles(rng, UNIT, 5))
@@ -351,12 +367,15 @@ def test_failed_line_search_raises_with_residual():
 @pytest.mark.parametrize("wall, iteration", [(0.5, 0), (0.1, 1)])
 def test_non_finite_point_raises_naming_the_iteration(wall, iteration):
     # the cost is NaN left of `wall`: the whole start for wall = 0.5, a
-    # trial point of the second iteration for wall = 0.1
+    # trial point of the second iteration for wall = 0.1.  It depends on
+    # slot 0 alone, so its mixed partial is 0 and it is certified
     cost = CostFunction(
         2,
         lambda xs: np.sqrt(xs[..., 0] - wall),
-        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - wall), lambda xs: np.zeros(xs.shape[:-1])),
+        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - wall), _zero),
+        (lambda xs: -0.25 / np.sqrt(xs[..., 0] - wall) ** 3, _zero),
         1.0,
+        comonotone_certified=True,
     )
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
@@ -368,18 +387,21 @@ def test_non_finite_point_raises_naming_the_iteration(wall, iteration):
 
 
 def test_non_finite_newton_system_is_a_numerical_failure():
-    # every particle lies where the cost is defined (x > 0.2), but the
-    # central difference for c_ss steps 1e-4 left of the first one
+    # c = |x - k|^(3/2) has a finite value and partial at a particle sitting
+    # on k, but its curvature (3/4) |x - k|^(-1/2) is infinite there
+    prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
+    kink = prev.positions[7]
     cost = CostFunction(
         2,
-        lambda xs: np.sqrt(xs[..., 0] - 0.2),
-        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - 0.2), lambda xs: np.zeros(xs.shape[:-1])),
+        lambda xs: np.abs(xs[..., 0] - kink) ** 1.5,
+        (lambda xs: 1.5 * np.sign(xs[..., 0] - kink) * np.sqrt(np.abs(xs[..., 0] - kink)), _zero),
+        (lambda xs: 0.75 / np.sqrt(np.abs(xs[..., 0] - kink)), _zero),
         1.0,
+        comonotone_certified=True,
     )
-    prev = ParticleDensity(UNIT, np.linspace(0.20005, 0.8, 16))
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
                           frozen=(prev,), slot=0)
-    with np.errstate(invalid="ignore"), pytest.raises(
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
         NumericalFailureError, match="non-finite or indefinite Newton system at iteration 0$"
     ) as err:
         solve_step(problem)
@@ -452,7 +474,7 @@ def test_newton_direction_matches_dense_held_solve(case):
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=energy, h=0.05)
     if case == "lower-after-solve":
         assert not g[0] > 0.0 and _dense_held_solve(problem, g, q, ())[0] < 0.0
-    d = _newton_direction(problem, x, g, q)
+    d = _newton_direction(problem, x, _Point(0.0, 0.0, 0.0, g, q, None))
     assert np.all(d[list(held)] == 0.0)
     np.testing.assert_allclose(d, _dense_held_solve(problem, g, q, held), rtol=1e-12, atol=1e-15)
 
@@ -461,4 +483,4 @@ def test_newton_direction_refuses_nan_gradient():
     x, g, q, _ = _NEWTON_CASES["no-wall"]
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=0.05)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _newton_direction(problem, x, np.r_[g[:3], np.nan, g[4:]], q)
+        _newton_direction(problem, x, _Point(0.0, 0.0, 0.0, np.r_[g[:3], np.nan, g[4:]], q, None))

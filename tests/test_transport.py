@@ -32,6 +32,7 @@ def product_cost(sign=1.0):
         arity=2,
         fn=lambda xs: sign * xs[..., 0] * xs[..., 1],
         partial_fns=(lambda xs: sign * xs[..., 1], lambda xs: sign * xs[..., 0]),
+        curvature_fns=(lambda xs: np.zeros(xs.shape[:-1]),) * 2,
         partial_bound=1.0,
         comonotone_certified=False,
         name="product",
@@ -51,6 +52,8 @@ def test_quadratic_cost_values_and_partials():
     assert np.allclose(c.evaluate(xs), [0.25, 1.0])
     assert np.allclose(c.partial(0, xs), [-1.0, 2.0])
     assert np.allclose(c.partial(1, xs), [1.0, -2.0])
+    assert np.array_equal(c.curvature(0, xs), [2.0, 2.0])
+    assert np.array_equal(c.curvature(1, xs), [2.0, 2.0])
     assert c.partial_bound == 2.0
     assert c.comonotone_certified
 
@@ -66,6 +69,7 @@ def test_barycenter_cost_closed_form():
         -2 * (2.0 * (0.1 - 0.5) + 3.0 * (0.9 - 0.5)),
         abs_tol=1e-14,
     )
+    assert [float(c.curvature(i, xs)) for i in range(3)] == [10.0, 4.0, 6.0]
     assert c.partial_bound == 2.0 * 1.0 * 5.0
 
 
@@ -76,7 +80,11 @@ def test_cost_validation():
     with pytest.raises(InvalidInputError):
         c.partial(2, np.zeros((3, 2)))
     with pytest.raises(InvalidInputError):
+        c.curvature(-1, np.zeros((3, 2)))
+    with pytest.raises(InvalidInputError):
         c.evaluate(np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError, match="one curvature per coordinate"):
+        CostFunction(2, c.fn, c.partial_fns, c.curvature_fns[:1], 1.0)
 
 
 # ---------------------------------------------------------------- coupling value
@@ -112,6 +120,7 @@ def test_plan_marginals_exact():
             fn=lambda xs, i=i: xs[..., i],
             partial_fns=tuple(lambda xs, k=k, i=i: np.full(xs.shape[:-1], float(k == i))
                               for k in range(2)),
+            curvature_fns=(lambda xs: np.zeros(xs.shape[:-1]),) * 2,
             partial_bound=1.0,
             comonotone_certified=True,
         )
