@@ -15,13 +15,15 @@ p' gives each gap's curvature.  An InternalEnergy therefore carries three
 closed forms, f, p and p', and gap_terms turns one pass over the gaps of a
 plain position array into the value, the gradient and the gap curvatures
 for the step solver; energy_value and energy_gradient apply it to a
-ParticleDensity.
+ParticleDensity.  gap_terms also takes several equal-size populations laid
+end to end, the step solver's layout, and masks the gaps between them out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -58,18 +60,21 @@ class InternalEnergy:
     pressure_constant: float = 0.0
 
 
+@cache  # built-in energies: one object per argument, so rows that share it share its evaluation
 def entropy_energy() -> InternalEnergy:
     """f(s) = s log s (Boltzmann entropy; linear diffusion): p = s, p' = 1."""
-    from scipy.special import xlogy  # imported here: only entropy runs load scipy.special
-
-    return InternalEnergy(lambda s: xlogy(s, s), np.copy, np.ones_like, 1.0)
+    return InternalEnergy(lambda s: s * np.log(s), np.copy, np.ones_like, 1.0)
 
 
 def power_law_energy(exponent: float) -> InternalEnergy:
     """f(s) = s^m with m > 1 (porous-medium diffusion): p = (m-1) s^m, p' = m (m-1) s^(m-1)."""
     if not exponent > 1:
         raise InvalidInputError("power_law exponent must exceed 1")
-    m = float(exponent)
+    return _power_law(float(exponent))
+
+
+@cache
+def _power_law(m: float) -> InternalEnergy:
     return InternalEnergy(
         lambda s: np.power(s, m),
         lambda s: (m - 1.0) * np.power(s, m),
@@ -136,19 +141,27 @@ def pressure(e: InternalEnergy, x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _gaps(x: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps of sorted positions floored at EPS_FLOOR * length, and which sit above the floor."""
-    if x.size < 2:
+def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The gap right of each particle floored at EPS_FLOOR * length, and which exceed the floor.
+
+    For ``rows`` equal-size populations end to end, a population's last particle has
+    no gap: its entry reads ``length`` and counts as floored."""
+    n = x.size // rows
+    if n < 2:
         raise InvalidInputError("discrete energy needs at least two particles")
-    raw = x[1:] - x[:-1]
+    raw = np.empty(x.size)
+    np.subtract(x[1:], x[:-1], out=raw[:-1])
+    raw[n - 1::n] = length
     floor = EPS_FLOOR * length
-    return np.maximum(raw, floor), raw > floor
+    above = raw > floor
+    above[n - 1::n] = False
+    return np.maximum(raw, floor), above
 
 
 def gap_terms(
-    e: InternalEnergy, x: np.ndarray, length: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Discrete energy of sorted positions x, its gradient and its gap curvatures.
+    e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Discrete energies of sorted positions x, the gradient and the gap curvatures.
 
     Each gap contributes d/d(gap) [gap * f(s)] = -p(s), s = 1/(N gap), to its
     right particle and the negative to its left one.  Its curvature, the
@@ -156,22 +169,27 @@ def gap_terms(
     energy Hessian in the positions is D^T diag(curvature) D with D the gap
     difference operator.  Floored (collided) gaps contribute no gradient and
     no curvature, matching the flat spot of the floored evaluation.
+
+    For ``rows`` populations end to end (see _gaps) the energies come back per
+    population and each particle's curvature, of its right gap, is 0 at a row end.
     """
     if e.f is None:
-        return 0.0, np.zeros(x.size), np.zeros(x.size - 1)
-    gaps, above = _gaps(x, length)
-    s = 1.0 / (x.size * gaps)
-    dterm = np.where(above, -e.p(s), 0.0)
+        return np.zeros(rows), np.zeros(x.size), np.zeros(x.size)
+    n = x.size // rows
+    gaps, above = _gaps(x, length, rows)
+    s = 1.0 / (n * gaps)
+    dterm = np.where(above, -e.p(s), 0.0)[:-1]
     grad = np.zeros(x.size)
     grad[1:] += dterm
     grad[:-1] -= dterm
-    curvature = np.where(above, e.dp(s) / (x.size * gaps * gaps), 0.0)
-    return float(np.sum(gaps * e.f(s))), grad, curvature
+    curvature = np.where(above, e.dp(s) / (n * gaps * gaps), 0.0)
+    terms = (gaps * e.f(s)).reshape(rows, n)[:, :-1]
+    return np.add.reduce(terms, axis=1), grad, curvature
 
 
 def energy_value(e: InternalEnergy, rho: ParticleDensity) -> float:
     """Discrete internal energy of a particle density (see module docstring)."""
-    return gap_terms(e, rho.positions, rho.domain.length)[0]
+    return float(gap_terms(e, rho.positions, rho.domain.length)[0][0])
 
 
 def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
@@ -181,7 +199,9 @@ def energy_gradient(e: InternalEnergy, rho: ParticleDensity) -> np.ndarray:
 
 def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:
     """How many inter-particle gaps sit at the collision floor (diagnostic)."""
-    return 0 if rho.n < 2 else int(np.count_nonzero(~_gaps(rho.positions, rho.domain.length)[1]))
+    if rho.n < 2:
+        return 0
+    return int(np.count_nonzero(~_gaps(rho.positions, rho.domain.length)[1][:-1]))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ class DomainError(ValueError):
 class NumericalFailureError(RuntimeError):
     """An iterative routine failed to reach its tolerance.
 
-    Carries the residual at the point of failure so callers can report it.
+    Carries the residual at the point of failure so callers can report it, and
+    from a joint step solve the index of the problem (row) it is charged to.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, row: int | None = None):
         super().__init__(message)
         self.residual = residual
+        self.row = row

@@ -1,43 +1,41 @@
-"""One implicit step of the coupled gradient flow for a single population.
+"""Implicit steps of the coupled gradient flow, several populations at once.
 
-The step minimizes, over sorted particle vectors x in the domain box,
+The step of one population minimizes, over sorted particle vectors x in the
+domain box,
 
     E(x) = (1/N) sum_j (x_j - prev_j)^2
          + 2 h [ F(x) + (1/N) sum_j c(frozen_1[j], ..., x_j, ..., frozen_m[j]) ]
 
-with every other population frozen at its previous state and coupled index
-by index (rank j to rank j).  The internal energy couples only neighbouring
-gaps, so the Hessian of E is tridiagonal,
+with every other population frozen at its previous state and coupled rank
+to rank.  So the step problems of one time step are independent, and
+solve_steps minimizes their sum on one flat vector of P rows of N particles
+(solve_step is the one-row case).  The Hessian is tridiagonal, with a zero
+off-diagonal entry between rows,
 
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
-with D the gap difference operator, q the gap curvature of the energy and
-c_ss = d2c/dx_slot^2, the closed form the cost carries for this population's
-slot.  The minimizer is found by damped Newton on H (one LAPACK dptsv call
-per iteration, an L D L^T tridiagonal solve), the Lagrangian Newton step of
-Blanchet, Calvez and Carrillo on the gap discretization.  Negative curvature is dropped from
-q and c_ss, so H >= (2/N) I and every Newton direction descends.  The step
-length is cut by a fraction-to-boundary rule that keeps every gap positive
-and stops a wall particle exactly at its wall; a wall particle whose
-descent direction points out of the box is held fixed (an active set of at
-most two).  Armijo backtracking on E decides the step, and the iteration
-stops when the box-projected natural gradient |x - clip(x - (N/2) dE/dx)|
-reaches the tolerance: the walls are the only constraints the Newton step
-treats as active, since the boundary rule keeps the ordering strict.  A
-non-finite E or dE/dx at any evaluated point, or a non-finite or
-indefinite Newton system, is a numerical failure.  The iteration runs on
-plain position arrays and evaluates each trial point once (one gap pass
-and one stack of the coupled tuples give E, F, the coupling value, dE/dx,
-q and c_ss, so building H evaluates nothing more); a solve builds one
-ParticleDensity, the state it returns, and reports E, F, the coupling
-value and the EL residual there.
+D the within-row gap difference operator, q the energy's gap curvature and
+c_ss = d2c/dx_slot^2 from each row's cost.  Damped Newton on H (the
+Lagrangian Newton step of Blanchet, Calvez and Carrillo: one LAPACK dptsv
+solve per iteration for all rows) drops negative curvature, so H >= (2/N) I
+and every direction descends.  The rows share one step length, cut so that
+every gap stays positive and an outgoing wall particle stops at its wall; a
+wall particle whose descent points out of the box is held.  Armijo
+backtracking on the summed objective decides the step, and the iteration
+stops when every row's box-projected natural gradient
+|x - clip(x - (N/2) dE/dx)| reaches that row's tolerance, so each
+population gets the minimizer of its own step objective.  One gap pass per
+distinct energy and one cost evaluation per coupled row give E, F, the
+coupling values, dE/dx, q and c_ss at a trial point; ParticleDensity is built
+only for the returned states.  A non-finite E, dE/dx or Newton system is a
+numerical failure charged to one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -77,9 +75,7 @@ class StepProblem:
         if self.cost is not None:
             require_certified(self.cost, "StepProblem")
             if len(self.frozen) != self.cost.arity - 1:
-                raise InvalidInputError(
-                    "frozen tuple must hold every other coupled population"
-                )
+                raise InvalidInputError("frozen tuple must hold every other coupled population")
             if not 0 <= self.slot < self.cost.arity:
                 raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
@@ -98,8 +94,8 @@ class StepProblem:
 
 @dataclass(frozen=True)
 class StepSolution:
-    """The new state and, there, E (``value``), F (``energy``), the rank-diagonal
-    coupling value (0 when uncoupled) and the Euler-Lagrange residual."""
+    """The new state and, there, E (``value``), F (``energy``), the rank-diagonal coupling
+    value (0 when uncoupled), the squared step length W2^2 and the Euler-Lagrange residual."""
 
     rho: ParticleDensity
     value: float
@@ -108,6 +104,7 @@ class StepSolution:
     energy: float
     coupling: float
     el_residual: float
+    w2_sq: float
 
 
 def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
@@ -121,83 +118,120 @@ def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
     return np.clip(y, domain.lower, domain.upper, out=y)
 
 
-def _tuple_points(problem: StepProblem, x: np.ndarray) -> np.ndarray:
-    cols = [m.positions for m in problem.frozen]
-    cols.insert(problem.slot, x)
-    return np.stack(cols, axis=-1)
+class _Rows:
+    """The fixed data of P step problems solved together: one N, one domain, one h."""
+
+    def __init__(self, problems: Sequence[StepProblem]):
+        if not problems:
+            raise InvalidInputError("need at least one step problem")
+        self.count, first = len(problems), problems[0]
+        self.n, self.h, self.domain = first.prev.n, first.h, first.domain
+        if any(p.prev.n != self.n or p.domain != self.domain or p.h != self.h for p in problems):
+            raise InvalidInputError("step problems solved together must share N, domain and h")
+        self.prev = np.concatenate([p.prev.positions for p in problems])
+        self.tol = [p.default_tol() if p.tol is None else p.tol for p in problems]
+        lower, upper = self.domain.lower, self.domain.upper
+        # (index, outward sign, wall) of each row's first and last particle
+        self.ends = [e for start in range(0, self.prev.size, self.n)
+                     for e in ((start, -1.0, lower), (start + self.n - 1, 1.0, upper))]
+        self.energies: dict[InternalEnergy, list[int]] = {}  # energy -> its rows
+        for r, p in enumerate(problems):
+            self.energies.setdefault(p.energy, []).append(r)
+        # (row, its slice of x, cost, slot, the tuple points: frozen columns
+        # filled once, the row's own column written at each evaluation)
+        self.couplings = []
+        for r, p in enumerate(problems):
+            if p.cost is not None:
+                cols = [m.positions for m in p.frozen]
+                cols.insert(p.slot, p.prev.positions)
+                segment = slice(r * self.n, (r + 1) * self.n)
+                self.couplings.append((r, segment, p.cost, p.slot, np.stack(cols, axis=-1)))
 
 
 class _Point(NamedTuple):
-    value: float
-    energy: float
-    coupling: float
+    value: float  # the summed objective; the next four hold one entry per row
+    values: np.ndarray
+    energies: np.ndarray
+    couplings: np.ndarray
+    w2_sq: np.ndarray
     grad: np.ndarray
-    curvature: np.ndarray
+    curvature: np.ndarray  # q of the gap right of each particle, 0 at row ends
     cost_curvature: np.ndarray | None
 
 
-def _evaluate(problem: StepProblem, x: np.ndarray) -> _Point:
-    """E, F, the coupling value, dE/dx, the gap curvatures q and c_ss (None uncoupled) at x."""
-    n = x.size
-    h2 = 2.0 * problem.h
-    energy, grad, curvature = gap_terms(problem.energy, x, problem.domain.length)
-    step = x - problem.prev.positions
-    value = float(np.square(step).sum()) / n + h2 * energy
+def _evaluate(rows: _Rows, x: np.ndarray) -> _Point:
+    """E (summed and per row), F, the coupling values, W2^2, dE/dx, q and c_ss at x."""
+    n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
+    if len(rows.energies) == 1:
+        [energy] = rows.energies
+        energies, grad, curvature = gap_terms(energy, x, length, rows.count)
+    else:
+        x_rows = x.reshape(rows.count, n)
+        energies = np.empty(rows.count)
+        grad, curvature = np.empty_like(x_rows), np.empty_like(x_rows)
+        for energy, rs in rows.energies.items():
+            f, g, q = gap_terms(energy, x_rows[rs].ravel(), length, len(rs))
+            energies[rs], grad[rs], curvature[rs] = f, g.reshape(-1, n), q.reshape(-1, n)
+        grad, curvature = grad.ravel(), curvature.ravel()
+    step = x - rows.prev
+    w2_sq = np.add.reduce(np.square(step).reshape(rows.count, n), axis=1) / n
+    values = w2_sq + h2 * energies
     grad *= h2
     grad += (2.0 / n) * step
-    coupling, c_ss = 0.0, None
-    if problem.cost is not None:
-        pts = _tuple_points(problem, x)
-        coupling = float(np.mean(problem.cost.evaluate(pts)))
-        grad += (h2 / n) * problem.cost.partial(problem.slot, pts)
-        c_ss = problem.cost.curvature(problem.slot, pts)
-    return _Point(value + h2 * coupling, energy, coupling, grad, curvature, c_ss)
+    couplings, c_ss = np.zeros(rows.count), None
+    if rows.couplings:
+        c_ss = np.zeros(x.size)
+        for r, segment, cost, slot, points in rows.couplings:
+            points[:, slot] = x[segment]
+            couplings[r] = np.add.reduce(cost.evaluate(points)) / n  # the mean, as coupling_value
+            grad[segment] += (h2 / n) * cost.partial(slot, points)
+            c_ss[segment] = cost.curvature(slot, points)
+        values += h2 * couplings
+    return _Point(sum(values.tolist()), values, energies, couplings, w2_sq, grad, curvature, c_ss)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
-    return _evaluate(problem, np.asarray(x, dtype=float)).value
+    return _evaluate(_Rows((problem,)), np.asarray(x, dtype=float)).value
 
 
 def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     """dE/dx, same shape as x."""
-    return _evaluate(problem, np.asarray(x, dtype=float)).grad
+    return _evaluate(_Rows((problem,)), np.asarray(x, dtype=float)).grad
 
 
-def _hessian_bands(h: float, at: _Point) -> tuple[np.ndarray, ...]:
+def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     """Diagonal and off-diagonal of the step Hessian at a point, negative curvature dropped."""
-    n = at.grad.size
-    h2 = 2.0 * h
-    hq = h2 * np.maximum(at.curvature, 0.0)
-    diag = np.full(n, 2.0 / n)
+    h2 = 2.0 * rows.h
+    hq = h2 * np.maximum(at.curvature[:-1], 0.0)
+    diag = np.full(at.grad.size, 2.0 / rows.n)
     diag[:-1] += hq
     diag[1:] += hq
     if at.cost_curvature is not None:
-        diag += (h2 / n) * np.maximum(at.cost_curvature, 0.0)
+        diag += (h2 / rows.n) * np.maximum(at.cost_curvature, 0.0)
     return diag, -hq
 
 
-def _newton_direction(problem: StepProblem, x: np.ndarray, at: _Point) -> np.ndarray:
+def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point) -> np.ndarray:
     """Solve H d = -g at x, holding fixed each wall particle whose descent points outward.
 
     A wall particle is held when -g or the computed d would take it out of
-    the box; holding one changes d, so the other wall is checked again.
+    the box; holding one changes d, so the other walls are checked again.
     """
     g = at.grad
-    diag, off = _hessian_bands(problem.h, at)
+    diag, off = _hessian_bands(rows, at)
     # diag > 0, so the product is finite exactly when both factors are (short of overflow)
     if not math.isfinite(np.dot(diag, g)):
         raise ValueError("Newton system must not contain infs or NaNs")
     if off.size == 0:
         off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal
-    lower, upper = problem.domain.lower, problem.domain.upper
-    # (index, outward sign) of each particle on a wall
-    walls = [(j, s) for j, s, on in ((0, -1.0, x[0] <= lower), (-1, 1.0, x[-1] >= upper)) if on]
+    walls = [(j, s) for j, s, wall in rows.ends if s * (x[j] - wall) >= 0.0]  # on a wall
     held = {j for j, s in walls if s * g[j] < 0.0}
     while True:
         d_band, e_band, rhs = (diag.copy(), off.copy(), -g) if held else (diag, off, -g)
         for j in held:
-            d_band[j], e_band[j], rhs[j] = 1.0, 0.0, 0.0
+            d_band[j], rhs[j] = 1.0, 0.0
+            e_band[max(j - 1, 0):j + 1] = 0.0  # cut loose from both neighbours
         d, info = dptsv(d_band, e_band, rhs, overwrite_b=True)[2:]
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
@@ -207,98 +241,121 @@ def _newton_direction(problem: StepProblem, x: np.ndarray, at: _Point) -> np.nda
         held |= leaving
 
 
-def _longest_step(domain: Domain, x: np.ndarray, d: np.ndarray) -> tuple[float, int | None]:
-    """Largest step length along d, at most 1, and the wall it stops at.
+def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[float, tuple | None]:
+    """Largest step length along d, at most 1, and the (index, wall) it stops at.
 
     Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; a
-    wall particle moving outward stops exactly at the wall.  The wall is
-    reported as 0 (lower), -1 (upper) or None.
+    wall particle moving outward stops exactly at the wall.
     """
     alpha = 1.0
     dgap = d[1:] - d[:-1]
+    dgap[rows.n - 1::rows.n] = 0.0  # a row's last particle and the next row's first share no gap
     shrink = dgap < 0.0
     if shrink.any():
         room = (x[1:] - x[:-1])[shrink] / -dgap[shrink]
         alpha = min(alpha, BOUNDARY_FRACTION * float(room.min()))
-    wall = None
-    if d[0] < 0.0 and x[0] + alpha * d[0] <= domain.lower:
-        alpha, wall = (domain.lower - x[0]) / d[0], 0
-    if d[-1] > 0.0 and x[-1] + alpha * d[-1] >= domain.upper:
-        alpha, wall = (domain.upper - x[-1]) / d[-1], -1
-    return alpha, wall
+    stop = None
+    for j, s, wall in rows.ends:
+        if s * d[j] > 0.0 and s * (x[j] + alpha * d[j] - wall) >= 0.0:
+            alpha, stop = (wall - x[j]) / d[j], (j, wall)
+    return alpha, stop
 
 
-def _residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
+def _residuals(rows: _Rows, x: np.ndarray, grad: np.ndarray) -> list[float]:
+    """Squared residual of each row."""
     # fixed-point gap of the natural-scale gradient map projected onto the
     # box; the (N/2) scaling turns dE/dx into position units.  The ordering
     # is not projected: the boundary rule keeps it strict
-    y = (0.5 * x.size) * grad
+    y = (0.5 * rows.n) * grad
     np.subtract(x, y, out=y)
-    np.clip(y, domain.lower, domain.upper, out=y)
+    np.clip(y, rows.domain.lower, rows.domain.upper, out=y)
     np.subtract(x, y, out=y)
-    return math.sqrt(np.dot(y, y))
+    return [float(np.dot(r, r)) for r in y.reshape(rows.count, rows.n)]
 
 
-def _require_finite(point: _Point, iteration: int, residual: float) -> None:
+def _failure(rows: _Rows, message: str, res: list[float], *arrays) -> NumericalFailureError:
+    """The error of a joint solve, charged with its residual to the first row with a
+    non-finite entry in ``arrays`` (per row or flat), else to the row farthest above its tol."""
+    finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
+    bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
+    row = bad[0] if bad else max(range(rows.count), key=lambda r: res[r] / rows.tol[r])
+    return NumericalFailureError(message, residual=res[row], row=row)
+
+
+def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
     if not (math.isfinite(point.value) and np.isfinite(point.grad).all()):
-        raise NumericalFailureError("step solver met a non-finite objective or gradient "
-                                    f"at iteration {iteration}", residual=residual)
+        raise _failure(rows, "step solver met a non-finite objective or gradient "
+                       f"at iteration {iteration}", res, point.values, point.grad)
 
 
-def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:
-    """Minimize the step objective; warm-started at prev unless told otherwise."""
-    start = problem.prev if initial is None else initial
-    if start.n != problem.prev.n or start.domain != problem.prev.domain:
-        raise InvalidInputError("initial iterate must match prev in N and domain")
-    x = start.positions.copy()
-    tol = problem.tol if problem.tol is not None else problem.default_tol()
-    domain = problem.domain
-    at = _evaluate(problem, x)
-    _require_finite(at, 0, math.nan)
+def solve_steps(problems: Sequence[StepProblem],
+                initial: Sequence[ParticleDensity] | None = None) -> tuple[StepSolution, ...]:
+    """Minimize step objectives that share N, domain and h together, warm-started at
+    each prev unless told otherwise; each row meets its own tol, ``iterations`` is joint."""
+    rows = _Rows(problems)
+    starts = [p.prev for p in problems] if initial is None else list(initial)
+    if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
+        raise InvalidInputError("initial iterates must match prev in N and domain")
+    x = np.concatenate([s.positions for s in starts])
+    at = _evaluate(rows, x)
+    _require_finite(rows, at, 0, [math.nan] * rows.count)
     iters = 0
-    res = _residual(domain, x, at.grad)
-    while res > tol:
+    sq = _residuals(rows, x, at.grad)
+    res = [math.sqrt(v) for v in sq]
+    while any(r > t for r, t in zip(res, rows.tol)):
         if iters >= MAX_ITERS:
-            raise NumericalFailureError(f"step solver exceeded {MAX_ITERS} iterations",
-                                        residual=res)
+            raise _failure(rows, f"step solver exceeded {MAX_ITERS} iterations", res)
         try:
-            d = _newton_direction(problem, x, at)
+            d = _newton_direction(rows, x, at)
         except (ValueError, np.linalg.LinAlgError) as err:
-            raise NumericalFailureError(
-                "step solver met a non-finite or indefinite Newton system "
-                f"at iteration {iters}", residual=res,
+            raise _failure(
+                rows, "step solver met a non-finite or indefinite Newton system "
+                f"at iteration {iters}", res, at.grad, at.curvature, at.cost_curvature,
             ) from err
         slope = float(np.dot(at.grad, d))
-        alpha, wall = _longest_step(domain, x, d)
+        alpha, wall = _longest_step(rows, x, d)
+        joint = math.sqrt(sum(sq))
+        # E sums about N terms per row: a predicted decrease within its rounding
+        # cannot be seen in E, so the full step is judged by the residual
+        rounding = rows.n * EPS * sum(map(abs, at.values.tolist()))
         for trial in range(MAX_BACKTRACKS):
             cand = x + alpha * d
             if trial == 0 and wall is not None:
-                cand[wall] = domain.lower if wall == 0 else domain.upper
-            trial_at = _evaluate(problem, cand)
-            _require_finite(trial_at, iters, res)
+                cand[wall[0]] = wall[1]
+            trial_at = _evaluate(rows, cand)
+            _require_finite(rows, trial_at, iters, res)
             armijo = trial_at.value <= at.value + ARMIJO_C1 * alpha * slope
-            # a predicted decrease within the rounding of E, a sum of about N
-            # terms, cannot be seen in E: the full step is judged by the residual
-            if armijo or (trial == 0 and -slope <= x.size * EPS * abs(at.value)):
-                rc = _residual(domain, cand, trial_at.grad)
-                if armijo or rc < res:
+            if armijo or (trial == 0 and -slope <= rounding):
+                sq_cand = _residuals(rows, cand, trial_at.grad)
+                if armijo or math.sqrt(sum(sq_cand)) < joint:
                     break
             alpha *= 0.5
         else:
-            raise NumericalFailureError(
-                f"step solver line search failed at iteration {iters}", residual=res
-            )
+            raise _failure(rows, f"step solver line search failed at iteration {iters}", res)
         if np.array_equal(cand, x):
-            raise NumericalFailureError(
-                f"step solver line search failed at iteration {iters}: "
-                "the accepted step does not move", residual=res,
-            )
-        x, at, res = cand, trial_at, rc
+            raise _failure(rows, f"step solver line search failed at iteration {iters}: "
+                           "the accepted step does not move", res)
+        x, at, sq = cand, trial_at, sq_cand
+        res = [math.sqrt(v) for v in sq]
         iters += 1
-    return StepSolution(
-        rho=ParticleDensity(domain, x), value=at.value, residual=res, iterations=iters,
-        energy=at.energy, coupling=at.coupling, el_residual=_el_residual(domain, x, at.grad),
+    x_rows, g_rows = x.reshape(rows.count, rows.n), at.grad.reshape(rows.count, rows.n)
+    return tuple(
+        StepSolution(
+            rho=ParticleDensity(rows.domain, x_rows[r]), value=float(at.values[r]),
+            residual=res[r], iterations=iters, energy=float(at.energies[r]),
+            coupling=float(at.couplings[r]),
+            el_residual=_el_residual(rows.domain, x_rows[r], g_rows[r]),
+            # squared through the distance, as w2_distance(rho, prev) ** 2, so
+            # that recorded diagnostics keep their bits
+            w2_sq=math.sqrt(at.w2_sq[r]) ** 2,
+        )
+        for r in range(rows.count)
     )
+
+
+def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:
+    """Minimize one step objective: the one-row case of solve_steps."""
+    return solve_steps((problem,), None if initial is None else (initial,))[0]
 
 
 def _el_residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:

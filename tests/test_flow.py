@@ -10,6 +10,7 @@ from jkoflow import (
     FlowConfig,
     InvalidInputError,
     ParticleDensity,
+    NumericalFailureError,
     PopulationSpec,
     barenblatt_profile,
     barycenter3_preset,
@@ -28,13 +29,16 @@ from jkoflow import (
     l1_grid_distance,
     particle_step_density,
     porous_medium_preset,
+    power_law_energy,
     quadratic_pairwise_cost,
     run_flow,
+    solve_step,
     trajectory_csv,
     weak_form_residual,
     zero_energy,
     PRESETS,
 )
+from jkoflow.flow import _step_problem
 from helpers import spread_particles
 
 UNIT = Domain(0.0, 1.0)
@@ -182,6 +186,61 @@ def test_heat_flow_energy_descends():
         series = [d.energy for d in traj.diagnostics if d.population == i]
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
         assert series[0] <= traj.config.populations[i].initial.n  # sanity
+
+
+def test_run_flow_mixes_energies_and_particle_counts():
+    # entropy, power-law and zero energies in one joint solve, a coupled pair
+    # among them, and an uncoupled population with its own N solved apart
+    rng = np.random.default_rng(31)
+    pair = quadratic_pairwise_cost(UNIT)
+    config = FlowConfig(
+        populations=(
+            PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(),
+                           Coupling(pair, (0, 1))),
+            PopulationSpec(spread_particles(rng, UNIT, 16), power_law_energy(2.0),
+                           Coupling(pair, (1, 0))),
+            PopulationSpec(spread_particles(rng, UNIT, 24), entropy_energy()),
+            PopulationSpec(spread_particles(rng, UNIT, 16), zero_energy()),
+        ),
+        h=2e-2,
+        n_steps=4,
+    )
+    traj = run_flow(config)
+    assert [d.population for d in traj.diagnostics] == [0, 1, 2, 3] * 4
+    for k in range(1, 5):
+        rows = traj.diagnostics[4 * (k - 1):4 * k]
+        for i, d in enumerate(rows):
+            # the same step taken one population at a time from the same state
+            problem = _step_problem(config, traj.states[k - 1], i)
+            alone = solve_step(problem)
+            got = traj.states[k][i].positions
+            tol = problem.default_tol()
+            assert d.residual <= tol
+            assert float(np.max(np.abs(got - alone.rho.positions))) <= 2.0 * tol
+            if i == 2:  # alone in its group: the one-row solve, to the bit
+                assert np.array_equal(got, alone.rho.positions)
+                assert d.iterations == alone.iterations
+        assert len({rows[i].iterations for i in (0, 1, 3)}) == 1
+        assert np.array_equal(traj.states[k][3].positions, config.populations[3].initial.positions)
+
+
+def test_run_flow_names_the_population_that_fails():
+    # population 2 climbs its objective (its energy's derivative has the wrong
+    # sign); it shares its joint solve with population 0
+    rng = np.random.default_rng(32)
+    wrong = custom_energy(lambda x: 1e6 * x * x, lambda x: -2e6 * x)
+    config = FlowConfig(
+        populations=(
+            PopulationSpec(spread_particles(rng, UNIT, 8), entropy_energy()),
+            PopulationSpec(spread_particles(rng, UNIT, 12), entropy_energy()),
+            PopulationSpec(spread_particles(rng, UNIT, 8), wrong),
+        ),
+        h=0.05,
+        n_steps=3,
+    )
+    with pytest.raises(NumericalFailureError, match=r"^step 1, population 2: step solver") as info:
+        run_flow(config)
+    assert info.value.residual > 1e-9 * math.sqrt(8)
 
 
 def test_recording_thinned_but_diagnostics_full():
@@ -344,8 +403,8 @@ def test_weak_form_constant_test_function_vanishes():
     # exactly: unit weights never change
     traj = run_flow(small_heat_config(n=16, n_steps=6))
     const = TestFunction(
-        value=lambda t, x: np.ones_like(x),
-        dx=lambda t, x: np.zeros_like(x),
+        time=lambda t: 1.0,
+        space=lambda x: (np.ones_like(x), np.zeros_like(x)),
         sup_dx=0.0,
         sup_dxx=0.0,
     )

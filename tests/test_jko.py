@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,15 +27,17 @@ import jkoflow.energy as energy_module
 from jkoflow.jko import (
     StepProblem,
     _Point,
+    _Rows,
     _evaluate,
     _hessian_bands,
     _newton_direction,
-    _residual,
+    _residuals,
     euler_lagrange_residual,
     objective,
     objective_gradient,
     project_ordered_box,
     solve_step,
+    solve_steps,
 )
 from jkoflow.transport import CostFunction
 from helpers import spread_particles, uniform_particles
@@ -134,7 +137,8 @@ def test_hessian_matches_finite_differences_of_gradient():
             prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy,
                                h=0.05, cost=cost, frozen=frozen, slot=slot)
             x = spread_particles(rng, UNIT, n).positions
-            diag, off = _hessian_bands(prob.h, _evaluate(prob, x))
+            rows = _Rows((prob,))
+            diag, off = _hessian_bands(rows, _evaluate(rows, x))
             hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             fd = np.empty((n, n))
             for j in range(n):
@@ -423,7 +427,8 @@ def test_residual_matches_projected_residual_when_sorted():
             x[-1] = 1.0
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0) / n
         y = x - (0.5 * n) * g
-        got = _residual(UNIT, x, g)
+        rows = _Rows((StepProblem(prev=ParticleDensity(UNIT, x), energy=zero_energy(), h=1.0),))
+        got = math.sqrt(_residuals(rows, x, g)[0])
         projected = float(np.linalg.norm(x - project_ordered_box(UNIT, y)))
         is_sorted = bool(np.all(y[1:] >= y[:-1]))
         seen[is_sorted] += 1
@@ -433,6 +438,126 @@ def test_residual_matches_projected_residual_when_sorted():
             t = 0.49 * float(np.min(np.diff(x)))
             assert got > t and projected > t
     assert min(seen.values()) > 50
+
+
+# ------------------------------------------------------------- joint solve
+
+
+def _natural_residual(problem, x):
+    """The box-projected natural-gradient residual, from the public gradient."""
+    y = x - 0.5 * x.size * objective_gradient(problem, x)
+    return float(np.linalg.norm(x - np.clip(y, problem.domain.lower, problem.domain.upper)))
+
+
+def _independent_problems(rng, n=24, h=2e-2):
+    # one N, domain and h; energies, costs and slots differ from row to row
+    energies = (entropy_energy(), power_law_energy(2.0), zero_energy(), entropy_energy())
+    couplings = ((None, 0), (quadratic_pairwise_cost(UNIT), 1),
+                 (barycenter_cost([1.0, 0.5], UNIT), 0), (barycenter_cost([2.0], UNIT), 1))
+    problems = []
+    for energy, (cost, slot) in zip(energies, couplings):
+        frozen = () if cost is None else tuple(
+            spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
+        )
+        problems.append(StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy, h=h,
+                                    cost=cost, frozen=frozen, slot=slot))
+    return problems
+
+
+def test_joint_solve_agrees_with_one_at_a_time():
+    rng = np.random.default_rng(21)
+    for trial in range(5):
+        problems = _independent_problems(rng)
+        joint = solve_steps(problems)
+        assert len({sol.iterations for sol in joint}) == 1
+        for problem, sol in zip(problems, joint):
+            alone = solve_step(problem)
+            tol = problem.default_tol()
+            assert sol.iterations >= alone.iterations
+            assert sol.residual <= tol
+            assert _natural_residual(problem, sol.rho.positions) <= tol
+            assert float(np.max(np.abs(sol.rho.positions - alone.rho.positions))) <= 2.0 * tol
+            assert sol.energy == energy_value(problem.energy, sol.rho)
+            assert sol.value == objective(problem, sol.rho.positions)
+            assert sol.w2_sq == pytest.approx(
+                float(np.mean((sol.rho.positions - problem.prev.positions) ** 2)), rel=1e-15
+            )
+
+
+def test_copies_of_one_problem_solve_like_one():
+    # equal rows take equal steps, so a joint solve of copies reproduces the
+    # one-row solve to the bit: values, states and the iteration count
+    rng = np.random.default_rng(22)
+    for problem in _independent_problems(rng):
+        alone = solve_step(problem)
+        for sol in solve_steps([problem]) + solve_steps([problem] * 3):
+            assert sol == dataclasses.replace(alone, rho=sol.rho)
+            assert np.array_equal(sol.rho.positions, alone.rho.positions)
+
+
+def test_rows_sharing_an_energy_evaluate_it_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(23)
+    calls = []
+    gaps = energy_module._gaps
+    monkeypatch.setattr(energy_module, "_gaps", lambda *a: calls.append(a) or gaps(*a))
+
+    def passes(energies):
+        calls.clear()
+        sols = solve_steps([StepProblem(prev=spread_particles(rng, UNIT, 32), energy=e, h=1e-2)
+                            for e in energies])
+        evaluations = sols[0].iterations + 1  # the start and each accepted step
+        return len(calls) / evaluations
+
+    assert entropy_energy() is entropy_energy()
+    assert power_law_energy(2) is power_law_energy(2.0)
+    assert passes([entropy_energy()] * 3) == 1
+    assert passes([entropy_energy(), power_law_energy(2.0), entropy_energy()]) == 2
+
+
+def test_joint_failure_names_its_row():
+    # row 1 climbs its objective (its energy's derivative has the wrong sign);
+    # row 0 is a healthy heat step, so the failure is charged to row 1
+    rng = np.random.default_rng(24)
+    c = 1e6
+    wrong = custom_energy(lambda x: c * x * x, lambda x: -2.0 * c * x)
+    healthy = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=0.05)
+    broken = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=wrong, h=0.05)
+    with pytest.raises(NumericalFailureError, match="line search") as info:
+        solve_steps([healthy, broken])
+    assert info.value.row == 1
+    assert info.value.residual > broken.default_tol()
+    # a non-finite row is named at the iteration it appears in
+    nan_cost = CostFunction(
+        2, lambda xs: np.sqrt(xs[..., 0] - 0.5),
+        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - 0.5), _zero),
+        (lambda xs: -0.25 / np.sqrt(xs[..., 0] - 0.5) ** 3, _zero),
+        1.0, comonotone_certified=True,
+    )
+    prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 8))
+    bad = StepProblem(prev=prev, energy=entropy_energy(), h=0.05, cost=nan_cost,
+                      frozen=(prev,), slot=0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalFailureError, match="non-finite .* at iteration 0$"
+    ) as info:
+        solve_steps([healthy, healthy, bad])
+    assert info.value.row == 2
+
+
+def test_joint_solve_validation():
+    rng = np.random.default_rng(25)
+    a = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=1e-2)
+    for other in (
+        StepProblem(prev=spread_particles(rng, UNIT, 9), energy=entropy_energy(), h=1e-2),
+        StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=2e-2),
+        StepProblem(prev=ParticleDensity(Domain(0.0, 2.0), a.prev.positions),
+                    energy=entropy_energy(), h=1e-2),
+    ):
+        with pytest.raises(InvalidInputError, match="share N, domain and h"):
+            solve_steps([a, other])
+    with pytest.raises(InvalidInputError):
+        solve_steps([])
+    with pytest.raises(InvalidInputError):
+        solve_steps([a, a], initial=[a.prev])
 
 
 # ------------------------------------------------------------- Newton direction
@@ -448,6 +573,12 @@ def _dense_held_solve(problem, g, q, held):
     d = np.zeros(n)
     d[free] = np.linalg.solve(hessian[np.ix_(free, free)], -g[free])
     return d
+
+
+def _at(g, q):
+    """A point of one row carrying only what the Newton direction reads: g and q."""
+    one = np.zeros(1)
+    return _Point(0.0, one, one, one, one, g, np.r_[q, 0.0], None)
 
 
 _INTERIOR = np.linspace(0.1, 0.9, 6)
@@ -474,7 +605,7 @@ def test_newton_direction_matches_dense_held_solve(case):
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=energy, h=0.05)
     if case == "lower-after-solve":
         assert not g[0] > 0.0 and _dense_held_solve(problem, g, q, ())[0] < 0.0
-    d = _newton_direction(problem, x, _Point(0.0, 0.0, 0.0, g, q, None))
+    d = _newton_direction(_Rows((problem,)), x, _at(g, q))
     assert np.all(d[list(held)] == 0.0)
     np.testing.assert_allclose(d, _dense_held_solve(problem, g, q, held), rtol=1e-12, atol=1e-15)
 
@@ -483,4 +614,4 @@ def test_newton_direction_refuses_nan_gradient():
     x, g, q, _ = _NEWTON_CASES["no-wall"]
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=0.05)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _newton_direction(problem, x, _Point(0.0, 0.0, 0.0, np.r_[g[:3], np.nan, g[4:]], q, None))
+        _newton_direction(_Rows((problem,)), x, _at(np.r_[g[:3], np.nan, g[4:]], q))

@@ -11,9 +11,8 @@ import jkoflow
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 # slow scipy parts that `import jkoflow` must not load: the package never
-# loads scipy.sparse (only the LP in tests/oracle.py does), and the exact
-# ordered-box projection and the entropy integrand import scipy.optimize and
-# scipy.special when called
+# loads scipy.sparse (only the LP in tests/oracle.py does) or scipy.special,
+# and the exact ordered-box projection imports scipy.optimize when called
 HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 
@@ -45,4 +44,4 @@ def test_import_loads_only_what_runs_need(tmp_path):
     porous = run.format("scenarios/porous_medium.yaml", str(tmp_path / "porous"))
     assert _heavy_modules_after(porous) == set()
     heat = run.format("scenarios/heat_flow.yaml", str(tmp_path / "heat"))
-    assert _heavy_modules_after(heat) <= {"scipy.special"}
+    assert _heavy_modules_after(heat) == set()
