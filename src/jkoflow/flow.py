@@ -15,7 +15,6 @@ probe, and a discrete weak-form residual with a computable error bound.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -147,7 +146,10 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
 
 def run_flow(config: FlowConfig) -> FlowTrajectory:
     state = tuple(p.initial for p in config.populations)
-    steps, times, states, diagnostics = [0], [0.0], [state], []
+    steps = [0]
+    times = [0.0]
+    states = [state]
+    diagnostics = []
     groups: dict[int, list[int]] = {}  # particle count -> populations, in order
     for i, p in enumerate(config.populations):
         groups.setdefault(p.initial.n, []).append(i)
@@ -164,16 +166,29 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
                 solutions[i] = sol
         for i, sol in enumerate(solutions):
             diagnostics.append(StepDiagnostics(
-                step=k, time=k * config.h, population=i, energy=sol.energy,
-                coupling=sol.coupling, w2_sq=sol.w2_sq, residual=sol.residual,
-                el_residual=sol.el_residual, objective=sol.value, iterations=sol.iterations,
+                step=k,
+                time=k * config.h,
+                population=i,
+                energy=sol.energy,
+                coupling=sol.coupling,
+                w2_sq=sol.w2_sq,
+                residual=sol.residual,
+                el_residual=sol.el_residual,
+                objective=sol.value,
+                iterations=sol.iterations,
             ))
         state = tuple(sol.rho for sol in solutions)
         if k % config.record_every == 0 or k == config.n_steps:
             steps.append(k)
             times.append(k * config.h)
             states.append(state)
-    return FlowTrajectory(config, tuple(steps), tuple(times), tuple(states), tuple(diagnostics))
+    return FlowTrajectory(
+        config=config,
+        steps=tuple(steps),
+        times=tuple(times),
+        states=tuple(states),
+        diagnostics=tuple(diagnostics),
+    )
 
 
 # ------------------------------------------------------------------ estimates
@@ -260,27 +275,47 @@ def contraction_probe(
     for i, p in enumerate(config.populations):
         report = mccann_check(p.energy)
         if not report.satisfied:
-            reason = f"McCann check failed for population {i}"
-            return ContractionReport("SKIPPED", reason, math.nan, math.nan, ())
+            return ContractionReport(
+                status="SKIPPED",
+                reason=f"McCann check failed for population {i}",
+                max_increase=math.nan, normalized_rate=math.nan, distances=(),
+            )
     other_initials = tuple(other_initials)
     if len(other_initials) != len(config.populations):
         raise InvalidInputError("need one alternative initial state per population")
     for p, rho in zip(config.populations, other_initials):
         if rho.n != p.initial.n or rho.domain != p.initial.domain:
             raise InvalidInputError(
-                "alternative initial states must match in particle count and domain")
-    populations = tuple(dataclasses.replace(p, initial=rho)
-                        for p, rho in zip(config.populations, other_initials))
-    traj_b = run_flow(dataclasses.replace(config, populations=populations))
-    distances = tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states))
-    max_increase = float(np.max(np.diff(np.array(distances)), initial=0.0))
+                "alternative initial states must match in particle count and domain"
+            )
+    import dataclasses
+
+    config_b = dataclasses.replace(
+        config,
+        populations=tuple(
+            dataclasses.replace(p, initial=rho)
+            for p, rho in zip(config.populations, other_initials)
+        ),
+    )
+    traj_b = run_flow(config_b)
+    distances = tuple(
+        product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states)
+    )
+    increases = np.diff(np.array(distances))
+    max_increase = float(np.max(increases)) if increases.size else 0.0
+    max_increase = max(max_increase, 0.0)
     n_max = max(p.initial.n for p in config.populations)
     rate = max_increase / (config.h + 1.0 / n_max)
-    if max_increase <= slack:
-        return ContractionReport("PASS", "product W2 distance stayed nonincreasing within slack",
-                                 max_increase, rate, distances)
-    return ContractionReport("FAIL", "product W2 distance increased beyond slack",
-                             max_increase, rate, distances)
+    status = "PASS" if max_increase <= slack else "FAIL"
+    return ContractionReport(
+        status=status,
+        reason="product W2 distance stayed nonincreasing within slack"
+        if status == "PASS"
+        else "product W2 distance increased beyond slack",
+        max_increase=max_increase,
+        normalized_rate=rate,
+        distances=distances,
+    )
 
 
 # ------------------------------------------------------------------ weak form
@@ -288,26 +323,19 @@ def contraction_probe(
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function phi(t, x) = time(t) * space(x).
+    """Space-time test function with analytic derivative bounds.
 
-    ``space`` is vectorized in x and gives the spatial factor and its
-    derivative in one evaluation.  ``sup_dx`` and ``sup_dxx`` must dominate
-    the space derivatives of phi on the whole space-time slab; they enter
-    the residual bound.
+    ``value`` and ``dx`` are vectorized in x for fixed t.  ``sup_dx`` and
+    ``sup_dxx`` must dominate the corresponding space derivatives on the
+    whole space-time slab; they enter the residual bound.
     """
 
     __test__ = False  # "Test" prefix is the math term, not a pytest marker
 
-    time: Callable[[float], float]
-    space: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    value: Callable[[float, np.ndarray], np.ndarray]
+    dx: Callable[[float, np.ndarray], np.ndarray]
     sup_dx: float
     sup_dxx: float
-
-    def value(self, t: float, x) -> np.ndarray:
-        return self.time(t) * self.space(np.asarray(x, dtype=float))[0]
-
-    def dx(self, t: float, x) -> np.ndarray:
-        return self.time(t) * self.space(np.asarray(x, dtype=float))[1]
 
 
 def bump_test_function(center: float, half_width: float, t_cut: float) -> TestFunction:
@@ -321,20 +349,36 @@ def bump_test_function(center: float, half_width: float, t_cut: float) -> TestFu
     if w <= 0 or t_cut <= 0:
         raise InvalidInputError("bump width and time cutoff must be positive")
 
-    def time(t):
+    def s(t):
         tt = t / t_cut
         return (1.0 - tt * tt) ** 3 if abs(tt) < 1.0 else 0.0
 
+    last = (None, None)  # the latest positions and their spatial factors
+
     def space(x):
-        u = (x - center) / w
-        inside = np.abs(u) < 1.0
-        b = np.where(inside, (1.0 - u * u) ** 3, 0.0)
-        db = np.where(inside, -6.0 * u * (1.0 - u * u) ** 2 / w, 0.0)
-        return b, db
+        # the weak form takes value twice and dx once at each state's
+        # positions; an array that is read-only and owns its data (a
+        # ParticleDensity's) cannot change, so those calls share one evaluation
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        seen, factors = last
+        if x is not seen or x.flags.writeable or x.base is not None:
+            u = (x - center) / w
+            inside = np.abs(u) < 1.0
+            factors = (np.where(inside, (1.0 - u * u) ** 3, 0.0),
+                       np.where(inside, -6.0 * u * (1.0 - u * u) ** 2 / w, 0.0))
+            last = (x, factors)
+        return factors
+
+    def value(t, x):
+        return s(t) * space(x)[0]
+
+    def dx(t, x):
+        return s(t) * space(x)[1]
 
     return TestFunction(
-        time=time,
-        space=space,
+        value=value,
+        dx=dx,
         sup_dx=96.0 / (25.0 * math.sqrt(5.0)) / w,
         sup_dxx=6.0 / (w * w),
     )
@@ -368,19 +412,26 @@ def weak_form_residual(
         raise InvalidInputError("weak-form assembly needs every step recorded")
     if not 0 <= population < len(config.populations):
         raise InvalidInputError(f"population {population} out of range")
-    i, p = population, config.populations[population]
+    i = population
+    p = config.populations[i]
+    n = p.initial.n
     terms = []
     for k in range(len(traj.states) - 1):
-        x_new = traj.states[k + 1][i].positions
-        psi, dpsi = phi.space(x_new)
-        time_k = phi.time(traj.times[k])
-        terms.append(float(np.mean(phi.time(traj.times[k + 1]) * psi - time_k * psi)))
-        drive = p.initial.n * energy_gradient(p.energy, traj.states[k + 1][i])
-        if p.coupling is not None:
+        t_k = traj.times[k]
+        t_k1 = traj.times[k + 1]
+        state_k = traj.states[k]
+        x_new = traj.states[k + 1][i]
+        terms.append(float(np.mean(phi.value(t_k1, x_new.positions)
+                                   - phi.value(t_k, x_new.positions))))
+        drive = n * energy_gradient(p.energy, x_new)
+        if p.coupling is not None:  # against the partners frozen at step k
             members = p.coupling.members
-            cols = [x_new if m == i else traj.states[k][m].positions for m in members]
-            drive = drive + p.coupling.cost.partial(members.index(i), np.stack(cols, axis=-1))
-        terms.append(float(-config.h * np.mean(drive * (time_k * dpsi))))
+            cols = [x_new if m == i else state_k[m] for m in members]
+            points = np.stack([c.positions for c in cols], axis=-1)
+            drive = drive + p.coupling.cost.partial(members.index(i), points)
+        terms.append(float(
+            -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
+        ))
     terms.append(float(np.mean(phi.value(traj.times[0], traj.states[0][i].positions))))
     terms.append(float(-np.mean(phi.value(traj.times[-1], traj.final[i].positions))))
     total = math.fsum(terms)
@@ -388,7 +439,12 @@ def weak_form_residual(
     w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
     bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
     cushion = 1e-12 * (1.0 + bound)
-    return WeakFormReport(i, total, bound, abs(total) <= bound + cushion)
+    return WeakFormReport(
+        population=i,
+        residual=total,
+        bound=bound,
+        satisfied=abs(total) <= bound + cushion,
+    )
 
 
 # ------------------------------------------------------------------ CSV output

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,7 +76,9 @@ class StepProblem:
         if self.cost is not None:
             require_certified(self.cost, "StepProblem")
             if len(self.frozen) != self.cost.arity - 1:
-                raise InvalidInputError("frozen tuple must hold every other coupled population")
+                raise InvalidInputError(
+                    "frozen tuple must hold every other coupled population"
+                )
             if not 0 <= self.slot < self.cost.arity:
                 raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
@@ -90,6 +93,11 @@ class StepProblem:
 
     def default_tol(self) -> float:
         return 1e-9 * np.sqrt(self.prev.n)
+
+    @cached_property
+    def _rows(self) -> _Rows:
+        """The one-row data that objective and objective_gradient evaluate at every call."""
+        return _Rows((self,))
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,11 @@ def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """The fixed data of P step problems solved together: one N, one domain, one h."""
+    """The fixed data of P step problems solved together: one N, one domain, one h.
+
+    Rows are grouped by energy, so that the rows sharing one form a block that
+    a single gap pass evaluates; problem ``order[r]`` sits in row r.
+    """
 
     def __init__(self, problems: Sequence[StepProblem]):
         if not problems:
@@ -128,17 +140,24 @@ class _Rows:
         self.n, self.h, self.domain = first.prev.n, first.h, first.domain
         if any(p.prev.n != self.n or p.domain != self.domain or p.h != self.h for p in problems):
             raise InvalidInputError("step problems solved together must share N, domain and h")
+        groups: dict[InternalEnergy, list[int]] = {}  # energy -> its problems, in order
+        for r, p in enumerate(problems):
+            groups.setdefault(p.energy, []).append(r)
+        self.order = [r for rs in groups.values() for r in rs]
+        self.energies, start = [], 0  # (energy, its block's first row, the row after it)
+        for energy, rs in groups.items():
+            self.energies.append((energy, start, start + len(rs)))
+            start += len(rs)
+        problems = [problems[r] for r in self.order]
         self.prev = np.concatenate([p.prev.positions for p in problems])
         self.tol = [p.default_tol() if p.tol is None else p.tol for p in problems]
         lower, upper = self.domain.lower, self.domain.upper
         # (index, outward sign, wall) of each row's first and last particle
         self.ends = [e for start in range(0, self.prev.size, self.n)
                      for e in ((start, -1.0, lower), (start + self.n - 1, 1.0, upper))]
-        self.energies: dict[InternalEnergy, list[int]] = {}  # energy -> its rows
-        for r, p in enumerate(problems):
-            self.energies.setdefault(p.energy, []).append(r)
-        # (row, its slice of x, cost, slot, the tuple points: frozen columns
-        # filled once, the row's own column written at each evaluation)
+        self.end_index = np.array([j for j, _, _ in self.ends])
+        # (row, its slice of x, cost, slot, the tuple points with the frozen
+        # columns filled; each evaluation writes the row's own column into a copy)
         self.couplings = []
         for r, p in enumerate(problems):
             if p.cost is not None:
@@ -162,17 +181,10 @@ class _Point(NamedTuple):
 def _evaluate(rows: _Rows, x: np.ndarray) -> _Point:
     """E (summed and per row), F, the coupling values, W2^2, dE/dx, q and c_ss at x."""
     n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
-    if len(rows.energies) == 1:
-        [energy] = rows.energies
-        energies, grad, curvature = gap_terms(energy, x, length, rows.count)
-    else:
-        x_rows = x.reshape(rows.count, n)
-        energies = np.empty(rows.count)
-        grad, curvature = np.empty_like(x_rows), np.empty_like(x_rows)
-        for energy, rs in rows.energies.items():
-            f, g, q = gap_terms(energy, x_rows[rs].ravel(), length, len(rs))
-            energies[rs], grad[rs], curvature[rs] = f, g.reshape(-1, n), q.reshape(-1, n)
-        grad, curvature = grad.ravel(), curvature.ravel()
+    energies, grad, curvature = np.empty(rows.count), np.empty(x.size), np.empty(x.size)
+    for energy, a, b in rows.energies:
+        block = slice(a * n, b * n)
+        energies[a:b], grad[block], curvature[block] = gap_terms(energy, x[block], length, b - a)
     step = x - rows.prev
     w2_sq = np.add.reduce(np.square(step).reshape(rows.count, n), axis=1) / n
     values = w2_sq + h2 * energies
@@ -181,7 +193,8 @@ def _evaluate(rows: _Rows, x: np.ndarray) -> _Point:
     couplings, c_ss = np.zeros(rows.count), None
     if rows.couplings:
         c_ss = np.zeros(x.size)
-        for r, segment, cost, slot, points in rows.couplings:
+        for r, segment, cost, slot, frozen_points in rows.couplings:
+            points = frozen_points.copy()  # rows stay unchanged: objective shares them
             points[:, slot] = x[segment]
             couplings[r] = np.add.reduce(cost.evaluate(points)) / n  # the mean, as coupling_value
             grad[segment] += (h2 / n) * cost.partial(slot, points)
@@ -192,12 +205,12 @@ def _evaluate(rows: _Rows, x: np.ndarray) -> _Point:
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
-    return _evaluate(_Rows((problem,)), np.asarray(x, dtype=float)).value
+    return _evaluate(problem._rows, np.asarray(x, dtype=float)).value
 
 
 def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
     """dE/dx, same shape as x."""
-    return _evaluate(_Rows((problem,)), np.asarray(x, dtype=float)).grad
+    return _evaluate(problem._rows, np.asarray(x, dtype=float)).grad
 
 
 def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
@@ -241,11 +254,12 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point) -> np.ndarray:
         held |= leaving
 
 
-def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[float, tuple | None]:
-    """Largest step length along d, at most 1, and the (index, wall) it stops at.
+def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[float, list]:
+    """Largest step length along d, at most 1, and the (index, wall) of each end
+    particle it takes to its wall.
 
-    Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; a
-    wall particle moving outward stops exactly at the wall.
+    Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; an
+    end particle moving outward stops exactly at its wall.
     """
     alpha = 1.0
     dgap = d[1:] - d[:-1]
@@ -254,11 +268,16 @@ def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[float, tup
     if shrink.any():
         room = (x[1:] - x[:-1])[shrink] / -dgap[shrink]
         alpha = min(alpha, BOUNDARY_FRACTION * float(room.min()))
-    stop = None
-    for j, s, wall in rows.ends:
-        if s * d[j] > 0.0 and s * (x[j] + alpha * d[j] - wall) >= 0.0:
-            alpha, stop = (wall - x[j]) / d[j], (j, wall)
-    return alpha, stop
+    ends = zip(rows.ends, x[rows.end_index].tolist(), d[rows.end_index].tolist())
+    outgoing = [(j, s, wall, xj, dj) for (j, s, wall), xj, dj in ends if s * dj > 0.0]
+    for j, s, wall, xj, dj in outgoing:
+        if s * (xj + alpha * dj - wall) >= 0.0:
+            alpha = (wall - xj) / dj
+    # the rows share alpha, so ends of other rows may reach their walls with it
+    # (copies of one row do so exactly): every end that reaches its wall, or
+    # would round past it, is put on it
+    return alpha, [(j, wall) for j, s, wall, xj, dj in outgoing
+                   if (wall - xj) / dj <= alpha or s * (xj + alpha * dj - wall) >= 0.0]
 
 
 def _residuals(rows: _Rows, x: np.ndarray, grad: np.ndarray) -> list[float]:
@@ -278,8 +297,11 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays) -> NumericalF
     non-finite entry in ``arrays`` (per row or flat), else to the row farthest above its tol."""
     finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
     bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
-    row = bad[0] if bad else max(range(rows.count), key=lambda r: res[r] / rows.tol[r])
-    return NumericalFailureError(message, residual=res[row], row=row)
+    if bad:
+        row = min(bad, key=rows.order.__getitem__)
+    else:
+        row = max(range(rows.count), key=lambda r: res[r] / rows.tol[r])
+    return NumericalFailureError(message, residual=res[row], row=rows.order[row])
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
@@ -296,7 +318,7 @@ def solve_steps(problems: Sequence[StepProblem],
     starts = [p.prev for p in problems] if initial is None else list(initial)
     if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
         raise InvalidInputError("initial iterates must match prev in N and domain")
-    x = np.concatenate([s.positions for s in starts])
+    x = np.concatenate([starts[r].positions for r in rows.order])
     at = _evaluate(rows, x)
     _require_finite(rows, at, 0, [math.nan] * rows.count)
     iters = 0
@@ -313,15 +335,16 @@ def solve_steps(problems: Sequence[StepProblem],
                 f"at iteration {iters}", res, at.grad, at.curvature, at.cost_curvature,
             ) from err
         slope = float(np.dot(at.grad, d))
-        alpha, wall = _longest_step(rows, x, d)
+        alpha, walls = _longest_step(rows, x, d)
         joint = math.sqrt(sum(sq))
         # E sums about N terms per row: a predicted decrease within its rounding
         # cannot be seen in E, so the full step is judged by the residual
         rounding = rows.n * EPS * sum(map(abs, at.values.tolist()))
         for trial in range(MAX_BACKTRACKS):
             cand = x + alpha * d
-            if trial == 0 and wall is not None:
-                cand[wall[0]] = wall[1]
+            if trial == 0:
+                for j, wall in walls:
+                    cand[j] = wall
             trial_at = _evaluate(rows, cand)
             _require_finite(rows, trial_at, iters, res)
             armijo = trial_at.value <= at.value + ARMIJO_C1 * alpha * slope
@@ -339,8 +362,9 @@ def solve_steps(problems: Sequence[StepProblem],
         res = [math.sqrt(v) for v in sq]
         iters += 1
     x_rows, g_rows = x.reshape(rows.count, rows.n), at.grad.reshape(rows.count, rows.n)
-    return tuple(
-        StepSolution(
+    solutions = [None] * rows.count  # in the callers' order
+    for r, i in enumerate(rows.order):
+        solutions[i] = StepSolution(
             rho=ParticleDensity(rows.domain, x_rows[r]), value=float(at.values[r]),
             residual=res[r], iterations=iters, energy=float(at.energies[r]),
             coupling=float(at.couplings[r]),
@@ -349,8 +373,7 @@ def solve_steps(problems: Sequence[StepProblem],
             # that recorded diagnostics keep their bits
             w2_sq=math.sqrt(at.w2_sq[r]) ** 2,
         )
-        for r in range(rows.count)
-    )
+    return tuple(solutions)
 
 
 def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:

@@ -403,8 +403,8 @@ def test_weak_form_constant_test_function_vanishes():
     # exactly: unit weights never change
     traj = run_flow(small_heat_config(n=16, n_steps=6))
     const = TestFunction(
-        time=lambda t: 1.0,
-        space=lambda x: (np.ones_like(x), np.zeros_like(x)),
+        value=lambda t, x: np.ones_like(x),
+        dx=lambda t, x: np.zeros_like(x),
         sup_dx=0.0,
         sup_dxx=0.0,
     )
@@ -412,6 +412,30 @@ def test_weak_form_constant_test_function_vanishes():
         report = weak_form_residual(traj, const, i)
         assert report.residual == 0.0
         assert report.satisfied
+
+
+def test_bump_shares_spatial_factors_only_at_unchanging_positions():
+    # the weak form takes the bump's value twice and dx once at each state's
+    # read-only positions, which share one evaluation of the spatial factors;
+    # writeable copies are evaluated afresh, and the reports agree to the bit
+    traj = run_flow(barycenter3_preset(n=16, n_steps=5))
+    bump = bump_test_function(0.5, 0.3, 1.0)
+    fresh = TestFunction(
+        value=lambda t, x: bump.value(t, np.array(x)),
+        dx=lambda t, x: bump.dx(t, np.array(x)),
+        sup_dx=bump.sup_dx,
+        sup_dxx=bump.sup_dxx,
+    )
+    for i in range(3):
+        assert weak_form_residual(traj, bump, i) == weak_form_residual(traj, fresh, i)
+    x = np.linspace(0.3, 0.7, 5)
+    view = x[:]
+    view.setflags(write=False)  # read-only, but its owner can still change
+    for at in (x, view):
+        before = bump.value(0.2, at)
+        x += 0.05
+        assert np.array_equal(bump.value(0.2, at), bump.value(0.2, at.copy()))
+        assert not np.array_equal(bump.value(0.2, at), before)
 
 
 def test_weak_form_residual_shrinks_under_refinement():

@@ -495,6 +495,24 @@ def test_copies_of_one_problem_solve_like_one():
             assert np.array_equal(sol.rho.positions, alone.rho.positions)
 
 
+def test_copies_stopped_at_a_wall_solve_like_one():
+    # the heat step takes the first particle onto the lower wall.  The rows
+    # share one step length, so every copy's end reaches its wall with it and
+    # must land on it exactly, as in the one-row solve, not an ulp beyond
+    prev = ParticleDensity(UNIT, np.array([0.10797324018366018, 0.11330634774126422,
+                                           0.1250131561376476, 0.17915879642600024]))
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2)
+    mirrored = StepProblem(prev=ParticleDensity(UNIT, 1.0 - prev.positions[::-1]),
+                           energy=entropy_energy(), h=1e-2)
+    alone = solve_step(problem)
+    assert alone.rho.positions[0] == UNIT.lower
+    for sol in solve_steps([problem] * 2):
+        assert sol == dataclasses.replace(alone, rho=sol.rho)
+        assert np.array_equal(sol.rho.positions, alone.rho.positions)
+    _, upper, _ = solve_steps([problem, mirrored, problem])
+    assert upper.rho.positions[-1] == UNIT.upper
+
+
 def test_rows_sharing_an_energy_evaluate_it_in_one_pass(monkeypatch):
     rng = np.random.default_rng(23)
     calls = []
