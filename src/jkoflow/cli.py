@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .energy import custom_energy, entropy_energy, power_law_energy, zero_energy
+from .energy import entropy_energy, power_law_energy, zero_energy
 from .errors import DomainError, InvalidInputError, NumericalFailureError
 from .flow import (
     Coupling,
@@ -127,16 +127,6 @@ def _read(node, kind, path: str):
     return kind.cls(**values)
 
 
-def _dump(value):
-    """The YAML data that ``_read`` turns back into ``value``."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _dump(getattr(value, f.name)) for f in dataclasses.fields(value)
-                if getattr(value, f.name) != f.default}
-    if isinstance(value, tuple):  # pairs were read from a mapping
-        return dict(value) if value and isinstance(value[0], tuple) else [_dump(v) for v in value]
-    return value
-
-
 # ------------------------------------------------------------------- probes
 
 
@@ -210,12 +200,6 @@ def _run_weak_form_probe(probe, config, traj, others) -> tuple[str, list[str]]:
 # ------------------------------------------------------------------- tables
 
 
-def _custom_energy(spec):
-    # monomial integrand coefficient * x**exponent; exponent > 0 keeps f(0) = 0
-    c, p = spec.coefficient, spec.exponent
-    return custom_energy(lambda x: c * x**p, lambda x: c * p * x ** (p - 1.0))
-
-
 def _cost_partners(c) -> tuple[int, ...]:
     """The populations a coupling fills its cost slots with, after its owner."""
     if c.weights is not None:
@@ -241,7 +225,8 @@ ENERGY = Union("EnergySpec", "type", "energy", {
     "power_law": ({"exponent": Bound(float, lambda v: v <= 1.0, "must exceed 1")},
                   lambda e: power_law_energy(e.exponent)),
     "zero": ({}, lambda e: zero_energy()),
-    "custom": ({"exponent": POSITIVE, "coefficient": float}, _custom_energy),
+    "custom": ({"exponent": POSITIVE, "coefficient": float},
+               lambda e: power_law_energy(e.exponent, e.coefficient)),
 })
 
 COST = Union("CostSpec", "type", "cost", {
@@ -341,11 +326,6 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def serialize_scenario(s: Scenario) -> str:
-    """Canonical YAML for a Scenario; parse(serialize(s)) == s."""
-    return yaml.safe_dump(_dump(s), sort_keys=False, default_flow_style=False)
-
-
 def _build_profile(spec, domain: Domain, n: int, path: str) -> ParticleDensity:
     try:
         return from_grid(PROFILE.build(spec, domain), n)
@@ -395,9 +375,12 @@ FAILURES = (InvalidInputError, DomainError, NumericalFailureError)
 
 
 def _exit_code(err: Exception) -> int:
-    """Report a failure on stderr; 3 for a numerical failure, 2 for bad input."""
+    """Report a failure on stderr, with its residual if known; 3 if numerical, 2 for bad input."""
     numerical = isinstance(err, NumericalFailureError)
-    print(f"{'numerical failure' if numerical else 'input error'}: {err}", file=sys.stderr)
+    message = str(err)
+    if numerical and err.residual is not None:
+        message += f"; residual={float(err.residual)!r}"
+    print(f"{'numerical failure' if numerical else 'input error'}: {message}", file=sys.stderr)
     return 3 if numerical else 2
 
 

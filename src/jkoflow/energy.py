@@ -1,9 +1,9 @@
 """Internal (diffusion-driving) energies and their discrete evaluation.
 
-An internal energy is F(rho) = integral of f(rho(x)) dx for a convex
-integrand f with f(0) = 0.  On N sorted particles the integral is evaluated
-by the gap reconstruction: between consecutive particles the density is
-1/(N * gap), so
+An internal energy is F(rho) = integral of f(rho(x)) dx for an integrand
+f with f(0) = 0: the entropy s log s, a power law c s^m (m > 0, c real) or
+zero.  On N sorted particles the integral is evaluated by the gap
+reconstruction: between consecutive particles the density is 1/(N * gap), so
 
     F(rho) ~= sum_j gap_j * f(1 / (N * gap_j))        (N - 1 interior gaps)
 
@@ -17,11 +17,12 @@ plain position array into the value, the gradient and the gap curvatures
 for the step solver; energy_value and energy_gradient apply it to a
 ParticleDensity.  gap_terms also takes several equal-size populations laid
 end to end, the step solver's layout, and masks the gaps between them out.
+Each energy also states in closed form whether F is displacement convex,
+the convexity the contraction probe needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -32,15 +33,6 @@ from .errors import InvalidInputError
 from .geometry import ParticleDensity
 
 EPS_FLOOR = 1e-12  # gap floor, relative to the domain length
-# sample grid for growth / convexity certificates on custom integrands
-_CHECK_GRID = np.logspace(-6, 6, 241)
-# relative step of the central difference of a custom pressure
-_PRESSURE_STEP = 1e-4
-# log-spaced dilation factors r and relative tolerance of mccann_check
-MCCANN_R_MIN = 1e-3
-MCCANN_R_MAX = 1e3
-MCCANN_SAMPLES = 200
-MCCANN_TOL = 1e-10
 
 Form = Callable[[np.ndarray], np.ndarray]
 
@@ -50,95 +42,47 @@ class InternalEnergy:
     """The integrand f, the pressure p(s) = s f'(s) - f(s) and p', vectorized over s > 0.
 
     All three are None for the zero energy, the one kind the kernels skip.
-    pressure_constant is a C with p(s) <= C * (1 + f(s)): analytic for the
-    built-in energies, measured on a sample grid for custom integrands.
+    displacement_convex says whether F is displacement convex (McCann, 1997):
+    in one dimension, whether r -> r f(1/r) is convex and nonincreasing.
     """
 
     f: Form | None
     p: Form | None
     dp: Form | None
-    pressure_constant: float = 0.0
+    displacement_convex: bool
 
 
 @cache  # built-in energies: one object per argument, so rows that share it share its evaluation
 def entropy_energy() -> InternalEnergy:
     """f(s) = s log s (Boltzmann entropy; linear diffusion): p = s, p' = 1."""
-    return InternalEnergy(lambda s: s * np.log(s), np.copy, np.ones_like, 1.0)
+    return InternalEnergy(lambda s: s * np.log(s), np.copy, np.ones_like, True)
 
 
-def power_law_energy(exponent: float) -> InternalEnergy:
-    """f(s) = s^m with m > 1 (porous-medium diffusion): p = (m-1) s^m, p' = m (m-1) s^(m-1)."""
-    if not exponent > 1:
-        raise InvalidInputError("power_law exponent must exceed 1")
-    return _power_law(float(exponent))
+def power_law_energy(exponent: float, coefficient: float = 1.0) -> InternalEnergy:
+    """f(s) = c s^m for m > 0 and real c: p = c (m-1) s^m, p' = c m (m-1) s^(m-1).
+
+    c = 1, m > 1 is porous-medium diffusion and c < 0, m < 1 fast diffusion.
+    r f(1/r) = c r^(1-m) is convex and nonincreasing iff c (m-1) >= 0.
+    """
+    if not (exponent > 0 and np.isfinite(exponent) and np.isfinite(coefficient)):
+        raise InvalidInputError("power_law needs a positive exponent and a finite coefficient")
+    return _power_law(float(exponent), float(coefficient))
 
 
 @cache
-def _power_law(m: float) -> InternalEnergy:
+def _power_law(m: float, c: float) -> InternalEnergy:
+    a, b = c * (m - 1.0), c * m * (m - 1.0)
     return InternalEnergy(
-        lambda s: np.power(s, m),
-        lambda s: (m - 1.0) * np.power(s, m),
-        lambda s: m * (m - 1.0) * np.power(s, m - 1.0),
-        max(1.0, m - 1.0),
+        lambda s: c * np.power(s, m),
+        lambda s: a * np.power(s, m),
+        lambda s: b * np.power(s, m - 1.0),
+        a >= 0.0,
     )
 
 
 def zero_energy() -> InternalEnergy:
     """f identically 0; test-only kind exempt from the convexity invariants."""
-    return InternalEnergy(None, None, None)
-
-
-def custom_energy(f: Form, df: Form) -> InternalEnergy:
-    """Wrap user callables f, f' (vectorized over nonnegative arrays).
-
-    Requires f(0) = 0 and a growth certificate p <= C (1 + f) on a sampled
-    grid; the smallest admissible C >= 0 is recorded as pressure_constant.
-    p' is a central difference of the pressure.
-    """
-    f0 = float(np.asarray(f(np.array([0.0])), dtype=float).reshape(-1)[0])
-    if abs(f0) > 1e-12:
-        raise InvalidInputError(f"custom integrand must have f(0) = 0, got {f0!r}")
-    fs = np.asarray(f(_CHECK_GRID), dtype=float)
-    dfs = np.asarray(df(_CHECK_GRID), dtype=float)
-    if not (np.all(np.isfinite(fs)) and np.all(np.isfinite(dfs))):
-        raise InvalidInputError("custom integrand must be finite on (0, inf)")
-    p = _CHECK_GRID * dfs - fs
-    denom = 1.0 + fs
-    c_lo = 0.0
-    c_hi = math.inf
-    for pk, dk in zip(p, denom):
-        if dk > 1e-12:
-            c_lo = max(c_lo, pk / dk)
-        elif dk < -1e-12:
-            c_hi = min(c_hi, pk / dk)
-        elif pk > 1e-12:
-            raise InvalidInputError("no growth constant: p > 0 where 1 + f = 0")
-    if c_lo > c_hi:
-        raise InvalidInputError(
-            f"no growth constant C with p <= C(1+f) on the sample grid "
-            f"(need C >= {c_lo:g} and C <= {c_hi:g})"
-        )
-
-    def integrand(s):
-        return np.asarray(f(s), dtype=float)
-
-    def pressure_form(s):
-        return np.where(s > 0, s * np.asarray(df(s), dtype=float) - integrand(s), 0.0)
-
-    def pressure_slope(s):
-        ds = _PRESSURE_STEP * s
-        return (pressure_form(s + ds) - pressure_form(s - ds)) / (2.0 * ds)
-
-    return InternalEnergy(integrand, pressure_form, pressure_slope, c_lo)
-
-
-def pressure(e: InternalEnergy, x) -> np.ndarray | float:
-    """p(x) = x f'(x) - f(x), with p(0) = 0 (closed forms avoid cancellation near 0)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise InvalidInputError("pressure argument must be nonnegative")
-    out = np.zeros_like(x_arr) if e.p is None else e.p(x_arr)
-    return float(out) if np.ndim(x) == 0 else out
+    return InternalEnergy(None, None, None, True)
 
 
 def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -202,38 +146,3 @@ def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:
     if rho.n < 2:
         return 0
     return int(np.count_nonzero(~_gaps(rho.positions, rho.domain.length)[1][:-1]))
-
-
-@dataclass(frozen=True)
-class McCannReport:
-    satisfied: bool
-    first_violation: float | None = None
-    reason: str | None = None
-
-
-def mccann_check(e: InternalEnergy) -> McCannReport:
-    """One-dimensional displacement-convexity test: r -> r f(1/r) convex nonincreasing.
-
-    Checked on MCCANN_SAMPLES log-spaced dilation factors in [MCCANN_R_MIN,
-    MCCANN_R_MAX]; tolerances are MCCANN_TOL relative to the local magnitude
-    of the sampled values / slopes.  Returns the first violating r if the
-    check fails.
-    """
-    if e.f is None:
-        return McCannReport(True)
-    r = np.logspace(math.log10(MCCANN_R_MIN), math.log10(MCCANN_R_MAX), MCCANN_SAMPLES)
-    phi = r * e.f(r ** -1.0)
-    if not np.all(np.isfinite(phi)):
-        return McCannReport(False, float(r[np.argmax(~np.isfinite(phi))]), "non-finite")
-    dphi = np.diff(phi)
-    scale = np.maximum(1.0, np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
-    bad = dphi > MCCANN_TOL * scale
-    if np.any(bad):
-        return McCannReport(False, float(r[1:][bad][0]), "increasing")
-    slopes = dphi / np.diff(r)
-    dslope = np.diff(slopes)
-    sscale = np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
-    bad = dslope < -MCCANN_TOL * sscale
-    if np.any(bad):
-        return McCannReport(False, float(r[1:-1][bad][0]), "non-convex")
-    return McCannReport(True)

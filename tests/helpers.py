@@ -1,8 +1,11 @@
 """Shared generators for the test suite (deterministic, seeded by caller)."""
 
-import numpy as np
+import dataclasses
 
-from jkoflow import Domain, GridDensity, ParticleDensity, from_grid
+import numpy as np
+import yaml
+
+from jkoflow import Domain, GridDensity, InternalEnergy, ParticleDensity, from_grid
 
 
 def spread_particles(rng, domain, n, fill=0.9):
@@ -37,3 +40,28 @@ def grid_profile(domain, values_fn, cells=512):
     vals = np.maximum(np.asarray(values_fn(mids), dtype=float), 0.0)
     mass = float(np.sum(vals * np.diff(edges)))
     return GridDensity(edges, vals / mass)
+
+
+def wrong_sign_energy(c):
+    """f = c s^2 with the pressure of f' = -2 c s: p = -3 c s^2 and p' = -6 c s.
+
+    The gradient does not belong to the value, so a Newton direction climbs
+    the step objective and the line search has to fail.
+    """
+    return InternalEnergy(lambda s: c * s * s, lambda s: -3.0 * c * s * s,
+                          lambda s: -6.0 * c * s, False)
+
+
+def _dump(value):
+    """The YAML data that the scenario reader turns back into ``value``."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if getattr(value, f.name) != f.default}
+    if isinstance(value, tuple):  # pairs were read from a mapping
+        return dict(value) if value and isinstance(value[0], tuple) else [_dump(v) for v in value]
+    return value
+
+
+def serialize_scenario(s):
+    """Canonical YAML for a parsed Scenario; parse(serialize(s)) == s."""
+    return yaml.safe_dump(_dump(s), sort_keys=False, default_flow_style=False)

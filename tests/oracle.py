@@ -5,6 +5,10 @@ rank-diagonal plan (``jkoflow.coupling_value``).  This module solves the
 same transport problem over the full product grid, with dual certificates,
 for any cost, so the tests can confirm that plan's optimality and measure
 what an uncertified cost would do.
+
+It also holds two oracles for the internal energies: a sampled test of
+displacement convexity, against which each energy's closed-form flag is
+checked, and the power-law source solutions for every m > 1.
 """
 
 from __future__ import annotations
@@ -17,13 +21,22 @@ import numpy as np
 
 from jkoflow import (
     CostFunction,
+    Domain,
+    GridDensity,
+    InternalEnergy,
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
     displacement_interpolate,
+    profile_grid,
 )
 
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
+# log-spaced dilation factors r and relative tolerance of mccann_check
+MCCANN_R_MIN = 1e-3
+MCCANN_R_MAX = 1e3
+MCCANN_SAMPLES = 200
+MCCANN_TOL = 1e-10
 
 
 class CapacityError(ValueError):
@@ -158,3 +171,72 @@ def lp_convexity_violations(
         - ((1.0 - t) * value_a + t * value_b)
         for t in t_samples
     )
+
+
+@dataclass(frozen=True)
+class McCannReport:
+    satisfied: bool
+    first_violation: float | None = None
+    reason: str | None = None
+
+
+def mccann_check(e: InternalEnergy) -> McCannReport:
+    """One-dimensional displacement-convexity test: r -> r f(1/r) convex nonincreasing.
+
+    Checked on MCCANN_SAMPLES log-spaced dilation factors in [MCCANN_R_MIN,
+    MCCANN_R_MAX]; tolerances are MCCANN_TOL relative to the local magnitude
+    of the sampled values / slopes.  Returns the first violating r if the
+    check fails.
+    """
+    if e.f is None:
+        return McCannReport(True)
+    r = np.logspace(math.log10(MCCANN_R_MIN), math.log10(MCCANN_R_MAX), MCCANN_SAMPLES)
+    phi = r * e.f(r ** -1.0)
+    if not np.all(np.isfinite(phi)):
+        return McCannReport(False, float(r[np.argmax(~np.isfinite(phi))]), "non-finite")
+    dphi = np.diff(phi)
+    scale = np.maximum(1.0, np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
+    bad = dphi > MCCANN_TOL * scale
+    if np.any(bad):
+        return McCannReport(False, float(r[1:][bad][0]), "increasing")
+    slopes = dphi / np.diff(r)
+    dslope = np.diff(slopes)
+    sscale = np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:])))
+    bad = dslope < -MCCANN_TOL * sscale
+    if np.any(bad):
+        return McCannReport(False, float(r[1:-1][bad][0]), "non-convex")
+    return McCannReport(True)
+
+
+def barenblatt_density_m(m: float, t: float):
+    """Source solution of the flow of f(s) = s^m, m > 1, at time t, and its support radius.
+
+    The flow is u_t = (m-1) (u^m)_xx.  In tau = (m-1) t its unit-mass
+    Barenblatt solution is tau^(-a) (C - k y^2 tau^(-2a))_+^q with
+    a = 1/(m+1), k = a (m-1) / (2m), q = 1/(m-1) and y the offset from its
+    centre (Vazquez, The Porous Medium Equation, 2007).  Its mass is
+    sqrt(C/k) C^q B(1/2, q+1), which fixes C.  Returns the density as a
+    function of y and the radius sqrt(C/k) tau^a.
+    """
+    a, q = 1.0 / (m + 1.0), 1.0 / (m - 1.0)
+    k = a * (m - 1.0) / (2.0 * m)
+    beta = math.sqrt(math.pi) * math.gamma(q + 1.0) / math.gamma(q + 1.5)
+    c = (math.sqrt(k) / beta) ** (1.0 / (q + 0.5))
+    tau = (m - 1.0) * t
+
+    def density(y):
+        return tau ** (-a) * np.maximum(c - k * y * y * tau ** (-2.0 * a), 0.0) ** q
+
+    return density, math.sqrt(c / k) * tau**a
+
+
+def barenblatt_profile_m(m: float, t: float, domain: Domain) -> GridDensity:
+    """barenblatt_density_m centred on the domain, on the preset grid.
+
+    At m = 2 this is ``jkoflow.barenblatt_profile``.
+    """
+    density, radius = barenblatt_density_m(m, t)
+    if radius >= domain.length / 2.0:
+        raise InvalidInputError("domain too small for the source solution support")
+    mid = 0.5 * (domain.lower + domain.upper)
+    return profile_grid(domain, lambda x: density(x - mid))

@@ -52,7 +52,7 @@ from jkoflow.flow import Coupling, FlowConfig, PopulationSpec, _step_problem
 from jkoflow.presets import PRESETS
 
 from helpers import spread_particles
-from oracle import lp_convexity_violations, lp_solve_mm
+from oracle import barenblatt_profile_m, lp_convexity_violations, lp_solve_mm
 
 DOM = Domain(0.0, 1.0)
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -281,17 +281,33 @@ def test_diffusion_ground_truth():
     )
     porous_elapsed = time.perf_counter() - t0
 
+    # the other exponents like porous_medium: f = s^m from its source solution
+    # at t = 0.01, against it at t = 0.05
+    t0 = time.perf_counter()
+    other_l1 = {}
+    for m in (1.5, 3.0):
+        rho = from_grid(barenblatt_profile_m(m, 0.01, Domain(-1.0, 1.0)), 256)
+        spec = PopulationSpec(initial=rho, energy=power_law_energy(m))
+        final = run_flow(FlowConfig((spec, spec), h=2e-3, n_steps=20)).final
+        reference = barenblatt_profile_m(m, 0.05, Domain(-1.0, 1.0))
+        other_l1[m] = max(l1_distance_to_profile(final[i], reference) for i in range(2))
+    other_elapsed = time.perf_counter() - t0
+
     ok = (
         heat_l1 <= 0.05
         and porous_l1 <= 0.08
+        and all(l1 <= 0.08 for l1 in other_l1.values())
         and heat_elapsed <= 120.0
         and porous_elapsed <= 120.0
+        and other_elapsed <= 3.0
     )
     _report(
         "diffusion ground truth",
         ok,
         f"heat L1 to uniform {heat_l1:.4f} <= 0.05 ({heat_elapsed:.1f}s); "
-        f"self-similar L1 at t=0.05 {porous_l1:.4f} <= 0.08 ({porous_elapsed:.1f}s)",
+        f"self-similar L1 at t=0.05 {porous_l1:.4f} <= 0.08 ({porous_elapsed:.1f}s); "
+        + "; ".join(f"m={m} {l1:.4f} <= 0.08" for m, l1 in other_l1.items())
+        + f" ({other_elapsed:.1f}s)",
     )
     assert ok
 

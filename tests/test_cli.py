@@ -15,12 +15,12 @@ from jkoflow.cli import (
     main,
     parse_scenario,
     run_scenario,
-    serialize_scenario,
 )
-from jkoflow.energy import custom_energy
 from jkoflow.errors import InvalidInputError
 from jkoflow.flow import ContractionReport, run_flow
 from jkoflow.presets import PRESETS
+
+from helpers import serialize_scenario, wrong_sign_energy
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -234,6 +234,15 @@ def test_non_mccann_contraction_probe_skipped(tmp_path):
     assert "McCann check failed" in report
 
 
+def test_fast_diffusion_runs_and_probes_contraction(tmp_path):
+    # f = -sqrt(s) is fast diffusion: c (m - 1) = 0.5 >= 0, displacement convex
+    path = tmp_path / "fast.yaml"
+    path.write_text(BACKWARD.replace("coefficient: 1.0", "coefficient: -1.0"))
+    assert main([str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    report = (tmp_path / "out" / "probe_contraction_probe.txt").read_text()
+    assert "status: PASS" in report
+
+
 def test_failing_probe_exits_1_and_names_probe(tmp_path, monkeypatch, capsys):
     def fake_probe(config, others, slack=1e-3):
         return ContractionReport("FAIL", "forced for the exit-code path",
@@ -255,16 +264,16 @@ def test_unsolvable_step_exits_3_with_partial_manifest(tmp_path, capsys):
         "exponent: 0.5", "exponent: 2.0").replace("h: 0.0001", "h: 0.05")
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert re.search(r"; residual=\S+\n$", err)
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 
 def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch, capsys):
     # the integrand's derivative with its sign flipped: the search direction
     # climbs the step objective, so the line search fails on the first step
-    monkeypatch.setattr(
-        "jkoflow.cli.custom_energy", lambda f, df: custom_energy(f, lambda x: -df(x))
-    )
+    monkeypatch.setattr("jkoflow.cli.power_law_energy", lambda m, c: wrong_sign_energy(c))
     text = BACKWARD.replace("exponent: 0.5, coefficient: 1.0",
                             "exponent: 2.0, coefficient: 1.0e+6").replace("h: 0.0001", "h: 0.05")
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
@@ -272,6 +281,7 @@ def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "step 1, population 0:" in err
     assert "line search failed" in err
+    assert float(re.search(r"; residual=(\S+)\n$", err).group(1)) > 1e-9 * 8**0.5
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 

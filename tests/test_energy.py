@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from jkoflow import Domain, InvalidInputError, ParticleDensity
+from jkoflow.cli import ENERGY, EnergySpec
 from jkoflow.energy import (
-    custom_energy,
     energy_gradient,
     energy_value,
     entropy_energy,
     floored_gap_count,
-    mccann_check,
     power_law_energy,
-    pressure,
     zero_energy,
 )
 
@@ -25,27 +23,31 @@ def midpoint_uniform(domain, n):
 
 
 from helpers import spread_particles
+from oracle import mccann_check
+
+# exponent x coefficient grid for the closed-form power laws, both signs of c (m - 1)
+EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+COEFFICIENTS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
 def test_pressure_closed_forms():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 5, size=20)
-    assert np.allclose(pressure(entropy_energy(), x), x, atol=1e-15)
-    assert pressure(power_law_energy(2.0), 3.0) == 9.0
-    assert pressure(power_law_energy(3.0), 2.0) == 16.0
-    assert pressure(entropy_energy(), 0.0) == 0.0
-    assert pressure(zero_energy(), 4.2) == 0.0
+    assert np.allclose(entropy_energy().p(x), x, atol=1e-15)
+    assert power_law_energy(2.0).p(np.array(3.0)) == 9.0
+    assert power_law_energy(3.0).p(np.array(2.0)) == 16.0
+    assert power_law_energy(0.5, -1.0).p(np.array(4.0)) == 1.0
+    assert zero_energy().p is None
 
 
 def test_pressure_growth_bound_sampled():
     # p(x) <= C (1 + f(x)) with C = max(1, m - 1)
     xs = np.logspace(-6, 6, 400)
     e = entropy_energy()
-    assert np.all(pressure(e, xs) <= e.pressure_constant * (1.0 + xs * np.log(xs)) + 1e-9)
+    assert np.all(e.p(xs) <= 1.0 + xs * np.log(xs) + 1e-9)
     for m in (1.5, 2.0, 3.0):
         e = power_law_energy(m)
-        assert e.pressure_constant == max(1.0, m - 1.0)
-        assert np.all(pressure(e, xs) <= e.pressure_constant * (1.0 + xs**m) + 1e-9)
+        assert np.all(e.p(xs) <= max(1.0, m - 1.0) * (1.0 + xs**m) + 1e-9)
 
 
 def test_entropy_value_uniform_is_zero():
@@ -125,31 +127,50 @@ def test_dilation_decreases_energy():
 
 
 def test_mccann_builtin_kinds():
-    assert mccann_check(entropy_energy()).satisfied
-    for m in (1.5, 2.0, 3.0):
-        assert mccann_check(power_law_energy(m)).satisfied
-    assert mccann_check(zero_energy()).satisfied
+    for e in (entropy_energy(), zero_energy(), *(power_law_energy(m) for m in (1.5, 2.0, 3.0))):
+        assert e.displacement_convex
+        assert mccann_check(e).satisfied
 
 
 def test_mccann_rejects_concave_integrand():
-    e = custom_energy(lambda s: -(s**2), lambda s: -2.0 * s)
+    e = power_law_energy(2.0, -1.0)  # f = -s^2
+    assert not e.displacement_convex
     rep = mccann_check(e)
     assert not rep.satisfied
     assert rep.first_violation is not None and rep.first_violation > 0
 
 
+def test_displacement_convex_flag_matches_sampled_oracle():
+    # the closed form c (m - 1) >= 0 against 200 sampled dilations, fast
+    # diffusion (m < 1, c < 0) included
+    for m in EXPONENTS:
+        for c in COEFFICIENTS:
+            e = power_law_energy(m, c)
+            assert e.displacement_convex == (c * (m - 1.0) >= 0.0)
+            assert e.displacement_convex == mccann_check(e).satisfied, (m, c)
+
+
 def test_custom_energy_certificates():
-    e = custom_energy(lambda s: s**2, lambda s: 2.0 * s)
-    assert e.pressure_constant == pytest.approx(1.0, rel=1e-6)
-    xs = np.logspace(-3, 3, 50)
-    assert np.all(pressure(e, xs) <= e.pressure_constant * (1 + xs**2) + 1e-9)
-    with pytest.raises(InvalidInputError):
-        custom_energy(lambda s: s + 1.0, lambda s: np.ones_like(s))  # f(0) != 0
+    # p = s f' - f and p' against central differences of the closed forms
+    s = np.logspace(-2, 2, 41)
+    ds = 1e-6 * s
+    for m in EXPONENTS:
+        for c in COEFFICIENTS:
+            e = power_law_energy(m, c)
+            df = (e.f(s + ds) - e.f(s - ds)) / (2 * ds)
+            dp = (e.p(s + ds) - e.p(s - ds)) / (2 * ds)
+            scale = 1.0 + np.abs(c) * (s**m + s ** (m - 1.0))
+            assert np.max(np.abs(e.p(s) - (s * df - e.f(s))) / scale) <= 1e-7, (m, c)
+            assert np.max(np.abs(e.dp(s) - dp) / scale) <= 1e-7, (m, c)
+    for bad in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(InvalidInputError):
+            power_law_energy(*bad)
 
 
 def test_custom_energy_matches_power_law():
-    e_custom = custom_energy(lambda s: s**2, lambda s: 2.0 * s)
-    e_builtin = power_law_energy(2.0)
-    rho = midpoint_uniform(Domain(0.0, 2.0), 16)
-    assert math.isclose(energy_value(e_custom, rho), energy_value(e_builtin, rho), rel_tol=1e-12)
-    assert np.allclose(energy_gradient(e_custom, rho), energy_gradient(e_builtin, rho), atol=1e-12)
+    # the CLI's custom energy is the cached power law, so c = 1 gives the porous bits
+    assert power_law_energy(2) is power_law_energy(2.0, 1.0)
+    custom = ENERGY.build(EnergySpec("custom", exponent=2.0, coefficient=1.0))
+    assert custom is power_law_energy(2.0)
+    fast = ENERGY.build(EnergySpec("custom", exponent=0.5, coefficient=-1.0))
+    assert fast is power_law_energy(0.5, -1.0)

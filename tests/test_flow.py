@@ -18,7 +18,6 @@ from jkoflow import (
     TestFunction,
     bump_test_function,
     contraction_probe,
-    custom_energy,
     diagnostics_csv,
     entropy_energy,
     estimate_report,
@@ -39,7 +38,7 @@ from jkoflow import (
     PRESETS,
 )
 from jkoflow.flow import _step_problem
-from helpers import spread_particles
+from helpers import spread_particles, wrong_sign_energy
 
 UNIT = Domain(0.0, 1.0)
 
@@ -228,7 +227,7 @@ def test_run_flow_names_the_population_that_fails():
     # population 2 climbs its objective (its energy's derivative has the wrong
     # sign); it shares its joint solve with population 0
     rng = np.random.default_rng(32)
-    wrong = custom_energy(lambda x: 1e6 * x * x, lambda x: -2e6 * x)
+    wrong = wrong_sign_energy(1e6)
     config = FlowConfig(
         populations=(
             PopulationSpec(spread_particles(rng, UNIT, 8), entropy_energy()),
@@ -342,9 +341,9 @@ def test_contraction_passes_for_heat_flow():
 
 
 def test_contraction_skipped_without_displacement_convexity():
-    # r * sqrt(1/r) = sqrt(r) increases, so the McCann check fails, while the
-    # steps stay solvable at small h; the probe needs the flow computed first
-    concave = custom_energy(lambda x: np.sqrt(x), lambda x: 0.5 / np.sqrt(x))
+    # r * sqrt(1/r) = sqrt(r) increases, so f = sqrt(s) is not displacement
+    # convex, while the steps stay solvable at small h; the probe needs the flow
+    concave = power_law_energy(0.5)
     a = from_grid(gaussian_profile(UNIT, 0.4, 0.1), 16)
     cfg = FlowConfig(
         populations=(

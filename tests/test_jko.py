@@ -13,7 +13,6 @@ from jkoflow import (
     ParticleDensity,
     barycenter_cost,
     coupling_value,
-    custom_energy,
     energy_value,
     entropy_energy,
     from_grid,
@@ -40,7 +39,7 @@ from jkoflow.jko import (
     solve_steps,
 )
 from jkoflow.transport import CostFunction
-from helpers import spread_particles, uniform_particles
+from helpers import spread_particles, uniform_particles, wrong_sign_energy
 
 UNIT = Domain(0.0, 1.0)
 
@@ -119,7 +118,8 @@ def test_hessian_matches_finite_differences_of_gradient():
     energies = (
         entropy_energy(),
         power_law_energy(2.0),
-        custom_energy(lambda x: x**1.5, lambda x: 1.5 * x**0.5),
+        power_law_energy(1.5),
+        power_law_energy(0.5, -1.0),
     )
     couplings = (
         (None, 0),
@@ -359,8 +359,7 @@ def test_zero_cost_slot_matches_uncoupled():
 def test_failed_line_search_raises_with_residual():
     # df has the wrong sign, so the search direction climbs the objective and
     # every Armijo backtrack fails; the solver must say so, not return a step
-    c = 1e6
-    wrong = custom_energy(lambda x: c * x * x, lambda x: -2.0 * c * x)
+    wrong = wrong_sign_energy(1e6)
     prev = spread_particles(np.random.default_rng(5), UNIT, 8)
     problem = StepProblem(prev=prev, energy=wrong, h=0.05)
     with pytest.raises(NumericalFailureError, match="line search") as info:
@@ -536,8 +535,7 @@ def test_joint_failure_names_its_row():
     # row 1 climbs its objective (its energy's derivative has the wrong sign);
     # row 0 is a healthy heat step, so the failure is charged to row 1
     rng = np.random.default_rng(24)
-    c = 1e6
-    wrong = custom_energy(lambda x: c * x * x, lambda x: -2.0 * c * x)
+    wrong = wrong_sign_energy(1e6)
     healthy = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=0.05)
     broken = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=wrong, h=0.05)
     with pytest.raises(NumericalFailureError, match="line search") as info:

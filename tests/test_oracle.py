@@ -8,13 +8,14 @@ import pytest
 from jkoflow import (
     Domain,
     ParticleDensity,
+    barenblatt_profile,
     barycenter_cost,
     coupling_value,
     quadratic_pairwise_cost,
     w2_distance,
 )
 from helpers import spread_particles, uniform_particles
-from oracle import CapacityError, lp_solve_mm
+from oracle import CapacityError, barenblatt_density_m, barenblatt_profile_m, lp_solve_mm
 
 UNIT = Domain(0.0, 1.0)
 
@@ -78,3 +79,17 @@ def test_lp_capacity_guard():
     b = uniform_particles(UNIT, 1024)
     with pytest.raises(CapacityError):
         lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+
+
+def test_barenblatt_oracle_is_the_shipped_profile_at_m_2():
+    dom = Domain(-1.0, 1.0)
+    for t in (0.01, 0.05, 0.1):
+        ours, shipped = barenblatt_profile_m(2.0, t, dom), barenblatt_profile(t, dom)
+        assert np.array_equal(ours.cell_edges, shipped.cell_edges)
+        assert np.max(np.abs(ours.cell_values - shipped.cell_values)) <= 1e-14 * np.max(
+            shipped.cell_values)
+    for m in (1.5, 2.0, 3.0):
+        for t in (0.01, 0.05):
+            density, radius = barenblatt_density_m(m, t)
+            y = np.linspace(-radius, radius, 200_001)
+            assert abs(np.trapezoid(density(y), y) - 1.0) <= 1e-6, (m, t)
