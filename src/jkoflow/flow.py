@@ -2,9 +2,9 @@
 
 Each step advances every population once: population i minimizes its step
 objective with all other populations frozen at the previous step (a Jacobi
-step), so the step problems are independent and run_flow solves them
-together, one solve_steps call per step for each group of populations that
-share a particle count.  Diagnostics (energy, coupling value, squared step
+step), so the step problems are independent.  run_flow builds one step
+kernel per group of populations that share a particle count, once, and
+advances it at every step.  Diagnostics (energy, coupling value, squared step
 length, solver and optimality residuals) come with each step's solution and
 are recorded every step even when states are thinned.
 
@@ -16,7 +16,7 @@ probe, and a discrete weak-form residual with a computable error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .energy import InternalEnergy, energy_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, product_w2
-from .jko import StepProblem, solve_steps
+from .jko import StepProblem, _evaluate, _minimize, _Rows, _solutions
 from .transport import CostFunction, require_certified
 
 
@@ -146,49 +146,44 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
 
 def run_flow(config: FlowConfig) -> FlowTrajectory:
     state = tuple(p.initial for p in config.populations)
-    steps = [0]
-    times = [0.0]
-    states = [state]
-    diagnostics = []
+    steps, times, states, diagnostics = [0], [0.0], [state], []
     groups: dict[int, list[int]] = {}  # particle count -> populations, in order
     for i, p in enumerate(config.populations):
         groups.setdefault(p.initial.n, []).append(i)
+    # one kernel per group, built once: coupled populations share N, so every
+    # partner is a row of the same kernel, and advance refills its column
+    kernels = []  # [populations, their rows, the accepted point]
+    for members in groups.values():
+        columns = [None if c is None else [members.index(m) for m in c.members]
+                   for c in (config.populations[i].coupling for i in members)]
+        kernels.append([members, _Rows([_step_problem(config, state, i) for i in members],
+                                       columns), None])
     for k in range(1, config.n_steps + 1):
         solutions = [None] * len(config.populations)
-        for members in groups.values():
+        for kernel in kernels:
+            members, rows, at = kernel
             try:
-                solved = solve_steps([_step_problem(config, state, i) for i in members])
+                x, at, res, iters = _minimize(rows, rows.prev, _evaluate(rows, rows.prev, at))
+                solved = _solutions(rows, x, at, res, iters)
             except NumericalFailureError as err:
                 raise NumericalFailureError(
                     f"step {k}, population {members[err.row]}: {err}", residual=err.residual
                 ) from err
+            rows.advance(x)
+            kernel[2] = at
             for i, sol in zip(members, solved):
                 solutions[i] = sol
-        for i, sol in enumerate(solutions):
-            diagnostics.append(StepDiagnostics(
-                step=k,
-                time=k * config.h,
-                population=i,
-                energy=sol.energy,
-                coupling=sol.coupling,
-                w2_sq=sol.w2_sq,
-                residual=sol.residual,
-                el_residual=sol.el_residual,
-                objective=sol.value,
-                iterations=sol.iterations,
-            ))
+        diagnostics += [StepDiagnostics(
+            step=k, time=k * config.h, population=i, energy=sol.energy, coupling=sol.coupling,
+            w2_sq=sol.w2_sq, residual=sol.residual, el_residual=sol.el_residual,
+            objective=sol.value, iterations=sol.iterations,
+        ) for i, sol in enumerate(solutions)]
         state = tuple(sol.rho for sol in solutions)
         if k % config.record_every == 0 or k == config.n_steps:
             steps.append(k)
             times.append(k * config.h)
             states.append(state)
-    return FlowTrajectory(
-        config=config,
-        steps=tuple(steps),
-        times=tuple(times),
-        states=tuple(states),
-        diagnostics=tuple(diagnostics),
-    )
+    return FlowTrajectory(config, tuple(steps), tuple(times), tuple(states), tuple(diagnostics))
 
 
 # ------------------------------------------------------------------ estimates
@@ -287,19 +282,10 @@ def contraction_probe(
             raise InvalidInputError(
                 "alternative initial states must match in particle count and domain"
             )
-    import dataclasses
-
-    config_b = dataclasses.replace(
-        config,
-        populations=tuple(
-            dataclasses.replace(p, initial=rho)
-            for p, rho in zip(config.populations, other_initials)
-        ),
-    )
-    traj_b = run_flow(config_b)
-    distances = tuple(
-        product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states)
-    )
+    traj_b = run_flow(replace(config, populations=tuple(
+        replace(p, initial=rho) for p, rho in zip(config.populations, other_initials)
+    )))
+    distances = tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states))
     increases = np.diff(np.array(distances))
     max_increase = float(np.max(increases)) if increases.size else 0.0
     max_increase = max(max_increase, 0.0)

@@ -7,28 +7,26 @@ domain box,
          + 2 h [ F(x) + (1/N) sum_j c(frozen_1[j], ..., x_j, ..., frozen_m[j]) ]
 
 with every other population frozen at its previous state and coupled rank
-to rank.  So the step problems of one time step are independent, and
-solve_steps minimizes their sum on one flat vector of P rows of N particles
-(solve_step is the one-row case).  The Hessian is tridiagonal, with a zero
-off-diagonal entry between rows,
+to rank.  So the step problems of one time step are independent, and one
+Newton loop (_minimize) minimizes their sum on one flat vector of P rows of
+N particles.  The Hessian is tridiagonal, with a zero entry between rows,
 
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
 D the within-row gap difference operator, q the energy's gap curvature and
 c_ss = d2c/dx_slot^2 from each row's cost.  Damped Newton on H (the
 Lagrangian Newton step of Blanchet, Calvez and Carrillo: one LAPACK dptsv
-solve per iteration for all rows) drops negative curvature, so H >= (2/N) I
-and every direction descends.  The rows share one step length, cut so that
-every gap stays positive and an outgoing wall particle stops at its wall; a
-wall particle whose descent points out of the box is held.  Armijo
-backtracking on the summed objective decides the step, and the iteration
-stops when every row's box-projected natural gradient
-|x - clip(x - (N/2) dE/dx)| reaches that row's tolerance, so each
-population gets the minimizer of its own step objective.  One gap pass per
-distinct energy and one cost evaluation per coupled row give E, F, the
-coupling values, dE/dx, q and c_ss at a trial point; ParticleDensity is built
-only for the returned states.  A non-finite E, dE/dx or Newton system is a
-numerical failure charged to one row.
+solve per iteration for all rows) drops negative curvature, so every
+direction descends.  The rows share one step length, cut so that every gap
+stays positive and an outgoing wall particle stops at its wall; a wall
+particle whose descent points out of the box is held.  Armijo backtracking
+on the summed objective decides the step, and the loop stops when every
+row's box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches
+that row's tolerance.  solve_steps builds the rows for one solve (solve_step
+is the one-row case); run_flow builds them once per flow and advances them,
+each step starting at the point the last one accepted.  The returned states
+are checked once per block; a refused state or a non-finite E, dE/dx or
+Newton system is a numerical failure charged to one row.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from scipy.linalg.lapack import dptsv
 
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity
+from .geometry import Domain, ParticleDensity, particle_rows
 from .transport import CostFunction, require_certified
 
 ARMIJO_C1 = 1e-4
@@ -127,13 +125,16 @@ def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """The fixed data of P step problems solved together: one N, one domain, one h.
+    """The data of P step problems solved together: one N, one domain, one h.
 
     Rows are grouped by energy, so that the rows sharing one form a block that
-    a single gap pass evaluates; problem ``order[r]`` sits in row r.
+    a single gap pass evaluates; problem ``order[r]`` sits in row r.  Given the
+    problems that fill each problem's cost slots (``columns``), advance makes
+    the rows the next time step's problems.
     """
 
-    def __init__(self, problems: Sequence[StepProblem]):
+    def __init__(self, problems: Sequence[StepProblem],
+                 columns: Sequence[Sequence[int] | None] | None = None):
         if not problems:
             raise InvalidInputError("need at least one step problem")
         self.count, first = len(problems), problems[0]
@@ -157,14 +158,24 @@ class _Rows:
                      for e in ((start, -1.0, lower), (start + self.n - 1, 1.0, upper))]
         self.end_index = np.array([j for j, _, _ in self.ends])
         # (row, its slice of x, cost, slot, the tuple points with the frozen
-        # columns filled; each evaluation writes the row's own column into a copy)
-        self.couplings = []
-        for r, p in enumerate(problems):
+        # columns filled; each evaluation writes the row's own column), and
+        # (tuple points, frozen column, the row whose state refills it)
+        self.couplings, self.sources = [], []
+        for r, (j, p) in enumerate(zip(self.order, problems)):
             if p.cost is not None:
                 cols = [m.positions for m in p.frozen]
                 cols.insert(p.slot, p.prev.positions)
-                segment = slice(r * self.n, (r + 1) * self.n)
-                self.couplings.append((r, segment, p.cost, p.slot, np.stack(cols, axis=-1)))
+                segment, points = slice(r * self.n, (r + 1) * self.n), np.stack(cols, axis=-1)
+                self.couplings.append((r, segment, p.cost, p.slot, points))
+                if columns is not None:
+                    self.sources += [(points, c, self.order.index(m))
+                                     for c, m in enumerate(columns[j]) if c != p.slot]
+
+    def advance(self, x: np.ndarray) -> None:
+        """Make the accepted positions x the previous state, and every partner's frozen state."""
+        self.prev, block = x, x.reshape(self.count, self.n)
+        for points, column, row in self.sources:
+            points[:, column] = block[row]
 
 
 class _Point(NamedTuple):
@@ -174,33 +185,39 @@ class _Point(NamedTuple):
     couplings: np.ndarray
     w2_sq: np.ndarray
     grad: np.ndarray
+    energy_grad: np.ndarray  # dF/dx, before the 2h scaling
     curvature: np.ndarray  # q of the gap right of each particle, 0 at row ends
     cost_curvature: np.ndarray | None
 
 
-def _evaluate(rows: _Rows, x: np.ndarray) -> _Point:
-    """E (summed and per row), F, the coupling values, W2^2, dE/dx, q and c_ss at x."""
+def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point:
+    """E (summed and per row), F, the coupling values, W2^2, dE/dx, dF/dx, q and c_ss at x;
+    F, dF/dx and q, which depend on x alone, are taken from ``reuse``, a point evaluated at x."""
     n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
-    energies, grad, curvature = np.empty(rows.count), np.empty(x.size), np.empty(x.size)
-    for energy, a, b in rows.energies:
-        block = slice(a * n, b * n)
-        energies[a:b], grad[block], curvature[block] = gap_terms(energy, x[block], length, b - a)
+    if reuse is None:
+        energies, energy_grad, curvature = np.empty(rows.count), np.empty(x.size), np.empty(x.size)
+        for energy, a, b in rows.energies:
+            block = slice(a * n, b * n)
+            energies[a:b], energy_grad[block], curvature[block] = gap_terms(
+                energy, x[block], length, b - a)
+    else:
+        energies, energy_grad, curvature = reuse.energies, reuse.energy_grad, reuse.curvature
     step = x - rows.prev
     w2_sq = np.add.reduce(np.square(step).reshape(rows.count, n), axis=1) / n
     values = w2_sq + h2 * energies
-    grad *= h2
+    grad = h2 * energy_grad
     grad += (2.0 / n) * step
     couplings, c_ss = np.zeros(rows.count), None
     if rows.couplings:
         c_ss = np.zeros(x.size)
-        for r, segment, cost, slot, frozen_points in rows.couplings:
-            points = frozen_points.copy()  # rows stay unchanged: objective shares them
+        for r, segment, cost, slot, points in rows.couplings:
             points[:, slot] = x[segment]
             couplings[r] = np.add.reduce(cost.evaluate(points)) / n  # the mean, as coupling_value
             grad[segment] += (h2 / n) * cost.partial(slot, points)
             c_ss[segment] = cost.curvature(slot, points)
         values += h2 * couplings
-    return _Point(sum(values.tolist()), values, energies, couplings, w2_sq, grad, curvature, c_ss)
+    return _Point(sum(values.tolist()), values, energies, couplings, w2_sq, grad, energy_grad,
+                  curvature, c_ss)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
@@ -310,16 +327,9 @@ def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]
                        f"at iteration {iteration}", res, point.values, point.grad)
 
 
-def solve_steps(problems: Sequence[StepProblem],
-                initial: Sequence[ParticleDensity] | None = None) -> tuple[StepSolution, ...]:
-    """Minimize step objectives that share N, domain and h together, warm-started at
-    each prev unless told otherwise; each row meets its own tol, ``iterations`` is joint."""
-    rows = _Rows(problems)
-    starts = [p.prev for p in problems] if initial is None else list(initial)
-    if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
-        raise InvalidInputError("initial iterates must match prev in N and domain")
-    x = np.concatenate([starts[r].positions for r in rows.order])
-    at = _evaluate(rows, x)
+def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Point, list, int]:
+    """Damped Newton from x, evaluated as ``at``, until every row meets its tol:
+    the minimizer, its evaluation, each row's residual and the iteration count."""
     _require_finite(rows, at, 0, [math.nan] * rows.count)
     iters = 0
     sq = _residuals(rows, x, at.grad)
@@ -361,19 +371,41 @@ def solve_steps(problems: Sequence[StepProblem],
         x, at, sq = cand, trial_at, sq_cand
         res = [math.sqrt(v) for v in sq]
         iters += 1
-    x_rows, g_rows = x.reshape(rows.count, rows.n), at.grad.reshape(rows.count, rows.n)
-    solutions = [None] * rows.count  # in the callers' order
+    return x, at, res, iters
+
+
+def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
+               iters: int) -> tuple[StepSolution, ...]:
+    """The rows' solutions at the minimizer x, in the callers' order."""
+    x_rows = x.reshape(rows.count, rows.n)
+    try:
+        rhos = particle_rows(rows.domain, x_rows)
+    except NumericalFailureError as err:
+        raise NumericalFailureError(f"step solver made a state that is not a density: {err}",
+                                    residual=res[err.row], row=rows.order[err.row]) from err
+    el = _el_residuals(rows.domain, x_rows, at.grad.reshape(x_rows.shape))
+    values, energies, couplings = at.values.tolist(), at.energies.tolist(), at.couplings.tolist()
+    # squared through the distance, as w2_distance(rho, prev) ** 2, so that
+    # recorded diagnostics keep their bits
+    w2_sq = [math.sqrt(w) ** 2 for w in at.w2_sq.tolist()]
+    solutions = [None] * rows.count
     for r, i in enumerate(rows.order):
-        solutions[i] = StepSolution(
-            rho=ParticleDensity(rows.domain, x_rows[r]), value=float(at.values[r]),
-            residual=res[r], iterations=iters, energy=float(at.energies[r]),
-            coupling=float(at.couplings[r]),
-            el_residual=_el_residual(rows.domain, x_rows[r], g_rows[r]),
-            # squared through the distance, as w2_distance(rho, prev) ** 2, so
-            # that recorded diagnostics keep their bits
-            w2_sq=math.sqrt(at.w2_sq[r]) ** 2,
-        )
+        solutions[i] = StepSolution(rho=rhos[r], value=values[r], residual=res[r],
+                                    iterations=iters, energy=energies[r], coupling=couplings[r],
+                                    el_residual=el[r], w2_sq=w2_sq[r])
     return tuple(solutions)
+
+
+def solve_steps(problems: Sequence[StepProblem],
+                initial: Sequence[ParticleDensity] | None = None) -> tuple[StepSolution, ...]:
+    """Minimize step objectives that share N, domain and h together, warm-started at
+    each prev unless told otherwise; each row meets its own tol, ``iterations`` is joint."""
+    rows = _Rows(problems)
+    starts = [p.prev for p in problems] if initial is None else list(initial)
+    if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
+        raise InvalidInputError("initial iterates must match prev in N and domain")
+    x = np.concatenate([starts[r].positions for r in rows.order])
+    return _solutions(rows, *_minimize(rows, x, _evaluate(rows, x)))
 
 
 def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:
@@ -381,10 +413,11 @@ def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> 
     return solve_steps((problem,), None if initial is None else (initial,))[0]
 
 
-def _el_residual(domain: Domain, x: np.ndarray, grad: np.ndarray) -> float:
+def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float]:
+    """The Euler-Lagrange residual of each row of (P, N) positions and gradients."""
     margin = 1e-12 * domain.length
     interior = (x > domain.lower + margin) & (x < domain.upper - margin)
-    return float(np.max(np.abs(0.5 * x.size * grad[interior]), initial=0.0))
+    return np.max(np.abs(0.5 * x.shape[1] * grad), where=interior, axis=1, initial=0.0).tolist()
 
 
 def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float:
@@ -395,4 +428,5 @@ def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float
     and U the coupling partial; this is the natural-scale objective
     gradient, so a converged step drives it to the solver tolerance.
     """
-    return _el_residual(problem.domain, rho.positions, objective_gradient(problem, rho.positions))
+    grad = objective_gradient(problem, rho.positions)
+    return _el_residuals(problem.domain, rho.positions[None], grad[None])[0]

@@ -6,6 +6,9 @@ import numpy as np
 import yaml
 
 from jkoflow import Domain, GridDensity, InternalEnergy, ParticleDensity, from_grid
+import jkoflow.flow
+from jkoflow.flow import FlowTrajectory, StepDiagnostics, _step_problem
+from jkoflow.jko import solve_steps
 
 
 def spread_particles(rng, domain, n, fill=0.9):
@@ -65,3 +68,47 @@ def _dump(value):
 def serialize_scenario(s):
     """Canonical YAML for a parsed Scenario; parse(serialize(s)) == s."""
     return yaml.safe_dump(_dump(s), sort_keys=False, default_flow_style=False)
+
+
+def reference_run_flow(config):
+    """run_flow built afresh at every step: one solve_steps call per time step and
+    group of populations that share N, on step problems made from the state."""
+    state = tuple(p.initial for p in config.populations)
+    steps, times, states, diagnostics = [0], [0.0], [state], []
+    groups = {}
+    for i, p in enumerate(config.populations):
+        groups.setdefault(p.initial.n, []).append(i)
+    for k in range(1, config.n_steps + 1):
+        solutions = [None] * len(config.populations)
+        for members in groups.values():
+            solved = solve_steps([_step_problem(config, state, i) for i in members])
+            for i, sol in zip(members, solved):
+                solutions[i] = sol
+        diagnostics += [StepDiagnostics(
+            step=k, time=k * config.h, population=i, energy=sol.energy, coupling=sol.coupling,
+            w2_sq=sol.w2_sq, residual=sol.residual, el_residual=sol.el_residual,
+            objective=sol.value, iterations=sol.iterations,
+        ) for i, sol in enumerate(solutions)]
+        state = tuple(sol.rho for sol in solutions)
+        if k % config.record_every == 0 or k == config.n_steps:
+            steps.append(k)
+            times.append(k * config.h)
+            states.append(state)
+    return FlowTrajectory(config, tuple(steps), tuple(times), tuple(states), tuple(diagnostics))
+
+
+def leak_past_wall(monkeypatch, wall):
+    """Make run_flow's solves put the second row's end particle at ``wall`` one ulp past it
+    (population 1 when the first two populations share one N and one energy)."""
+    minimize = jkoflow.flow._minimize
+
+    def leaky(rows, x, at):
+        x, at, res, iters = minimize(rows, x, at)
+        x = x.copy()
+        if wall == "lower":
+            x[rows.n] = np.nextafter(rows.domain.lower, -np.inf)
+        else:
+            x[2 * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
+        return x, at, res, iters
+
+    monkeypatch.setattr(jkoflow.flow, "_minimize", leaky)

@@ -20,7 +20,7 @@ from jkoflow.errors import InvalidInputError
 from jkoflow.flow import ContractionReport, run_flow
 from jkoflow.presets import PRESETS
 
-from helpers import serialize_scenario, wrong_sign_energy
+from helpers import leak_past_wall, serialize_scenario, wrong_sign_energy
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -282,6 +282,17 @@ def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch,
     assert "step 1, population 0:" in err
     assert "line search failed" in err
     assert float(re.search(r"; residual=(\S+)\n$", err).group(1)) > 1e-9 * 8**0.5
+    assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
+
+
+def test_solver_state_past_a_wall_exits_3(tmp_path, monkeypatch, capsys):
+    # a state the solver made that is no density is a numerical failure, not an
+    # input error; the flow charges it to its step and population
+    leak_past_wall(monkeypatch, "upper")
+    code = run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 1, population 1: step solver made a state")
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 

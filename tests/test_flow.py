@@ -37,8 +37,10 @@ from jkoflow import (
     zero_energy,
     PRESETS,
 )
+import jkoflow.flow as flow_module
+import jkoflow.jko as jko_module
 from jkoflow.flow import _step_problem
-from helpers import spread_particles, wrong_sign_energy
+from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
 
 UNIT = Domain(0.0, 1.0)
 
@@ -187,12 +189,12 @@ def test_heat_flow_energy_descends():
         assert series[0] <= traj.config.populations[i].initial.n  # sanity
 
 
-def test_run_flow_mixes_energies_and_particle_counts():
+def mixed_config():
     # entropy, power-law and zero energies in one joint solve, a coupled pair
     # among them, and an uncoupled population with its own N solved apart
     rng = np.random.default_rng(31)
     pair = quadratic_pairwise_cost(UNIT)
-    config = FlowConfig(
+    return FlowConfig(
         populations=(
             PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(),
                            Coupling(pair, (0, 1))),
@@ -204,6 +206,10 @@ def test_run_flow_mixes_energies_and_particle_counts():
         h=2e-2,
         n_steps=4,
     )
+
+
+def test_run_flow_mixes_energies_and_particle_counts():
+    config = mixed_config()
     traj = run_flow(config)
     assert [d.population for d in traj.diagnostics] == [0, 1, 2, 3] * 4
     for k in range(1, 5):
@@ -223,6 +229,47 @@ def test_run_flow_mixes_energies_and_particle_counts():
         assert np.array_equal(traj.states[k][3].positions, config.populations[3].initial.positions)
 
 
+def _assert_same_flow(traj, ref):
+    assert traj.steps == ref.steps and traj.times == ref.times
+    assert repr(traj.diagnostics) == repr(ref.diagnostics)  # every field, to the bit
+    for state, ref_state in zip(traj.states, ref.states, strict=True):
+        for rho, ref_rho in zip(state, ref_state, strict=True):
+            assert rho.positions.tobytes() == ref_rho.positions.tobytes()
+
+
+@pytest.mark.parametrize("make", [heat_flow_preset, barycenter3_preset, mixed_config],
+                         ids=["heat_flow", "barycenter3", "mixed"])
+def test_run_flow_matches_steps_built_afresh(make):
+    # the flow's kernel is built once and advanced; stale frozen columns, a
+    # stale prev or stale reused energy terms would move some bit
+    config = make()
+    _assert_same_flow(run_flow(config), reference_run_flow(config))
+
+
+def test_contraction_rerun_matches_steps_built_afresh(monkeypatch):
+    config = barycenter3_preset(n=32, n_steps=20)
+    others = tuple(from_grid(gaussian_profile(UNIT, c, 0.1), 32) for c in (0.3, 0.45, 0.7))
+    report = contraction_probe(run_flow(config), others)
+    monkeypatch.setattr(flow_module, "run_flow", reference_run_flow)
+    assert repr(report) == repr(contraction_probe(reference_run_flow(config), others))
+
+
+def test_energy_terms_evaluated_once_per_point(monkeypatch):
+    # each step starts where the previous one stopped, so it reuses that
+    # point's energy terms: gap_terms runs once per energy block per trial
+    # point, and again at a step's start only at the flow's first step
+    config = mixed_config()
+    calls = []
+    gap_terms = jko_module.gap_terms
+    monkeypatch.setattr(jko_module, "gap_terms", lambda *a: calls.append(a) or gap_terms(*a))
+    reference_run_flow(config)  # evaluates every step's start afresh
+    afresh = len(calls)
+    calls.clear()
+    run_flow(config)
+    blocks = 4  # N = 16: entropy, power law, zero; N = 24: entropy
+    assert len(calls) == afresh - blocks * (config.n_steps - 1)
+
+
 def test_run_flow_names_the_population_that_fails():
     # population 2 climbs its objective (its energy's derivative has the wrong
     # sign); it shares its joint solve with population 0
@@ -240,6 +287,17 @@ def test_run_flow_names_the_population_that_fails():
     with pytest.raises(NumericalFailureError, match=r"^step 1, population 2: step solver") as info:
         run_flow(config)
     assert info.value.residual > 1e-9 * math.sqrt(8)
+
+
+@pytest.mark.parametrize("wall", ["lower", "upper"])
+def test_run_flow_refuses_a_solver_state_past_a_wall(monkeypatch, wall):
+    leak_past_wall(monkeypatch, wall)
+    with pytest.raises(NumericalFailureError, match=(
+        r"^step 1, population 1: step solver made a state that is not a density: "
+        r"positions must lie in \[0.0, 1.0\]$"
+    )) as info:
+        run_flow(small_heat_config(n=8, n_steps=2))
+    assert info.value.residual <= 1e-9 * math.sqrt(8)
 
 
 def test_recording_thinned_but_diagnostics_full():

@@ -10,6 +10,7 @@ from jkoflow import (
     Domain,
     GridDensity,
     InvalidInputError,
+    NumericalFailureError,
     ParticleDensity,
     from_grid,
     grid_from_csv,
@@ -18,6 +19,7 @@ from jkoflow import (
     product_w2,
     w2_distance,
 )
+from jkoflow.geometry import particle_rows
 from jkoflow.presets import barenblatt_profile, bump_profile, gaussian_profile
 
 UNIT = Domain(0.0, 1.0)
@@ -179,3 +181,35 @@ def test_grid_mass_matches_elementwise_fsum(tmp_path):
         assert np.array_equal(normalized_grid(grid.cell_edges, raw).cell_values, raw / mass)
         with pytest.raises(InvalidInputError, match=re.escape(f"integrate to 1, got {mass!r}")):
             GridDensity(grid.cell_edges, raw)
+
+
+_ULP_BELOW, _ULP_ABOVE = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+
+
+def test_particle_rows_checks_each_row_once():
+    # rows are checked apart: row 0 ends above row 1's start
+    block = np.array([[0.1, 0.2, 0.9], [0.05, 0.5, 1.0]])
+    rhos = particle_rows(UNIT, block)
+    for rho, row in zip(rhos, block, strict=True):
+        assert rho.domain == UNIT and np.array_equal(rho.positions, row)
+        assert rho.positions.base is None and not rho.positions.flags.writeable
+    block[0, 0] = 0.15
+    assert rhos[0].positions[0] == 0.1
+
+
+@pytest.mark.parametrize("row, j, value, message", [
+    (1, 1, np.nan, "finite"),
+    (0, 2, np.inf, "finite"),
+    (1, 0, 0.6, "sorted"),
+    (0, 1, 0.05, "sorted"),
+    (1, 0, _ULP_BELOW, "lie in"),
+    (0, 2, _ULP_ABOVE, "lie in"),
+], ids=["nan", "inf", "unsorted-first", "unsorted-inner", "ulp-below", "ulp-above"])
+def test_particle_rows_refuses_a_row_as_the_solver_failure(row, j, value, message):
+    block = np.array([[0.1, 0.2, 0.9], [0.05, 0.5, 1.0]])
+    block[row, j] = value
+    with pytest.raises(InvalidInputError, match=message):
+        ParticleDensity(UNIT, block[row])
+    with pytest.raises(NumericalFailureError, match=message) as info:
+        particle_rows(UNIT, block)
+    assert info.value.row == row

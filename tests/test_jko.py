@@ -23,6 +23,8 @@ from jkoflow import (
     zero_energy,
 )
 import jkoflow.energy as energy_module
+import jkoflow.jko as jko_module
+from jkoflow.geometry import particle_rows
 from jkoflow.jko import (
     StepProblem,
     _Point,
@@ -157,20 +159,27 @@ def test_newton_heat_step_at_n1024_takes_few_iterations():
 
 
 def test_solve_step_builds_one_density(monkeypatch):
-    # the Newton loop runs on arrays; only the returned state is validated
+    # the Newton loop runs on arrays; only the returned state is checked, once
+    # for the whole block of rows, and the constructor does not check it again
     prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2)
-    builds = []
+    builds, blocks = [], []
     validate = ParticleDensity.__post_init__
 
     def counted(self):
         builds.append(self)
         validate(self)
 
+    def checked(domain, block):
+        blocks.append(block.copy())
+        return particle_rows(domain, block)
+
     monkeypatch.setattr(ParticleDensity, "__post_init__", counted)
+    monkeypatch.setattr(jko_module, "particle_rows", checked)
     sol = solve_step(problem)
     assert sol.iterations >= 3
-    assert builds == [sol.rho]
+    assert builds == []
+    assert len(blocks) == 1 and np.array_equal(blocks[0], sol.rho.positions[None])
 
 
 @pytest.mark.parametrize("cost", [None, quadratic_pairwise_cost(UNIT)],
@@ -594,7 +603,7 @@ def _dense_held_solve(problem, g, q, held):
 def _at(g, q):
     """A point of one row carrying only what the Newton direction reads: g and q."""
     one = np.zeros(1)
-    return _Point(0.0, one, one, one, one, g, np.r_[q, 0.0], None)
+    return _Point(0.0, one, one, one, one, g, np.zeros_like(g), np.r_[q, 0.0], None)
 
 
 _INTERIOR = np.linspace(0.1, 0.9, 6)
