@@ -32,9 +32,10 @@ from .flow import (
     PopulationSpec,
     bump_test_function,
     contraction_probe,
+    contraction_rerun,
     diagnostics_csv,
     estimate_report,
-    run_flow,
+    run_flows,
     trajectory_csv,
     weak_form_residual,
 )
@@ -145,9 +146,9 @@ def _run_estimate_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     return ("PASS" if report.satisfied else "FAIL"), lines
 
 
-def _run_contraction_probe(probe, config, traj, others) -> tuple[str, list[str]]:
+def _run_contraction_probe(probe, config, traj, rerun) -> tuple[str, list[str]]:
     slack = probe.slack if probe.slack is not None else 1e-3
-    report = contraction_probe(traj, others, slack=slack)
+    report = contraction_probe(traj, rerun, slack=slack)
     lines = [f"reason: {report.reason}"]
     if report.status != "SKIPPED":
         lines += [
@@ -222,11 +223,10 @@ PROFILE = Union("ProfileSpec", "type", "profile", {
 
 ENERGY = Union("EnergySpec", "type", "energy", {
     "entropy": ({}, lambda e: entropy_energy()),
-    "power_law": ({"exponent": Bound(float, lambda v: v <= 1.0, "must exceed 1")},
-                  lambda e: power_law_energy(e.exponent)),
+    "power_law": ({"exponent": POSITIVE, "coefficient": Opt(float)},
+                  lambda e: power_law_energy(e.exponent, 1.0 if e.coefficient is None
+                                             else e.coefficient)),
     "zero": ({}, lambda e: zero_energy()),
-    "custom": ({"exponent": POSITIVE, "coefficient": float},
-               lambda e: power_law_energy(e.exponent, e.coefficient)),
 })
 
 COST = Union("CostSpec", "type", "cost", {
@@ -396,8 +396,15 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     failed_probe = None
     try:
         config = build_flow_config(scenario)
-        probe_initials = _probe_initials(scenario, config)
-        traj = run_flow(config)
+        # each probe's input: its second initials, or a contraction probe's
+        # second flow (None when skipped), run in the scenario flow's kernels
+        inputs = [contraction_rerun(config, others) if probe.kind == "contraction_probe"
+                  else others for probe, others in zip(scenario.probes,
+                                                       _probe_initials(scenario, config))]
+        reruns = [j for j, given in enumerate(inputs) if isinstance(given, FlowConfig)]
+        traj, *rerun_trajs = run_flows([config, *(inputs[j] for j in reruns)])
+        for j, rerun in zip(reruns, rerun_trajs):
+            inputs[j] = rerun
         for i in range(len(config.populations)):
             name = f"trajectory_pop{i}.csv"
             trajectory_csv(traj, i, out / name)
@@ -405,11 +412,11 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
         diagnostics_csv(traj, out / "diagnostics.csv")
         written.append("diagnostics.csv")
         kind_counts: dict[str, int] = {}
-        for probe, others in zip(scenario.probes, probe_initials):
+        for probe, given in zip(scenario.probes, inputs):
             kind_counts[probe.kind] = kind_counts.get(probe.kind, 0) + 1
             suffix = "" if kind_counts[probe.kind] == 1 else f"_{kind_counts[probe.kind]}"
             fname = f"probe_{probe.kind}{suffix}.txt"
-            status, lines = PROBE.build(probe, config, traj, others)
+            status, lines = PROBE.build(probe, config, traj, given)
             body = "\n".join([f"probe: {probe.kind}", f"status: {status}"] + lines) + "\n"
             (out / fname).write_text(body)
             written.append(fname)

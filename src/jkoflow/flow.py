@@ -2,15 +2,19 @@
 
 Each step advances every population once: population i minimizes its step
 objective with all other populations frozen at the previous step (a Jacobi
-step), so the step problems are independent.  run_flow builds one step
-kernel per group of populations that share a particle count, once, and
-advances it at every step.  Diagnostics (energy, coupling value, squared step
+step), so the step problems are independent.  run_flows runs several flows
+side by side: it builds one step kernel per group of populations, of all
+the flows, that share a particle count, step size, domain and step count,
+once, and advances it at every step.  A kernel's rows step independently, so
+each flow comes out to the bit as it does alone; run_flow is the one-flow
+case.  Diagnostics (energy, coupling value, squared step
 length, solver and optimality residuals) come with each step's solution and
 are recorded every step even when states are thinned.
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
-probe, and a discrete weak-form residual with a computable error bound.
+probe, whose second flow (contraction_rerun) can share the first one's
+kernels, and a discrete weak-form residual with a computable error bound.
 """
 
 from __future__ import annotations
@@ -144,46 +148,63 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     )
 
 
-def run_flow(config: FlowConfig) -> FlowTrajectory:
-    state = tuple(p.initial for p in config.populations)
-    steps, times, states, diagnostics = [0], [0.0], [state], []
-    groups: dict[int, list[int]] = {}  # particle count -> populations, in order
-    for i, p in enumerate(config.populations):
-        groups.setdefault(p.initial.n, []).append(i)
+def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
+    """The trajectory of each flow, computed side by side; see the module docstring."""
+    configs = tuple(configs)
+    runs = []  # per flow: steps, times, states, diagnostics
+    groups: dict[tuple, list[tuple[int, int]]] = {}  # kernel key -> (flow, population)
+    for c, config in enumerate(configs):
+        runs.append(([0], [0.0], [tuple(p.initial for p in config.populations)], []))
+        for i, p in enumerate(config.populations):
+            key = (p.initial.n, config.h, config.domain, config.n_steps)
+            groups.setdefault(key, []).append((c, i))
     # one kernel per group, built once: coupled populations share N, so every
     # partner is a row of the same kernel, and advance refills its column
-    kernels = []  # [populations, their rows, the accepted point]
-    for members in groups.values():
-        columns = [None if c is None else [members.index(m) for m in c.members]
-                   for c in (config.populations[i].coupling for i in members)]
-        kernels.append([members, _Rows([_step_problem(config, state, i) for i in members],
-                                       columns), None])
-    for k in range(1, config.n_steps + 1):
-        solutions = [None] * len(config.populations)
+    kernels = []  # [members, their rows, the step count, the accepted point]
+    for (_, _, _, n_steps), members in groups.items():
+        couplings = [configs[c].populations[i].coupling for c, i in members]
+        columns = [None if cp is None else [members.index((c, m)) for m in cp.members]
+                   for (c, _), cp in zip(members, couplings)]
+        problems = [_step_problem(configs[c], runs[c][2][0], i) for c, i in members]
+        kernels.append([members, _Rows(problems, columns), n_steps, None])
+    for k in range(1, max((config.n_steps for config in configs), default=0) + 1):
+        solutions = [[None] * len(config.populations) for config in configs]
         for kernel in kernels:
-            members, rows, at = kernel
+            members, rows, n_steps, at = kernel
+            if k > n_steps:
+                continue
             try:
                 x, at, res, iters = _minimize(rows, rows.prev, _evaluate(rows, rows.prev, at))
                 solved = _solutions(rows, x, at, res, iters)
             except NumericalFailureError as err:
+                c, i = members[err.row]
+                flow = f"flow {c}, " if len(configs) > 1 else ""
                 raise NumericalFailureError(
-                    f"step {k}, population {members[err.row]}: {err}", residual=err.residual
+                    f"{flow}step {k}, population {i}: {err}", residual=err.residual
                 ) from err
             rows.advance(x)
-            kernel[2] = at
-            for i, sol in zip(members, solved):
-                solutions[i] = sol
-        diagnostics += [StepDiagnostics(
-            step=k, time=k * config.h, population=i, energy=sol.energy, coupling=sol.coupling,
-            w2_sq=sol.w2_sq, residual=sol.residual, el_residual=sol.el_residual,
-            objective=sol.value, iterations=sol.iterations,
-        ) for i, sol in enumerate(solutions)]
-        state = tuple(sol.rho for sol in solutions)
-        if k % config.record_every == 0 or k == config.n_steps:
-            steps.append(k)
-            times.append(k * config.h)
-            states.append(state)
-    return FlowTrajectory(config, tuple(steps), tuple(times), tuple(states), tuple(diagnostics))
+            kernel[3] = at
+            for (c, i), sol in zip(members, solved):
+                solutions[c][i] = sol
+        for config, (steps, times, states, diagnostics), solved in zip(configs, runs, solutions):
+            if k > config.n_steps:
+                continue
+            diagnostics += [StepDiagnostics(
+                step=k, time=k * config.h, population=i, energy=sol.energy,
+                coupling=sol.coupling, w2_sq=sol.w2_sq, residual=sol.residual,
+                el_residual=sol.el_residual, objective=sol.value, iterations=sol.iterations,
+            ) for i, sol in enumerate(solved)]
+            if k % config.record_every == 0 or k == config.n_steps:
+                steps.append(k)
+                times.append(k * config.h)
+                states.append(tuple(sol.rho for sol in solved))
+    return tuple(FlowTrajectory(config, tuple(steps), tuple(times), tuple(states),
+                                tuple(diagnostics))
+                 for config, (steps, times, states, diagnostics) in zip(configs, runs))
+
+
+def run_flow(config: FlowConfig) -> FlowTrajectory:
+    return run_flows((config,))[0]
 
 
 # ------------------------------------------------------------------ estimates
@@ -252,12 +273,41 @@ class ContractionReport:
     distances: tuple[float, ...]
 
 
+def _skip_reason(config: FlowConfig) -> str | None:
+    """Why the contraction probe skips a flow, or None when it checks it."""
+    for i, p in enumerate(config.populations):
+        if not p.energy.displacement_convex:
+            return f"McCann check failed for population {i}"
+    return None
+
+
+def contraction_rerun(
+    config: FlowConfig, other_initials: Sequence[ParticleDensity]
+) -> FlowConfig | None:
+    """The flow that the contraction probe compares config's with: config started from
+    ``other_initials``, or None when the probe skips config and needs no second flow."""
+    if _skip_reason(config) is not None:
+        return None
+    other_initials = tuple(other_initials)
+    if len(other_initials) != len(config.populations):
+        raise InvalidInputError("need one alternative initial state per population")
+    for p, rho in zip(config.populations, other_initials):
+        if rho.n != p.initial.n or rho.domain != p.initial.domain:
+            raise InvalidInputError(
+                "alternative initial states must match in particle count and domain"
+            )
+    return replace(config, populations=tuple(
+        replace(p, initial=rho) for p, rho in zip(config.populations, other_initials)
+    ))
+
+
 def contraction_probe(
     traj: FlowTrajectory,
-    other_initials: Sequence[ParticleDensity],
+    rerun: FlowTrajectory | None,
     slack: float = 1e-3,
 ) -> ContractionReport:
-    """Rerun the flow of ``traj`` from ``other_initials``; watch the product distance.
+    """Watch the product distance between the flow of ``traj`` and ``rerun``, the flow
+    of its contraction_rerun (None where that is None).
 
     With displacement-convex internal energies no population's
     own step expands W2, but Jacobi steps freeze the partners, so coupled
@@ -267,25 +317,15 @@ def contraction_probe(
     not a solver fault.  Skipped when some energy is not displacement convex.
     """
     config = traj.config
-    for i, p in enumerate(config.populations):
-        if not p.energy.displacement_convex:
-            return ContractionReport(
-                status="SKIPPED",
-                reason=f"McCann check failed for population {i}",
-                max_increase=math.nan, normalized_rate=math.nan, distances=(),
-            )
-    other_initials = tuple(other_initials)
-    if len(other_initials) != len(config.populations):
-        raise InvalidInputError("need one alternative initial state per population")
-    for p, rho in zip(config.populations, other_initials):
-        if rho.n != p.initial.n or rho.domain != p.initial.domain:
-            raise InvalidInputError(
-                "alternative initial states must match in particle count and domain"
-            )
-    traj_b = run_flow(replace(config, populations=tuple(
-        replace(p, initial=rho) for p, rho in zip(config.populations, other_initials)
-    )))
-    distances = tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, traj_b.states))
+    reason = _skip_reason(config)
+    if reason is not None:
+        return ContractionReport(
+            status="SKIPPED", reason=reason,
+            max_increase=math.nan, normalized_rate=math.nan, distances=(),
+        )
+    if rerun is None or rerun.steps != traj.steps or rerun.config.h != config.h:
+        raise InvalidInputError("the contraction probe needs the flow of contraction_rerun")
+    distances = tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, rerun.states))
     increases = np.diff(np.array(distances))
     max_increase = float(np.max(increases)) if increases.size else 0.0
     max_increase = max(max_increase, 0.0)

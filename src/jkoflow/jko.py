@@ -8,8 +8,8 @@ domain box,
 
 with every other population frozen at its previous state and coupled rank
 to rank.  So the step problems of one time step are independent, and one
-Newton loop (_minimize) minimizes their sum on one flat vector of P rows of
-N particles.  The Hessian is tridiagonal, with a zero entry between rows,
+Newton loop (_minimize) solves them together on one flat vector of P rows
+of N particles.  The Hessian is tridiagonal, with a zero entry between rows,
 
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
@@ -17,16 +17,18 @@ D the within-row gap difference operator, q the energy's gap curvature and
 c_ss = d2c/dx_slot^2 from each row's cost.  Damped Newton on H (the
 Lagrangian Newton step of Blanchet, Calvez and Carrillo: one LAPACK dptsv
 solve per iteration for all rows) drops negative curvature, so every
-direction descends.  The rows share one step length, cut so that every gap
-stays positive and an outgoing wall particle stops at its wall; a wall
-particle whose descent points out of the box is held.  Armijo backtracking
-on the summed objective decides the step, and the loop stops when every
-row's box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches
-that row's tolerance.  solve_steps builds the rows for one solve (solve_step
-is the one-row case); run_flow builds them once per flow and advances them,
-each step starting at the point the last one accepted.  The returned states
-are checked once per block; a refused state or a non-finite E, dE/dx or
-Newton system is a numerical failure charged to one row.
+direction descends.  Everything else is per row, so that a row's iterates
+are those it would take alone: its step length, cut so that its gaps stay
+positive and an outgoing wall particle stops at its wall; its Armijo
+backtracking on its own objective; its iteration count; and its stop, when
+its box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches its
+tolerance, after which it holds still.  A wall particle whose descent
+points out of the box is held.  solve_steps builds the rows for one solve
+(solve_step is the one-row case); run_flows builds them once per flow and
+advances them, each step starting at the point the last one accepted.  The
+returned states are checked once per block; a refused state or a
+non-finite E, dE/dx or Newton system is a numerical failure charged to one
+row.
 """
 
 from __future__ import annotations
@@ -151,12 +153,12 @@ class _Rows:
             start += len(rs)
         problems = [problems[r] for r in self.order]
         self.prev = np.concatenate([p.prev.positions for p in problems])
-        self.tol = [p.default_tol() if p.tol is None else p.tol for p in problems]
+        self.tol = [float(p.default_tol() if p.tol is None else p.tol) for p in problems]
         lower, upper = self.domain.lower, self.domain.upper
-        # (index, outward sign, wall) of each row's first and last particle
-        self.ends = [e for start in range(0, self.prev.size, self.n)
-                     for e in ((start, -1.0, lower), (start + self.n - 1, 1.0, upper))]
-        self.end_index = np.array([j for j, _, _ in self.ends])
+        # (index, row, outward sign, wall) of each row's first and last particle
+        self.ends = [e for r in range(self.count) for e in (
+            (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
+        self.end_index = np.array([j for j, _, _, _ in self.ends])
         # (row, its slice of x, cost, slot, the tuple points with the frozen
         # columns filled; each evaluation writes the row's own column), and
         # (tuple points, frozen column, the row whose state refills it)
@@ -179,8 +181,7 @@ class _Rows:
 
 
 class _Point(NamedTuple):
-    value: float  # the summed objective; the next four hold one entry per row
-    values: np.ndarray
+    values: np.ndarray  # E of each row; the next three also hold one entry per row
     energies: np.ndarray
     couplings: np.ndarray
     w2_sq: np.ndarray
@@ -191,7 +192,7 @@ class _Point(NamedTuple):
 
 
 def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point:
-    """E (summed and per row), F, the coupling values, W2^2, dE/dx, dF/dx, q and c_ss at x;
+    """E, F, the coupling values and W2^2 of each row, dE/dx, dF/dx, q and c_ss at x;
     F, dF/dx and q, which depend on x alone, are taken from ``reuse``, a point evaluated at x."""
     n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
     if reuse is None:
@@ -216,13 +217,12 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
             grad[segment] += (h2 / n) * cost.partial(slot, points)
             c_ss[segment] = cost.curvature(slot, points)
         values += h2 * couplings
-    return _Point(sum(values.tolist()), values, energies, couplings, w2_sq, grad, energy_grad,
-                  curvature, c_ss)
+    return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature, c_ss)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
     """E(x) for sorted in-domain positions x."""
-    return _evaluate(problem._rows, np.asarray(x, dtype=float)).value
+    return float(_evaluate(problem._rows, np.asarray(x, dtype=float)).values[0])
 
 
 def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
@@ -242,23 +242,28 @@ def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     return diag, -hq
 
 
-def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point) -> np.ndarray:
-    """Solve H d = -g at x, holding fixed each wall particle whose descent points outward.
+def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]) -> np.ndarray:
+    """Solve H d = -g at x in the ``moving`` rows, d = 0 in the others, holding fixed each
+    wall particle whose descent points outward.
 
     A wall particle is held when -g or the computed d would take it out of
     the box; holding one changes d, so the other walls are checked again.
     """
-    g = at.grad
     diag, off = _hessian_bands(rows, at)
     # diag > 0, so the product is finite exactly when both factors are (short of overflow)
-    if not math.isfinite(np.dot(diag, g)):
+    if not math.isfinite(np.dot(diag, at.grad)):
         raise ValueError("Newton system must not contain infs or NaNs")
     if off.size == 0:
         off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal
-    walls = [(j, s) for j, s, wall in rows.ends if s * (x[j] - wall) >= 0.0]  # on a wall
-    held = {j for j, s in walls if s * g[j] < 0.0}
+    descent = -at.grad
+    if not all(moving):
+        descent.reshape(rows.count, rows.n)[np.logical_not(moving)] = 0.0
+    ends = zip(rows.ends, x[rows.end_index].tolist())
+    walls = [(j, s) for (j, _, s, wall), xj in ends if s * (xj - wall) >= 0.0]  # on a wall
+    held = {j for j, s in walls if s * descent[j] > 0.0}
     while True:
-        d_band, e_band, rhs = (diag.copy(), off.copy(), -g) if held else (diag, off, -g)
+        d_band, e_band = (diag.copy(), off.copy()) if held else (diag, off)
+        rhs = descent.copy()
         for j in held:
             d_band[j], rhs[j] = 1.0, 0.0
             e_band[max(j - 1, 0):j + 1] = 0.0  # cut loose from both neighbours
@@ -271,30 +276,31 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point) -> np.ndarray:
         held |= leaving
 
 
-def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[float, list]:
-    """Largest step length along d, at most 1, and the (index, wall) of each end
-    particle it takes to its wall.
+def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[list, list]:
+    """Each row's largest step length along d, at most 1, and the (index, wall) of each
+    end particle that its row's step takes to its wall.
 
     Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; an
     end particle moving outward stops exactly at its wall.
     """
-    alpha = 1.0
-    dgap = d[1:] - d[:-1]
-    dgap[rows.n - 1::rows.n] = 0.0  # a row's last particle and the next row's first share no gap
-    shrink = dgap < 0.0
-    if shrink.any():
-        room = (x[1:] - x[:-1])[shrink] / -dgap[shrink]
-        alpha = min(alpha, BOUNDARY_FRACTION * float(room.min()))
+    x2, d2 = x.reshape(rows.count, rows.n), d.reshape(rows.count, rows.n)
+    closing = d2[:, :-1] - d2[:, 1:]
+    # each gap's closing speed per unit of its length: a step of 1 / speed
+    # closes it (no division when no gap closes).  Only coinciding particles
+    # divide by zero, and fmax drops the 0 / 0
+    if np.maximum.reduce(closing, axis=None, initial=0.0) > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(closing, x2[:, 1:] - x2[:, :-1], out=closing)
+    speed = np.fmax.reduce(closing, axis=1, initial=0.0).tolist()
+    alpha = [BOUNDARY_FRACTION / max(v, BOUNDARY_FRACTION) for v in speed]
     ends = zip(rows.ends, x[rows.end_index].tolist(), d[rows.end_index].tolist())
-    outgoing = [(j, s, wall, xj, dj) for (j, s, wall), xj, dj in ends if s * dj > 0.0]
-    for j, s, wall, xj, dj in outgoing:
-        if s * (xj + alpha * dj - wall) >= 0.0:
-            alpha = (wall - xj) / dj
-    # the rows share alpha, so ends of other rows may reach their walls with it
-    # (copies of one row do so exactly): every end that reaches its wall, or
-    # would round past it, is put on it
-    return alpha, [(j, wall) for j, s, wall, xj, dj in outgoing
-                   if (wall - xj) / dj <= alpha or s * (xj + alpha * dj - wall) >= 0.0]
+    outgoing = [(j, r, s, wall, xj, dj) for (j, r, s, wall), xj, dj in ends if s * dj > 0.0]
+    for j, r, s, wall, xj, dj in outgoing:
+        if s * (xj + alpha[r] * dj - wall) >= 0.0:
+            alpha[r] = (wall - xj) / dj
+    # every end that reaches its wall, or would round past it, is put on it
+    return alpha, [(j, wall) for j, r, s, wall, xj, dj in outgoing
+                   if (wall - xj) / dj <= alpha[r] or s * (xj + alpha[r] * dj - wall) >= 0.0]
 
 
 def _residuals(rows: _Rows, x: np.ndarray, grad: np.ndarray) -> list[float]:
@@ -306,76 +312,97 @@ def _residuals(rows: _Rows, x: np.ndarray, grad: np.ndarray) -> list[float]:
     np.subtract(x, y, out=y)
     np.clip(y, rows.domain.lower, rows.domain.upper, out=y)
     np.subtract(x, y, out=y)
-    return [float(np.dot(r, r)) for r in y.reshape(rows.count, rows.n)]
+    y = y.reshape(rows.count, rows.n)
+    return np.vecdot(y, y).tolist()
 
 
-def _failure(rows: _Rows, message: str, res: list[float], *arrays) -> NumericalFailureError:
+def _failure(rows: _Rows, message: str, res: list[float], *arrays,
+             among: list[bool] | None = None) -> NumericalFailureError:
     """The error of a joint solve, charged with its residual to the first row with a
-    non-finite entry in ``arrays`` (per row or flat), else to the row farthest above its tol."""
+    non-finite entry in ``arrays`` (per row or flat), else to the row farthest above its
+    tol (among the rows flagged in ``among``, if given)."""
     finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
     bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
     if bad:
         row = min(bad, key=rows.order.__getitem__)
     else:
-        row = max(range(rows.count), key=lambda r: res[r] / rows.tol[r])
+        row = max((r for r in range(rows.count) if among is None or among[r]),
+                  key=lambda r: res[r] / rows.tol[r])
     return NumericalFailureError(message, residual=res[row], row=rows.order[row])
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
-    if not (math.isfinite(point.value) and np.isfinite(point.grad).all()):
+    if not (math.isfinite(sum(point.values.tolist())) and np.isfinite(point.grad).all()):
         raise _failure(rows, "step solver met a non-finite objective or gradient "
                        f"at iteration {iteration}", res, point.values, point.grad)
 
 
-def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Point, list, int]:
-    """Damped Newton from x, evaluated as ``at``, until every row meets its tol:
-    the minimizer, its evaluation, each row's residual and the iteration count."""
-    _require_finite(rows, at, 0, [math.nan] * rows.count)
-    iters = 0
-    sq = _residuals(rows, x, at.grad)
-    res = [math.sqrt(v) for v in sq]
-    while any(r > t for r, t in zip(res, rows.tol)):
-        if iters >= MAX_ITERS:
-            raise _failure(rows, f"step solver exceeded {MAX_ITERS} iterations", res)
+def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Point, list, list]:
+    """Damped Newton from x, evaluated as ``at``, each row on its own until it meets its
+    tol: the minimizer, its evaluation, and each row's residual and iteration count."""
+    # the P-long per-row quantities are Python floats and bools: at the few
+    # rows of a flow, a pass over them costs less than one numpy call
+    count, n = rows.count, rows.n
+    _require_finite(rows, at, 0, [math.nan] * count)
+    res = [math.sqrt(q) for q in _residuals(rows, x, at.grad)]
+    moving = [r > t for r, t in zip(res, rows.tol)]
+    iters, k = [0] * count, 0  # k: the iterations every moving row has taken
+    while any(moving):
+        if k >= MAX_ITERS:
+            raise _failure(rows, f"step solver exceeded {MAX_ITERS} iterations", res,
+                           among=moving)
         try:
-            d = _newton_direction(rows, x, at)
+            d = _newton_direction(rows, x, at, moving)
         except (ValueError, np.linalg.LinAlgError) as err:
             raise _failure(
                 rows, "step solver met a non-finite or indefinite Newton system "
-                f"at iteration {iters}", res, at.grad, at.curvature, at.cost_curvature,
+                f"at iteration {k}", res, at.grad, at.curvature, at.cost_curvature,
             ) from err
-        slope = float(np.dot(at.grad, d))
+        x2, d2 = x.reshape(count, n), d.reshape(count, n)
+        slope = np.vecdot(at.grad.reshape(count, n), d2).tolist()
         alpha, walls = _longest_step(rows, x, d)
-        joint = math.sqrt(sum(sq))
-        # E sums about N terms per row: a predicted decrease within its rounding
-        # cannot be seen in E, so the full step is judged by the residual
-        rounding = rows.n * EPS * sum(map(abs, at.values.tolist()))
+        cand2 = x2 + np.array(alpha)[:, None] * d2
+        cand = cand2.reshape(-1)
+        for j, wall in walls:
+            cand[j] = wall
+        values, searching, sq = at.values.tolist(), moving, None
         for trial in range(MAX_BACKTRACKS):
-            cand = x + alpha * d
-            if trial == 0:
-                for j, wall in walls:
-                    cand[j] = wall
             trial_at = _evaluate(rows, cand)
-            _require_finite(rows, trial_at, iters, res)
-            armijo = trial_at.value <= at.value + ARMIJO_C1 * alpha * slope
-            if armijo or (trial == 0 and -slope <= rounding):
-                sq_cand = _residuals(rows, cand, trial_at.grad)
-                if armijo or math.sqrt(sum(sq_cand)) < joint:
-                    break
-            alpha *= 0.5
+            _require_finite(rows, trial_at, k, res)
+            searching = [s and v > v0 + ARMIJO_C1 * a * sl for s, v, v0, a, sl
+                         in zip(searching, trial_at.values.tolist(), values, alpha, slope)]
+            if trial == 0 and any(searching):
+                # E sums about N terms: a predicted decrease within its rounding
+                # cannot be seen in E, so such a row's full step is judged by its residual
+                flat = [s and -sl <= n * EPS * abs(v0)
+                        for s, sl, v0 in zip(searching, slope, values)]
+                if any(flat):
+                    sq = _residuals(rows, cand, trial_at.grad)
+                    searching = [s and not (f and math.sqrt(q) < r)
+                                 for s, f, q, r in zip(searching, flat, sq, res)]
+            if not any(searching):
+                break
+            alpha = [0.5 * a if s else a for a, s in zip(alpha, searching)]
+            np.copyto(cand2, x2 + np.array(alpha)[:, None] * d2,
+                      where=np.array(searching)[:, None])
         else:
-            raise _failure(rows, f"step solver line search failed at iteration {iters}", res)
-        if np.array_equal(cand, x):
-            raise _failure(rows, f"step solver line search failed at iteration {iters}: "
-                           "the accepted step does not move", res)
-        x, at, sq = cand, trial_at, sq_cand
-        res = [math.sqrt(v) for v in sq]
-        iters += 1
+            raise _failure(rows, f"step solver line search failed at iteration {k}", res,
+                           among=searching)
+        stuck = [m and not v for m, v in zip(moving, (cand2 != x2).any(axis=1).tolist())]
+        if any(stuck):
+            raise _failure(rows, f"step solver line search failed at iteration {k}: "
+                           "the accepted step does not move", res, among=stuck)
+        if sq is None or trial > 0:
+            sq = _residuals(rows, cand, trial_at.grad)
+        x, at, res = cand, trial_at, [math.sqrt(q) for q in sq]
+        iters = [i + m for i, m in zip(iters, moving)]
+        moving = [m and r > t for m, r, t in zip(moving, res, rows.tol)]
+        k += 1
     return x, at, res, iters
 
 
 def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
-               iters: int) -> tuple[StepSolution, ...]:
+               iters: list[int]) -> tuple[StepSolution, ...]:
     """The rows' solutions at the minimizer x, in the callers' order."""
     x_rows = x.reshape(rows.count, rows.n)
     try:
@@ -391,7 +418,7 @@ def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
     solutions = [None] * rows.count
     for r, i in enumerate(rows.order):
         solutions[i] = StepSolution(rho=rhos[r], value=values[r], residual=res[r],
-                                    iterations=iters, energy=energies[r], coupling=couplings[r],
+                                    iterations=iters[r], energy=energies[r], coupling=couplings[r],
                                     el_residual=el[r], w2_sq=w2_sq[r])
     return tuple(solutions)
 
@@ -399,7 +426,7 @@ def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
 def solve_steps(problems: Sequence[StepProblem],
                 initial: Sequence[ParticleDensity] | None = None) -> tuple[StepSolution, ...]:
     """Minimize step objectives that share N, domain and h together, warm-started at
-    each prev unless told otherwise; each row meets its own tol, ``iterations`` is joint."""
+    each prev unless told otherwise; each row's solution is the one it has alone."""
     rows = _Rows(problems)
     starts = [p.prev for p in problems] if initial is None else list(initial)
     if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):

@@ -24,6 +24,7 @@ from jkoflow import (
     barycenter_cost,
     bump_profile,
     contraction_probe,
+    contraction_rerun,
     convexity_probe,
     coupling_value,
     diagnostics_csv,
@@ -40,6 +41,7 @@ from jkoflow import (
     power_law_energy,
     quadratic_pairwise_cost,
     run_flow,
+    run_flows,
     solve_step,
     trajectory_csv,
     w2_distance,
@@ -330,7 +332,8 @@ def test_contraction_on_presets():
         ("heat", heat, heat_other),
         ("barycenter", bary, bary_other),
     ):
-        report = contraction_probe(run_flow(config), other, slack=1e-3)
+        report = contraction_probe(*run_flows((config, contraction_rerun(config, other))),
+                                   slack=1e-3)
         results.append((label, report))
     ok = all(r.status == "PASS" and r.max_increase <= 1e-3 for _, r in results)
     detail = "; ".join(

@@ -17,7 +17,7 @@ from jkoflow.cli import (
     run_scenario,
 )
 from jkoflow.errors import InvalidInputError
-from jkoflow.flow import ContractionReport, run_flow
+from jkoflow.flow import ContractionReport, contraction_rerun, run_flow
 from jkoflow.presets import PRESETS
 
 from helpers import leak_past_wall, serialize_scenario, wrong_sign_energy
@@ -45,7 +45,7 @@ flow:
   h: 0.0001
   n_steps: 2
   populations:
-    - energy: {type: custom, exponent: 0.5, coefficient: 1.0}
+    - energy: {type: power_law, exponent: 0.5, coefficient: 1.0}
       initial: {n: 8, profile: {type: gaussian, center: 0.4, sigma: 0.1}}
     - energy: {type: entropy}
       initial: {n: 8, profile: {type: gaussian, center: 0.6, sigma: 0.1}}
@@ -134,6 +134,17 @@ def test_unknown_cost_name_rejected():
     # appending places the coupling under the last population
     with pytest.raises(InvalidInputError, match="cubic"):
         parse_scenario(text)
+
+
+def test_power_law_takes_any_positive_exponent_and_custom_is_gone(tmp_path, capsys):
+    fast = parse_scenario(MINIMAL.replace("{type: entropy}", "{type: power_law, exponent: 0.5}", 1))
+    assert fast.flow.populations[0].energy.coefficient is None  # 1.0 when built
+    with pytest.raises(InvalidInputError, match=r"energy\.exponent: must be positive"):
+        parse_scenario(MINIMAL.replace("{type: entropy}", "{type: power_law, exponent: 0.0}", 1))
+    path = tmp_path / "custom.yaml"
+    path.write_text(BACKWARD.replace("type: power_law", "type: custom"))
+    assert main([str(path), "--validate-only"]) == 2
+    assert "energy.type: unknown energy 'custom'" in capsys.readouterr().err
 
 
 def test_probe_second_initials_count_checked():
@@ -243,8 +254,26 @@ def test_fast_diffusion_runs_and_probes_contraction(tmp_path):
     assert "status: PASS" in report
 
 
+def test_probes_do_not_change_the_flow_artifacts(tmp_path):
+    # the contraction probe's second flow runs in the scenario flow's kernel
+    full = parse_scenario((SCENARIO_DIR / "heat_flow.yaml").read_text())
+    assert run_scenario(full, output_dir=tmp_path / "full", quiet=True) == 0
+    bare = dataclasses.replace(full, probes=())
+    assert run_scenario(bare, output_dir=tmp_path / "bare", quiet=True) == 0
+    for name in ("trajectory_pop0.csv", "trajectory_pop1.csv", "diagnostics.csv"):
+        assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
+    # and its report is the one that a separately run second flow gives
+    config = build_flow_config(full)
+    j = [p.kind for p in full.probes].index("contraction_probe")
+    rerun = run_flow(contraction_rerun(config, cli._probe_initials(full, config)[j]))
+    status, lines = cli._run_contraction_probe(full.probes[j], config, run_flow(config), rerun)
+    assert status == "PASS"
+    expected = "\n".join(["probe: contraction_probe", f"status: {status}", *lines]) + "\n"
+    assert (tmp_path / "full" / "probe_contraction_probe.txt").read_text() == expected
+
+
 def test_failing_probe_exits_1_and_names_probe(tmp_path, monkeypatch, capsys):
-    def fake_probe(config, others, slack=1e-3):
+    def fake_probe(traj, rerun, slack=1e-3):
         return ContractionReport("FAIL", "forced for the exit-code path",
                                  0.5, 2.0, (1.0, 1.5))
 

@@ -167,10 +167,11 @@ def test_custom_energy_certificates():
             power_law_energy(*bad)
 
 
-def test_custom_energy_matches_power_law():
-    # the CLI's custom energy is the cached power law, so c = 1 gives the porous bits
+def test_power_law_entry_builds_the_cached_energy():
+    # the CLI's power_law entry is the cached power law, its coefficient 1 unless given
     assert power_law_energy(2) is power_law_energy(2.0, 1.0)
-    custom = ENERGY.build(EnergySpec("custom", exponent=2.0, coefficient=1.0))
-    assert custom is power_law_energy(2.0)
-    fast = ENERGY.build(EnergySpec("custom", exponent=0.5, coefficient=-1.0))
+    assert ENERGY.build(EnergySpec("power_law", exponent=2.0)) is power_law_energy(2.0)
+    given = ENERGY.build(EnergySpec("power_law", exponent=2.0, coefficient=1.0))
+    assert given is power_law_energy(2.0)
+    fast = ENERGY.build(EnergySpec("power_law", exponent=0.5, coefficient=-1.0))
     assert fast is power_law_energy(0.5, -1.0)

@@ -18,6 +18,7 @@ from jkoflow import (
     TestFunction,
     bump_test_function,
     contraction_probe,
+    contraction_rerun,
     diagnostics_csv,
     entropy_energy,
     estimate_report,
@@ -31,13 +32,13 @@ from jkoflow import (
     power_law_energy,
     quadratic_pairwise_cost,
     run_flow,
+    run_flows,
     solve_step,
     trajectory_csv,
     weak_form_residual,
     zero_energy,
     PRESETS,
 )
-import jkoflow.flow as flow_module
 import jkoflow.jko as jko_module
 from jkoflow.flow import _step_problem
 from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
@@ -215,17 +216,14 @@ def test_run_flow_mixes_energies_and_particle_counts():
     for k in range(1, 5):
         rows = traj.diagnostics[4 * (k - 1):4 * k]
         for i, d in enumerate(rows):
-            # the same step taken one population at a time from the same state
-            problem = _step_problem(config, traj.states[k - 1], i)
-            alone = solve_step(problem)
-            got = traj.states[k][i].positions
-            tol = problem.default_tol()
-            assert d.residual <= tol
-            assert float(np.max(np.abs(got - alone.rho.positions))) <= 2.0 * tol
-            if i == 2:  # alone in its group: the one-row solve, to the bit
-                assert np.array_equal(got, alone.rho.positions)
-                assert d.iterations == alone.iterations
-        assert len({rows[i].iterations for i in (0, 1, 3)}) == 1
+            # the same step taken one population at a time from the same state,
+            # to the bit: each row of a joint solve steps as it does alone
+            alone = solve_step(_step_problem(config, traj.states[k - 1], i))
+            assert traj.states[k][i].positions.tobytes() == alone.rho.positions.tobytes()
+            assert (d.objective, d.residual, d.iterations, d.energy, d.coupling, d.w2_sq,
+                    d.el_residual) == (alone.value, alone.residual, alone.iterations,
+                                       alone.energy, alone.coupling, alone.w2_sq,
+                                       alone.el_residual)
         assert np.array_equal(traj.states[k][3].positions, config.populations[3].initial.positions)
 
 
@@ -246,12 +244,38 @@ def test_run_flow_matches_steps_built_afresh(make):
     _assert_same_flow(run_flow(config), reference_run_flow(config))
 
 
-def test_contraction_rerun_matches_steps_built_afresh(monkeypatch):
+def test_contraction_rerun_matches_steps_built_afresh():
+    # the rerun shares the flow's kernel; each still matches its own steps built afresh
     config = barycenter3_preset(n=32, n_steps=20)
     others = tuple(from_grid(gaussian_profile(UNIT, c, 0.1), 32) for c in (0.3, 0.45, 0.7))
-    report = contraction_probe(run_flow(config), others)
-    monkeypatch.setattr(flow_module, "run_flow", reference_run_flow)
-    assert repr(report) == repr(contraction_probe(reference_run_flow(config), others))
+    rerun = contraction_rerun(config, others)
+    traj, rerun_traj = run_flows((config, rerun))
+    _assert_same_flow(traj, reference_run_flow(config))
+    _assert_same_flow(rerun_traj, reference_run_flow(rerun))
+    assert repr(contraction_probe(traj, rerun_traj)) == repr(contraction_probe(
+        reference_run_flow(config), reference_run_flow(rerun)))
+
+
+def _other_mixed_config():
+    rng = np.random.default_rng(33)
+    config = mixed_config()
+    return contraction_rerun(config, [spread_particles(rng, UNIT, p.initial.n)
+                                      for p in config.populations])
+
+
+@pytest.mark.parametrize("flows", [
+    lambda: (heat_flow_preset(), contraction_rerun(heat_flow_preset(), (
+        from_grid(gaussian_profile(UNIT, 0.5, 0.12), 128),
+        from_grid(bump_profile(UNIT, 0.4, 0.2), 128)))),
+    lambda: (mixed_config(), _other_mixed_config(), small_heat_config(n=16, n_steps=3)),
+], ids=["heat_flow", "mixed"])
+def test_run_flows_equals_separate_run_flow(flows):
+    # flows that share N, h, domain and step count share kernels; each row
+    # steps as it does alone, so no flow sees another's rows
+    configs = flows()
+    for traj, config in zip(run_flows(configs), configs, strict=True):
+        assert traj.config is config
+        _assert_same_flow(traj, run_flow(config))
 
 
 def test_energy_terms_evaluated_once_per_point(monkeypatch):
@@ -392,7 +416,7 @@ def test_contraction_passes_for_heat_flow():
         from_grid(gaussian_profile(UNIT, 0.4, 0.12), 32),
         from_grid(gaussian_profile(UNIT, 0.6, 0.12), 32),
     )
-    report = contraction_probe(run_flow(cfg), shifted)
+    report = contraction_probe(run_flow(cfg), run_flow(contraction_rerun(cfg, shifted)))
     assert report.status == "PASS"
     assert report.max_increase <= 1e-3
     assert len(report.distances) == 16
@@ -410,15 +434,24 @@ def test_contraction_skipped_without_displacement_convexity():
         ),
         h=1e-4, n_steps=3,
     )
-    report = contraction_probe(run_flow(cfg), (a, a))
+    assert contraction_rerun(cfg, (a, a)) is None  # so no second flow is run
+    report = contraction_probe(run_flow(cfg), None)
     assert report.status == "SKIPPED"
     assert "McCann check failed" in report.reason
 
 
 def test_contraction_validates_initials():
     cfg = small_heat_config(n=16, n_steps=2)
-    with pytest.raises(InvalidInputError):
-        contraction_probe(run_flow(cfg), (cfg.populations[0].initial,))
+    with pytest.raises(InvalidInputError, match="one alternative initial state per population"):
+        contraction_rerun(cfg, (cfg.populations[0].initial,))
+    other = small_heat_config(n=8, n_steps=2).populations
+    with pytest.raises(InvalidInputError, match="match in particle count and domain"):
+        contraction_rerun(cfg, tuple(p.initial for p in other))
+    # the probe needs the second flow, run for the same steps
+    traj = run_flow(cfg)
+    for rerun in (None, run_flow(small_heat_config(n=16, n_steps=3, centers=(0.4, 0.6)))):
+        with pytest.raises(InvalidInputError, match="contraction_rerun"):
+            contraction_probe(traj, rerun)
 
 
 # ------------------------------------------------------------------ weak form
