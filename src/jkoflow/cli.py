@@ -402,7 +402,14 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
                   else others for probe, others in zip(scenario.probes,
                                                        _probe_initials(scenario, config))]
         reruns = [j for j, given in enumerate(inputs) if isinstance(given, FlowConfig)]
-        traj, *rerun_trajs = run_flows([config, *(inputs[j] for j in reruns)])
+        try:
+            traj, *rerun_trajs = run_flows([config, *(inputs[j] for j in reruns)])
+        except NumericalFailureError as err:
+            if not err.row:
+                raise
+            # a failure in a second flow is named by the probe it serves
+            raise NumericalFailureError(f"probes[{reruns[err.row - 1]}] second flow, {err}",
+                                        residual=err.residual) from err
         for j, rerun in zip(reruns, rerun_trajs):
             inputs[j] = rerun
         for i in range(len(config.populations)):

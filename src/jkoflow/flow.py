@@ -3,11 +3,11 @@
 Each step advances every population once: population i minimizes its step
 objective with all other populations frozen at the previous step (a Jacobi
 step), so the step problems are independent.  run_flows runs several flows
-side by side: it builds one step kernel per group of populations, of all
-the flows, that share a particle count, step size, domain and step count,
-once, and advances it at every step.  A kernel's rows step independently, so
-each flow comes out to the bit as it does alone; run_flow is the one-flow
-case.  Diagnostics (energy, coupling value, squared step
+of one step count side by side: it builds one step kernel per group of
+populations, of all the flows, that share a particle count, step size and
+domain, once, and advances it at every step.  A kernel's rows step
+independently, so each flow comes out to the bit as it does alone; run_flow
+is the one-flow case.  Diagnostics (energy, coupling value, squared step
 length, solver and optimality residuals) come with each step's solution and
 are recorded every step even when states are thinned.
 
@@ -149,46 +149,46 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
 
 
 def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
-    """The trajectory of each flow, computed side by side; see the module docstring."""
+    """The trajectory of each flow, computed side by side; see the module docstring.
+
+    The flows must share their step count.  A failure reads ``step k,
+    population i: ...`` and its ``row`` is the index of the flow that failed.
+    """
     configs = tuple(configs)
+    if len({config.n_steps for config in configs}) > 1:
+        raise InvalidInputError("flows run side by side must share their step count")
+    n_steps = configs[0].n_steps if configs else 0
     runs = []  # per flow: steps, times, states, diagnostics
     groups: dict[tuple, list[tuple[int, int]]] = {}  # kernel key -> (flow, population)
     for c, config in enumerate(configs):
         runs.append(([0], [0.0], [tuple(p.initial for p in config.populations)], []))
         for i, p in enumerate(config.populations):
-            key = (p.initial.n, config.h, config.domain, config.n_steps)
-            groups.setdefault(key, []).append((c, i))
+            groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
     # one kernel per group, built once: coupled populations share N, so every
     # partner is a row of the same kernel, and advance refills its column
-    kernels = []  # [members, their rows, the step count, the accepted point]
-    for (_, _, _, n_steps), members in groups.items():
+    kernels = []  # [members, their rows, the accepted point]
+    for members in groups.values():
         couplings = [configs[c].populations[i].coupling for c, i in members]
         columns = [None if cp is None else [members.index((c, m)) for m in cp.members]
                    for (c, _), cp in zip(members, couplings)]
         problems = [_step_problem(configs[c], runs[c][2][0], i) for c, i in members]
-        kernels.append([members, _Rows(problems, columns), n_steps, None])
-    for k in range(1, max((config.n_steps for config in configs), default=0) + 1):
+        kernels.append([members, _Rows(problems, columns), None])
+    for k in range(1, n_steps + 1):
         solutions = [[None] * len(config.populations) for config in configs]
         for kernel in kernels:
-            members, rows, n_steps, at = kernel
-            if k > n_steps:
-                continue
+            members, rows, at = kernel
             try:
                 x, at, res, iters = _minimize(rows, rows.prev, _evaluate(rows, rows.prev, at))
                 solved = _solutions(rows, x, at, res, iters)
             except NumericalFailureError as err:
                 c, i = members[err.row]
-                flow = f"flow {c}, " if len(configs) > 1 else ""
-                raise NumericalFailureError(
-                    f"{flow}step {k}, population {i}: {err}", residual=err.residual
-                ) from err
+                raise NumericalFailureError(f"step {k}, population {i}: {err}",
+                                            residual=err.residual, row=c) from err
             rows.advance(x)
-            kernel[3] = at
+            kernel[2] = at
             for (c, i), sol in zip(members, solved):
                 solutions[c][i] = sol
         for config, (steps, times, states, diagnostics), solved in zip(configs, runs, solutions):
-            if k > config.n_steps:
-                continue
             diagnostics += [StepDiagnostics(
                 step=k, time=k * config.h, population=i, energy=sol.energy,
                 coupling=sol.coupling, w2_sq=sol.w2_sq, residual=sol.residual,

@@ -159,6 +159,7 @@ class _Rows:
         self.ends = [e for r in range(self.count) for e in (
             (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
         self.end_index = np.array([j for j, _, _, _ in self.ends])
+        self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
         # (row, its slice of x, cost, slot, the tuple points with the frozen
         # columns filled; each evaluation writes the row's own column), and
         # (tuple points, frozen column, the row whose state refills it)
@@ -263,7 +264,7 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     held = {j for j, s in walls if s * descent[j] > 0.0}
     while True:
         d_band, e_band = (diag.copy(), off.copy()) if held else (diag, off)
-        rhs = descent.copy()
+        rhs = descent.copy() if walls else descent  # with no end on a wall, one solve
         for j in held:
             d_band[j], rhs[j] = 1.0, 0.0
             e_band[max(j - 1, 0):j + 1] = 0.0  # cut loose from both neighbours
@@ -283,16 +284,18 @@ def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[list, list
     Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; an
     end particle moving outward stops exactly at its wall.
     """
-    x2, d2 = x.reshape(rows.count, rows.n), d.reshape(rows.count, rows.n)
-    closing = d2[:, :-1] - d2[:, 1:]
     # each gap's closing speed per unit of its length: a step of 1 / speed
-    # closes it (no division when no gap closes).  Only coinciding particles
-    # divide by zero, and fmax drops the 0 / 0
-    if np.maximum.reduce(closing, axis=None, initial=0.0) > 0.0:
+    # closes it (no division when no gap closes).  The slot after a row's last
+    # particle is no gap and reads 0; only coinciding particles divide by
+    # zero, and fmax and max drop a 0 / 0
+    closing = d[:-1] - d[1:]
+    closing[rows.n - 1::rows.n] = 0.0
+    if np.maximum.reduce(closing, initial=0.0) > 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(closing, x2[:, 1:] - x2[:, :-1], out=closing)
-    speed = np.fmax.reduce(closing, axis=1, initial=0.0).tolist()
-    alpha = [BOUNDARY_FRACTION / max(v, BOUNDARY_FRACTION) for v in speed]
+            closing /= x[1:] - x[:-1]
+    speed = (np.fmax.reduceat(closing, rows.starts).tolist() if rows.n > 1
+             else [0.0] * rows.count)
+    alpha = [BOUNDARY_FRACTION / max(BOUNDARY_FRACTION, v) for v in speed]
     ends = zip(rows.ends, x[rows.end_index].tolist(), d[rows.end_index].tolist())
     outgoing = [(j, r, s, wall, xj, dj) for (j, r, s, wall), xj, dj in ends if s * dj > 0.0]
     for j, r, s, wall, xj, dj in outgoing:
@@ -361,7 +364,9 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         x2, d2 = x.reshape(count, n), d.reshape(count, n)
         slope = np.vecdot(at.grad.reshape(count, n), d2).tolist()
         alpha, walls = _longest_step(rows, x, d)
-        cand2 = x2 + np.array(alpha)[:, None] * d2
+        # rows mostly share their step length (a full step): a scalar gives the same bits
+        scale = alpha[0] if alpha.count(alpha[0]) == count else np.array(alpha)[:, None]
+        cand2 = x2 + scale * d2
         cand = cand2.reshape(-1)
         for j, wall in walls:
             cand[j] = wall

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import jkoflow.cli as cli
+import jkoflow.flow
 from jkoflow.cli import (
     Scenario,
     build_flow_config,
@@ -322,6 +323,49 @@ def test_solver_state_past_a_wall_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: step 1, population 1: step solver made a state")
+    assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
+
+
+WITH_CONTRACTION = MINIMAL + """probes:
+  - kind: estimate_report
+  - kind: contraction_probe
+    second_initials:
+      - {type: gaussian, center: 0.5, sigma: 0.12}
+      - {type: bump, center: 0.5, half_width: 0.3}
+"""
+
+
+def test_flow_failure_reads_alike_with_and_without_probes(tmp_path, monkeypatch, capsys):
+    # the contraction probe's second flow runs beside the scenario flow; a
+    # failure in the scenario flow must not read differently for it
+    leak_past_wall(monkeypatch, "upper")
+    errors = []
+    for name, text in (("bare", MINIMAL), ("probed", WITH_CONTRACTION)):
+        assert run_scenario(parse_scenario(text), output_dir=tmp_path / name, quiet=True) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("numerical failure: step 1, population 1: step solver made")
+
+
+def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
+    # population 1 of the contraction probe's second flow, problem 3 of the
+    # kernel that all four populations share, leaves the box
+    minimize = jkoflow.flow._minimize
+
+    def leaky(rows, x, at):
+        x, at, res, iters = minimize(rows, x, at)
+        x = x.copy()
+        r = rows.order.index(3)
+        x[(r + 1) * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
+        return x, at, res, iters
+
+    monkeypatch.setattr(jkoflow.flow, "_minimize", leaky)
+    code = run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path, quiet=True)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: probes[1] second flow, step 1, population 1: "
+                          "step solver made a state")
+    assert re.search(r"; residual=\S+\n$", err)
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
 

@@ -267,15 +267,20 @@ def _other_mixed_config():
     lambda: (heat_flow_preset(), contraction_rerun(heat_flow_preset(), (
         from_grid(gaussian_profile(UNIT, 0.5, 0.12), 128),
         from_grid(bump_profile(UNIT, 0.4, 0.2), 128)))),
-    lambda: (mixed_config(), _other_mixed_config(), small_heat_config(n=16, n_steps=3)),
+    lambda: (mixed_config(), _other_mixed_config()),
 ], ids=["heat_flow", "mixed"])
 def test_run_flows_equals_separate_run_flow(flows):
-    # flows that share N, h, domain and step count share kernels; each row
+    # flows that share N, h and domain share kernels; each row
     # steps as it does alone, so no flow sees another's rows
     configs = flows()
     for traj, config in zip(run_flows(configs), configs, strict=True):
         assert traj.config is config
         _assert_same_flow(traj, run_flow(config))
+
+
+def test_run_flows_refuses_flows_of_different_lengths():
+    with pytest.raises(InvalidInputError, match="step count"):
+        run_flows((small_heat_config(n=16, n_steps=3), small_heat_config(n=16, n_steps=4)))
 
 
 def test_energy_terms_evaluated_once_per_point(monkeypatch):

@@ -516,6 +516,19 @@ def test_rows_stopped_at_walls_solve_as_alone():
     _assert_solves_alone(problems[::-1], solve_steps(problems[::-1]))
 
 
+def test_one_particle_rows_solve_as_alone():
+    # a one-particle row has no gap: only its walls limit its step
+    frozen = (ParticleDensity(UNIT, np.array([0.9])),)
+    problems = [StepProblem(prev=ParticleDensity(UNIT, np.array([xk])), energy=zero_energy(),
+                            h=0.1, cost=quadratic_pairwise_cost(UNIT), frozen=frozen, slot=0,
+                            tol=tol)
+                for xk, tol in ((0.0, 1e-12), (0.3, 1e-9), (1.0, 1e-12))]
+    joint = solve_steps(problems)
+    _assert_solves_alone(problems, joint)
+    for xk, sol in zip((0.0, 0.3, 1.0), joint):
+        assert abs(float(sol.rho.positions[0]) - (xk + 0.2 * 0.9) / 1.2) <= 1e-9
+
+
 def test_copies_of_one_problem_solve_like_one():
     # equal rows take equal steps, so a joint solve of copies reproduces the
     # one-row solve to the bit: values, states and the iteration count
