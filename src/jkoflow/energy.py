@@ -81,7 +81,7 @@ def _power_law(m: float, c: float) -> InternalEnergy:
 
 
 def zero_energy() -> InternalEnergy:
-    """f identically 0; test-only kind exempt from the convexity invariants."""
+    """f = 0, no diffusion: a population moves only through its coupling, if it has one."""
     return InternalEnergy(None, None, None, True)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 
 # Mass defect tolerated by the GridDensity normalization invariant.
 MASS_TOL = 1e-12
@@ -69,38 +69,20 @@ class ParticleDensity:
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 1 or pos.size < 1:
             raise InvalidInputError("positions must be a nonempty 1-d array")
+        # one pass when all is well; a NaN or an infinity fails it too, since
+        # the domain is finite.  On failure, the first refused check names why
+        lower, upper = self.domain.lower, self.domain.upper
+        if (pos[1:] >= pos[:-1]).all() and pos[0] >= lower and pos[-1] <= upper:
+            return
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("positions must be finite")
         if np.any(np.diff(pos) < 0):
             raise InvalidInputError("positions must be sorted nondecreasing")
-        if pos[0] < self.domain.lower or pos[-1] > self.domain.upper:
-            raise InvalidInputError(
-                f"positions must lie in [{self.domain.lower}, {self.domain.upper}]"
-            )
+        raise InvalidInputError(f"positions must lie in [{lower}, {upper}]")
 
     @property
     def n(self) -> int:
         return int(self.positions.size)
-
-
-def particle_rows(domain: Domain, block: np.ndarray) -> tuple[ParticleDensity, ...]:
-    """A (P, N) block of solver-made positions as P densities, each owning a read-only
-    copy of its row.  What the constructor checks (finite, sorted within each row,
-    inside the domain) is checked once for the whole block; a refused row is the
-    solver's failure, not bad input, so NumericalFailureError names it in ``row``."""
-    # one pass when all is well; a NaN or an infinity fails one of these tests too
-    if not ((block[:, 1:] >= block[:, :-1]).all() and block[:, 0].min() >= domain.lower
-            and block[:, -1].max() <= domain.upper):
-        for row, positions in enumerate(block):  # the first refused row, and why
-            try:
-                ParticleDensity(domain, positions)
-            except InvalidInputError as err:
-                raise NumericalFailureError(str(err), row=row) from None
-    rhos = tuple(object.__new__(ParticleDensity) for _ in block)  # checked above, not per row
-    for rho, row in zip(rhos, block):
-        object.__setattr__(rho, "domain", domain)
-        object.__setattr__(rho, "positions", _as_readonly(row))
-    return rhos
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,10 +25,10 @@ its box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches its
 tolerance, after which it holds still.  A wall particle whose descent
 points out of the box is held.  solve_steps builds the rows for one solve
 (solve_step is the one-row case); run_flows builds them once per flow and
-advances them, each step starting at the point the last one accepted.  The
-returned states are checked once per block; a refused state or a
-non-finite E, dE/dx or Newton system is a numerical failure charged to one
-row.
+advances them, each step starting at the point the last one accepted.  Row
+r is the callers' problem r.  Each returned state is built, and so checked,
+by the ParticleDensity constructor; a state it refuses or a non-finite E,
+dE/dx or Newton system is a numerical failure charged to one row.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from scipy.linalg.lapack import dptsv
 
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity, particle_rows
+from .geometry import Domain, ParticleDensity
 from .transport import CostFunction, require_certified
 
 ARMIJO_C1 = 1e-4
@@ -129,10 +130,10 @@ def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
 class _Rows:
     """The data of P step problems solved together: one N, one domain, one h.
 
-    Rows are grouped by energy, so that the rows sharing one form a block that
-    a single gap pass evaluates; problem ``order[r]`` sits in row r.  Given the
-    problems that fill each problem's cost slots (``columns``), advance makes
-    the rows the next time step's problems.
+    Row r is problem r.  Each maximal run of adjacent rows that share one
+    energy is a block that a single gap pass evaluates.  Given the rows that
+    fill each problem's cost slots (``columns``), advance makes the rows the
+    next time step's problems.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
@@ -143,15 +144,11 @@ class _Rows:
         self.n, self.h, self.domain = first.prev.n, first.h, first.domain
         if any(p.prev.n != self.n or p.domain != self.domain or p.h != self.h for p in problems):
             raise InvalidInputError("step problems solved together must share N, domain and h")
-        groups: dict[InternalEnergy, list[int]] = {}  # energy -> its problems, in order
-        for r, p in enumerate(problems):
-            groups.setdefault(p.energy, []).append(r)
-        self.order = [r for rs in groups.values() for r in rs]
-        self.energies, start = [], 0  # (energy, its block's first row, the row after it)
-        for energy, rs in groups.items():
-            self.energies.append((energy, start, start + len(rs)))
-            start += len(rs)
-        problems = [problems[r] for r in self.order]
+        self.energies, start = [], 0  # (energy, its run's first row, the row after it)
+        for energy, run in groupby(problems, key=lambda p: p.energy):
+            stop = start + len(list(run))
+            self.energies.append((energy, start, stop))
+            start = stop
         self.prev = np.concatenate([p.prev.positions for p in problems])
         self.tol = [float(p.default_tol() if p.tol is None else p.tol) for p in problems]
         lower, upper = self.domain.lower, self.domain.upper
@@ -164,15 +161,15 @@ class _Rows:
         # columns filled; each evaluation writes the row's own column), and
         # (tuple points, frozen column, the row whose state refills it)
         self.couplings, self.sources = [], []
-        for r, (j, p) in enumerate(zip(self.order, problems)):
+        for r, p in enumerate(problems):
             if p.cost is not None:
                 cols = [m.positions for m in p.frozen]
                 cols.insert(p.slot, p.prev.positions)
                 segment, points = slice(r * self.n, (r + 1) * self.n), np.stack(cols, axis=-1)
                 self.couplings.append((r, segment, p.cost, p.slot, points))
                 if columns is not None:
-                    self.sources += [(points, c, self.order.index(m))
-                                     for c, m in enumerate(columns[j]) if c != p.slot]
+                    self.sources += [(points, c, m) for c, m in enumerate(columns[r])
+                                     if c != p.slot]
 
     def advance(self, x: np.ndarray) -> None:
         """Make the accepted positions x the previous state, and every partner's frozen state."""
@@ -327,11 +324,11 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
     finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
     bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
     if bad:
-        row = min(bad, key=rows.order.__getitem__)
+        row = bad[0]
     else:
         row = max((r for r in range(rows.count) if among is None or among[r]),
                   key=lambda r: res[r] / rows.tol[r])
-    return NumericalFailureError(message, residual=res[row], row=rows.order[row])
+    return NumericalFailureError(message, residual=res[row], row=row)
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
@@ -408,24 +405,23 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
 
 def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
                iters: list[int]) -> tuple[StepSolution, ...]:
-    """The rows' solutions at the minimizer x, in the callers' order."""
+    """The rows' solutions at the minimizer x, in row order."""
     x_rows = x.reshape(rows.count, rows.n)
-    try:
-        rhos = particle_rows(rows.domain, x_rows)
-    except NumericalFailureError as err:
-        raise NumericalFailureError(f"step solver made a state that is not a density: {err}",
-                                    residual=res[err.row], row=rows.order[err.row]) from err
+    rhos = []
+    for r, positions in enumerate(x_rows):
+        try:
+            rhos.append(ParticleDensity(rows.domain, positions))
+        except InvalidInputError as err:  # the solver's failure, not bad input
+            raise NumericalFailureError(f"step solver made a state that is not a density: {err}",
+                                        residual=res[r], row=r) from err
     el = _el_residuals(rows.domain, x_rows, at.grad.reshape(x_rows.shape))
     values, energies, couplings = at.values.tolist(), at.energies.tolist(), at.couplings.tolist()
     # squared through the distance, as w2_distance(rho, prev) ** 2, so that
     # recorded diagnostics keep their bits
     w2_sq = [math.sqrt(w) ** 2 for w in at.w2_sq.tolist()]
-    solutions = [None] * rows.count
-    for r, i in enumerate(rows.order):
-        solutions[i] = StepSolution(rho=rhos[r], value=values[r], residual=res[r],
-                                    iterations=iters[r], energy=energies[r], coupling=couplings[r],
-                                    el_residual=el[r], w2_sq=w2_sq[r])
-    return tuple(solutions)
+    return tuple(StepSolution(rho=rhos[r], value=values[r], residual=res[r], iterations=iters[r],
+                              energy=energies[r], coupling=couplings[r], el_residual=el[r],
+                              w2_sq=w2_sq[r]) for r in range(rows.count))
 
 
 def solve_steps(problems: Sequence[StepProblem],
@@ -436,7 +432,7 @@ def solve_steps(problems: Sequence[StepProblem],
     starts = [p.prev for p in problems] if initial is None else list(initial)
     if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
         raise InvalidInputError("initial iterates must match prev in N and domain")
-    x = np.concatenate([starts[r].positions for r in rows.order])
+    x = np.concatenate([s.positions for s in starts])
     return _solutions(rows, *_minimize(rows, x, _evaluate(rows, x)))
 
 

@@ -99,7 +99,7 @@ def reference_run_flow(config):
 
 def leak_past_wall(monkeypatch, wall):
     """Make run_flow's solves put the second row's end particle at ``wall`` one ulp past it
-    (population 1 when the first two populations share one N and one energy)."""
+    (population 1 when the first two populations share one N)."""
     minimize = jkoflow.flow._minimize
 
     def leaky(rows, x, at):

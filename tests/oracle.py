@@ -8,7 +8,8 @@ what an uncertified cost would do.
 
 It also holds two oracles for the internal energies: a sampled test of
 displacement convexity, against which each energy's closed-form flag is
-checked, and the power-law source solutions for every m > 1.
+checked, and the power-law source solutions for every m > 1; and the
+reference contract of ParticleDensity, entry by entry.
 """
 
 from __future__ import annotations
@@ -240,3 +241,20 @@ def barenblatt_profile_m(m: float, t: float, domain: Domain) -> GridDensity:
         raise InvalidInputError("domain too small for the source solution support")
     mid = 0.5 * (domain.lower + domain.upper)
     return profile_grid(domain, lambda x: density(x - mid))
+
+
+def density_refusal(domain: Domain, positions) -> str | None:
+    """Why ParticleDensity must refuse 1-d positions, or None if it must accept them.
+
+    The contract, checked entry by entry in its order: every position is
+    finite, the positions are nondecreasing, and every one lies in the
+    domain; the message is that of the first check that fails.
+    """
+    x = [float(v) for v in positions]
+    if not all(math.isfinite(v) for v in x):
+        return "positions must be finite"
+    if any(b < a for a, b in zip(x, x[1:])):
+        return "positions must be sorted nondecreasing"
+    if not all(domain.lower <= v <= domain.upper for v in x):
+        return f"positions must lie in [{domain.lower}, {domain.upper}]"
+    return None

@@ -348,15 +348,14 @@ def test_flow_failure_reads_alike_with_and_without_probes(tmp_path, monkeypatch,
 
 
 def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
-    # population 1 of the contraction probe's second flow, problem 3 of the
-    # kernel that all four populations share, leaves the box
+    # population 1 of the contraction probe's second flow, row 3 of the kernel
+    # that all four populations share, leaves the box
     minimize = jkoflow.flow._minimize
 
     def leaky(rows, x, at):
         x, at, res, iters = minimize(rows, x, at)
         x = x.copy()
-        r = rows.order.index(3)
-        x[(r + 1) * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
+        x[4 * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
         return x, at, res, iters
 
     monkeypatch.setattr(jkoflow.flow, "_minimize", leaky)

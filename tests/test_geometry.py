@@ -12,15 +12,19 @@ from jkoflow import (
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
+    StepProblem,
+    entropy_energy,
     from_grid,
     grid_from_csv,
     normalized_grid,
     particle_step_density,
     product_w2,
+    solve_steps,
     w2_distance,
 )
-from jkoflow.geometry import particle_rows
+import jkoflow.jko as jko_module
 from jkoflow.presets import barenblatt_profile, bump_profile, gaussian_profile
+from oracle import density_refusal
 
 UNIT = Domain(0.0, 1.0)
 
@@ -186,15 +190,21 @@ def test_grid_mass_matches_elementwise_fsum(tmp_path):
 _ULP_BELOW, _ULP_ABOVE = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
 
 
-def test_particle_rows_checks_each_row_once():
-    # rows are checked apart: row 0 ends above row 1's start
-    block = np.array([[0.1, 0.2, 0.9], [0.05, 0.5, 1.0]])
-    rhos = particle_rows(UNIT, block)
-    for rho, row in zip(rhos, block, strict=True):
-        assert rho.domain == UNIT and np.array_equal(rho.positions, row)
-        assert rho.positions.base is None and not rho.positions.flags.writeable
-    block[0, 0] = 0.15
-    assert rhos[0].positions[0] == 0.1
+def test_particle_rows_checks_each_row_once(monkeypatch):
+    # the step kernel builds each solved row with the constructor, one call a
+    # row, and checks rows apart: row 0 ends above row 1's start, which a
+    # check of the flat vector would refuse
+    prevs = [ParticleDensity(UNIT, x) for x in ([0.3, 0.5, 0.9], [0.05, 0.2, 0.4])]
+    problems = [StepProblem(prev=p, energy=entropy_energy(), h=1e-2) for p in prevs]
+    builds, validate = [], ParticleDensity.__post_init__
+    monkeypatch.setattr(ParticleDensity, "__post_init__",
+                        lambda self: builds.append(self) or validate(self))
+    sols = solve_steps(problems)
+    assert sols[0].rho.positions[-1] > sols[1].rho.positions[0]
+    assert builds == [sol.rho for sol in sols]
+    for sol in sols:
+        assert sol.rho.domain == UNIT
+        assert sol.rho.positions.base is None and not sol.rho.positions.flags.writeable
 
 
 @pytest.mark.parametrize("row, j, value, message", [
@@ -205,11 +215,45 @@ def test_particle_rows_checks_each_row_once():
     (1, 0, _ULP_BELOW, "lie in"),
     (0, 2, _ULP_ABOVE, "lie in"),
 ], ids=["nan", "inf", "unsorted-first", "unsorted-inner", "ulp-below", "ulp-above"])
-def test_particle_rows_refuses_a_row_as_the_solver_failure(row, j, value, message):
+def test_particle_rows_refuses_a_row_as_the_solver_failure(monkeypatch, row, j, value, message):
+    # the constructor refuses the entry as bad input; planted in a solved row
+    # of the step kernel, the same refusal is that row's numerical failure
     block = np.array([[0.1, 0.2, 0.9], [0.05, 0.5, 1.0]])
+    problems = [StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=1e-2)
+                for x in block]
     block[row, j] = value
     with pytest.raises(InvalidInputError, match=message):
         ParticleDensity(UNIT, block[row])
-    with pytest.raises(NumericalFailureError, match=message) as info:
-        particle_rows(UNIT, block)
-    assert info.value.row == row
+    minimize, residuals = jko_module._minimize, []
+
+    def planted(rows, x, at):
+        x, at, res, iters = minimize(rows, x, at)
+        residuals.extend(res)
+        return block.reshape(-1), at, res, iters
+
+    monkeypatch.setattr(jko_module, "_minimize", planted)
+    with pytest.raises(NumericalFailureError) as info:
+        solve_steps(problems)
+    assert re.match("step solver made a state that is not a density: positions must .*"
+                    + message, str(info.value))
+    assert info.value.row == row and info.value.residual == residuals[row]
+
+
+_ENTRIES = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(
+    [0.0, 0.5, 1.0, _ULP_BELOW, _ULP_ABOVE, np.nan, np.inf, -np.inf]))
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=8), st.booleans(), st.integers(0, 8))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_constructor_refuses_what_the_reference_refuses(values, ordered, swap):
+    # ties, NaN, infinities and ends one ulp outside the box; sorted (NaN
+    # last) or not, with one pair of neighbours swapped or none
+    x = np.sort(values) if ordered else np.array(values)
+    if swap + 1 < x.size:
+        x[[swap, swap + 1]] = x[[swap + 1, swap]]
+    expected = density_refusal(UNIT, x)
+    if expected is None:
+        assert np.array_equal(ParticleDensity(UNIT, x).positions, x)
+    else:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(expected)}$"):
+            ParticleDensity(UNIT, x)

@@ -24,7 +24,6 @@ from jkoflow import (
 )
 import jkoflow.energy as energy_module
 import jkoflow.jko as jko_module
-from jkoflow.geometry import particle_rows
 from jkoflow.jko import (
     StepProblem,
     _Point,
@@ -159,27 +158,22 @@ def test_newton_heat_step_at_n1024_takes_few_iterations():
 
 
 def test_solve_step_builds_one_density(monkeypatch):
-    # the Newton loop runs on arrays; only the returned state is checked, once
-    # for the whole block of rows, and the constructor does not check it again
+    # the Newton loop runs on arrays; only the returned state is built, by the
+    # constructor, which checks it and takes a read-only copy of its row
     prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2)
-    builds, blocks = [], []
+    builds = []
     validate = ParticleDensity.__post_init__
 
     def counted(self):
         builds.append(self)
         validate(self)
 
-    def checked(domain, block):
-        blocks.append(block.copy())
-        return particle_rows(domain, block)
-
     monkeypatch.setattr(ParticleDensity, "__post_init__", counted)
-    monkeypatch.setattr(jko_module, "particle_rows", checked)
     sol = solve_step(problem)
     assert sol.iterations >= 3
-    assert builds == []
-    assert len(blocks) == 1 and np.array_equal(blocks[0], sol.rho.positions[None])
+    assert builds == [sol.rho]
+    assert sol.rho.positions.base is None and not sol.rho.positions.flags.writeable
 
 
 @pytest.mark.parametrize("cost", [None, quadratic_pairwise_cost(UNIT)],
@@ -560,21 +554,25 @@ def test_copies_stopped_at_a_wall_solve_like_one():
 
 def test_rows_sharing_an_energy_evaluate_it_in_one_pass(monkeypatch):
     rng = np.random.default_rng(23)
-    calls = []
-    gaps = energy_module._gaps
+    calls, evaluations = [], []
+    gaps, evaluate = energy_module._gaps, jko_module._evaluate
     monkeypatch.setattr(energy_module, "_gaps", lambda *a: calls.append(a) or gaps(*a))
+    monkeypatch.setattr(jko_module, "_evaluate",
+                        lambda *a: evaluations.append(a) or evaluate(*a))
 
     def passes(energies):
         calls.clear()
-        sols = solve_steps([StepProblem(prev=spread_particles(rng, UNIT, 32), energy=e, h=1e-2)
-                            for e in energies])
-        evaluations = sols[0].iterations + 1  # the start and each accepted step
-        return len(calls) / evaluations
+        evaluations.clear()
+        solve_steps([StepProblem(prev=spread_particles(rng, UNIT, 32), energy=e, h=1e-2)
+                     for e in energies])
+        return len(calls) / len(evaluations)
 
     assert entropy_energy() is entropy_energy()
     assert power_law_energy(2) is power_law_energy(2.0)
+    # row r is problem r, so one pass per run of adjacent rows that share an energy
     assert passes([entropy_energy()] * 3) == 1
-    assert passes([entropy_energy(), power_law_energy(2.0), entropy_energy()]) == 2
+    assert passes([entropy_energy(), entropy_energy(), power_law_energy(2.0)]) == 2
+    assert passes([entropy_energy(), power_law_energy(2.0), entropy_energy()]) == 3
 
 
 def test_joint_failure_names_its_row():
