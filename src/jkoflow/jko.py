@@ -29,18 +29,26 @@ advances them, each step starting at the point the last one accepted.  Row
 r is the callers' problem r.  Each returned state is built, and so checked,
 by the ParticleDensity constructor; a state it refuses or a non-finite E,
 dE/dx or Newton system is a numerical failure charged to one row.
+
+dptsv is scipy's f2py wrapper of the LAPACK routine.  _load_dptsv loads
+scipy's compiled _flapack extension straight from its file, so that
+importing this module does not import scipy.linalg and the numpy.f2py it
+pulls in, which would more than double the package's import time.  If that
+load fails, it takes the same wrapper from scipy.linalg.lapack.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
@@ -52,6 +60,28 @@ MAX_BACKTRACKS = 60
 MAX_ITERS = 100
 BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
 EPS = np.finfo(float).eps
+
+
+def _load_dptsv():
+    """scipy's dptsv wrapper, from its _flapack extension loaded by file path.
+
+    A top-level find_spec does not import scipy; the extension lives in
+    scipy/linalg/.  On any failure, the same wrapper from scipy.linalg.lapack.
+    """
+    try:
+        linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+        path = next(p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(p := os.path.join(linalg, "_flapack" + suffix)))
+        spec = importlib.util.spec_from_file_location(f"{__package__}._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.dptsv
+    except Exception:  # the file layout is scipy's private detail: any failure takes the public path
+        from scipy.linalg.lapack import dptsv
+        return dptsv
+
+
+dptsv = _load_dptsv()
 
 
 @dataclass(frozen=True)

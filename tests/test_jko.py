@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 
 import numpy as np
@@ -676,3 +677,45 @@ def test_newton_direction_refuses_nan_gradient():
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=0.05)
     with pytest.raises(ValueError, match="infs or NaNs"):
         _newton_direction(_Rows((problem,)), x, _at(np.r_[g[:3], np.nan, g[4:]], q), MOVING)
+
+
+def _fallback_dptsv(monkeypatch):
+    """What jko's dptsv loader returns when the direct load of _flapack fails."""
+    def refuse(*args, **kwargs):
+        raise ImportError("direct load refused")
+
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+    return jko_module._load_dptsv()
+
+
+def _dptsv_outputs(dptsv, diag, off, b):
+    """dptsv's outputs on copies of one system, called as _newton_direction calls it."""
+    d_band, e_band, d, info = dptsv(diag.copy(), off.copy(), b.copy(), overwrite_b=True)
+    return d_band.tobytes(), e_band.tobytes(), d.tobytes(), info
+
+
+def test_dptsv_falls_back_to_scipy_linalg_lapack(monkeypatch):
+    from scipy.linalg.lapack import dptsv
+
+    assert jko_module.dptsv is not dptsv  # the direct load worked
+    assert _fallback_dptsv(monkeypatch) is dptsv
+
+
+@pytest.mark.parametrize("n", [1, 2, 128, 1024])
+def test_direct_and_fallback_dptsv_agree_to_the_bit(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    # one particle: the length-1 zero off-diagonal the kernel passes
+    off = rng.uniform(-1.0, 1.0, n - 1) if n > 1 else np.zeros(1)
+    pad = np.abs(np.r_[0.0, off[:n - 1], 0.0])
+    diag = pad[:-1] + pad[1:] + rng.uniform(0.1, 1.0, n)  # diagonally dominant, so SPD
+    b = rng.standard_normal(n)
+    direct = _dptsv_outputs(jko_module.dptsv, diag, off, b)
+    assert direct[3] == 0
+    assert _dptsv_outputs(_fallback_dptsv(monkeypatch), diag, off, b) == direct
+
+
+def test_direct_and_fallback_dptsv_agree_on_an_indefinite_system(monkeypatch):
+    diag, off, b = np.ones(3), np.array([2.0, 0.0]), np.ones(3)  # second leading minor 1 - 4 < 0
+    direct = _dptsv_outputs(jko_module.dptsv, diag, off, b)
+    assert direct[3] == 2
+    assert _dptsv_outputs(_fallback_dptsv(monkeypatch), diag, off, b) == direct

@@ -10,10 +10,13 @@ import jkoflow
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-# slow scipy parts that `import jkoflow` must not load: the package never
+# modules that `import jkoflow` and every shipped scenario run must not load:
+# jko loads LAPACK dptsv from scipy's compiled _flapack file, so no scipy
+# module loads at all, in particular not scipy.linalg and the numpy.f2py it
+# pulls in (together more than half of a fresh import); the package never
 # loads scipy.sparse (only the LP in tests/oracle.py does) or scipy.special,
 # and the exact ordered-box projection imports scipy.optimize when called
-HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.special")
+HEAVY = ("numpy.f2py", "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
 
 
 def test_every_export_resolves():
@@ -41,7 +44,8 @@ def _heavy_modules_after(code: str) -> set[str]:
 def test_import_loads_only_what_runs_need(tmp_path):
     assert _heavy_modules_after("import jkoflow") == set()
     run = "from jkoflow.cli import main\nassert main([{!r}, '--output-dir', {!r}, '--quiet']) == 0"
-    porous = run.format("scenarios/porous_medium.yaml", str(tmp_path / "porous"))
-    assert _heavy_modules_after(porous) == set()
-    heat = run.format("scenarios/heat_flow.yaml", str(tmp_path / "heat"))
-    assert _heavy_modules_after(heat) == set()
+    scenarios = sorted((ROOT / "scenarios").glob("*.yaml"))
+    assert len(scenarios) >= 4
+    for scenario in scenarios:
+        code = run.format(str(scenario), str(tmp_path / scenario.stem))
+        assert _heavy_modules_after(code) == set(), scenario.name
