@@ -41,7 +41,7 @@ from .flow import (
 )
 from .geometry import Domain, ParticleDensity, from_grid, grid_from_csv
 from .presets import barenblatt_profile, bump_profile, gaussian_profile, profile_grid
-from .transport import barycenter_cost, convexity_probe, quadratic_pairwise_cost, zero_cost
+from .transport import QuadraticCost, convexity_probe
 
 # ------------------------------------------------------------------- schema
 #
@@ -231,10 +231,11 @@ ENERGY = Union("EnergySpec", "type", "energy", {
 
 COST = Union("CostSpec", "type", "cost", {
     "zero": ({"partners": Bound([int], lambda v: not v, NO_PARTNER)},
-             lambda c, dom: zero_cost(len(c.partners) + 1)),
-    "quadratic_pairwise": ({"partner": int}, lambda c, dom: quadratic_pairwise_cost(dom)),
+             lambda c: QuadraticCost((0.0,) * len(c.partners), "zero")),
+    "quadratic_pairwise": ({"partner": int},
+                           lambda c: QuadraticCost((1.0,), "quadratic_pairwise")),
     "barycenter": ({"weights": Bound({int: POSITIVE}, lambda v: not v, NO_PARTNER)},
-                   lambda c, dom: barycenter_cost([w for _, w in c.weights], dom)),
+                   lambda c: QuadraticCost(tuple(w for _, w in c.weights), "barycenter")),
 })
 
 TEST_FUNCTION = Record("TestFunctionSpec", {
@@ -352,7 +353,7 @@ def build_flow_config(scenario: Scenario) -> FlowConfig:
         coupling = None
         if p.coupling is not None:
             members = (i,) + _cost_partners(p.coupling)
-            coupling = Coupling(COST.build(p.coupling, domain), members)
+            coupling = Coupling(COST.build(p.coupling), members)
         initial = _build_initial(p.initial, domain, f"flow.populations[{i}].initial")
         pops.append(PopulationSpec(initial, ENERGY.build(p.energy), coupling))
     return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.record_every, flow.tol)

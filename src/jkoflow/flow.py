@@ -29,7 +29,7 @@ from .energy import InternalEnergy, energy_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, product_w2
 from .jko import StepProblem, _evaluate, _minimize, _Rows, _solutions
-from .transport import CostFunction, require_certified
+from .transport import QuadraticCost
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,13 @@ class Coupling:
     order; the owning population must appear exactly once.
     """
 
-    cost: CostFunction
+    cost: QuadraticCost
     members: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        if not isinstance(self.cost, QuadraticCost):
+            raise InvalidInputError("a coupling's cost must be a QuadraticCost")
         if len(self.members) != self.cost.arity:
             raise InvalidInputError("coupling members must fill every cost slot")
 
@@ -87,7 +89,6 @@ class FlowConfig:
             c = p.coupling
             if c is None:
                 continue
-            require_certified(c.cost, f"population {i}")
             if c.members.count(i) != 1:
                 raise InvalidInputError(
                     f"population {i} must appear exactly once in its coupling"
@@ -242,7 +243,8 @@ def estimate_report(traj: FlowTrajectory) -> EstimateReport:
     t_total = config.horizon
     rows = []
     for i, p in enumerate(config.populations):
-        c_bound = p.coupling.cost.partial_bound if p.coupling is not None else 0.0
+        c_bound = (0.0 if p.coupling is None
+                   else p.coupling.cost.partial_bound(config.domain.length))
         f0 = energy_value(p.energy, p.initial)
         f_series = [d.energy for d in traj.diagnostics if d.population == i]
         w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
@@ -451,9 +453,9 @@ def weak_form_residual(
         drive = n * energy_gradient(p.energy, x_new)
         if p.coupling is not None:  # against the partners frozen at step k
             members = p.coupling.members
-            cols = [x_new if m == i else state_k[m] for m in members]
-            points = np.stack([c.positions for c in cols], axis=-1)
-            drive = drive + p.coupling.cost.partial(members.index(i), points)
+            a, m, _ = p.coupling.cost.row_form(
+                members.index(i), [state_k[j].positions for j in members if j != i])
+            drive = drive + a * (x_new.positions - m)
         terms.append(float(
             -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
         ))

@@ -14,7 +14,10 @@ of N particles.  The Hessian is tridiagonal, with a zero entry between rows,
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
 D the within-row gap difference operator, q the energy's gap curvature and
-c_ss = d2c/dx_slot^2 from each row's cost.  Damped Newton on H (the
+c_ss = a, the curvature of each row's cost in its slot.  A row's cost, with
+its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each rank j
+(QuadraticCost.row_form): the rows carry a, m and c as flat arrays, so an
+evaluation calls no cost method.  Damped Newton on H (the
 Lagrangian Newton step of Blanchet, Calvez and Carrillo: one LAPACK dptsv
 solve per iteration for all rows) drops negative curvature, so every
 direction descends.  Everything else is per row, so that a row's iterates
@@ -53,7 +56,7 @@ import numpy as np
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
-from .transport import CostFunction, require_certified
+from .transport import QuadraticCost
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
@@ -96,7 +99,7 @@ class StepProblem:
     prev: ParticleDensity
     energy: InternalEnergy
     h: float
-    cost: CostFunction | None = None
+    cost: QuadraticCost | None = None
     frozen: tuple[ParticleDensity, ...] = ()
     slot: int = 0
     tol: float | None = None
@@ -105,7 +108,8 @@ class StepProblem:
         if not np.isfinite(self.h) or self.h <= 0:
             raise InvalidInputError(f"step size h must be positive, got {self.h!r}")
         if self.cost is not None:
-            require_certified(self.cost, "StepProblem")
+            if not isinstance(self.cost, QuadraticCost):
+                raise InvalidInputError("a step problem's cost must be a QuadraticCost")
             if len(self.frozen) != self.cost.arity - 1:
                 raise InvalidInputError(
                     "frozen tuple must hold every other coupled population"
@@ -161,9 +165,11 @@ class _Rows:
     """The data of P step problems solved together: one N, one domain, one h.
 
     Row r is problem r.  Each maximal run of adjacent rows that share one
-    energy is a block that a single gap pass evaluates.  Given the rows that
-    fill each problem's cost slots (``columns``), advance makes the rows the
-    next time step's problems.
+    energy is a block that a single gap pass evaluates.  Each particle's cost
+    against its frozen partners is (a/2)(x - m)^2 + c, from the flat arrays
+    a, m and c, all 0 in an uncoupled row.  Given the rows that fill each
+    problem's cost slots (``columns``), advance makes the rows the next time
+    step's problems.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
@@ -187,25 +193,23 @@ class _Rows:
             (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
         self.end_index = np.array([j for j, _, _, _ in self.ends])
         self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
-        # (row, its slice of x, cost, slot, the tuple points with the frozen
-        # columns filled; each evaluation writes the row's own column), and
-        # (tuple points, frozen column, the row whose state refills it)
-        self.couplings, self.sources = [], []
+        self.a, self.m, self.c = (np.zeros(self.count * self.n) for _ in range(3))
+        self.coupled = any(p.cost is not None for p in problems)
+        self.sources = []  # (row's slice of x, cost, slot, the rows that fill its other slots)
         for r, p in enumerate(problems):
             if p.cost is not None:
-                cols = [m.positions for m in p.frozen]
-                cols.insert(p.slot, p.prev.positions)
-                segment, points = slice(r * self.n, (r + 1) * self.n), np.stack(cols, axis=-1)
-                self.couplings.append((r, segment, p.cost, p.slot, points))
+                segment = slice(r * self.n, (r + 1) * self.n)
+                self.a[segment], self.m[segment], self.c[segment] = p.cost.row_form(
+                    p.slot, [f.positions for f in p.frozen])
                 if columns is not None:
-                    self.sources += [(points, c, m) for c, m in enumerate(columns[r])
-                                     if c != p.slot]
+                    self.sources.append((segment, p.cost, p.slot,
+                                         [m for c, m in enumerate(columns[r]) if c != p.slot]))
 
     def advance(self, x: np.ndarray) -> None:
         """Make the accepted positions x the previous state, and every partner's frozen state."""
         self.prev, block = x, x.reshape(self.count, self.n)
-        for points, column, row in self.sources:
-            points[:, column] = block[row]
+        for segment, cost, slot, partners in self.sources:
+            _, self.m[segment], self.c[segment] = cost.row_form(slot, block[partners])
 
 
 class _Point(NamedTuple):
@@ -237,14 +241,13 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
     grad = h2 * energy_grad
     grad += (2.0 / n) * step
     couplings, c_ss = np.zeros(rows.count), None
-    if rows.couplings:
-        c_ss = np.zeros(x.size)
-        for r, segment, cost, slot, points in rows.couplings:
-            points[:, slot] = x[segment]
-            couplings[r] = np.add.reduce(cost.evaluate(points)) / n  # the mean, as coupling_value
-            grad[segment] += (h2 / n) * cost.partial(slot, points)
-            c_ss[segment] = cost.curvature(slot, points)
+    if rows.coupled:
+        d = x - rows.m
+        c = 0.5 * rows.a * d * d + rows.c
+        couplings = np.add.reduce(c.reshape(rows.count, n), axis=1) / n  # as coupling_value
         values += h2 * couplings
+        grad += (h2 / n) * rows.a * d
+        c_ss = rows.a
     return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature, c_ss)
 
 
@@ -259,14 +262,15 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
-    """Diagonal and off-diagonal of the step Hessian at a point, negative curvature dropped."""
+    """Diagonal and off-diagonal of the step Hessian at a point, negative gap curvature
+    dropped (a cost's curvature a is never negative)."""
     h2 = 2.0 * rows.h
     hq = h2 * np.maximum(at.curvature[:-1], 0.0)
     diag = np.full(at.grad.size, 2.0 / rows.n)
     diag[:-1] += hq
     diag[1:] += hq
     if at.cost_curvature is not None:
-        diag += (h2 / rows.n) * np.maximum(at.cost_curvature, 0.0)
+        diag += (h2 / rows.n) * at.cost_curvature
     return diag, -hq
 
 

@@ -16,7 +16,7 @@ from .energy import entropy_energy, power_law_energy, zero_energy
 from .errors import InvalidInputError
 from .flow import Coupling, FlowConfig, PopulationSpec
 from .geometry import Domain, GridDensity, ParticleDensity, from_grid, normalized_grid
-from .transport import barycenter_cost, quadratic_pairwise_cost
+from .transport import QuadraticCost
 
 PROFILE_CELLS = 2048  # resolution used to discretize closed-form densities
 
@@ -119,12 +119,12 @@ def barycenter3_preset(n: int = 128, h: float = 1e-2, n_steps: int = 100) -> Flo
     """
     dom = Domain(0.0, 1.0)
     mk = lambda c: from_grid(gaussian_profile(dom, c, 0.08), n)
-    pair = quadratic_pairwise_cost(dom)
+    pair = QuadraticCost((1.0,), "quadratic_pairwise")
     return FlowConfig(
         populations=(
             PopulationSpec(
                 initial=mk(0.25), energy=entropy_energy(),
-                coupling=Coupling(barycenter_cost([1.0, 1.0], dom), (0, 1, 2)),
+                coupling=Coupling(QuadraticCost((1.0, 1.0), "barycenter"), (0, 1, 2)),
             ),
             PopulationSpec(
                 initial=mk(0.5), energy=entropy_energy(),

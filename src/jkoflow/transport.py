@@ -1,133 +1,84 @@
 """Multi-marginal couplings of particle densities.
 
-Only certified costs are coupled: those whose mixed second derivatives are
-nonpositive (``comonotone_certified``).  For them the co-monotone plan, which
-with a shared particle count matches the j-th smallest particles of every
-marginal, is optimal (Carlier, J. Convex Anal. 2003), so a coupling value is
-the mean of the cost over the rank-diagonal tuples (``coupling_value``).
-``require_certified`` refuses every other cost.  The exhaustive LP that
-checks this optimality is a test oracle and lives beside the tests.
+Every coupling uses the one cost family c = sum_k w_k (x_0 - x_k)^2 with
+weights w_k >= 0 (``QuadraticCost``).  Its mixed second derivatives -2 w_k
+are nonpositive, so the co-monotone plan, which with a shared particle count
+matches the j-th smallest particles of every marginal, is optimal (Carlier,
+J. Convex Anal. 2003), and a coupling value is the mean of the cost over
+the rank-diagonal tuples (``coupling_value``).  In each slot the cost is a
+centred quadratic of that slot's particle (``QuadraticCost.row_form``),
+which is how the step solver evaluates it.  The exhaustive LP that checks
+this optimality, for any cost, is a test oracle and lives beside the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .geometry import Domain, ParticleDensity
+from .geometry import ParticleDensity
 
 
 @dataclass(frozen=True)
-class CostFunction:
-    """Cost c(x_1, ..., x_l) with vectorized evaluation, partials and curvatures.
+class QuadraticCost:
+    """c(x_0, ..., x_K) = sum_k w_k (x_0 - x_k)^2, the cost of every coupling.
 
-    ``fn`` maps arrays of shape (..., arity) to shape (...); ``partial_fns[i]``
-    gives dc/dx_i and ``curvature_fns[i]`` gives d2c/dx_i^2, each in closed
-    form with the same convention.  ``partial_bound`` must dominate every
-    |dc/dx_i| on the domain the cost is used with.  Set
-    ``comonotone_certified`` only when d2c/dx_i dx_j <= 0 for all i != j.
+    One weight 1 gives the squared distance (x - y)^2, the W2^2 coupling;
+    weights (alpha, beta) give the three-way attraction alpha (x_0 - x_1)^2
+    + beta (x_0 - x_2)^2; zero weights give the zero cost.  Its curvature is
+    2 sum_k w_k in slot 0 and 2 w_k in slot k, its mixed partials -2 w_k.
     """
 
-    arity: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    partial_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    curvature_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    partial_bound: float
-    comonotone_certified: bool = False
-    name: str = "custom"
+    weights: tuple[float, ...]
+    name: str = "quadratic"
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise InvalidInputError("costs must couple at least two populations")
-        if len(self.partial_fns) != self.arity:
-            raise InvalidInputError("need one partial per coordinate")
-        if len(self.curvature_fns) != self.arity:
-            raise InvalidInputError("need one curvature per coordinate")
-        if not (math.isfinite(self.partial_bound) and self.partial_bound >= 0):
-            raise InvalidInputError("partial_bound must be finite and nonnegative")
+        w = tuple(float(v) for v in self.weights)
+        if not w or not all(math.isfinite(v) and v >= 0.0 for v in w):
+            raise InvalidInputError("cost weights must be finite and nonnegative, at least one")
+        object.__setattr__(self, "weights", w)
 
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(self._points(xs)), dtype=float)
+    @property
+    def arity(self) -> int:
+        return len(self.weights) + 1
 
-    def partial(self, i: int, xs: np.ndarray) -> np.ndarray:
-        xs = self._points(xs, i)
-        return np.asarray(self.partial_fns[i](xs), dtype=float)
+    def partial_bound(self, length: float) -> float:
+        """A bound on every |dc/dx_i| on a domain of this length."""
+        return 2.0 * length * sum(self.weights)
 
-    def curvature(self, i: int, xs: np.ndarray) -> np.ndarray:
-        xs = self._points(xs, i)
-        return np.asarray(self.curvature_fns[i](xs), dtype=float)
-
-    def _points(self, xs: np.ndarray, i: int = 0) -> np.ndarray:
-        if not 0 <= i < self.arity:
-            raise InvalidInputError(f"coordinate {i} out of range for arity {self.arity}")
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[-1] != self.arity:
-            raise InvalidInputError(f"expected trailing axis of size {self.arity}")
-        return xs
-
-
-def zero_cost(arity: int = 2) -> CostFunction:
-    def zero(xs):
-        return np.zeros(xs.shape[:-1])
-
-    zeros = (zero,) * arity
-    return CostFunction(arity, zero, zeros, zeros, 0.0, comonotone_certified=True, name="zero")
+    def row_form(self, slot: int, columns: Sequence[np.ndarray]
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
+        """(a, m, c0) such that c = (a/2) (x - m)^2 + c0 at each rank, for x in ``slot`` and
+        ``columns`` filling the other slots in slot order."""
+        if not 0 <= slot < self.arity:
+            raise InvalidInputError(f"slot {slot} out of range for arity {self.arity}")
+        if len(columns) != self.arity - 1:
+            raise InvalidInputError(f"need one column per other slot ({self.arity - 1})")
+        w, y0 = self.weights, columns[0]
+        zero = np.zeros_like(y0, dtype=float)
+        if slot > 0:  # w_s (x - y_0)^2 plus the terms without x
+            rest = zip(w[:slot - 1] + w[slot:], columns[1:])
+            return 2.0 * w[slot - 1], y0, sum((wk * (y0 - y) ** 2 for wk, y in rest), zero)
+        total = sum(w)
+        if total == 0.0:
+            return 0.0, zero, zero
+        m = sum(wk * y for wk, y in zip(w, columns)) / total
+        return 2.0 * total, m, sum((wk * (y - m) ** 2 for wk, y in zip(w, columns)), zero)
 
 
-def quadratic_pairwise_cost(domain: Domain) -> CostFunction:
-    """c(x, y) = (x - y)^2: the barycenter cost with the single weight 1."""
-    return replace(barycenter_cost([1.0], domain), name="quadratic_pairwise")
-
-
-def barycenter_cost(weights: Sequence[float], domain: Domain) -> CostFunction:
-    """c(x) = sum_k w_k (x_0 - x_k)^2 over the coordinates k >= 1.
-
-    With weights (alpha, beta) this is the three-way attraction
-    alpha |x1 - x2|^2 + beta |x1 - x3|^2.  Curvatures are 2 sum_k w_k in slot
-    0 and 2 w_k in slot k; mixed partials are -2 w_k <= 0.
-    """
-    w = np.asarray(list(weights), dtype=float)
-    if w.size < 1 or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise InvalidInputError("barycenter weights must be positive reals")
-    arity = w.size + 1
-
-    def fn(xs):
-        d = xs[..., 1:] - xs[..., :1]
-        return np.sum(w * d * d, axis=-1)
-
-    def make_partial(i):
-        if i == 0:
-            return lambda xs: -2.0 * np.sum(w * (xs[..., 1:] - xs[..., :1]), axis=-1)
-        return lambda xs: 2.0 * w[i - 1] * (xs[..., i] - xs[..., 0])
-
-    partials = tuple(make_partial(i) for i in range(arity))
-    curvatures = tuple(lambda xs, c=c: np.full(xs.shape[:-1], c) for c in 2.0 * np.r_[w.sum(), w])
-    bound = 2.0 * domain.length * float(np.sum(w))
-    return CostFunction(
-        arity, fn, partials, curvatures, bound, comonotone_certified=True, name="barycenter"
-    )
-
-
-def require_certified(cost: CostFunction, owner: str) -> None:
-    """Refuse a cost whose optimal plan is not certified to be the rank-diagonal one."""
-    if not cost.comonotone_certified:
-        raise InvalidInputError(
-            f"{owner} uses an uncertified cost; couplings are evaluated through the "
-            "rank-diagonal plan, which is only optimal for certified costs"
-        )
-
-
-def coupling_value(cost: CostFunction, marginals: Sequence[ParticleDensity]) -> float:
-    """Optimal coupling value of a certified cost: its mean over the rank-diagonal tuples.
+def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) -> float:
+    """Optimal coupling value: the cost's mean over the rank-diagonal tuples.
 
     One marginal per cost slot, all sharing one particle count and domain;
     the j-th smallest atoms of every marginal are coupled with mass 1/N.
     """
-    require_certified(cost, "coupling_value")
+    if not isinstance(cost, QuadraticCost):
+        raise InvalidInputError("coupling_value needs a QuadraticCost: the rank-diagonal plan "
+                                "is only known to be optimal for it")
     marginals = tuple(marginals)
     if len(marginals) != cost.arity:
         raise InvalidInputError(
@@ -139,7 +90,9 @@ def coupling_value(cost: CostFunction, marginals: Sequence[ParticleDensity]) -> 
             raise InvalidInputError(f"marginal particle counts differ: {m.n} vs {n}")
         if m.domain != dom:
             raise InvalidInputError("marginals live on different domains")
-    return float(np.mean(cost.evaluate(np.stack([m.positions for m in marginals], axis=-1))))
+    a, centre, c0 = cost.row_form(0, [m.positions for m in marginals[1:]])
+    d = marginals[0].positions - centre
+    return float(np.add.reduce(0.5 * a * d * d + c0) / n)  # as the step kernel sums it
 
 
 def displacement_interpolate(
@@ -172,7 +125,7 @@ class ConvexityReport:
 
 
 def convexity_probe(
-    cost: CostFunction,
+    cost: QuadraticCost,
     endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
     t_samples: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> ConvexityReport:
@@ -180,7 +133,7 @@ def convexity_probe(
 
     For each t the tuple is interpolated component-wise and the coupling
     value is compared with the chord (1-t) W(a) + t W(b); positive numbers
-    are convexity violations.  ``coupling_value`` refuses uncertified costs
+    are convexity violations.  ``coupling_value`` refuses any other cost
     and tuples that do not fill the cost's slots, ``displacement_interpolate``
     every t outside [0, 1].
     """

@@ -1,10 +1,11 @@
 """Exhaustive multi-marginal LP: the oracle the rank-diagonal coupling is checked against.
 
-jkoflow evaluates couplings only for certified costs, through the
-rank-diagonal plan (``jkoflow.coupling_value``).  This module solves the
-same transport problem over the full product grid, with dual certificates,
-for any cost, so the tests can confirm that plan's optimality and measure
-what an uncertified cost would do.
+jkoflow couples only through its quadratic cost family, whose optimal plan
+is the rank-diagonal one (``jkoflow.coupling_value``).  This module solves
+the same transport problem over the full product grid, with dual
+certificates, for any cost given by a callback (``CostFunction``), so the
+tests can confirm that plan's optimality and measure what a cost outside
+the family would do.
 
 It also holds two oracles for the internal energies: a sampled test of
 displacement convexity, against which each energy's closed-form flag is
@@ -16,18 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from jkoflow import (
-    CostFunction,
     Domain,
     GridDensity,
     InternalEnergy,
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
+    QuadraticCost,
     displacement_interpolate,
     profile_grid,
 )
@@ -42,6 +43,29 @@ MCCANN_TOL = 1e-10
 
 class CapacityError(ValueError):
     """The LP instance exceeds LP_SCALE_CAP."""
+
+
+@dataclass(frozen=True)
+class CostFunction:
+    """Any cost c(x_1, ..., x_l): ``fn`` maps arrays of shape (..., arity) to shape (...)."""
+
+    arity: int
+    fn: Callable[[np.ndarray], np.ndarray]
+    name: str = "custom"
+
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[-1] != self.arity:
+            raise InvalidInputError(f"expected trailing axis of size {self.arity}")
+        return np.asarray(self.fn(xs), dtype=float)
+
+
+def difference_form(cost: QuadraticCost) -> CostFunction:
+    """A QuadraticCost summed term by term, sum_k w_k (x_0 - x_k)^2: the reference for
+    its row form and the form in which the LP evaluates it."""
+    w = np.array(cost.weights)
+    return CostFunction(cost.arity, lambda xs: np.sum(w * (xs[..., :1] - xs[..., 1:]) ** 2,
+                                                      axis=-1), cost.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +111,23 @@ class MultiMarginalPlan:
 
 
 def lp_solve_mm(
-    marginals: Sequence[ParticleDensity], cost: CostFunction
+    marginals: Sequence[ParticleDensity], cost: CostFunction | QuadraticCost
 ) -> MultiMarginalPlan:
     """Exact multi-marginal optimum by exhaustive LP over the product grid.
 
-    Oracle only: refuses instances with l * prod(K_i) beyond LP_SCALE_CAP.
-    Optimality is certified from the returned equality duals (reduced costs
-    >= -1e-8 and duality gap <= 1e-8); the support weights are then
-    re-solved on the marginal constraints so each pushforward matches its
-    marginal to machine precision.
+    A QuadraticCost is evaluated in its difference form.  Oracle only:
+    refuses instances with l * prod(K_i) beyond LP_SCALE_CAP.  Optimality is
+    certified from the returned equality duals (reduced costs >= -1e-8 and
+    duality gap <= 1e-8); the support weights are then re-solved on the
+    marginal constraints so each pushforward matches its marginal to machine
+    precision.
     """
-    # imported here: no certified cost needs the LP, and both are slow to import
+    # imported here: jkoflow never needs the LP, and both are slow to import
     from scipy import sparse
     from scipy.optimize import linprog
 
+    if isinstance(cost, QuadraticCost):
+        cost = difference_form(cost)
     marginals = tuple(marginals)
     l = len(marginals)
     if l != cost.arity:
@@ -154,7 +181,7 @@ def lp_solve_mm(
 
 
 def lp_convexity_violations(
-    cost: CostFunction,
+    cost: CostFunction | QuadraticCost,
     endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
     t_samples: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> tuple[float, ...]:

@@ -14,14 +14,13 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from jkoflow import (
-    CostFunction,
     Domain,
     GridDensity,
     ParticleDensity,
+    QuadraticCost,
     StepProblem,
     barenblatt_profile,
     barycenter3_preset,
-    barycenter_cost,
     bump_profile,
     contraction_probe,
     contraction_rerun,
@@ -39,7 +38,6 @@ from jkoflow import (
     objective_gradient,
     porous_medium_preset,
     power_law_energy,
-    quadratic_pairwise_cost,
     run_flow,
     run_flows,
     solve_step,
@@ -54,7 +52,7 @@ from jkoflow.flow import Coupling, FlowConfig, PopulationSpec, _step_problem
 from jkoflow.presets import PRESETS
 
 from helpers import spread_particles
-from oracle import barenblatt_profile_m, lp_convexity_violations, lp_solve_mm
+from oracle import CostFunction, barenblatt_profile_m, lp_convexity_violations, lp_solve_mm
 
 DOM = Domain(0.0, 1.0)
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,8 +70,8 @@ def _random_certified_cost(rng, l: int):
     """Certified cost on DOM with the given arity; barycenter half the time."""
     if l == 3 or rng.random() < 0.5:
         weights = rng.uniform(0.2, 2.0, size=l - 1).tolist()
-        return barycenter_cost(weights, DOM)
-    return quadratic_pairwise_cost(DOM)
+        return QuadraticCost(weights)
+    return QuadraticCost((1.0,))
 
 
 # 1 ── rank-diagonal plan matches the LP optimum on certified costs
@@ -114,13 +112,13 @@ def test_semi_coupling_lipschitz_bound():
         n = int(rng.integers(1, 9))
         slot = int(rng.integers(0, l))
         if trial % 4 == 0 and l == 2:
-            cost = quadratic_pairwise_cost(DOM)
+            cost = QuadraticCost((1.0,))
             slot_bound = 2.0 * length
         else:
             # c = sum_k w_k (x_0 - x_k)^2, so |d/dx_0 c| <= 2 L sum w and
             # |d/dx_k c| <= 2 L w_k on the domain
             weights = rng.uniform(0.2, 2.0, size=l - 1)
-            cost = barycenter_cost(weights.tolist(), DOM)
+            cost = QuadraticCost(weights.tolist())
             slot_bound = 2.0 * length * (
                 float(np.sum(weights)) if slot == 0 else float(weights[slot - 1])
             )
@@ -131,7 +129,7 @@ def test_semi_coupling_lipschitz_bound():
             coupling_value(cost, frozen[:slot] + (rho1,) + frozen[slot:])
             - coupling_value(cost, frozen[:slot] + (rho2,) + frozen[slot:])
         )
-        assert slot_bound <= cost.partial_bound + 1e-12
+        assert slot_bound <= cost.partial_bound(length) + 1e-12
         rhs = slot_bound * w2_distance(rho1, rho2) + 1e-12
         worst_excess = max(worst_excess, lhs - rhs)
     ok = worst_excess <= 0.0
@@ -150,7 +148,7 @@ def test_semi_coupling_lipschitz_bound():
 def test_single_particle_step_closed_form():
     rng = np.random.default_rng(103)
     dom = Domain(-10.0, 10.0)
-    cost = quadratic_pairwise_cost(dom)
+    cost = QuadraticCost((1.0,))
     worst = 0.0
     for h in (1e-3, 1e-2, 1e-1):
         for _ in range(25):
@@ -361,15 +359,7 @@ def test_convexity_certified_and_counterexample():
 
     # product cost has mixed second derivative +1 > 0: transport along the
     # swap pair is cheaper at the endpoints than at the midpoint
-    product = CostFunction(
-        arity=2,
-        fn=lambda pts: pts[..., 0] * pts[..., 1],
-        partial_fns=(lambda pts: pts[..., 1], lambda pts: pts[..., 0]),
-        curvature_fns=(lambda pts: np.zeros(pts.shape[:-1]),) * 2,
-        partial_bound=1.0,
-        comonotone_certified=False,
-        name="product",
-    )
+    product = CostFunction(arity=2, fn=lambda pts: pts[..., 0] * pts[..., 1], name="product")
     end_a = (_atoms(DOM, 0.2), _atoms(DOM, 0.8))
     end_b = (_atoms(DOM, 0.8), _atoms(DOM, 0.2))
     counter = max(lp_convexity_violations(product, (end_a, end_b)))
@@ -560,7 +550,7 @@ def _coupled_gaussian_errors(gaussians, couplings, weights, n, h=1e-3, n_steps=2
 
 
 def test_coupled_gaussian_closed_form():
-    pair = quadratic_pairwise_cost(Domain(-2.0, 2.0))
+    pair = QuadraticCost((1.0,))
     cases = {
         "pairwise": (
             ((-0.3, 0.05), (0.4, 0.1)),
@@ -570,7 +560,7 @@ def test_coupled_gaussian_closed_form():
         "barycenter": (
             ((-0.3, 0.05), (0.0, 0.08), (0.4, 0.1)),
             (
-                Coupling(barycenter_cost([1.0, 2.0], Domain(-2.0, 2.0)), (0, 1, 2)),
+                Coupling(QuadraticCost((1.0, 2.0)), (0, 1, 2)),
                 Coupling(pair, (1, 0)),
                 Coupling(pair, (2, 0)),
             ),

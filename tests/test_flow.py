@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jkoflow import (
-    CostFunction,
     Coupling,
     Domain,
     FlowConfig,
@@ -12,6 +11,7 @@ from jkoflow import (
     ParticleDensity,
     NumericalFailureError,
     PopulationSpec,
+    QuadraticCost,
     barenblatt_profile,
     barycenter3_preset,
     bump_profile,
@@ -30,7 +30,6 @@ from jkoflow import (
     particle_step_density,
     porous_medium_preset,
     power_law_energy,
-    quadratic_pairwise_cost,
     run_flow,
     run_flows,
     solve_step,
@@ -42,6 +41,7 @@ from jkoflow import (
 import jkoflow.jko as jko_module
 from jkoflow.flow import _step_problem
 from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
+from oracle import CostFunction
 
 UNIT = Domain(0.0, 1.0)
 
@@ -65,7 +65,7 @@ def attract_config(h=0.05, n_steps=10):
     dom = UNIT
     a = ParticleDensity(dom, np.array([0.2, 0.3]))
     b = ParticleDensity(dom, np.array([0.8, 0.9]))
-    pair = quadratic_pairwise_cost(dom)
+    pair = QuadraticCost((1.0,))
     return FlowConfig(
         populations=(
             PopulationSpec(initial=a, energy=zero_energy(),
@@ -194,7 +194,7 @@ def mixed_config():
     # entropy, power-law and zero energies in one joint solve, a coupled pair
     # among them, and an uncoupled population with its own N solved apart
     rng = np.random.default_rng(31)
-    pair = quadratic_pairwise_cost(UNIT)
+    pair = QuadraticCost((1.0,))
     return FlowConfig(
         populations=(
             PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(),
@@ -365,18 +365,14 @@ def test_flow_validation():
     )
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(spec, lone), h=1e-2, n_steps=1)
-    uncertified = CostFunction(
-        arity=2,
-        fn=lambda xs: xs[..., 0] * xs[..., 1],
-        partial_fns=(lambda xs: xs[..., 1], lambda xs: xs[..., 0]),
-        curvature_fns=(lambda xs: np.zeros(xs.shape[:-1]),) * 2,
-        partial_bound=1.0,
-    )
-    bad = PopulationSpec(initial=a, energy=entropy_energy(),
-                         coupling=Coupling(uncertified, (0, 1)))
-    with pytest.raises(InvalidInputError):
-        FlowConfig(populations=(bad, spec), h=1e-2, n_steps=1)
-    pair = quadratic_pairwise_cost(UNIT)
+    # c = x y has mixed partial +1: its optimal plan is not the rank-diagonal one,
+    # and a flow refuses every cost but a QuadraticCost when its coupling is built
+    product = CostFunction(arity=2, fn=lambda xs: xs[..., 0] * xs[..., 1])
+    with pytest.raises(InvalidInputError, match="QuadraticCost"):
+        FlowConfig(populations=(PopulationSpec(initial=a, energy=entropy_energy(),
+                                               coupling=Coupling(product, (0, 1))), spec),
+                   h=1e-2, n_steps=1)
+    pair = QuadraticCost((1.0,))
     not_member = PopulationSpec(initial=a, energy=entropy_energy(),
                                 coupling=Coupling(pair, (1, 1)))
     with pytest.raises(InvalidInputError):

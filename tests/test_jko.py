@@ -12,15 +12,13 @@ from jkoflow import (
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
-    barycenter_cost,
+    QuadraticCost,
     coupling_value,
     energy_value,
     entropy_energy,
     from_grid,
     gaussian_profile,
     power_law_energy,
-    quadratic_pairwise_cost,
-    zero_cost,
     zero_energy,
 )
 import jkoflow.energy as energy_module
@@ -40,14 +38,11 @@ from jkoflow.jko import (
     solve_step,
     solve_steps,
 )
-from jkoflow.transport import CostFunction
 from helpers import spread_particles, uniform_particles, wrong_sign_energy
+from oracle import CostFunction, difference_form
 
 UNIT = Domain(0.0, 1.0)
-
-
-def _zero(xs):
-    return np.zeros(xs.shape[:-1])
+EPS = np.finfo(float).eps
 
 
 def coupled_problem(rng, n=16, h=1e-2, energy=None, tol=None):
@@ -57,7 +52,7 @@ def coupled_problem(rng, n=16, h=1e-2, energy=None, tol=None):
         prev=prev,
         energy=energy if energy is not None else entropy_energy(),
         h=h,
-        cost=quadratic_pairwise_cost(UNIT),
+        cost=QuadraticCost((1.0,)),
         frozen=(target,),
         slot=0,
         tol=tol,
@@ -125,11 +120,11 @@ def test_hessian_matches_finite_differences_of_gradient():
     )
     couplings = (
         (None, 0),
-        (quadratic_pairwise_cost(UNIT), 1),
-        (barycenter_cost([1.0, 0.5], UNIT), 0),
-        (barycenter_cost([1.0, 0.5], UNIT), 1),
-        (barycenter_cost([1.0, 0.5], UNIT), 2),
-        (zero_cost(2), 0),
+        (QuadraticCost((1.0,)), 1),
+        (QuadraticCost((1.0, 0.5)), 0),
+        (QuadraticCost((1.0, 0.5)), 1),
+        (QuadraticCost((1.0, 0.5)), 2),
+        (QuadraticCost((0.0,)), 0),
     )
     for energy in energies:
         for cost, slot in couplings:
@@ -177,40 +172,50 @@ def test_solve_step_builds_one_density(monkeypatch):
     assert sol.rho.positions.base is None and not sol.rho.positions.flags.writeable
 
 
-@pytest.mark.parametrize("cost", [None, quadratic_pairwise_cost(UNIT)],
+@pytest.mark.parametrize("cost", [None, QuadraticCost((1.0,))],
                          ids=["uncoupled", "pairwise"])
 def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
-    # one gap pass and one cost evaluation, partial and curvature per evaluated
-    # point: the start and each accepted step, none repeated for the gradient,
-    # Hessian or diagnostics
+    # one gap pass per evaluated point: the start and each accepted step, none
+    # repeated for the gradient, Hessian or diagnostics.  The cost's row form is
+    # taken when the kernel is built; from then to the result no cost method runs
     prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
     frozen = () if cost is None else (from_grid(gaussian_profile(UNIT, 0.6, 0.1), 128),)
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost, frozen=frozen)
-    calls = {"_gaps": 0, "evaluate": 0, "partial": 0, "curvature": 0}
+    calls = {"_gaps": 0, "cost": []}
+    gaps = energy_module._gaps
 
-    def counted(owner, name):
-        original = getattr(owner, name)
+    def counted_gaps(*args):
+        calls["_gaps"] += 1
+        return gaps(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(owner, name, wrapper)
+    def refuse(name):
+        def method(*args):
+            calls["cost"].append(name)
+            raise AssertionError(f"QuadraticCost.{name} called after the kernel's build")
+        return method
 
-    counted(energy_module, "_gaps")
-    for name in ("evaluate", "partial", "curvature"):
-        counted(CostFunction, name)
+    build = jko_module._Rows
+
+    def built(*args):
+        rows = build(*args)
+        for name in ("arity", "partial_bound", "row_form"):  # its property and methods
+            wrapped = refuse(name)
+            monkeypatch.setattr(QuadraticCost, name,
+                                property(wrapped) if name == "arity" else wrapped)
+        return rows
+
+    monkeypatch.setattr(energy_module, "_gaps", counted_gaps)
+    monkeypatch.setattr(jko_module, "_Rows", built)
     sol = solve_step(problem)
     assert sol.iterations >= 3
-    per_cost = 0 if cost is None else sol.iterations + 1
-    assert calls == {"_gaps": sol.iterations + 1, "evaluate": per_cost,
-                     "partial": per_cost, "curvature": per_cost}
+    assert calls == {"_gaps": sol.iterations + 1, "cost": []}
 
 
 @pytest.mark.parametrize("cost, slot", [
     (None, 0),
-    (quadratic_pairwise_cost(UNIT), 1),
-    (barycenter_cost([1.0, 0.5], UNIT), 0),
-    (barycenter_cost([1.0, 0.5], UNIT), 2),
+    (QuadraticCost((1.0,)), 1),
+    (QuadraticCost((1.0, 0.5)), 0),
+    (QuadraticCost((1.0, 0.5)), 2),
 ], ids=["uncoupled", "pairwise", "barycenter-slot0", "barycenter-slot2"])
 def test_solution_carries_its_step_diagnostics(cost, slot):
     rng = np.random.default_rng(14)
@@ -222,17 +227,24 @@ def test_solution_carries_its_step_diagnostics(cost, slot):
                        h=1e-2, cost=cost, frozen=frozen, slot=slot)
     sol = solve_step(prob)
     assert sol.iterations >= 1
-    cols = [m.positions for m in frozen]
-    cols.insert(slot, sol.rho.positions)
-    coupling = 0.0 if cost is None else float(np.mean(cost.evaluate(np.stack(cols, axis=-1))))
+    coupling = 0.0
+    if cost is not None:  # the mean of the row's cost in its slot at the solution
+        a, m, c0 = cost.row_form(slot, [f.positions for f in frozen])
+        d = sol.rho.positions - m
+        coupling = float(np.add.reduce(0.5 * a * d * d + c0) / n)
+        cols = [f.positions for f in frozen]
+        cols.insert(slot, sol.rho.positions)
+        reference = float(np.mean(difference_form(cost).evaluate(np.stack(cols, axis=-1))))
+        # the rounding bound of the row-form test in test_transport.py, R = 2 on the unit box
+        assert abs(sol.coupling - reference) <= 8 * (cost.arity + 1) * EPS * sum(cost.weights) * 4
     assert sol.energy == energy_value(prob.energy, sol.rho)
     assert sol.coupling == coupling
     assert sol.el_residual == euler_lagrange_residual(prob, sol.rho)
 
 
 @pytest.mark.parametrize("cost, slot", [
-    (quadratic_pairwise_cost(UNIT), 1),
-    (barycenter_cost([1.0, 0.5], UNIT), 0),
+    (QuadraticCost((1.0,)), 1),
+    (QuadraticCost((1.0, 0.5)), 0),
 ], ids=["pairwise", "barycenter"])
 def test_step_coupling_is_the_coupling_value(cost, slot):
     # the solver's coupling and the public coupling value are one computation
@@ -262,7 +274,7 @@ def test_single_particle_closed_form():
     for h in (1e-3, 1e-2, 1e-1):
         prob = StepProblem(
             prev=prev, energy=zero_energy(), h=h,
-            cost=quadratic_pairwise_cost(UNIT), frozen=(frozen,), slot=0, tol=1e-12,
+            cost=QuadraticCost((1.0,)), frozen=(frozen,), slot=0, tol=1e-12,
         )
         sol = solve_step(prob)
         want = (xk + 2 * h * y) / (1 + 2 * h)
@@ -278,7 +290,7 @@ def test_uncoupled_transport_pull_closed_form():
     h = 0.05
     prob = StepProblem(
         prev=prev, energy=zero_energy(), h=h,
-        cost=quadratic_pairwise_cost(UNIT), frozen=(target,), slot=0, tol=1e-13,
+        cost=QuadraticCost((1.0,)), frozen=(target,), slot=0, tol=1e-13,
     )
     sol = solve_step(prob)
     want = (prev.positions + 2 * h * target.positions) / (1 + 2 * h)
@@ -327,20 +339,19 @@ def test_problem_validation():
         StepProblem(prev=prev, energy=zero_energy(), h=0.0)
     with pytest.raises(InvalidInputError):
         StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
-                    cost=quadratic_pairwise_cost(UNIT), frozen=())
+                    cost=QuadraticCost((1.0,)), frozen=())
     with pytest.raises(InvalidInputError):
         StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
-                    cost=quadratic_pairwise_cost(UNIT),
+                    cost=QuadraticCost((1.0,)),
                     frozen=(spread_particles(rng, UNIT, 5),))
     with pytest.raises(InvalidInputError):
         StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
-                    cost=quadratic_pairwise_cost(UNIT),
+                    cost=QuadraticCost((1.0,)),
                     frozen=(spread_particles(rng, UNIT, 4),), slot=2)
-    # c = x y has mixed partial +1: the rank-diagonal value is not its optimal coupling
-    product = CostFunction(2, lambda xs: xs[..., 0] * xs[..., 1],
-                           (lambda xs: xs[..., 1], lambda xs: xs[..., 0]),
-                           (_zero, _zero), 1.0)
-    with pytest.raises(InvalidInputError, match="uncertified"):
+    # c = x y has mixed partial +1: the rank-diagonal value is not its optimal
+    # coupling, and a step problem refuses every cost but a QuadraticCost
+    product = CostFunction(2, lambda xs: xs[..., 0] * xs[..., 1])
+    with pytest.raises(InvalidInputError, match="QuadraticCost"):
         StepProblem(prev=prev, energy=entropy_energy(), h=0.01, cost=product,
                     frozen=(spread_particles(rng, UNIT, 4),), slot=0)
     prob = StepProblem(prev=prev, energy=zero_energy(), h=1e-2)
@@ -355,7 +366,7 @@ def test_zero_cost_slot_matches_uncoupled():
     a = solve_step(StepProblem(prev=prev, energy=entropy_energy(), h=1e-2))
     b = solve_step(StepProblem(
         prev=prev, energy=entropy_energy(), h=1e-2,
-        cost=zero_cost(2), frozen=(other,), slot=1,
+        cost=QuadraticCost((0.0,)), frozen=(other,), slot=1,
     ))
     assert float(np.max(np.abs(a.rho.positions - b.rho.positions))) <= 1e-12
 
@@ -371,44 +382,51 @@ def test_failed_line_search_raises_with_residual():
     assert info.value.residual > problem.default_tol()
 
 
+def _nan_left_of(monkeypatch, wall, row=0):
+    """Make the cost of row ``row`` NaN at each evaluated particle left of ``wall``, by a
+    NaN planted in the row's cost centre m."""
+    evaluate = jko_module._evaluate
+
+    def planted(rows, x, reuse=None):
+        segment = slice(row * rows.n, (row + 1) * rows.n)
+        rows.m[segment][x[segment] < wall] = np.nan
+        return evaluate(rows, x, reuse)
+
+    monkeypatch.setattr(jko_module, "_evaluate", planted)
+
+
 @pytest.mark.parametrize("wall, iteration", [(0.5, 0), (0.1, 1)])
-def test_non_finite_point_raises_naming_the_iteration(wall, iteration):
-    # the cost is NaN left of `wall`: the whole start for wall = 0.5, a
-    # trial point of the second iteration for wall = 0.1.  It depends on
-    # slot 0 alone, so its mixed partial is 0 and it is certified
-    cost = CostFunction(
-        2,
-        lambda xs: np.sqrt(xs[..., 0] - wall),
-        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - wall), _zero),
-        (lambda xs: -0.25 / np.sqrt(xs[..., 0] - wall) ** 3, _zero),
-        1.0,
-        comonotone_certified=True,
-    )
+def test_non_finite_point_raises_naming_the_iteration(monkeypatch, wall, iteration):
+    # the cost is NaN left of `wall`: the whole start for wall = 0.5, a trial
+    # point of the second iteration for wall = 0.1: the entropy spreads the
+    # first particle from 0.2 to 0.119 in the first iteration and to 0.098 in
+    # the second
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
-    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
-                          frozen=(prev,), slot=0)
-    with np.errstate(invalid="ignore"), pytest.raises(
-        NumericalFailureError, match=f"non-finite .* at iteration {iteration}$"
-    ):
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2,
+                          cost=QuadraticCost((1.0,)), frozen=(prev,), slot=0)
+    _nan_left_of(monkeypatch, wall)
+    with pytest.raises(NumericalFailureError,
+                       match=f"non-finite .* at iteration {iteration}$") as err:
         solve_step(problem)
+    assert err.value.row == 0
 
 
-def test_non_finite_newton_system_is_a_numerical_failure():
-    # c = |x - k|^(3/2) has a finite value and partial at a particle sitting
-    # on k, but its curvature (3/4) |x - k|^(-1/2) is infinite there
+def test_non_finite_newton_system_is_a_numerical_failure(monkeypatch):
+    # a finite point whose cost curvature is infinite at one particle, as
+    # |x - k|^(3/2) has at a particle sitting on k
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
-    kink = prev.positions[7]
-    cost = CostFunction(
-        2,
-        lambda xs: np.abs(xs[..., 0] - kink) ** 1.5,
-        (lambda xs: 1.5 * np.sign(xs[..., 0] - kink) * np.sqrt(np.abs(xs[..., 0] - kink)), _zero),
-        (lambda xs: 0.75 / np.sqrt(np.abs(xs[..., 0] - kink)), _zero),
-        1.0,
-        comonotone_certified=True,
-    )
-    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2, cost=cost,
-                          frozen=(prev,), slot=0)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+    problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2,
+                          cost=QuadraticCost((1.0,)), frozen=(prev,), slot=0)
+    evaluate = jko_module._evaluate
+
+    def kinked(rows, x, reuse=None):
+        at = evaluate(rows, x, reuse)
+        c_ss = at.cost_curvature.copy()
+        c_ss[7] = np.inf
+        return at._replace(cost_curvature=c_ss)
+
+    monkeypatch.setattr(jko_module, "_evaluate", kinked)
+    with np.errstate(invalid="ignore"), pytest.raises(  # inf times a zero gradient entry
         NumericalFailureError, match="non-finite or indefinite Newton system at iteration 0$"
     ) as err:
         solve_step(problem)
@@ -455,8 +473,8 @@ def _natural_residual(problem, x):
 def _independent_problems(rng, n=24, h=2e-2):
     # one N, domain and h; energies, costs and slots differ from row to row
     energies = (entropy_energy(), power_law_energy(2.0), zero_energy(), entropy_energy())
-    couplings = ((None, 0), (quadratic_pairwise_cost(UNIT), 1),
-                 (barycenter_cost([1.0, 0.5], UNIT), 0), (barycenter_cost([2.0], UNIT), 1))
+    couplings = ((None, 0), (QuadraticCost((1.0,)), 1),
+                 (QuadraticCost((1.0, 0.5)), 0), (QuadraticCost((2.0,)), 1))
     problems = []
     for energy, (cost, slot) in zip(energies, couplings):
         frozen = () if cost is None else tuple(
@@ -515,7 +533,7 @@ def test_one_particle_rows_solve_as_alone():
     # a one-particle row has no gap: only its walls limit its step
     frozen = (ParticleDensity(UNIT, np.array([0.9])),)
     problems = [StepProblem(prev=ParticleDensity(UNIT, np.array([xk])), energy=zero_energy(),
-                            h=0.1, cost=quadratic_pairwise_cost(UNIT), frozen=frozen, slot=0,
+                            h=0.1, cost=QuadraticCost((1.0,)), frozen=frozen, slot=0,
                             tol=tol)
                 for xk, tol in ((0.0, 1e-12), (0.3, 1e-9), (1.0, 1e-12))]
     joint = solve_steps(problems)
@@ -576,7 +594,7 @@ def test_rows_sharing_an_energy_evaluate_it_in_one_pass(monkeypatch):
     assert passes([entropy_energy(), power_law_energy(2.0), entropy_energy()]) == 3
 
 
-def test_joint_failure_names_its_row():
+def test_joint_failure_names_its_row(monkeypatch):
     # row 1 climbs its objective (its energy's derivative has the wrong sign);
     # row 0 is a healthy heat step, so the failure is charged to row 1
     rng = np.random.default_rng(24)
@@ -588,18 +606,11 @@ def test_joint_failure_names_its_row():
     assert info.value.row == 1
     assert info.value.residual > broken.default_tol()
     # a non-finite row is named at the iteration it appears in
-    nan_cost = CostFunction(
-        2, lambda xs: np.sqrt(xs[..., 0] - 0.5),
-        (lambda xs: 0.5 / np.sqrt(xs[..., 0] - 0.5), _zero),
-        (lambda xs: -0.25 / np.sqrt(xs[..., 0] - 0.5) ** 3, _zero),
-        1.0, comonotone_certified=True,
-    )
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 8))
-    bad = StepProblem(prev=prev, energy=entropy_energy(), h=0.05, cost=nan_cost,
+    bad = StepProblem(prev=prev, energy=entropy_energy(), h=0.05, cost=QuadraticCost((1.0,)),
                       frozen=(prev,), slot=0)
-    with np.errstate(invalid="ignore"), pytest.raises(
-        NumericalFailureError, match="non-finite .* at iteration 0$"
-    ) as info:
+    _nan_left_of(monkeypatch, 0.5, row=2)
+    with pytest.raises(NumericalFailureError, match="non-finite .* at iteration 0$") as info:
         solve_steps([healthy, healthy, bad])
     assert info.value.row == 2
 

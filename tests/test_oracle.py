@@ -8,10 +8,9 @@ import pytest
 from jkoflow import (
     Domain,
     ParticleDensity,
+    QuadraticCost,
     barenblatt_profile,
-    barycenter_cost,
     coupling_value,
-    quadratic_pairwise_cost,
     w2_distance,
 )
 from helpers import spread_particles, uniform_particles
@@ -26,7 +25,7 @@ def atoms(*positions, domain=UNIT):
 
 def test_lp_single_atoms():
     a, b = atoms(0.2), atoms(0.9)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+    plan = lp_solve_mm([a, b], QuadraticCost((1.0,)))
     assert math.isclose(plan.cost_value, 0.49, abs_tol=1e-10)
     assert plan.indices.shape == (1, 2)
 
@@ -37,13 +36,13 @@ def test_lp_matches_w2_for_quadratic():
         n = int(rng.integers(1, 6))
         a = spread_particles(rng, UNIT, n)
         b = spread_particles(rng, UNIT, n)
-        plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+        plan = lp_solve_mm([a, b], QuadraticCost((1.0,)))
         assert abs(plan.cost_value - w2_distance(a, b) ** 2) <= 1e-9
 
 
 def test_lp_matches_monotone_for_barycenter():
     rng = np.random.default_rng(12)
-    cost = barycenter_cost([1.0, 2.0], UNIT)
+    cost = QuadraticCost((1.0, 2.0))
     for trial in range(10):
         margs = [spread_particles(rng, UNIT, 3) for _ in range(3)]
         plan = lp_solve_mm(margs, cost)
@@ -53,7 +52,7 @@ def test_lp_matches_monotone_for_barycenter():
 def test_lp_handles_unequal_counts():
     a = atoms(0.0, 1.0)
     b = atoms(0.5)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+    plan = lp_solve_mm([a, b], QuadraticCost((1.0,)))
     # both atoms of a must couple to the single atom of b
     assert math.isclose(plan.cost_value, 0.25, abs_tol=1e-10)
     for i in range(2):
@@ -65,7 +64,7 @@ def test_lp_support_monotone_for_quadratic():
     rng = np.random.default_rng(4)
     a = spread_particles(rng, UNIT, 5)
     b = spread_particles(rng, UNIT, 5)
-    plan = lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+    plan = lp_solve_mm([a, b], QuadraticCost((1.0,)))
     pts = plan.support_positions()
     order = np.argsort(pts[:, 0], kind="stable")
     pts = pts[order]
@@ -78,7 +77,7 @@ def test_lp_capacity_guard():
     a = uniform_particles(UNIT, 1024)
     b = uniform_particles(UNIT, 1024)
     with pytest.raises(CapacityError):
-        lp_solve_mm([a, b], quadratic_pairwise_cost(UNIT))
+        lp_solve_mm([a, b], QuadraticCost((1.0,)))
 
 
 def test_barenblatt_oracle_is_the_shipped_profile_at_m_2():
