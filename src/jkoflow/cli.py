@@ -468,3 +468,7 @@ def main(argv=None) -> int:
     except (OSError, *FAILURES) as err:
         return _exit_code(err)
     return run_scenario(scenario, output_dir=args.output_dir, quiet=args.quiet)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

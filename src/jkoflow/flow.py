@@ -28,7 +28,7 @@ import numpy as np
 from .energy import InternalEnergy, energy_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, product_w2
-from .jko import StepProblem, _evaluate, _minimize, _Rows, _solutions
+from .jko import StepProblem, _Rows
 from .transport import QuadraticCost
 
 
@@ -166,27 +166,23 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
         for i, p in enumerate(config.populations):
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
     # one kernel per group, built once: coupled populations share N, so every
-    # partner is a row of the same kernel, and advance refills its column
-    kernels = []  # [members, their rows, the accepted point]
+    # partner is a row of the same kernel, and each step refills its column
+    kernels = []  # (members, their rows)
     for members in groups.values():
         couplings = [configs[c].populations[i].coupling for c, i in members]
         columns = [None if cp is None else [members.index((c, m)) for m in cp.members]
                    for (c, _), cp in zip(members, couplings)]
         problems = [_step_problem(configs[c], runs[c][2][0], i) for c, i in members]
-        kernels.append([members, _Rows(problems, columns), None])
+        kernels.append((members, _Rows(problems, columns)))
     for k in range(1, n_steps + 1):
         solutions = [[None] * len(config.populations) for config in configs]
-        for kernel in kernels:
-            members, rows, at = kernel
+        for members, rows in kernels:
             try:
-                x, at, res, iters = _minimize(rows, rows.prev, _evaluate(rows, rows.prev, at))
-                solved = _solutions(rows, x, at, res, iters)
+                solved = rows.step()
             except NumericalFailureError as err:
                 c, i = members[err.row]
                 raise NumericalFailureError(f"step {k}, population {i}: {err}",
                                             residual=err.residual, row=c) from err
-            rows.advance(x)
-            kernel[2] = at
             for (c, i), sol in zip(members, solved):
                 solutions[c][i] = sol
         for config, (steps, times, states, diagnostics), solved in zip(configs, runs, solutions):

@@ -26,12 +26,14 @@ positive and an outgoing wall particle stops at its wall; its Armijo
 backtracking on its own objective; its iteration count; and its stop, when
 its box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches its
 tolerance, after which it holds still.  A wall particle whose descent
-points out of the box is held.  solve_steps builds the rows for one solve
-(solve_step is the one-row case); run_flows builds them once per flow and
-advances them, each step starting at the point the last one accepted.  Row
-r is the callers' problem r.  Each returned state is built, and so checked,
-by the ParticleDensity constructor; a state it refuses or a non-finite E,
-dE/dx or Newton system is a numerical failure charged to one row.
+points out of the box is held.  _Rows.step is the one driver of this
+loop: one step of every row, after which the minimizer is the rows'
+previous state, so a kernel that run_flows builds once starts each step at
+the point the last one accepted; solve_step is one step of a one-row
+kernel.  Row r is the callers' problem r.  Each returned state is built,
+and so checked, by the ParticleDensity constructor; a state it refuses or
+a non-finite E, dE/dx or Newton system is a numerical failure charged to
+one row.
 
 dptsv is scipy's f2py wrapper of the LAPACK routine.  _load_dptsv loads
 scipy's compiled _flapack extension straight from its file, so that
@@ -162,30 +164,28 @@ def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """The data of P step problems solved together: one N, one domain, one h.
+    """The step kernel: P step problems of one N, one domain and one h, stepped together.
 
     Row r is problem r.  Each maximal run of adjacent rows that share one
     energy is a block that a single gap pass evaluates.  Each particle's cost
     against its frozen partners is (a/2)(x - m)^2 + c, from the flat arrays
-    a, m and c, all 0 in an uncoupled row.  Given the rows that fill each
-    problem's cost slots (``columns``), advance makes the rows the next time
-    step's problems.
+    a, m and c, all 0 in an uncoupled row.  step solves every row from prev
+    and makes the solution the next step's prev, keeping its evaluation as
+    ``at``; given the rows that fill each problem's cost slots (``columns``),
+    it refills m and c from them as well.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
                  columns: Sequence[Sequence[int] | None] | None = None):
-        if not problems:
-            raise InvalidInputError("need at least one step problem")
         self.count, first = len(problems), problems[0]
         self.n, self.h, self.domain = first.prev.n, first.h, first.domain
-        if any(p.prev.n != self.n or p.domain != self.domain or p.h != self.h for p in problems):
-            raise InvalidInputError("step problems solved together must share N, domain and h")
         self.energies, start = [], 0  # (energy, its run's first row, the row after it)
         for energy, run in groupby(problems, key=lambda p: p.energy):
             stop = start + len(list(run))
             self.energies.append((energy, start, stop))
             start = stop
         self.prev = np.concatenate([p.prev.positions for p in problems])
+        self.at = None  # the evaluation at prev, once a step has accepted it
         self.tol = [float(p.default_tol() if p.tol is None else p.tol) for p in problems]
         lower, upper = self.domain.lower, self.domain.upper
         # (index, row, outward sign, wall) of each row's first and last particle
@@ -205,11 +205,15 @@ class _Rows:
                     self.sources.append((segment, p.cost, p.slot,
                                          [m for c, m in enumerate(columns[r]) if c != p.slot]))
 
-    def advance(self, x: np.ndarray) -> None:
-        """Make the accepted positions x the previous state, and every partner's frozen state."""
-        self.prev, block = x, x.reshape(self.count, self.n)
+    def step(self) -> tuple[StepSolution, ...]:
+        """One implicit step of every row, warm-started at prev: the rows' solutions, in
+        row order.  The minimizer becomes prev and every partner's frozen state."""
+        x, at, res, iters = _minimize(self, self.prev, _evaluate(self, self.prev, self.at))
+        solved = _solutions(self, x, at, res, iters)
+        self.prev, self.at, block = x, at, x.reshape(self.count, self.n)
         for segment, cost, slot, partners in self.sources:
             _, self.m[segment], self.c[segment] = cost.row_form(slot, block[partners])
+        return solved
 
 
 class _Point(NamedTuple):
@@ -220,11 +224,10 @@ class _Point(NamedTuple):
     grad: np.ndarray
     energy_grad: np.ndarray  # dF/dx, before the 2h scaling
     curvature: np.ndarray  # q of the gap right of each particle, 0 at row ends
-    cost_curvature: np.ndarray | None
 
 
 def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point:
-    """E, F, the coupling values and W2^2 of each row, dE/dx, dF/dx, q and c_ss at x;
+    """E, F, the coupling values and W2^2 of each row, dE/dx, dF/dx and q at x;
     F, dF/dx and q, which depend on x alone, are taken from ``reuse``, a point evaluated at x."""
     n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
     if reuse is None:
@@ -240,15 +243,14 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
     values = w2_sq + h2 * energies
     grad = h2 * energy_grad
     grad += (2.0 / n) * step
-    couplings, c_ss = np.zeros(rows.count), None
+    couplings = np.zeros(rows.count)
     if rows.coupled:
         d = x - rows.m
         c = 0.5 * rows.a * d * d + rows.c
         couplings = np.add.reduce(c.reshape(rows.count, n), axis=1) / n  # as coupling_value
         values += h2 * couplings
         grad += (h2 / n) * rows.a * d
-        c_ss = rows.a
-    return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature, c_ss)
+    return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
@@ -269,8 +271,8 @@ def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     diag = np.full(at.grad.size, 2.0 / rows.n)
     diag[:-1] += hq
     diag[1:] += hq
-    if at.cost_curvature is not None:
-        diag += (h2 / rows.n) * at.cost_curvature
+    if rows.coupled:
+        diag += (h2 / rows.n) * rows.a
     return diag, -hq
 
 
@@ -390,7 +392,7 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         except (ValueError, np.linalg.LinAlgError) as err:
             raise _failure(
                 rows, "step solver met a non-finite or indefinite Newton system "
-                f"at iteration {k}", res, at.grad, at.curvature, at.cost_curvature,
+                f"at iteration {k}", res, at.grad, at.curvature,
             ) from err
         x2, d2 = x.reshape(count, n), d.reshape(count, n)
         slope = np.vecdot(at.grad.reshape(count, n), d2).tolist()
@@ -458,21 +460,9 @@ def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
                               w2_sq=w2_sq[r]) for r in range(rows.count))
 
 
-def solve_steps(problems: Sequence[StepProblem],
-                initial: Sequence[ParticleDensity] | None = None) -> tuple[StepSolution, ...]:
-    """Minimize step objectives that share N, domain and h together, warm-started at
-    each prev unless told otherwise; each row's solution is the one it has alone."""
-    rows = _Rows(problems)
-    starts = [p.prev for p in problems] if initial is None else list(initial)
-    if len(starts) != rows.count or any(s.n != rows.n or s.domain != rows.domain for s in starts):
-        raise InvalidInputError("initial iterates must match prev in N and domain")
-    x = np.concatenate([s.positions for s in starts])
-    return _solutions(rows, *_minimize(rows, x, _evaluate(rows, x)))
-
-
-def solve_step(problem: StepProblem, initial: ParticleDensity | None = None) -> StepSolution:
-    """Minimize one step objective: the one-row case of solve_steps."""
-    return solve_steps((problem,), None if initial is None else (initial,))[0]
+def solve_step(problem: StepProblem) -> StepSolution:
+    """Minimize one step objective, warm-started at prev: the one-row step kernel."""
+    return _Rows((problem,)).step()[0]
 
 
 def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float]:

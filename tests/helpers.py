@@ -6,9 +6,9 @@ import numpy as np
 import yaml
 
 from jkoflow import Domain, GridDensity, InternalEnergy, ParticleDensity, from_grid
-import jkoflow.flow
 from jkoflow.flow import FlowTrajectory, StepDiagnostics, _step_problem
-from jkoflow.jko import solve_steps
+import jkoflow.jko
+from jkoflow.jko import _Rows
 
 
 def spread_particles(rng, domain, n, fill=0.9):
@@ -71,7 +71,7 @@ def serialize_scenario(s):
 
 
 def reference_run_flow(config):
-    """run_flow built afresh at every step: one solve_steps call per time step and
+    """run_flow built afresh at every step: one step of a new kernel per time step and
     group of populations that share N, on step problems made from the state."""
     state = tuple(p.initial for p in config.populations)
     steps, times, states, diagnostics = [0], [0.0], [state], []
@@ -81,7 +81,7 @@ def reference_run_flow(config):
     for k in range(1, config.n_steps + 1):
         solutions = [None] * len(config.populations)
         for members in groups.values():
-            solved = solve_steps([_step_problem(config, state, i) for i in members])
+            solved = _Rows([_step_problem(config, state, i) for i in members]).step()
             for i, sol in zip(members, solved):
                 solutions[i] = sol
         diagnostics += [StepDiagnostics(
@@ -100,7 +100,7 @@ def reference_run_flow(config):
 def leak_past_wall(monkeypatch, wall):
     """Make run_flow's solves put the second row's end particle at ``wall`` one ulp past it
     (population 1 when the first two populations share one N)."""
-    minimize = jkoflow.flow._minimize
+    minimize = jkoflow.jko._minimize
 
     def leaky(rows, x, at):
         x, at, res, iters = minimize(rows, x, at)
@@ -111,4 +111,4 @@ def leak_past_wall(monkeypatch, wall):
             x[2 * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
         return x, at, res, iters
 
-    monkeypatch.setattr(jkoflow.flow, "_minimize", leaky)
+    monkeypatch.setattr(jkoflow.jko, "_minimize", leaky)

@@ -1,7 +1,10 @@
 """Scenario front end: parsing, round-trips, artifact runs, exit codes."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 import yaml
 
 import jkoflow.cli as cli
-import jkoflow.flow
+import jkoflow.jko
 from jkoflow.cli import (
     Scenario,
     build_flow_config,
@@ -165,6 +168,22 @@ def test_weak_form_population_range_checked():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("coupling, message", [
+    ("{type: quadratic_pairwise, partner: 1}",
+     r"flow\.populations\[1\]\.coupling: partners must be distinct other populations"),
+    ("{type: zero, partners: [0, 0]}",
+     r"flow\.populations\[1\]\.coupling: partners must be distinct other populations"),
+    ("{type: quadratic_pairwise, partner: 2}",
+     r"flow\.populations\[1\]\.coupling: partner 2 out of range"),
+    ("{type: quadratic_pairwise}",
+     r"flow\.populations\[1\]\.coupling\.partner: missing required key"),
+], ids=["partner-is-owner", "duplicate-partners", "partner-out-of-range", "missing-key"])
+def test_malformed_coupling_refused_naming_its_field(coupling, message):
+    # appending places the coupling under the last population
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        parse_scenario(MINIMAL + f"      coupling: {coupling}\n")
+
+
 def test_non_mapping_document_rejected():
     with pytest.raises(InvalidInputError, match="mapping"):
         parse_scenario("- just\n- a\n- list\n")
@@ -238,6 +257,31 @@ def test_identity_run_all_probes_pass(tmp_path):
         assert "status: PASS" in (tmp_path / fname).read_text()
 
 
+CONVEXITY = """probes:
+  - kind: convexity_probe
+    second_initials:
+      - {type: gaussian, center: 0.5, sigma: 0.12}
+      - {type: uniform}
+"""
+
+
+@pytest.mark.parametrize("coupling, status, report", [
+    ("      coupling: {type: quadratic_pairwise, partner: 0}\n", "PASS",
+     r"population 1 cost=quadratic_pairwise: max_violation=(\S+)\n"
+     r"worst_violation=(\S+) tolerance=1e-08"),
+    ("", "SKIPPED", "reason: no couplings declared"),
+], ids=["coupled", "uncoupled"])
+def test_convexity_probe_report(tmp_path, coupling, status, report):
+    s = parse_scenario(MINIMAL + coupling + CONVEXITY)
+    assert run_scenario(s, output_dir=tmp_path, quiet=True) == 0
+    text = (tmp_path / "probe_convexity_probe.txt").read_text()
+    match = re.fullmatch(f"probe: convexity_probe\nstatus: {status}\n{report}\n", text)
+    assert match
+    if match.groups():  # the worst is the one coupled population's, floored at 0
+        violation, worst = map(float, match.groups())
+        assert worst == max(violation, 0.0) <= 1e-8
+
+
 def test_non_mccann_contraction_probe_skipped(tmp_path):
     code = run_scenario(parse_scenario(BACKWARD), output_dir=tmp_path, quiet=True)
     assert code == 0  # skipped probes are not failures
@@ -309,8 +353,8 @@ def test_failed_line_search_exits_3_with_partial_manifest(tmp_path, monkeypatch,
     code = run_scenario(parse_scenario(text), output_dir=tmp_path, quiet=True)
     assert code == 3
     err = capsys.readouterr().err
-    assert "step 1, population 0:" in err
-    assert "line search failed" in err
+    assert err.startswith("numerical failure: step 1, population 0: step solver line search "
+                          "failed at iteration 2: the accepted step does not move; residual=")
     assert float(re.search(r"; residual=(\S+)\n$", err).group(1)) > 1e-9 * 8**0.5
     assert "complete: no" in (tmp_path / "MANIFEST.txt").read_text()
 
@@ -350,7 +394,7 @@ def test_flow_failure_reads_alike_with_and_without_probes(tmp_path, monkeypatch,
 def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
     # population 1 of the contraction probe's second flow, row 3 of the kernel
     # that all four populations share, leaves the box
-    minimize = jkoflow.flow._minimize
+    minimize = jkoflow.jko._minimize
 
     def leaky(rows, x, at):
         x, at, res, iters = minimize(rows, x, at)
@@ -358,7 +402,7 @@ def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
         x[4 * rows.n - 1] = np.nextafter(rows.domain.upper, np.inf)
         return x, at, res, iters
 
-    monkeypatch.setattr(jkoflow.flow, "_minimize", leaky)
+    monkeypatch.setattr(jkoflow.jko, "_minimize", leaky)
     code = run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path, quiet=True)
     assert code == 3
     err = capsys.readouterr().err
@@ -470,6 +514,47 @@ def test_main_missing_initial_csv_exits_2(tmp_path, capsys):
     path.write_text(text)
     assert main([str(path), "--validate-only"]) == 2
     assert "grid.csv" in capsys.readouterr().err
+
+
+def test_main_builds_a_csv_initial(tmp_path):
+    # a grid of mass 0.2 on [0, 0.5] and 0.8 on [0.5, 1]: the midpoint quantiles
+    # of 8 particles, two in the first cell and six in the second
+    grid = tmp_path / "grid.csv"
+    grid.write_text("edge_left,edge_right,value\n0.0,0.5,0.4\n0.5,1.0,1.6\n")
+    text = MINIMAL.replace(
+        "initial: {n: 8, profile: {type: gaussian, center: 0.4, sigma: 0.1}}",
+        f"initial: {{n: 8, csv: {grid}}}",
+    )
+    initial = build_flow_config(parse_scenario(text)).populations[0].initial
+    u = (np.arange(8) + 0.5) / 8
+    want = np.where(u <= 0.2, u / 0.4, 0.5 + (u - 0.2) / 1.6)
+    np.testing.assert_allclose(initial.positions, want, rtol=0, atol=1e-15)
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    assert main([str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert "complete: yes" in (tmp_path / "out" / "MANIFEST.txt").read_text()
+
+
+def _run_module(*args):
+    """``python -m jkoflow.cli`` with ``args``, in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONWARNINGS", None)  # runpy warns that jkoflow imported jkoflow.cli first
+    return subprocess.run([sys.executable, "-m", "jkoflow.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_and_reports_its_exit_code(tmp_path):
+    out = tmp_path / "out"
+    done = _run_module(str(SCENARIO_DIR / "identity.yaml"), "--output-dir", str(out), "--quiet")
+    assert done.returncode == 0
+    assert "complete: yes" in (out / "MANIFEST.txt").read_text()
+    assert (out / "diagnostics.csv").exists()
+    missing = _run_module(str(tmp_path / "missing.yaml"))
+    assert missing.returncode == 2
+    assert "input error" in missing.stderr
 
 
 def test_main_runs_scenario_quiet(tmp_path, capsys):

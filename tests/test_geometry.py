@@ -19,10 +19,10 @@ from jkoflow import (
     normalized_grid,
     particle_step_density,
     product_w2,
-    solve_steps,
     w2_distance,
 )
 import jkoflow.jko as jko_module
+from jkoflow.jko import _Rows
 from jkoflow.presets import barenblatt_profile, bump_profile, gaussian_profile
 from oracle import density_refusal
 
@@ -199,7 +199,7 @@ def test_particle_rows_checks_each_row_once(monkeypatch):
     builds, validate = [], ParticleDensity.__post_init__
     monkeypatch.setattr(ParticleDensity, "__post_init__",
                         lambda self: builds.append(self) or validate(self))
-    sols = solve_steps(problems)
+    sols = _Rows(problems).step()
     assert sols[0].rho.positions[-1] > sols[1].rho.positions[0]
     assert builds == [sol.rho for sol in sols]
     for sol in sols:
@@ -233,7 +233,7 @@ def test_particle_rows_refuses_a_row_as_the_solver_failure(monkeypatch, row, j, 
 
     monkeypatch.setattr(jko_module, "_minimize", planted)
     with pytest.raises(NumericalFailureError) as info:
-        solve_steps(problems)
+        _Rows(problems).step()
     assert re.match("step solver made a state that is not a density: positions must .*"
                     + message, str(info.value))
     assert info.value.row == row and info.value.residual == residuals[row]

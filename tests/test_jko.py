@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from jkoflow import (
     Domain,
+    FlowConfig,
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
+    PopulationSpec,
     QuadraticCost,
+    bump_profile,
     coupling_value,
     energy_value,
     entropy_energy,
     from_grid,
     gaussian_profile,
     power_law_energy,
+    run_flow,
     zero_energy,
 )
 import jkoflow.energy as energy_module
@@ -29,6 +33,7 @@ from jkoflow.jko import (
     _Rows,
     _evaluate,
     _hessian_bands,
+    _minimize,
     _newton_direction,
     _residuals,
     euler_lagrange_residual,
@@ -36,7 +41,6 @@ from jkoflow.jko import (
     objective_gradient,
     project_ordered_box,
     solve_step,
-    solve_steps,
 )
 from helpers import spread_particles, uniform_particles, wrong_sign_energy
 from oracle import CostFunction, difference_form
@@ -312,8 +316,9 @@ def test_two_starts_agree():
     for trial in range(5):
         prob = coupled_problem(rng, n=16, tol=tol)
         a = solve_step(prob)
-        b = solve_step(prob, initial=uniform_particles(UNIT, 16))
-        assert float(np.max(np.abs(a.rho.positions - b.rho.positions))) <= 10 * tol * np.sqrt(16)
+        rows, start = _Rows((prob,)), uniform_particles(UNIT, 16).positions
+        b = _minimize(rows, start, _evaluate(rows, start))[0]
+        assert float(np.max(np.abs(a.rho.positions - b))) <= 10 * tol * np.sqrt(16)
 
 
 def test_euler_lagrange_residual_small_at_solution():
@@ -354,9 +359,6 @@ def test_problem_validation():
     with pytest.raises(InvalidInputError, match="QuadraticCost"):
         StepProblem(prev=prev, energy=entropy_energy(), h=0.01, cost=product,
                     frozen=(spread_particles(rng, UNIT, 4),), slot=0)
-    prob = StepProblem(prev=prev, energy=zero_energy(), h=1e-2)
-    with pytest.raises(InvalidInputError):
-        solve_step(prob, initial=spread_particles(rng, UNIT, 5))
 
 
 def test_zero_cost_slot_matches_uncoupled():
@@ -377,7 +379,8 @@ def test_failed_line_search_raises_with_residual():
     wrong = wrong_sign_energy(1e6)
     prev = spread_particles(np.random.default_rng(5), UNIT, 8)
     problem = StepProblem(prev=prev, energy=wrong, h=0.05)
-    with pytest.raises(NumericalFailureError, match="line search") as info:
+    with pytest.raises(NumericalFailureError, match="^step solver line search failed at "
+                       "iteration 57: the accepted step does not move$") as info:
         solve_step(problem)
     assert info.value.residual > problem.default_tol()
 
@@ -412,20 +415,19 @@ def test_non_finite_point_raises_naming_the_iteration(monkeypatch, wall, iterati
 
 
 def test_non_finite_newton_system_is_a_numerical_failure(monkeypatch):
-    # a finite point whose cost curvature is infinite at one particle, as
-    # |x - k|^(3/2) has at a particle sitting on k
+    # a finite point whose Hessian diagonal is infinite at one particle, as the
+    # cost curvature of |x - k|^(3/2) is at a particle sitting on k
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2,
                           cost=QuadraticCost((1.0,)), frozen=(prev,), slot=0)
-    evaluate = jko_module._evaluate
+    bands = jko_module._hessian_bands
 
-    def kinked(rows, x, reuse=None):
-        at = evaluate(rows, x, reuse)
-        c_ss = at.cost_curvature.copy()
-        c_ss[7] = np.inf
-        return at._replace(cost_curvature=c_ss)
+    def kinked(rows, at):
+        diag, off = bands(rows, at)
+        diag[7] = np.inf
+        return diag, off
 
-    monkeypatch.setattr(jko_module, "_evaluate", kinked)
+    monkeypatch.setattr(jko_module, "_hessian_bands", kinked)
     with np.errstate(invalid="ignore"), pytest.raises(  # inf times a zero gradient entry
         NumericalFailureError, match="non-finite or indefinite Newton system at iteration 0$"
     ) as err:
@@ -497,7 +499,7 @@ def test_joint_solve_agrees_with_one_at_a_time():
     rng = np.random.default_rng(21)
     for trial in range(5):
         problems = _independent_problems(rng)
-        joint = solve_steps(problems)
+        joint = _Rows(problems).step()
         _assert_solves_alone(problems, joint)
         assert len({sol.iterations for sol in joint}) > 1  # the rows stop on their own
         for problem, sol in zip(problems, joint):
@@ -523,10 +525,10 @@ def test_rows_stopped_at_walls_solve_as_alone():
                 StepProblem(prev=ParticleDensity(UNIT, np.linspace(0.0, 1.0, n)),
                             energy=power_law_energy(2.0), h=h),
                 *_independent_problems(rng, n=n, h=h)]
-    joint = solve_steps(problems)
+    joint = _Rows(problems).step()
     assert joint[0].rho.positions[0] == UNIT.lower and joint[1].rho.positions[-1] == UNIT.upper
     _assert_solves_alone(problems, joint)
-    _assert_solves_alone(problems[::-1], solve_steps(problems[::-1]))
+    _assert_solves_alone(problems[::-1], _Rows(problems[::-1]).step())
 
 
 def test_one_particle_rows_solve_as_alone():
@@ -536,7 +538,7 @@ def test_one_particle_rows_solve_as_alone():
                             h=0.1, cost=QuadraticCost((1.0,)), frozen=frozen, slot=0,
                             tol=tol)
                 for xk, tol in ((0.0, 1e-12), (0.3, 1e-9), (1.0, 1e-12))]
-    joint = solve_steps(problems)
+    joint = _Rows(problems).step()
     _assert_solves_alone(problems, joint)
     for xk, sol in zip((0.0, 0.3, 1.0), joint):
         assert abs(float(sol.rho.positions[0]) - (xk + 0.2 * 0.9) / 1.2) <= 1e-9
@@ -548,7 +550,7 @@ def test_copies_of_one_problem_solve_like_one():
     rng = np.random.default_rng(22)
     for problem in _independent_problems(rng):
         alone = solve_step(problem)
-        for sol in solve_steps([problem]) + solve_steps([problem] * 3):
+        for sol in _Rows([problem]).step() + _Rows([problem] * 3).step():
             assert sol == dataclasses.replace(alone, rho=sol.rho)
             assert np.array_equal(sol.rho.positions, alone.rho.positions)
 
@@ -564,10 +566,10 @@ def test_copies_stopped_at_a_wall_solve_like_one():
                            energy=entropy_energy(), h=1e-2)
     alone = solve_step(problem)
     assert alone.rho.positions[0] == UNIT.lower
-    for sol in solve_steps([problem] * 2):
+    for sol in _Rows([problem] * 2).step():
         assert sol == dataclasses.replace(alone, rho=sol.rho)
         assert np.array_equal(sol.rho.positions, alone.rho.positions)
-    _, upper, _ = solve_steps([problem, mirrored, problem])
+    _, upper, _ = _Rows([problem, mirrored, problem]).step()
     assert upper.rho.positions[-1] == UNIT.upper
 
 
@@ -582,8 +584,8 @@ def test_rows_sharing_an_energy_evaluate_it_in_one_pass(monkeypatch):
     def passes(energies):
         calls.clear()
         evaluations.clear()
-        solve_steps([StepProblem(prev=spread_particles(rng, UNIT, 32), energy=e, h=1e-2)
-                     for e in energies])
+        _Rows([StepProblem(prev=spread_particles(rng, UNIT, 32), energy=e, h=1e-2)
+               for e in energies]).step()
         return len(calls) / len(evaluations)
 
     assert entropy_energy() is entropy_energy()
@@ -601,8 +603,9 @@ def test_joint_failure_names_its_row(monkeypatch):
     wrong = wrong_sign_energy(1e6)
     healthy = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=0.05)
     broken = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=wrong, h=0.05)
-    with pytest.raises(NumericalFailureError, match="line search") as info:
-        solve_steps([healthy, broken])
+    with pytest.raises(NumericalFailureError, match="^step solver line search failed at "
+                       "iteration 0: the accepted step does not move$") as info:
+        _Rows([healthy, broken]).step()
     assert info.value.row == 1
     assert info.value.residual > broken.default_tol()
     # a non-finite row is named at the iteration it appears in
@@ -611,25 +614,82 @@ def test_joint_failure_names_its_row(monkeypatch):
                       frozen=(prev,), slot=0)
     _nan_left_of(monkeypatch, 0.5, row=2)
     with pytest.raises(NumericalFailureError, match="non-finite .* at iteration 0$") as info:
-        solve_steps([healthy, healthy, bad])
+        _Rows([healthy, healthy, bad]).step()
     assert info.value.row == 2
 
 
-def test_joint_solve_validation():
-    rng = np.random.default_rng(25)
-    a = StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=1e-2)
-    for other in (
-        StepProblem(prev=spread_particles(rng, UNIT, 9), energy=entropy_energy(), h=1e-2),
-        StepProblem(prev=spread_particles(rng, UNIT, 8), energy=entropy_energy(), h=2e-2),
-        StepProblem(prev=ParticleDensity(Domain(0.0, 2.0), a.prev.positions),
-                    energy=entropy_energy(), h=1e-2),
-    ):
-        with pytest.raises(InvalidInputError, match="share N, domain and h"):
-            solve_steps([a, other])
-    with pytest.raises(InvalidInputError):
-        solve_steps([])
-    with pytest.raises(InvalidInputError):
-        solve_steps([a, a], initial=[a.prev])
+def _exceed_one_iteration(monkeypatch):
+    monkeypatch.setattr(jko_module, "MAX_ITERS", 1)
+
+
+def _fail_entropy_rows_armijo_test(monkeypatch):
+    """Raise the objective by 1 at every trial point of each entropy row: finite, but
+    never an Armijo decrease.  A step's start, its prev, is left as it is."""
+    evaluate = jko_module._evaluate
+
+    def raised(rows, x, reuse=None):
+        at = evaluate(rows, x, reuse)
+        if x is rows.prev:
+            return at
+        values = at.values.copy()
+        for energy, a, b in rows.energies:
+            if energy is entropy_energy():
+                values[a:b] += 1.0
+        return at._replace(values=values)
+
+    monkeypatch.setattr(jko_module, "_evaluate", raised)
+
+
+def _charged_row(problems, message):
+    """The row a kernel of ``problems`` charges ``message`` to, and its residual: of the
+    rows that fail alone, the one farthest above its tol."""
+    failed = {}
+    for r, problem in enumerate(problems):
+        try:
+            solve_step(problem)
+        except NumericalFailureError as err:
+            assert (str(err), err.row) == (message, 0)
+            tol = problem.default_tol() if problem.tol is None else problem.tol
+            failed[r] = (err.residual / tol, err.residual)
+    row = max(failed, key=lambda r: failed[r][0])
+    return row, failed[row][1]
+
+
+@pytest.mark.parametrize("plant, message, row", [
+    (_exceed_one_iteration, "step solver exceeded 1 iterations", 1),
+    (_fail_entropy_rows_armijo_test, "step solver line search failed at iteration 0", 2),
+], ids=["max-iters", "armijo"])
+def test_unconverged_kernel_names_the_row_farthest_above_its_tol(monkeypatch, plant, message,
+                                                                 row):
+    # heat steps that need a few Newton passes, next to a row that starts
+    # converged.  max-iters: every row but the last is still moving after one
+    # pass.  armijo: the power-law row, farthest above its tol, passes its
+    # Armijo test, so the failure is charged to an entropy row
+    n, h = 32, 1e-2
+    problems = [
+        StepProblem(prev=from_grid(gaussian_profile(UNIT, 0.3, 0.1), n),
+                    energy=entropy_energy(), h=h, tol=1e-6),
+        StepProblem(prev=from_grid(gaussian_profile(UNIT, 0.6, 0.08), n),
+                    energy=power_law_energy(2.0), h=h, tol=1e-12),
+        StepProblem(prev=from_grid(bump_profile(UNIT, 0.5, 0.2), n),
+                    energy=entropy_energy(), h=h),
+        StepProblem(prev=from_grid(gaussian_profile(UNIT, 0.5, 0.1), n),
+                    energy=zero_energy(), h=h),
+    ]
+    plant(monkeypatch)
+    charged, residual = _charged_row(problems, message)
+    assert charged == row
+    with pytest.raises(NumericalFailureError) as info:
+        _Rows(problems).step()
+    assert (str(info.value), info.value.row, info.value.residual) == (message, row, residual)
+    # the same rows as one flow's populations, at the default tol
+    flow_problems = [dataclasses.replace(p, tol=None) for p in problems]
+    charged, residual = _charged_row(flow_problems, message)
+    config = FlowConfig(tuple(PopulationSpec(p.prev, p.energy) for p in problems), h, 2)
+    with pytest.raises(NumericalFailureError) as info:
+        run_flow(config)
+    assert str(info.value) == f"step 1, population {charged}: {message}"
+    assert (info.value.row, info.value.residual) == (0, residual)
 
 
 # ------------------------------------------------------------- Newton direction
@@ -650,7 +710,7 @@ def _dense_held_solve(problem, g, q, held):
 def _at(g, q):
     """A point of one row carrying only what the Newton direction reads: g and q."""
     one = np.zeros(1)
-    return _Point(one, one, one, one, g, np.zeros_like(g), np.r_[q, 0.0], None)
+    return _Point(one, one, one, one, g, np.zeros_like(g), np.r_[q, 0.0])
 
 
 MOVING = np.ones(1, dtype=bool)  # the one row has not met its tol
