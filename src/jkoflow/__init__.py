@@ -73,14 +73,20 @@ from .presets import (
     porous_medium_preset,
     profile_grid,
 )
-from .cli import (
-    Scenario,
-    build_flow_config,
-    parse_scenario,
-    run_scenario,
-)
 
 __version__ = "0.1.0"
+
+# the CLI's names load jkoflow.cli on first use: imported here, it would be in
+# sys.modules before `python -m jkoflow.cli` runs it as __main__, a second time
+_CLI = ("Scenario", "build_flow_config", "parse_scenario", "run_scenario")
+
+
+def __getattr__(name):
+    if name in _CLI:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DomainError",

@@ -7,28 +7,33 @@ of one step count side by side: it builds one step kernel per group of
 populations, of all the flows, that share a particle count, step size and
 domain, once, and advances it at every step.  A kernel's rows step
 independently, so each flow comes out to the bit as it does alone; run_flow
-is the one-flow case.  Diagnostics (energy, coupling value, squared step
-length, solver and optimality residuals) come with each step's solution and
-are recorded every step even when states are thinned.
+is the one-flow case.  A flow is recorded as arrays: each population's
+recorded positions, one row per recorded step, and the diagnostics (energy,
+coupling value, squared step length, solver and optimality residuals,
+objective, iterations) that come with each step, one column per name,
+recorded every step even when states are thinned.  ParticleDensity states
+and StepDiagnostics records are built from them only when asked for.
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
 probe, whose second flow (contraction_rerun) can share the first one's
 kernels, and a discrete weak-form residual with a computable error bound.
+The probes read the arrays, each in a few whole-array passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .energy import InternalEnergy, energy_gradient, energy_value
+from .energy import InternalEnergy, energy_value, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity, product_w2
-from .jko import StepProblem, _Rows
+from .geometry import Domain, ParticleDensity
+from .jko import COLUMNS, StepProblem, _Rows
 from .transport import QuadraticCost
 
 
@@ -124,17 +129,40 @@ class StepDiagnostics:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
+    """A flow's recorded states and every step's diagnostics, as read-only arrays.
+
+    ``positions[i]`` holds population i's positions at each of ``steps``, one
+    row per step; ``columns`` maps each name of jko.COLUMNS (the
+    StepDiagnostics fields after ``population``) to an (n_steps, populations)
+    array whose row k - 1 holds step k.  ``states``, ``final`` and
+    ``diagnostics`` are built from them on first access.
+    """
+
     config: FlowConfig
     steps: tuple[int, ...]
     times: tuple[float, ...]
-    states: tuple[tuple[ParticleDensity, ...], ...]
-    diagnostics: tuple[StepDiagnostics, ...]
+    positions: tuple[np.ndarray, ...]
+    columns: Mapping[str, np.ndarray]
 
-    @property
+    def _state(self, j: int) -> tuple[ParticleDensity, ...]:
+        return tuple(ParticleDensity(self.config.domain, x[j]) for x in self.positions)
+
+    @cached_property
+    def states(self) -> tuple[tuple[ParticleDensity, ...], ...]:
+        return tuple(self._state(j) for j in range(len(self.steps)))
+
+    @cached_property
     def final(self) -> tuple[ParticleDensity, ...]:
-        return self.states[-1]
+        return self._state(-1)
+
+    @cached_property
+    def diagnostics(self) -> tuple[StepDiagnostics, ...]:
+        h, columns = self.config.h, [self.columns[name].tolist() for name in COLUMNS]
+        return tuple(StepDiagnostics(k, k * h, i, *values)
+                     for k, row in enumerate(zip(*columns), 1)
+                     for i, values in enumerate(zip(*row)))
 
 
 def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
@@ -159,45 +187,58 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
     if len({config.n_steps for config in configs}) > 1:
         raise InvalidInputError("flows run side by side must share their step count")
     n_steps = configs[0].n_steps if configs else 0
-    runs = []  # per flow: steps, times, states, diagnostics
+    steps = [tuple(k for k in range(n_steps + 1) if k % config.record_every == 0 or k == n_steps)
+             for config in configs]
+    record = [{k: j for j, k in enumerate(s)} for s in steps]  # step -> its row, per flow
+    positions = []  # per flow and population: (recorded steps, N)
     groups: dict[tuple, list[tuple[int, int]]] = {}  # kernel key -> (flow, population)
     for c, config in enumerate(configs):
-        runs.append(([0], [0.0], [tuple(p.initial for p in config.populations)], []))
+        positions.append([np.empty((len(steps[c]), p.initial.n)) for p in config.populations])
         for i, p in enumerate(config.populations):
+            positions[c][i][0] = p.initial.positions
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
     # one kernel per group, built once: coupled populations share N, so every
     # partner is a row of the same kernel, and each step refills its column
-    kernels = []  # (members, their rows)
+    kernels = []  # (members, their rows, every step's diagnostics of the rows)
     for members in groups.values():
         couplings = [configs[c].populations[i].coupling for c, i in members]
         columns = [None if cp is None else [members.index((c, m)) for m in cp.members]
                    for (c, _), cp in zip(members, couplings)]
-        problems = [_step_problem(configs[c], runs[c][2][0], i) for c, i in members]
-        kernels.append((members, _Rows(problems, columns)))
+        problems = [_step_problem(configs[c], [p.initial for p in configs[c].populations], i)
+                    for c, i in members]
+        table = np.empty((n_steps, len(COLUMNS), len(members)))
+        kernels.append((members, _Rows(problems, columns), table))
     for k in range(1, n_steps + 1):
-        solutions = [[None] * len(config.populations) for config in configs]
-        for members, rows in kernels:
+        for members, rows, table in kernels:
             try:
                 solved = rows.step()
             except NumericalFailureError as err:
                 c, i = members[err.row]
                 raise NumericalFailureError(f"step {k}, population {i}: {err}",
                                             residual=err.residual, row=c) from err
-            for (c, i), sol in zip(members, solved):
-                solutions[c][i] = sol
-        for config, (steps, times, states, diagnostics), solved in zip(configs, runs, solutions):
-            diagnostics += [StepDiagnostics(
-                step=k, time=k * config.h, population=i, energy=sol.energy,
-                coupling=sol.coupling, w2_sq=sol.w2_sq, residual=sol.residual,
-                el_residual=sol.el_residual, objective=sol.value, iterations=sol.iterations,
-            ) for i, sol in enumerate(solved)]
-            if k % config.record_every == 0 or k == config.n_steps:
-                steps.append(k)
-                times.append(k * config.h)
-                states.append(tuple(sol.rho for sol in solved))
-    return tuple(FlowTrajectory(config, tuple(steps), tuple(times), tuple(states),
-                                tuple(diagnostics))
-                 for config, (steps, times, states, diagnostics) in zip(configs, runs))
+            table[k - 1] = solved.columns
+            for (c, i), x in zip(members, solved.x):
+                if k in record[c]:
+                    positions[c][i][record[c][k]] = x
+    tables = [np.empty((n_steps, len(COLUMNS), len(config.populations))) for config in configs]
+    for members, _, table in kernels:
+        for r, (c, i) in enumerate(members):
+            tables[c][:, :, i] = table[:, :, r]
+    return tuple(FlowTrajectory(config, steps[c], tuple(k * config.h for k in steps[c]),
+                                tuple(map(_readonly, positions[c])), _columns(tables[c]))
+                 for c, config in enumerate(configs))
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _columns(table: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of an (n_steps, len(COLUMNS), populations) table, iterations as ints."""
+    columns = {name: _readonly(table[:, f]) for f, name in enumerate(COLUMNS)}
+    columns["iterations"] = _readonly(columns["iterations"].astype(int))
+    return columns
 
 
 def run_flow(config: FlowConfig) -> FlowTrajectory:
@@ -242,8 +283,8 @@ def estimate_report(traj: FlowTrajectory) -> EstimateReport:
         c_bound = (0.0 if p.coupling is None
                    else p.coupling.cost.partial_bound(config.domain.length))
         f0 = energy_value(p.energy, p.initial)
-        f_series = [d.energy for d in traj.diagnostics if d.population == i]
-        w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
+        f_series = traj.columns["energy"][:, i].tolist()
+        w2_sum = math.fsum(traj.columns["w2_sq"][:, i].tolist())
         f_max = max([f0] + f_series)
         f_final = f_series[-1] if f_series else f0
         f_max_bound = f0 + c_bound**2 * t_total
@@ -321,9 +362,14 @@ def contraction_probe(
             status="SKIPPED", reason=reason,
             max_increase=math.nan, normalized_rate=math.nan, distances=(),
         )
-    if rerun is None or rerun.steps != traj.steps or rerun.config.h != config.h:
+    if (rerun is None or rerun.steps != traj.steps or rerun.config.h != config.h
+            or [x.shape for x in rerun.positions] != [x.shape for x in traj.positions]):
         raise InvalidInputError("the contraction probe needs the flow of contraction_rerun")
-    distances = tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, rerun.states))
+    # each population's W2 at every recorded step in one reduction; then, per
+    # step, product_w2's sum of their Python-float squares
+    w2 = [np.sqrt(np.mean(np.square(a - b), axis=1)).tolist()
+          for a, b in zip(traj.positions, rerun.positions)]
+    distances = tuple(math.sqrt(sum(w ** 2 for w in step)) for step in zip(*w2))
     increases = np.diff(np.array(distances))
     max_increase = float(np.max(increases)) if increases.size else 0.0
     max_increase = max(max_increase, 0.0)
@@ -348,15 +394,17 @@ def contraction_probe(
 class TestFunction:
     """Space-time test function with analytic derivative bounds.
 
-    ``value`` and ``dx`` are vectorized in x for fixed t.  ``sup_dx`` and
-    ``sup_dxx`` must dominate the corresponding space derivatives on the
-    whole space-time slab; they enter the residual bound.
+    ``value`` and ``dx`` are vectorized in x, with the times t broadcast
+    against x: weak_form_residual passes a column of times, one per row of
+    positions.  ``sup_dx`` and ``sup_dxx`` must dominate the corresponding
+    space derivatives on the whole space-time slab; they enter the residual
+    bound.
     """
 
     __test__ = False  # "Test" prefix is the math term, not a pytest marker
 
-    value: Callable[[float, np.ndarray], np.ndarray]
-    dx: Callable[[float, np.ndarray], np.ndarray]
+    value: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
+    dx: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
     sup_dx: float
     sup_dxx: float
 
@@ -373,31 +421,23 @@ def bump_test_function(center: float, half_width: float, t_cut: float) -> TestFu
         raise InvalidInputError("bump width and time cutoff must be positive")
 
     def s(t):
-        tt = t / t_cut
-        return (1.0 - tt * tt) ** 3 if abs(tt) < 1.0 else 0.0
-
-    last = (None, None)  # the latest positions and their spatial factors
+        # each time's factor a Python float: float ** 3 is the C library's pow,
+        # which numpy's vectorized power does not always match to the bit
+        tt = np.asarray(t, dtype=float) / t_cut
+        return np.array([(1.0 - v * v) ** 3 if abs(v) < 1.0 else 0.0
+                         for v in tt.ravel().tolist()]).reshape(tt.shape)
 
     def space(x):
-        # the weak form takes value twice and dx once at each state's
-        # positions; an array that is read-only and owns its data (a
-        # ParticleDensity's) cannot change, so those calls share one evaluation
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        seen, factors = last
-        if x is not seen or x.flags.writeable or x.base is not None:
-            u = (x - center) / w
-            inside = np.abs(u) < 1.0
-            factors = (np.where(inside, (1.0 - u * u) ** 3, 0.0),
-                       np.where(inside, -6.0 * u * (1.0 - u * u) ** 2 / w, 0.0))
-            last = (x, factors)
-        return factors
+        u = (np.asarray(x, dtype=float) - center) / w
+        return u, np.abs(u) < 1.0
 
     def value(t, x):
-        return s(t) * space(x)[0]
+        u, inside = space(x)
+        return s(t) * np.where(inside, (1.0 - u * u) ** 3, 0.0)
 
     def dx(t, x):
-        return s(t) * space(x)[1]
+        u, inside = space(x)
+        return s(t) * np.where(inside, -6.0 * u * (1.0 - u * u) ** 2 / w, 0.0)
 
     return TestFunction(
         value=value,
@@ -437,29 +477,28 @@ def weak_form_residual(
         raise InvalidInputError(f"population {population} out of range")
     i = population
     p = config.populations[i]
-    n = p.initial.n
-    terms = []
-    for k in range(len(traj.states) - 1):
-        t_k = traj.times[k]
-        t_k1 = traj.times[k + 1]
-        state_k = traj.states[k]
-        x_new = traj.states[k + 1][i]
-        terms.append(float(np.mean(phi.value(t_k1, x_new.positions)
-                                   - phi.value(t_k, x_new.positions))))
-        drive = n * energy_gradient(p.energy, x_new)
-        if p.coupling is not None:  # against the partners frozen at step k
-            members = p.coupling.members
-            a, m, _ = p.coupling.cost.row_form(
-                members.index(i), [state_k[j].positions for j in members if j != i])
-            drive = drive + a * (x_new.positions - m)
-        terms.append(float(
-            -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
-        ))
-    terms.append(float(np.mean(phi.value(traj.times[0], traj.states[0][i].positions))))
-    terms.append(float(-np.mean(phi.value(traj.times[-1], traj.final[i].positions))))
-    total = math.fsum(terms)
-    el_sum = math.fsum(d.el_residual for d in traj.diagnostics if d.population == i)
-    w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
+    # every step k -> k + 1 at once: row k of x_new is rho^{k+1}, of t_k its time t_k
+    x = traj.positions[i]
+    x_new = x[1:]
+    times = np.array(traj.times)[:, None]
+    t_k, t_k1 = times[:-1], times[1:]
+    # Phi at both times in one call, so that a test function evaluates its
+    # spatial factor once; one that ignores t returns a single (steps, N) block
+    at_k1, at_k = np.broadcast_to(phi.value(np.array([t_k1, t_k]), x_new), (2, *x_new.shape))
+    moved = np.mean(at_k1 - at_k, axis=1)
+    drive = x.shape[1] * gap_terms(p.energy, x_new.reshape(-1), config.domain.length,
+                                   len(x_new))[1].reshape(x_new.shape)
+    if p.coupling is not None:  # against the partners frozen at step k
+        members = p.coupling.members
+        a, m, _ = p.coupling.cost.row_form(
+            members.index(i), [traj.positions[j][:-1] for j in members if j != i])
+        drive = drive + a * (x_new - m)
+    pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
+    ends = [float(np.mean(phi.value(traj.times[0], x[0]))),
+            float(-np.mean(phi.value(traj.times[-1], x[-1])))]
+    total = math.fsum(moved.tolist() + pushed.tolist() + ends)  # exact, so in any order
+    el_sum = math.fsum(traj.columns["el_residual"][:, i].tolist())
+    w2_sum = math.fsum(traj.columns["w2_sq"][:, i].tolist())
     bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
     cushion = 1e-12 * (1.0 + bound)
     return WeakFormReport(
@@ -479,9 +518,8 @@ def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
         raise InvalidInputError(f"population {population} out of range")
     n = traj.config.populations[population].initial.n
     lines = ["t," + ",".join(f"particle_{j}" for j in range(n))]
-    for t, state in zip(traj.times, traj.states):
-        row = ",".join(map(repr, state[population].positions.tolist()))
-        lines.append(f"{t!r},{row}")
+    for t, row in zip(traj.times, traj.positions[population]):
+        lines.append(f"{t!r},{','.join(map(repr, row.tolist()))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -489,10 +527,11 @@ def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
 def diagnostics_csv(traj: FlowTrajectory, path) -> None:
     """Per-step per-population diagnostics: t, i, energy, step_w2_sq, el_residual, objective."""
     lines = ["t,i,energy,step_w2_sq,el_residual,objective"]
-    for d in traj.diagnostics:
-        lines.append(
-            f"{d.time!r},{d.population},{d.energy!r},"
-            f"{d.w2_sq!r},{d.el_residual!r},{d.objective!r}"
-        )
+    h, populations = traj.config.h, len(traj.config.populations)
+    columns = [traj.columns[name].ravel().tolist()  # step-major, as the rows go
+               for name in ("energy", "w2_sq", "el_residual", "objective")]
+    for j, (energy, w2_sq, el, objective) in enumerate(zip(*columns)):
+        k, i = divmod(j, populations)
+        lines.append(f"{(k + 1) * h!r},{i},{energy!r},{w2_sq!r},{el!r},{objective!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

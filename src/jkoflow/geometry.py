@@ -53,6 +53,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def accepted(domain: Domain, positions: np.ndarray):
+    """Whether ParticleDensity accepts positions (one bool per row of a 2-d block): sorted
+    and inside the domain, which a NaN or an infinity fails too, the domain being finite."""
+    return ((positions[..., 1:] >= positions[..., :-1]).all(axis=-1)
+            & (positions[..., 0] >= domain.lower) & (positions[..., -1] <= domain.upper))
+
+
 @dataclass(frozen=True, eq=False)
 class ParticleDensity:
     """N equal-mass particles at sorted positions inside a domain.
@@ -69,11 +76,10 @@ class ParticleDensity:
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 1 or pos.size < 1:
             raise InvalidInputError("positions must be a nonempty 1-d array")
-        # one pass when all is well; a NaN or an infinity fails it too, since
-        # the domain is finite.  On failure, the first refused check names why
-        lower, upper = self.domain.lower, self.domain.upper
-        if (pos[1:] >= pos[:-1]).all() and pos[0] >= lower and pos[-1] <= upper:
+        # one pass when all is well.  On failure, the first refused check names why
+        if accepted(self.domain, pos):
             return
+        lower, upper = self.domain.lower, self.domain.upper
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("positions must be finite")
         if np.any(np.diff(pos) < 0):

@@ -30,10 +30,12 @@ points out of the box is held.  _Rows.step is the one driver of this
 loop: one step of every row, after which the minimizer is the rows'
 previous state, so a kernel that run_flows builds once starts each step at
 the point the last one accepted; solve_step is one step of a one-row
-kernel.  Row r is the callers' problem r.  Each returned state is built,
-and so checked, by the ParticleDensity constructor; a state it refuses or
-a non-finite E, dE/dx or Newton system is a numerical failure charged to
-one row.
+kernel.  Row r is the callers' problem r.  A step returns plain arrays: the
+(P, N) minimizer and one row of per-row diagnostics for each name of
+COLUMNS.  The minimizer is checked in one vectorized pass by the
+ParticleDensity constructor's own predicate (geometry.accepted); a row it
+refuses, with the constructor's message, or a non-finite E, dE/dx or
+Newton system is a numerical failure charged to one row.
 
 dptsv is scipy's f2py wrapper of the LAPACK routine.  _load_dptsv loads
 scipy's compiled _flapack extension straight from its file, so that
@@ -57,7 +59,7 @@ import numpy as np
 
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity
+from .geometry import Domain, ParticleDensity, accepted
 from .transport import QuadraticCost
 
 ARMIJO_C1 = 1e-4
@@ -65,6 +67,8 @@ MAX_BACKTRACKS = 60
 MAX_ITERS = 100
 BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
 EPS = np.finfo(float).eps
+# the per-row diagnostics of a step, in the order of _Step.columns' rows
+COLUMNS = ("energy", "coupling", "w2_sq", "residual", "el_residual", "objective", "iterations")
 
 
 def _load_dptsv():
@@ -205,15 +209,33 @@ class _Rows:
                     self.sources.append((segment, p.cost, p.slot,
                                          [m for c, m in enumerate(columns[r]) if c != p.slot]))
 
-    def step(self) -> tuple[StepSolution, ...]:
-        """One implicit step of every row, warm-started at prev: the rows' solutions, in
-        row order.  The minimizer becomes prev and every partner's frozen state."""
+    def step(self) -> _Step:
+        """One implicit step of every row, warm-started at prev.  The minimizer becomes
+        prev and every partner's frozen state."""
         x, at, res, iters = _minimize(self, self.prev, _evaluate(self, self.prev, self.at))
-        solved = _solutions(self, x, at, res, iters)
-        self.prev, self.at, block = x, at, x.reshape(self.count, self.n)
+        block = x.reshape(self.count, self.n)
+        _check_states(self.domain, block, res)
+        columns = _columns(self, block, at, res, iters)
+        self.prev, self.at = x, at
         for segment, cost, slot, partners in self.sources:
             _, self.m[segment], self.c[segment] = cost.row_form(slot, block[partners])
-        return solved
+        return _Step(block, columns)
+
+
+class _Step(NamedTuple):
+    """One step of a kernel's P rows: ``x``, the (P, N) minimizer, whose row r holds
+    problem r's new positions, and ``columns``, whose column r holds row r's diagnostics
+    in the order of COLUMNS."""
+
+    x: np.ndarray
+    columns: np.ndarray
+
+    def solution(self, domain: Domain, r: int) -> StepSolution:
+        """Row r as a StepSolution, its state built by the ParticleDensity constructor."""
+        energy, coupling, w2_sq, residual, el_residual, value, iterations = \
+            self.columns[:, r].tolist()
+        return StepSolution(ParticleDensity(domain, self.x[r]), value, residual, int(iterations),
+                            energy, coupling, el_residual, w2_sq)
 
 
 class _Point(NamedTuple):
@@ -439,30 +461,32 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
     return x, at, res, iters
 
 
-def _solutions(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
-               iters: list[int]) -> tuple[StepSolution, ...]:
-    """The rows' solutions at the minimizer x, in row order."""
-    x_rows = x.reshape(rows.count, rows.n)
-    rhos = []
-    for r, positions in enumerate(x_rows):
+def _check_states(domain: Domain, x: np.ndarray, res: list[float]) -> None:
+    """Refuse the first row of the (P, N) minimizer x that ParticleDensity refuses: its
+    numerical failure, with the constructor's message and the row's residual."""
+    refused = np.flatnonzero(~accepted(domain, x))
+    if refused.size:
+        r = int(refused[0])
         try:
-            rhos.append(ParticleDensity(rows.domain, positions))
+            ParticleDensity(domain, x[r])
         except InvalidInputError as err:  # the solver's failure, not bad input
             raise NumericalFailureError(f"step solver made a state that is not a density: {err}",
                                         residual=res[r], row=r) from err
-    el = _el_residuals(rows.domain, x_rows, at.grad.reshape(x_rows.shape))
-    values, energies, couplings = at.values.tolist(), at.energies.tolist(), at.couplings.tolist()
+
+
+def _columns(rows: _Rows, x: np.ndarray, at: _Point, res: list[float],
+             iters: list[int]) -> np.ndarray:
+    """The rows' diagnostics at the (P, N) minimizer x, one row per name of COLUMNS."""
+    el = _el_residuals(rows.domain, x, at.grad.reshape(x.shape))
     # squared through the distance, as w2_distance(rho, prev) ** 2, so that
     # recorded diagnostics keep their bits
     w2_sq = [math.sqrt(w) ** 2 for w in at.w2_sq.tolist()]
-    return tuple(StepSolution(rho=rhos[r], value=values[r], residual=res[r], iterations=iters[r],
-                              energy=energies[r], coupling=couplings[r], el_residual=el[r],
-                              w2_sq=w2_sq[r]) for r in range(rows.count))
+    return np.array([at.energies, at.couplings, w2_sq, res, el, at.values, iters], dtype=float)
 
 
 def solve_step(problem: StepProblem) -> StepSolution:
     """Minimize one step objective, warm-started at prev: the one-row step kernel."""
-    return _Rows((problem,)).step()[0]
+    return _Rows((problem,)).step().solution(problem.domain, 0)
 
 
 def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float]:

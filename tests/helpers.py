@@ -6,9 +6,9 @@ import numpy as np
 import yaml
 
 from jkoflow import Domain, GridDensity, InternalEnergy, ParticleDensity, from_grid
-from jkoflow.flow import FlowTrajectory, StepDiagnostics, _step_problem
+from jkoflow.flow import FlowTrajectory, _step_problem
 import jkoflow.jko
-from jkoflow.jko import _Rows
+from jkoflow.jko import COLUMNS, _Rows
 
 
 def spread_particles(rng, domain, n, fill=0.9):
@@ -72,29 +72,31 @@ def serialize_scenario(s):
 
 def reference_run_flow(config):
     """run_flow built afresh at every step: one step of a new kernel per time step and
-    group of populations that share N, on step problems made from the state."""
+    group of populations that share N, on step problems made from the state, with the
+    trajectory's arrays stacked from the steps' StepSolutions."""
     state = tuple(p.initial for p in config.populations)
-    steps, times, states, diagnostics = [0], [0.0], [state], []
+    steps, states, solutions = [0], [state], []
     groups = {}
     for i, p in enumerate(config.populations):
         groups.setdefault(p.initial.n, []).append(i)
     for k in range(1, config.n_steps + 1):
-        solutions = [None] * len(config.populations)
+        solved = [None] * len(config.populations)
         for members in groups.values():
-            solved = _Rows([_step_problem(config, state, i) for i in members]).step()
-            for i, sol in zip(members, solved):
-                solutions[i] = sol
-        diagnostics += [StepDiagnostics(
-            step=k, time=k * config.h, population=i, energy=sol.energy, coupling=sol.coupling,
-            w2_sq=sol.w2_sq, residual=sol.residual, el_residual=sol.el_residual,
-            objective=sol.value, iterations=sol.iterations,
-        ) for i, sol in enumerate(solutions)]
-        state = tuple(sol.rho for sol in solutions)
+            step = _Rows([_step_problem(config, state, i) for i in members]).step()
+            for r, i in enumerate(members):
+                solved[i] = step.solution(config.domain, r)
+        solutions.append(solved)
+        state = tuple(sol.rho for sol in solved)
         if k % config.record_every == 0 or k == config.n_steps:
             steps.append(k)
-            times.append(k * config.h)
             states.append(state)
-    return FlowTrajectory(config, tuple(steps), tuple(times), tuple(states), tuple(diagnostics))
+    positions = tuple(np.array([s[i].positions for s in states])
+                      for i in range(len(config.populations)))
+    field = {"objective": "value"}  # StepSolution's name of each column, where it differs
+    columns = {name: np.array([[getattr(sol, field.get(name, name)) for sol in solved]
+                               for solved in solutions]) for name in COLUMNS}
+    return FlowTrajectory(config, tuple(steps), tuple(k * config.h for k in steps), positions,
+                          columns)
 
 
 def leak_past_wall(monkeypatch, wall):

@@ -9,8 +9,11 @@ the family would do.
 
 It also holds two oracles for the internal energies: a sampled test of
 displacement convexity, against which each energy's closed-form flag is
-checked, and the power-law source solutions for every m > 1; and the
-reference contract of ParticleDensity, entry by entry.
+checked, and the power-law source solutions for every m > 1; the
+reference contract of ParticleDensity, entry by entry; and the per-step
+references of the probes' whole-array passes: the weak form assembled one
+step at a time from ParticleDensity states and StepDiagnostics records,
+and the contraction distances as product_w2 of each recorded pair of states.
 """
 
 from __future__ import annotations
@@ -23,13 +26,18 @@ import numpy as np
 
 from jkoflow import (
     Domain,
+    FlowTrajectory,
     GridDensity,
     InternalEnergy,
     InvalidInputError,
     NumericalFailureError,
     ParticleDensity,
     QuadraticCost,
+    TestFunction,
+    WeakFormReport,
     displacement_interpolate,
+    energy_gradient,
+    product_w2,
     profile_grid,
 )
 
@@ -285,3 +293,43 @@ def density_refusal(domain: Domain, positions) -> str | None:
     if not all(domain.lower <= v <= domain.upper for v in x):
         return f"positions must lie in [{domain.lower}, {domain.upper}]"
     return None
+
+
+def per_step_weak_form(traj: FlowTrajectory, phi: TestFunction, population: int) -> WeakFormReport:
+    """``jkoflow.weak_form_residual`` assembled one step at a time: each step's terms from
+    its ParticleDensity states, at scalar times, and the bound from StepDiagnostics."""
+    config = traj.config
+    i = population
+    p = config.populations[i]
+    n = p.initial.n
+    terms = []
+    for k in range(len(traj.states) - 1):
+        t_k = traj.times[k]
+        t_k1 = traj.times[k + 1]
+        state_k = traj.states[k]
+        x_new = traj.states[k + 1][i]
+        terms.append(float(np.mean(phi.value(t_k1, x_new.positions)
+                                   - phi.value(t_k, x_new.positions))))
+        drive = n * energy_gradient(p.energy, x_new)
+        if p.coupling is not None:  # against the partners frozen at step k
+            members = p.coupling.members
+            a, m, _ = p.coupling.cost.row_form(
+                members.index(i), [state_k[j].positions for j in members if j != i])
+            drive = drive + a * (x_new.positions - m)
+        terms.append(float(
+            -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
+        ))
+    terms.append(float(np.mean(phi.value(traj.times[0], traj.states[0][i].positions))))
+    terms.append(float(-np.mean(phi.value(traj.times[-1], traj.final[i].positions))))
+    total = math.fsum(terms)
+    el_sum = math.fsum(d.el_residual for d in traj.diagnostics if d.population == i)
+    w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
+    bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
+    cushion = 1e-12 * (1.0 + bound)
+    return WeakFormReport(population=i, residual=total, bound=bound,
+                          satisfied=abs(total) <= bound + cushion)
+
+
+def per_step_contraction_distances(traj: FlowTrajectory, rerun: FlowTrajectory) -> tuple:
+    """``jkoflow.contraction_probe``'s distances: product_w2 of each recorded pair of states."""
+    return tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, rerun.states))

@@ -537,24 +537,28 @@ def test_main_builds_a_csv_initial(tmp_path):
 
 def _run_module(*args):
     """``python -m jkoflow.cli`` with ``args``, in a fresh interpreter that imports this
-    checkout's package."""
+    checkout's package and turns every RuntimeWarning into an error."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    env.pop("PYTHONWARNINGS", None)  # runpy warns that jkoflow imported jkoflow.cli first
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return subprocess.run([sys.executable, "-m", "jkoflow.cli", *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_module_entry_point_runs_and_reports_its_exit_code(tmp_path):
+    # importing the package does not import jkoflow.cli, so runpy runs it once,
+    # as __main__, with no RuntimeWarning to turn into an error
     out = tmp_path / "out"
     done = _run_module(str(SCENARIO_DIR / "identity.yaml"), "--output-dir", str(out), "--quiet")
-    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
     assert "complete: yes" in (out / "MANIFEST.txt").read_text()
     assert (out / "diagnostics.csv").exists()
     missing = _run_module(str(tmp_path / "missing.yaml"))
+    assert "RuntimeWarning" not in missing.stderr
     assert missing.returncode == 2
-    assert "input error" in missing.stderr
+    assert missing.stderr.startswith("input error")
 
 
 def test_main_runs_scenario_quiet(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,9 +40,10 @@ from jkoflow import (
     PRESETS,
 )
 import jkoflow.jko as jko_module
-from jkoflow.flow import _step_problem
+from jkoflow.flow import StepDiagnostics, _step_problem
+from jkoflow.jko import COLUMNS
 from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
-from oracle import CostFunction
+from oracle import CostFunction, per_step_contraction_distances, per_step_weak_form
 
 UNIT = Domain(0.0, 1.0)
 
@@ -228,7 +230,15 @@ def test_run_flow_mixes_energies_and_particle_counts():
 
 
 def _assert_same_flow(traj, ref):
+    # the recorded arrays to the bit, and the records built from them
     assert traj.steps == ref.steps and traj.times == ref.times
+    for x, ref_x in zip(traj.positions, ref.positions, strict=True):
+        assert (x.dtype, x.shape, x.tobytes()) == (ref_x.dtype, ref_x.shape, ref_x.tobytes())
+    assert list(traj.columns) == list(ref.columns) == list(COLUMNS)
+    for name, column in traj.columns.items():
+        ref_column = ref.columns[name]
+        assert (column.dtype, column.shape, column.tobytes()) == (
+            ref_column.dtype, ref_column.shape, ref_column.tobytes()), name
     assert repr(traj.diagnostics) == repr(ref.diagnostics)  # every field, to the bit
     for state, ref_state in zip(traj.states, ref.states, strict=True):
         for rho, ref_rho in zip(state, ref_state, strict=True):
@@ -505,10 +515,10 @@ def test_weak_form_constant_test_function_vanishes():
         assert report.satisfied
 
 
-def test_bump_shares_spatial_factors_only_at_unchanging_positions():
-    # the weak form takes the bump's value twice and dx once at each state's
-    # read-only positions, which share one evaluation of the spatial factors;
-    # writeable copies are evaluated afresh, and the reports agree to the bit
+def test_bump_takes_a_column_of_times_to_the_bit():
+    # the weak form evaluates the bump on every recorded state at once, with a
+    # column of times; each row is the bump at that row's time alone, and
+    # writeable copies of the positions give the same reports
     traj = run_flow(barycenter3_preset(n=16, n_steps=5))
     bump = bump_test_function(0.5, 0.3, 1.0)
     fresh = TestFunction(
@@ -519,14 +529,15 @@ def test_bump_shares_spatial_factors_only_at_unchanging_positions():
     )
     for i in range(3):
         assert weak_form_residual(traj, bump, i) == weak_form_residual(traj, fresh, i)
-    x = np.linspace(0.3, 0.7, 5)
-    view = x[:]
-    view.setflags(write=False)  # read-only, but its owner can still change
-    for at in (x, view):
-        before = bump.value(0.2, at)
-        x += 0.05
-        assert np.array_equal(bump.value(0.2, at), bump.value(0.2, at.copy()))
-        assert not np.array_equal(bump.value(0.2, at), before)
+    x = np.array(traj.positions[0])
+    times = np.array(traj.times)
+    cut = bump_test_function(0.5, 0.3, 0.04)  # the last two times are past its cutoff
+    for f in (bump.value, bump.dx, cut.value, cut.dx):
+        rows = f(times[:, None], x)
+        assert rows.shape == x.shape
+        for t, row, at in zip(times.tolist(), rows, x):
+            assert row.tobytes() == f(t, at).tobytes()
+    assert not rows[-2:].any() and rows[:-2].any()
 
 
 def test_weak_form_residual_shrinks_under_refinement():
@@ -541,6 +552,53 @@ def test_weak_form_residual_shrinks_under_refinement():
     )
     assert abs(coarse.residual) >= 1.5 * abs(fine.residual)
     assert coarse.bound >= 1.5 * fine.bound
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
+def test_weak_form_equals_its_per_step_assembly(name):
+    # the whole-array assembly against its step-by-step reference, to the bit:
+    # every preset, the coupled ones driving through their partners, and a flow
+    # whose populations differ in N
+    config = mixed_config() if name == "mixed" else PRESETS[name]()
+    if config.n_steps > 40:
+        config = replace(config, n_steps=40)
+    traj = run_flow(config)
+    center = config.domain.lower + 0.5 * config.domain.length
+    phi = bump_test_function(center, 0.35 * config.domain.length, 0.5 * config.horizon)
+    for i in range(len(config.populations)):
+        assert repr(weak_form_residual(traj, phi, i)) == repr(per_step_weak_form(traj, phi, i))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_contraction_distances_equal_product_w2_per_step(name, record_every):
+    if name == "mixed":
+        config = mixed_config()
+        others = [p.initial for p in _other_mixed_config().populations]
+    else:
+        config = PRESETS[name]()
+        rng = np.random.default_rng(35)
+        others = [spread_particles(rng, config.domain, p.initial.n) for p in config.populations]
+    config = replace(config, n_steps=min(config.n_steps, 10), record_every=record_every)
+    traj, rerun_traj = run_flows((config, contraction_rerun(config, others)))
+    report = contraction_probe(traj, rerun_traj, slack=math.inf)
+    assert len(report.distances) == len(traj.steps)
+    assert repr(report.distances) == repr(per_step_contraction_distances(traj, rerun_traj))
+
+
+def test_trajectory_records_read_only_arrays():
+    config = replace(mixed_config(), record_every=3)  # N = 16 and 24
+    traj = run_flow(config)
+    assert traj.steps == (0, 3, 4)
+    for p, x, state in zip(config.populations, traj.positions, traj.final, strict=True):
+        assert x.shape == (3, p.initial.n) and not x.flags.writeable
+        assert x[0].tobytes() == p.initial.positions.tobytes()
+        assert state.positions.tobytes() == x[-1].tobytes()
+    assert [f.name for f in fields(StepDiagnostics)][3:] == list(COLUMNS)
+    for column in traj.columns.values():
+        assert column.shape == (4, 4) and not column.flags.writeable
+    assert traj.columns["iterations"].dtype == int
+    assert [d.iterations for d in traj.diagnostics] == traj.columns["iterations"].ravel().tolist()
 
 
 def test_weak_form_requires_full_recording():

@@ -22,7 +22,8 @@ from jkoflow import (
     w2_distance,
 )
 import jkoflow.jko as jko_module
-from jkoflow.jko import _Rows
+from jkoflow.geometry import accepted
+from jkoflow.jko import _check_states, _Rows
 from jkoflow.presets import barenblatt_profile, bump_profile, gaussian_profile
 from oracle import density_refusal
 
@@ -191,20 +192,21 @@ _ULP_BELOW, _ULP_ABOVE = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
 
 
 def test_particle_rows_checks_each_row_once(monkeypatch):
-    # the step kernel builds each solved row with the constructor, one call a
-    # row, and checks rows apart: row 0 ends above row 1's start, which a
-    # check of the flat vector would refuse
+    # the step kernel checks its solved block with the constructor's own
+    # predicate, in one pass that builds no density, and checks rows apart:
+    # row 0 ends above row 1's start, which a check of the flat vector would refuse
     prevs = [ParticleDensity(UNIT, x) for x in ([0.3, 0.5, 0.9], [0.05, 0.2, 0.4])]
     problems = [StepProblem(prev=p, energy=entropy_energy(), h=1e-2) for p in prevs]
     builds, validate = [], ParticleDensity.__post_init__
     monkeypatch.setattr(ParticleDensity, "__post_init__",
                         lambda self: builds.append(self) or validate(self))
-    sols = _Rows(problems).step()
-    assert sols[0].rho.positions[-1] > sols[1].rho.positions[0]
-    assert builds == [sol.rho for sol in sols]
-    for sol in sols:
-        assert sol.rho.domain == UNIT
-        assert sol.rho.positions.base is None and not sol.rho.positions.flags.writeable
+    checks = []
+    monkeypatch.setattr(jko_module, "accepted",
+                        lambda *a: checks.append(a) or accepted(*a))
+    x = _Rows(problems).step().x
+    assert x.shape == (2, 3) and x[0, -1] > x[1, 0]
+    assert builds == [] and len(checks) == 1
+    assert accepted(UNIT, x).tolist() == [True, True]
 
 
 @pytest.mark.parametrize("row, j, value, message", [
@@ -243,17 +245,31 @@ _ENTRIES = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(
     [0.0, 0.5, 1.0, _ULP_BELOW, _ULP_ABOVE, np.nan, np.inf, -np.inf]))
 
 
-@given(st.lists(_ENTRIES, min_size=1, max_size=8), st.booleans(), st.integers(0, 8))
+@given(st.lists(_ENTRIES, min_size=1, max_size=8), st.booleans(), st.integers(0, 8),
+       st.integers(1, 4), st.integers(0, 3))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_constructor_refuses_what_the_reference_refuses(values, ordered, swap):
+def test_constructor_refuses_what_the_reference_refuses(values, ordered, swap, rows, row):
     # ties, NaN, infinities and ends one ulp outside the box; sorted (NaN
-    # last) or not, with one pair of neighbours swapped or none
+    # last) or not, with one pair of neighbours swapped or none.  The step
+    # kernel's block check refuses the same, planted in any row of P among
+    # accepted ones, as that row's numerical failure
     x = np.sort(values) if ordered else np.array(values)
     if swap + 1 < x.size:
         x[[swap, swap + 1]] = x[[swap + 1, swap]]
     expected = density_refusal(UNIT, x)
+    row %= rows
+    block = np.tile(np.linspace(0.0, 1.0, x.size), (rows, 1))
+    block[row] = x
+    res = [0.25 * (r + 1) for r in range(rows)]
     if expected is None:
         assert np.array_equal(ParticleDensity(UNIT, x).positions, x)
+        assert accepted(UNIT, block).all()
+        _check_states(UNIT, block, res)
     else:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(expected)}$"):
             ParticleDensity(UNIT, x)
+        assert np.flatnonzero(~accepted(UNIT, block)).tolist() == [row]
+        with pytest.raises(NumericalFailureError, match="^step solver made a state that is "
+                           f"not a density: {re.escape(expected)}$") as info:
+            _check_states(UNIT, block, res)
+        assert (info.value.row, info.value.residual) == (row, res[row])

@@ -487,6 +487,12 @@ def _independent_problems(rng, n=24, h=2e-2):
     return problems
 
 
+def _kernel_solutions(problems):
+    """One step of a kernel of ``problems``: each row as a StepSolution."""
+    step = _Rows(problems).step()
+    return tuple(step.solution(p.domain, r) for r, p in enumerate(problems))
+
+
 def _assert_solves_alone(problems, joint):
     """Each row of a joint solve is its one-row solve, to the bit."""
     for problem, sol in zip(problems, joint, strict=True):
@@ -499,7 +505,7 @@ def test_joint_solve_agrees_with_one_at_a_time():
     rng = np.random.default_rng(21)
     for trial in range(5):
         problems = _independent_problems(rng)
-        joint = _Rows(problems).step()
+        joint = _kernel_solutions(problems)
         _assert_solves_alone(problems, joint)
         assert len({sol.iterations for sol in joint}) > 1  # the rows stop on their own
         for problem, sol in zip(problems, joint):
@@ -525,10 +531,10 @@ def test_rows_stopped_at_walls_solve_as_alone():
                 StepProblem(prev=ParticleDensity(UNIT, np.linspace(0.0, 1.0, n)),
                             energy=power_law_energy(2.0), h=h),
                 *_independent_problems(rng, n=n, h=h)]
-    joint = _Rows(problems).step()
+    joint = _kernel_solutions(problems)
     assert joint[0].rho.positions[0] == UNIT.lower and joint[1].rho.positions[-1] == UNIT.upper
     _assert_solves_alone(problems, joint)
-    _assert_solves_alone(problems[::-1], _Rows(problems[::-1]).step())
+    _assert_solves_alone(problems[::-1], _kernel_solutions(problems[::-1]))
 
 
 def test_one_particle_rows_solve_as_alone():
@@ -538,7 +544,7 @@ def test_one_particle_rows_solve_as_alone():
                             h=0.1, cost=QuadraticCost((1.0,)), frozen=frozen, slot=0,
                             tol=tol)
                 for xk, tol in ((0.0, 1e-12), (0.3, 1e-9), (1.0, 1e-12))]
-    joint = _Rows(problems).step()
+    joint = _kernel_solutions(problems)
     _assert_solves_alone(problems, joint)
     for xk, sol in zip((0.0, 0.3, 1.0), joint):
         assert abs(float(sol.rho.positions[0]) - (xk + 0.2 * 0.9) / 1.2) <= 1e-9
@@ -550,7 +556,7 @@ def test_copies_of_one_problem_solve_like_one():
     rng = np.random.default_rng(22)
     for problem in _independent_problems(rng):
         alone = solve_step(problem)
-        for sol in _Rows([problem]).step() + _Rows([problem] * 3).step():
+        for sol in _kernel_solutions([problem]) + _kernel_solutions([problem] * 3):
             assert sol == dataclasses.replace(alone, rho=sol.rho)
             assert np.array_equal(sol.rho.positions, alone.rho.positions)
 
@@ -566,10 +572,10 @@ def test_copies_stopped_at_a_wall_solve_like_one():
                            energy=entropy_energy(), h=1e-2)
     alone = solve_step(problem)
     assert alone.rho.positions[0] == UNIT.lower
-    for sol in _Rows([problem] * 2).step():
+    for sol in _kernel_solutions([problem] * 2):
         assert sol == dataclasses.replace(alone, rho=sol.rho)
         assert np.array_equal(sol.rho.positions, alone.rho.positions)
-    _, upper, _ = _Rows([problem, mirrored, problem]).step()
+    _, upper, _ = _kernel_solutions([problem, mirrored, problem])
     assert upper.rho.positions[-1] == UNIT.upper
 
 
