@@ -35,7 +35,7 @@ def main():
         steps = round(args.T / h)
         traj = run_flow(heat_flow_preset(n=n, h=h, n_steps=steps))
         report = weak_form_residual(traj, phi, population=0)
-        w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == 0)
+        w2_sum = math.fsum(traj.columns["w2_sq"][:, 0].tolist())
         line = f"{n:>6} {h:>10.2e} {abs(report.residual):>12.3e} {report.bound:>12.3e} {w2_sum:>12.3e}"
         if prev is not None:
             ratios = (

@@ -42,9 +42,8 @@ def main():
     report = estimate_report(traj)
     for row in report.populations:
         final_l1 = l1_distance_to_profile(traj.final[row.population], uniform)
-        rows = [d for d in traj.diagnostics if d.population == row.population]
-        sum_el = math.fsum(d.el_residual for d in rows)
-        print(f"  pop {row.population}: energy {row.f_initial:+.6f} -> {rows[-1].energy:+.6f}")
+        sum_el = math.fsum(traj.columns["el_residual"][:, row.population].tolist())
+        print(f"  pop {row.population}: energy {row.f_initial:+.6f} -> {row.f_final:+.6f}")
         print(
             f"    sum W2^2 = {row.sum_w2_sq:.3e} (bound {row.sum_w2_sq_bound:.3e}), "
             f"sum EL residual = {sum_el:.3e}"

@@ -15,7 +15,6 @@ from .geometry import (
     l1_grid_distance,
     normalized_grid,
     particle_step_density,
-    product_w2,
     w2_distance,
 )
 from .energy import (
@@ -49,7 +48,6 @@ from .flow import (
     FlowConfig,
     FlowTrajectory,
     PopulationSpec,
-    StepDiagnostics,
     TestFunction,
     WeakFormReport,
     bump_test_function,
@@ -98,7 +96,6 @@ __all__ = [
     "from_grid",
     "grid_from_csv",
     "normalized_grid",
-    "product_w2",
     "w2_distance",
     "InternalEnergy",
     "energy_gradient",
@@ -127,7 +124,6 @@ __all__ = [
     "FlowConfig",
     "FlowTrajectory",
     "PopulationSpec",
-    "StepDiagnostics",
     "TestFunction",
     "WeakFormReport",
     "bump_test_function",

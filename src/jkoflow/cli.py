@@ -274,7 +274,6 @@ FLOW = Record("FlowSpec", {
     "h": POSITIVE,
     "n_steps": AT_LEAST_ONE,
     "populations": Bound([POPULATION], lambda v: len(v) < 2, "need at least two populations"),
-    "record_every": Opt(AT_LEAST_ONE, 1),
     "tol": Opt(POSITIVE),
 })
 
@@ -322,8 +321,6 @@ def parse_scenario(text: str) -> Scenario:
             _fail(f"probes[{i}].second_initials", f"need one profile per population ({n_pops})")
         if probe.population is not None and not 0 <= probe.population < n_pops:
             _fail(f"probes[{i}].population", "out of range")
-        if probe.kind == "weak_form_residual" and scenario.flow.record_every != 1:
-            _fail(f"probes[{i}]", "weak-form assembly needs every step recorded (record_every: 1)")
     return scenario
 
 
@@ -338,10 +335,13 @@ def _build_initial(spec, domain: Domain, path: str) -> ParticleDensity:
     if spec.profile is not None:
         return _build_profile(spec.profile, domain, spec.n, _at(path, "profile"))
     try:
-        grid = grid_from_csv(spec.csv)
-    except OSError as err:
-        raise InvalidInputError(f"initial csv {spec.csv!r}: {err}") from err
-    return from_grid(grid, spec.n, domain=domain)
+        return from_grid(grid_from_csv(spec.csv), spec.n, domain=domain)
+    except (OSError, ValueError) as err:  # ValueError: InvalidInputError, or bytes not UTF-8
+        # grid_from_csv's refusals start with the file's name; the others do not
+        message = getattr(err, "strerror", None) or str(err)
+        if not message.startswith(f"{spec.csv}:"):
+            message = f"{spec.csv}: {message}"
+        _fail(_at(path, "csv"), message)
 
 
 def build_flow_config(scenario: Scenario) -> FlowConfig:
@@ -356,7 +356,7 @@ def build_flow_config(scenario: Scenario) -> FlowConfig:
             coupling = Coupling(COST.build(p.coupling), members)
         initial = _build_initial(p.initial, domain, f"flow.populations[{i}].initial")
         pops.append(PopulationSpec(initial, ENERGY.build(p.energy), coupling))
-    return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.record_every, flow.tol)
+    return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.tol)
 
 
 def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:

@@ -20,7 +20,8 @@ class NumericalFailureError(RuntimeError):
     """An iterative routine failed to reach its tolerance.
 
     Carries the residual at the point of failure so callers can report it, and
-    from a joint step solve the index of the problem (row) it is charged to.
+    ``row``: from a joint step solve, the index of the problem (the kernel's
+    row) it is charged to; from run_flows, the index of the flow that failed.
     """
 
     def __init__(self, message: str, residual: float | None = None, row: int | None = None):

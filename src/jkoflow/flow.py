@@ -8,11 +8,9 @@ populations, of all the flows, that share a particle count, step size and
 domain, once, and advances it at every step.  A kernel's rows step
 independently, so each flow comes out to the bit as it does alone; run_flow
 is the one-flow case.  A flow is recorded as arrays: each population's
-recorded positions, one row per recorded step, and the diagnostics (energy,
-coupling value, squared step length, solver and optimality residuals,
-objective, iterations) that come with each step, one column per name,
-recorded every step even when states are thinned.  ParticleDensity states
-and StepDiagnostics records are built from them only when asked for.
+positions, one row per step, and each step's diagnostics, one column per
+name of jko.COLUMNS.  ParticleDensity states are built from them only when
+asked for.
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
@@ -68,7 +66,6 @@ class FlowConfig:
     populations: tuple[PopulationSpec, ...]
     h: float
     n_steps: int
-    record_every: int = 1
     tol: float | None = None
 
     def __post_init__(self):
@@ -79,8 +76,6 @@ class FlowConfig:
             raise InvalidInputError("step size h must be positive")
         if self.n_steps < 1:
             raise InvalidInputError("need at least one step")
-        if self.record_every < 1:
-            raise InvalidInputError("record_every must be a positive integer")
         if self.tol is not None and not 0 < self.tol < np.inf:
             raise InvalidInputError("tol must be positive and finite")
         dom = self.populations[0].initial.domain
@@ -115,33 +110,18 @@ class FlowConfig:
         return self.h * self.n_steps
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    step: int
-    time: float
-    population: int
-    energy: float
-    coupling: float
-    w2_sq: float
-    residual: float
-    el_residual: float
-    objective: float
-    iterations: int
-
-
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """A flow's recorded states and every step's diagnostics, as read-only arrays.
+    """A flow's states and diagnostics at every step, as read-only arrays.
 
-    ``positions[i]`` holds population i's positions at each of ``steps``, one
-    row per step; ``columns`` maps each name of jko.COLUMNS (the
-    StepDiagnostics fields after ``population``) to an (n_steps, populations)
-    array whose row k - 1 holds step k.  ``states``, ``final`` and
-    ``diagnostics`` are built from them on first access.
+    ``positions[i]`` holds population i's positions, row k at step k and
+    time ``times[k]`` = k h, for k = 0, ..., n_steps; ``columns`` maps each
+    name of jko.COLUMNS to an (n_steps, populations) array whose row k - 1
+    holds step k.  ``states`` and ``final`` are built from the positions on
+    first access.
     """
 
     config: FlowConfig
-    steps: tuple[int, ...]
     times: tuple[float, ...]
     positions: tuple[np.ndarray, ...]
     columns: Mapping[str, np.ndarray]
@@ -151,18 +131,11 @@ class FlowTrajectory:
 
     @cached_property
     def states(self) -> tuple[tuple[ParticleDensity, ...], ...]:
-        return tuple(self._state(j) for j in range(len(self.steps)))
+        return tuple(self._state(j) for j in range(len(self.times)))
 
     @cached_property
     def final(self) -> tuple[ParticleDensity, ...]:
         return self._state(-1)
-
-    @cached_property
-    def diagnostics(self) -> tuple[StepDiagnostics, ...]:
-        h, columns = self.config.h, [self.columns[name].tolist() for name in COLUMNS]
-        return tuple(StepDiagnostics(k, k * h, i, *values)
-                     for k, row in enumerate(zip(*columns), 1)
-                     for i, values in enumerate(zip(*row)))
 
 
 def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
@@ -187,13 +160,10 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
     if len({config.n_steps for config in configs}) > 1:
         raise InvalidInputError("flows run side by side must share their step count")
     n_steps = configs[0].n_steps if configs else 0
-    steps = [tuple(k for k in range(n_steps + 1) if k % config.record_every == 0 or k == n_steps)
-             for config in configs]
-    record = [{k: j for j, k in enumerate(s)} for s in steps]  # step -> its row, per flow
-    positions = []  # per flow and population: (recorded steps, N)
+    positions = []  # per flow and population: (n_steps + 1, N), row k at step k
     groups: dict[tuple, list[tuple[int, int]]] = {}  # kernel key -> (flow, population)
     for c, config in enumerate(configs):
-        positions.append([np.empty((len(steps[c]), p.initial.n)) for p in config.populations])
+        positions.append([np.empty((n_steps + 1, p.initial.n)) for p in config.populations])
         for i, p in enumerate(config.populations):
             positions[c][i][0] = p.initial.positions
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
@@ -218,13 +188,12 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
                                             residual=err.residual, row=c) from err
             table[k - 1] = solved.columns
             for (c, i), x in zip(members, solved.x):
-                if k in record[c]:
-                    positions[c][i][record[c][k]] = x
+                positions[c][i][k] = x
     tables = [np.empty((n_steps, len(COLUMNS), len(config.populations))) for config in configs]
     for members, _, table in kernels:
         for r, (c, i) in enumerate(members):
             tables[c][:, :, i] = table[:, :, r]
-    return tuple(FlowTrajectory(config, steps[c], tuple(k * config.h for k in steps[c]),
+    return tuple(FlowTrajectory(config, tuple(k * config.h for k in range(n_steps + 1)),
                                 tuple(map(_readonly, positions[c])), _columns(tables[c]))
                  for c, config in enumerate(configs))
 
@@ -286,7 +255,7 @@ def estimate_report(traj: FlowTrajectory) -> EstimateReport:
         f_series = traj.columns["energy"][:, i].tolist()
         w2_sum = math.fsum(traj.columns["w2_sq"][:, i].tolist())
         f_max = max([f0] + f_series)
-        f_final = f_series[-1] if f_series else f0
+        f_final = f_series[-1]
         f_max_bound = f0 + c_bound**2 * t_total
         w2_bound = 4.0 * config.h * (f0 - f_final + c_bound**2 * t_total)
         cushion_f = 1e-9 * (1.0 + abs(f_max_bound))
@@ -362,17 +331,16 @@ def contraction_probe(
             status="SKIPPED", reason=reason,
             max_increase=math.nan, normalized_rate=math.nan, distances=(),
         )
-    if (rerun is None or rerun.steps != traj.steps or rerun.config.h != config.h
+    if (rerun is None or rerun.config.h != config.h
             or [x.shape for x in rerun.positions] != [x.shape for x in traj.positions]):
         raise InvalidInputError("the contraction probe needs the flow of contraction_rerun")
-    # each population's W2 at every recorded step in one reduction; then, per
-    # step, product_w2's sum of their Python-float squares
+    # each population's W2 at every step in one reduction; then, per step, the
+    # product distance: the root of the sum of their Python-float squares
     w2 = [np.sqrt(np.mean(np.square(a - b), axis=1)).tolist()
           for a, b in zip(traj.positions, rerun.positions)]
     distances = tuple(math.sqrt(sum(w ** 2 for w in step)) for step in zip(*w2))
     increases = np.diff(np.array(distances))
-    max_increase = float(np.max(increases)) if increases.size else 0.0
-    max_increase = max(max_increase, 0.0)
+    max_increase = max(float(np.max(increases)), 0.0)
     n_max = max(p.initial.n for p in config.populations)
     rate = max_increase / (config.h + 1.0 / n_max)
     status = "PASS" if max_increase <= slack else "FAIL"
@@ -471,8 +439,6 @@ def weak_form_residual(
     where particles may sit on the box constraint.
     """
     config = traj.config
-    if config.record_every != 1:
-        raise InvalidInputError("weak-form assembly needs every step recorded")
     if not 0 <= population < len(config.populations):
         raise InvalidInputError(f"population {population} out of range")
     i = population
@@ -513,7 +479,7 @@ def weak_form_residual(
 
 
 def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
-    """Recorded states, one row per time: t, particle_0, ..., particle_{N-1}."""
+    """States, one row per step: t, particle_0, ..., particle_{N-1}."""
     if not 0 <= population < len(traj.config.populations):
         raise InvalidInputError(f"population {population} out of range")
     n = traj.config.populations[population].initial.n

@@ -249,15 +249,6 @@ def w2_distance(rho: ParticleDensity, mu: ParticleDensity) -> float:
     return math.sqrt(float(np.mean(d * d)))
 
 
-def product_w2(rhos, mus) -> float:
-    """Product-space distance (sum_i W_2^2)^(1/2) between two tuples."""
-    rhos = tuple(rhos)
-    mus = tuple(mus)
-    if len(rhos) != len(mus) or not rhos:
-        raise InvalidInputError("tuples must be nonempty with equal length")
-    return math.sqrt(sum(w2_distance(r, m) ** 2 for r, m in zip(rhos, mus)))
-
-
 def particle_step_density(rho: ParticleDensity) -> GridDensity:
     """Piecewise-constant density spreading each particle's 1/N mass over
     its cell between the neighbor midpoints (walls close the end cells).

@@ -30,12 +30,13 @@ points out of the box is held.  _Rows.step is the one driver of this
 loop: one step of every row, after which the minimizer is the rows'
 previous state, so a kernel that run_flows builds once starts each step at
 the point the last one accepted; solve_step is one step of a one-row
-kernel.  Row r is the callers' problem r.  A step returns plain arrays: the
-(P, N) minimizer and one row of per-row diagnostics for each name of
-COLUMNS.  The minimizer is checked in one vectorized pass by the
-ParticleDensity constructor's own predicate (geometry.accepted); a row it
-refuses, with the constructor's message, or a non-finite E, dE/dx or
-Newton system is a numerical failure charged to one row.
+kernel, returned as a StepSolution.  Row r is the callers' problem r.  A
+step returns plain arrays: the (P, N) minimizer and one row of per-row
+diagnostics for each name of COLUMNS.  The minimizer is checked in one
+vectorized pass by the ParticleDensity constructor's own predicate
+(geometry.accepted); a row it refuses, with the constructor's message, or
+a non-finite E, dE/dx or Newton system is a numerical failure charged to
+one row.
 
 dptsv is scipy's f2py wrapper of the LAPACK routine.  _load_dptsv loads
 scipy's compiled _flapack extension straight from its file, so that
@@ -67,7 +68,7 @@ MAX_BACKTRACKS = 60
 MAX_ITERS = 100
 BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
 EPS = np.finfo(float).eps
-# the per-row diagnostics of a step, in the order of _Step.columns' rows
+# the per-row diagnostics of a step: _Step.columns' rows, StepSolution's fields after rho
 COLUMNS = ("energy", "coupling", "w2_sq", "residual", "el_residual", "objective", "iterations")
 
 
@@ -143,17 +144,19 @@ class StepProblem:
 
 @dataclass(frozen=True)
 class StepSolution:
-    """The new state and, there, E (``value``), F (``energy``), the rank-diagonal coupling
-    value (0 when uncoupled), the squared step length W2^2 and the Euler-Lagrange residual."""
+    """The new state and its diagnostics, one field per name of COLUMNS in that order:
+    F (``energy``), the rank-diagonal coupling value (0 when uncoupled), the squared
+    step length W2^2, the solver and Euler-Lagrange residuals, E (``objective``) and
+    the iteration count."""
 
     rho: ParticleDensity
-    value: float
-    residual: float
-    iterations: int
     energy: float
     coupling: float
-    el_residual: float
     w2_sq: float
+    residual: float
+    el_residual: float
+    objective: float
+    iterations: int
 
 
 def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
@@ -232,10 +235,8 @@ class _Step(NamedTuple):
 
     def solution(self, domain: Domain, r: int) -> StepSolution:
         """Row r as a StepSolution, its state built by the ParticleDensity constructor."""
-        energy, coupling, w2_sq, residual, el_residual, value, iterations = \
-            self.columns[:, r].tolist()
-        return StepSolution(ParticleDensity(domain, self.x[r]), value, residual, int(iterations),
-                            energy, coupling, el_residual, w2_sq)
+        *values, iterations = self.columns[:, r].tolist()
+        return StepSolution(ParticleDensity(domain, self.x[r]), *values, int(iterations))
 
 
 class _Point(NamedTuple):

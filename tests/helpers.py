@@ -75,7 +75,7 @@ def reference_run_flow(config):
     group of populations that share N, on step problems made from the state, with the
     trajectory's arrays stacked from the steps' StepSolutions."""
     state = tuple(p.initial for p in config.populations)
-    steps, states, solutions = [0], [state], []
+    states, solutions = [state], []
     groups = {}
     for i, p in enumerate(config.populations):
         groups.setdefault(p.initial.n, []).append(i)
@@ -87,16 +87,13 @@ def reference_run_flow(config):
                 solved[i] = step.solution(config.domain, r)
         solutions.append(solved)
         state = tuple(sol.rho for sol in solved)
-        if k % config.record_every == 0 or k == config.n_steps:
-            steps.append(k)
-            states.append(state)
+        states.append(state)
     positions = tuple(np.array([s[i].positions for s in states])
                       for i in range(len(config.populations)))
-    field = {"objective": "value"}  # StepSolution's name of each column, where it differs
-    columns = {name: np.array([[getattr(sol, field.get(name, name)) for sol in solved]
-                               for solved in solutions]) for name in COLUMNS}
-    return FlowTrajectory(config, tuple(steps), tuple(k * config.h for k in steps), positions,
-                          columns)
+    columns = {name: np.array([[getattr(sol, name) for sol in solved] for solved in solutions])
+               for name in COLUMNS}
+    return FlowTrajectory(config, tuple(k * config.h for k in range(config.n_steps + 1)),
+                          positions, columns)
 
 
 def leak_past_wall(monkeypatch, wall):

@@ -12,8 +12,9 @@ displacement convexity, against which each energy's closed-form flag is
 checked, and the power-law source solutions for every m > 1; the
 reference contract of ParticleDensity, entry by entry; and the per-step
 references of the probes' whole-array passes: the weak form assembled one
-step at a time from ParticleDensity states and StepDiagnostics records,
-and the contraction distances as product_w2 of each recorded pair of states.
+step at a time from ParticleDensity states and each population's
+diagnostics, and the contraction distances as the product W2 distance
+(sum_i W2^2)^(1/2) of each pair of states, from w2_distance.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from jkoflow import (
     WeakFormReport,
     displacement_interpolate,
     energy_gradient,
-    product_w2,
     profile_grid,
+    w2_distance,
 )
 
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
@@ -297,7 +298,7 @@ def density_refusal(domain: Domain, positions) -> str | None:
 
 def per_step_weak_form(traj: FlowTrajectory, phi: TestFunction, population: int) -> WeakFormReport:
     """``jkoflow.weak_form_residual`` assembled one step at a time: each step's terms from
-    its ParticleDensity states, at scalar times, and the bound from StepDiagnostics."""
+    its ParticleDensity states, at scalar times, and the bound from one diagnostic at a time."""
     config = traj.config
     i = population
     p = config.populations[i]
@@ -322,8 +323,8 @@ def per_step_weak_form(traj: FlowTrajectory, phi: TestFunction, population: int)
     terms.append(float(np.mean(phi.value(traj.times[0], traj.states[0][i].positions))))
     terms.append(float(-np.mean(phi.value(traj.times[-1], traj.final[i].positions))))
     total = math.fsum(terms)
-    el_sum = math.fsum(d.el_residual for d in traj.diagnostics if d.population == i)
-    w2_sum = math.fsum(d.w2_sq for d in traj.diagnostics if d.population == i)
+    el_sum = math.fsum(float(traj.columns["el_residual"][k, i]) for k in range(config.n_steps))
+    w2_sum = math.fsum(float(traj.columns["w2_sq"][k, i]) for k in range(config.n_steps))
     bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
     cushion = 1e-12 * (1.0 + bound)
     return WeakFormReport(population=i, residual=total, bound=bound,
@@ -331,5 +332,7 @@ def per_step_weak_form(traj: FlowTrajectory, phi: TestFunction, population: int)
 
 
 def per_step_contraction_distances(traj: FlowTrajectory, rerun: FlowTrajectory) -> tuple:
-    """``jkoflow.contraction_probe``'s distances: product_w2 of each recorded pair of states."""
-    return tuple(product_w2(sa, sb) for sa, sb in zip(traj.states, rerun.states))
+    """``jkoflow.contraction_probe``'s distances: the product W2 distance of each pair of
+    states."""
+    return tuple(math.sqrt(sum(w2_distance(a, b) ** 2 for a, b in zip(sa, sb)))
+                 for sa, sb in zip(traj.states, rerun.states))

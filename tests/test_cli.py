@@ -67,7 +67,6 @@ probes:
 def test_minimal_scenario_parses_with_defaults():
     s = parse_scenario(MINIMAL)
     assert s.name == "minimal"
-    assert s.flow.record_every == 1
     assert s.flow.tol is None
     assert s.probes == ()
     assert s.output_dir is None
@@ -87,6 +86,9 @@ def test_unknown_key_rejected_with_field_path():
                           "initial: {n: 8, wobble: 3, profile: {type: bump, center: 0.6, half_width: 0.2}}")
     with pytest.raises(InvalidInputError, match=r"flow\.populations\[1\]\.initial\.wobble"):
         parse_scenario(bad)
+    # a flow records every step: there is no thinning key
+    with pytest.raises(InvalidInputError, match=r"^flow\.record_every: unknown key$"):
+        parse_scenario(MINIMAL.replace("  n_steps: 3\n", "  n_steps: 3\n  record_every: 1\n"))
 
 
 def test_syntax_error_reports_line_and_column():
@@ -207,7 +209,7 @@ def test_shipped_scenarios_match_presets(name):
     # the gates test the presets and users run the files: both must be one flow
     from_file = build_flow_config(parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text()))
     preset = PRESETS[name]()
-    for field in ("h", "n_steps", "record_every", "tol"):
+    for field in ("h", "n_steps", "tol"):
         assert getattr(from_file, field) == getattr(preset, field), field
     runs = [run_flow(dataclasses.replace(c, n_steps=2)) for c in (from_file, preset)]
     assert runs[0].times == runs[1].times
@@ -461,17 +463,15 @@ def test_main_validate_only_rejects_non_finite_tolerances(tmp_path, capsys, old,
     assert re.search(field, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("flow_keys, probe, message", [
-    ("  record_every: 2\n", "{kind: weak_form_residual, population: 0}", r"probes\[0\]: weak-form"),
-    ("", "{kind: contraction_probe, second_initials: "
+@pytest.mark.parametrize("probe, message", [
+    ("{kind: contraction_probe, second_initials: "
      "[{type: barenblatt, t0: 100.0}, {type: uniform}]}", "source solution"),
-], ids=["weak-form-thinned", "unbuildable-second-initial"])
+], ids=["unbuildable-second-initial"])
 def test_scenario_that_cannot_run_fails_validation_and_runs_nothing(
-    tmp_path, capsys, flow_keys, probe, message
+    tmp_path, capsys, probe, message
 ):
     path = tmp_path / "s.yaml"
-    path.write_text(MINIMAL.replace("  n_steps: 3\n", "  n_steps: 3\n" + flow_keys)
-                    + f"probes: [{probe}]\n")
+    path.write_text(MINIMAL + f"probes: [{probe}]\n")
     assert main([str(path), "--validate-only"]) == 2
     assert re.search(message, capsys.readouterr().err)
     out = tmp_path / "out"
@@ -513,7 +513,29 @@ def test_main_missing_initial_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "s.yaml"
     path.write_text(text)
     assert main([str(path), "--validate-only"]) == 2
-    assert "grid.csv" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("input error: flow.populations[0].initial.csv: "
+                                       "/nonexistent/grid.csv: No such file or directory\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    # a grid on [0, 2] is readable but wider than the scenario's [0, 1]
+    (b"0.0,2.0,0.5\n", "grid support must be contained in the requested domain"),
+    (b"0.0,1.0,1.0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 12: "
+                               "invalid start byte"),
+], ids=["outside-domain", "not-utf8"])
+def test_bad_csv_initial_names_its_field(tmp_path, capsys, content, message):
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(content)
+    path = tmp_path / "s.yaml"
+    path.write_text(MINIMAL.replace(
+        "initial: {n: 8, profile: {type: bump, center: 0.6, half_width: 0.2}}",
+        f"initial: {{n: 8, csv: {grid}}}",
+    ))
+    for args in (["--validate-only"], ["--output-dir", str(tmp_path / "out"), "--quiet"]):
+        assert main([str(path), *args]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: flow.populations[1].initial.csv: {grid}: {message}\n")
+    assert not (tmp_path / "out" / "trajectory_pop0.csv").exists()
 
 
 def test_main_builds_a_csv_initial(tmp_path):

@@ -40,8 +40,8 @@ from jkoflow import (
     PRESETS,
 )
 import jkoflow.jko as jko_module
-from jkoflow.flow import StepDiagnostics, _step_problem
-from jkoflow.jko import COLUMNS
+from jkoflow.flow import _step_problem
+from jkoflow.jko import COLUMNS, StepSolution
 from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
 from oracle import CostFunction, per_step_contraction_distances, per_step_weak_form
 
@@ -163,9 +163,8 @@ def test_identity_flow_is_inert():
             assert np.array_equal(
                 state[i].positions, traj.states[0][i].positions
             )
-    for d in traj.diagnostics:
-        assert d.energy == 0.0 and d.coupling == 0.0 and d.w2_sq == 0.0
-        assert d.iterations == 0
+    for name in ("energy", "coupling", "w2_sq", "iterations"):
+        assert not traj.columns[name].any()
 
 
 def test_mutual_attraction_closed_form():
@@ -177,7 +176,7 @@ def test_mutual_attraction_closed_form():
     gaps0 = cfg.populations[1].initial.positions - cfg.populations[0].initial.positions
     mids0 = cfg.populations[1].initial.positions + cfg.populations[0].initial.positions
     ratio = (1 - 2 * h) / (1 + 2 * h)
-    for k, state in zip(traj.steps, traj.states):
+    for k, state in enumerate(traj.states):
         gaps = state[1].positions - state[0].positions
         assert np.max(np.abs(gaps - gaps0 * ratio**k)) <= 1e-10
         mids = state[1].positions + state[0].positions
@@ -187,7 +186,7 @@ def test_mutual_attraction_closed_form():
 def test_heat_flow_energy_descends():
     traj = run_flow(small_heat_config())
     for i in range(2):
-        series = [d.energy for d in traj.diagnostics if d.population == i]
+        series = traj.columns["energy"][:, i].tolist()
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
         assert series[0] <= traj.config.populations[i].initial.n  # sanity
 
@@ -214,24 +213,21 @@ def mixed_config():
 def test_run_flow_mixes_energies_and_particle_counts():
     config = mixed_config()
     traj = run_flow(config)
-    assert [d.population for d in traj.diagnostics] == [0, 1, 2, 3] * 4
+    assert {column.shape for column in traj.columns.values()} == {(4, 4)}
     for k in range(1, 5):
-        rows = traj.diagnostics[4 * (k - 1):4 * k]
-        for i, d in enumerate(rows):
+        for i in range(4):
             # the same step taken one population at a time from the same state,
             # to the bit: each row of a joint solve steps as it does alone
             alone = solve_step(_step_problem(config, traj.states[k - 1], i))
             assert traj.states[k][i].positions.tobytes() == alone.rho.positions.tobytes()
-            assert (d.objective, d.residual, d.iterations, d.energy, d.coupling, d.w2_sq,
-                    d.el_residual) == (alone.value, alone.residual, alone.iterations,
-                                       alone.energy, alone.coupling, alone.w2_sq,
-                                       alone.el_residual)
+            assert [traj.columns[name][k - 1, i] for name in COLUMNS] == [
+                getattr(alone, name) for name in COLUMNS]
         assert np.array_equal(traj.states[k][3].positions, config.populations[3].initial.positions)
 
 
 def _assert_same_flow(traj, ref):
-    # the recorded arrays to the bit, and the records built from them
-    assert traj.steps == ref.steps and traj.times == ref.times
+    # the recorded arrays to the bit, and the states built from them
+    assert traj.times == ref.times
     for x, ref_x in zip(traj.positions, ref.positions, strict=True):
         assert (x.dtype, x.shape, x.tobytes()) == (ref_x.dtype, ref_x.shape, ref_x.tobytes())
     assert list(traj.columns) == list(ref.columns) == list(COLUMNS)
@@ -239,7 +235,6 @@ def _assert_same_flow(traj, ref):
         ref_column = ref.columns[name]
         assert (column.dtype, column.shape, column.tobytes()) == (
             ref_column.dtype, ref_column.shape, ref_column.tobytes()), name
-    assert repr(traj.diagnostics) == repr(ref.diagnostics)  # every field, to the bit
     for state, ref_state in zip(traj.states, ref.states, strict=True):
         for rho, ref_rho in zip(state, ref_state, strict=True):
             assert rho.positions.tobytes() == ref_rho.positions.tobytes()
@@ -339,17 +334,6 @@ def test_run_flow_refuses_a_solver_state_past_a_wall(monkeypatch, wall):
     assert info.value.residual <= 1e-9 * math.sqrt(8)
 
 
-def test_recording_thinned_but_diagnostics_full():
-    cfg = FlowConfig(
-        populations=small_heat_config(n=16).populations,
-        h=1e-2, n_steps=7, record_every=3,
-    )
-    traj = run_flow(cfg)
-    assert traj.steps == (0, 3, 6, 7)
-    assert len(traj.diagnostics) == 7 * 2
-    assert traj.times[-1] == pytest.approx(0.07)
-
-
 def test_flow_validation():
     a = from_grid(gaussian_profile(UNIT, 0.5, 0.1), 8)
     spec = PopulationSpec(initial=a, energy=entropy_energy())
@@ -359,8 +343,6 @@ def test_flow_validation():
         FlowConfig(populations=(spec, spec), h=0.0, n_steps=1)
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(spec, spec), h=1e-2, n_steps=0)
-    with pytest.raises(InvalidInputError):
-        FlowConfig(populations=(spec, spec), h=1e-2, n_steps=1, record_every=0)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="tol"):
             FlowConfig(populations=(spec, spec), h=1e-2, n_steps=1, tol=tol)
@@ -570,8 +552,10 @@ def test_weak_form_equals_its_per_step_assembly(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])
-@pytest.mark.parametrize("record_every", [1, 3])
-def test_contraction_distances_equal_product_w2_per_step(name, record_every):
+@pytest.mark.parametrize("n_steps", [1, 10])
+def test_contraction_distances_equal_product_w2_per_step(name, n_steps):
+    # the product W2 distance at every step, against its step-by-step reference,
+    # to the bit; one step is the shortest flow, with a single increase
     if name == "mixed":
         config = mixed_config()
         others = [p.initial for p in _other_mixed_config().populations]
@@ -579,40 +563,32 @@ def test_contraction_distances_equal_product_w2_per_step(name, record_every):
         config = PRESETS[name]()
         rng = np.random.default_rng(35)
         others = [spread_particles(rng, config.domain, p.initial.n) for p in config.populations]
-    config = replace(config, n_steps=min(config.n_steps, 10), record_every=record_every)
+    config = replace(config, n_steps=n_steps)
     traj, rerun_traj = run_flows((config, contraction_rerun(config, others)))
     report = contraction_probe(traj, rerun_traj, slack=math.inf)
-    assert len(report.distances) == len(traj.steps)
+    assert len(report.distances) == n_steps + 1
     assert repr(report.distances) == repr(per_step_contraction_distances(traj, rerun_traj))
 
 
 def test_trajectory_records_read_only_arrays():
-    config = replace(mixed_config(), record_every=3)  # N = 16 and 24
+    config = mixed_config()  # N = 16 and 24
     traj = run_flow(config)
-    assert traj.steps == (0, 3, 4)
+    assert traj.times == tuple(k * config.h for k in range(5))
     for p, x, state in zip(config.populations, traj.positions, traj.final, strict=True):
-        assert x.shape == (3, p.initial.n) and not x.flags.writeable
+        assert x.shape == (5, p.initial.n) and not x.flags.writeable
         assert x[0].tobytes() == p.initial.positions.tobytes()
         assert state.positions.tobytes() == x[-1].tobytes()
-    assert [f.name for f in fields(StepDiagnostics)][3:] == list(COLUMNS)
+    assert [f.name for f in fields(StepSolution)][1:] == list(COLUMNS)
     for column in traj.columns.values():
         assert column.shape == (4, 4) and not column.flags.writeable
     assert traj.columns["iterations"].dtype == int
-    assert [d.iterations for d in traj.diagnostics] == traj.columns["iterations"].ravel().tolist()
 
 
-def test_weak_form_requires_full_recording():
-    cfg = FlowConfig(
-        populations=small_heat_config(n=16).populations,
-        h=1e-2, n_steps=4, record_every=2,
-    )
-    traj = run_flow(cfg)
+def test_weak_form_refuses_a_population_out_of_range():
+    traj = run_flow(small_heat_config(n=16, n_steps=4))
     phi = bump_test_function(0.5, 0.3, 0.02)
-    with pytest.raises(InvalidInputError):
-        weak_form_residual(traj, phi, 0)
-    full = run_flow(small_heat_config(n=16, n_steps=4))
-    with pytest.raises(InvalidInputError):
-        weak_form_residual(full, phi, 5)
+    with pytest.raises(InvalidInputError, match="population 5 out of range"):
+        weak_form_residual(traj, phi, 5)
 
 
 # ------------------------------------------------------------------ CSV files

@@ -18,7 +18,6 @@ from jkoflow import (
     grid_from_csv,
     normalized_grid,
     particle_step_density,
-    product_w2,
     w2_distance,
 )
 import jkoflow.jko as jko_module
@@ -116,17 +115,6 @@ def test_w2_metric_axioms(n, seed):
     assert w2_distance(a, b) <= w2_distance(a, c) + w2_distance(c, b) + 1e-10
 
 
-def test_product_w2():
-    a1 = uniform_particles(UNIT, 8)
-    a2 = ParticleDensity(UNIT, a1.positions * 0.5)
-    b1 = ParticleDensity(UNIT, np.clip(a1.positions + 0.1, 0, 1))
-    d1 = w2_distance(a1, b1)
-    d2 = w2_distance(a2, a2)
-    assert math.isclose(product_w2((a1, a2), (b1, a2)), math.hypot(d1, d2), rel_tol=1e-14)
-    with pytest.raises(InvalidInputError):
-        product_w2((a1,), (b1, a2))
-
-
 def test_particle_density_validation():
     with pytest.raises(InvalidInputError):
         ParticleDensity(UNIT, np.array([0.5, 0.4]))
@@ -163,6 +151,28 @@ def test_grid_from_csv(tmp_path):
     zero.write_text("0.0,1.0,0.0\n")
     with pytest.raises(InvalidInputError):
         grid_from_csv(zero)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n0.0,1.0\n", ":2: expected 3 columns (edge_left, edge_right, value)"),
+    ("0.0,1.0\n", ":1: expected 3 columns (edge_left, edge_right, value)"),
+    ("0.0,0.5,1.0\n0.5,1.0,abc\n", ":2: non-numeric row"),
+    ("edge_left,edge_right,value\n", ": no data rows"),
+    ("0.5,0.5,1.0\n", ":1: edge_right must exceed edge_left"),
+    ("0.0,0.5,-1.0\n0.5,1.0,3.0\n", ":1: negative value"),
+    ("0.0,1.0,2.0\n", ": grid mass 2.0 too far from 1 (normalize the file first)"),
+    ("0.0,2.0,0.5\n", "grid support must be contained in the requested domain"),
+], ids=["blank-row-counted", "column-count", "non-numeric", "no-data", "empty-cell",
+        "negative", "mass", "outside-domain"])
+def test_grid_from_csv_refusals(tmp_path, text, message):
+    # each refusal of a grid file, as a scenario's csv initial meets it on [0, 1]; the
+    # file's own refusals name it, and a blank row is skipped but keeps its line number
+    f = tmp_path / "grid.csv"
+    f.write_text(text)
+    if message.startswith(":"):
+        message = f"{f}{message}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        from_grid(grid_from_csv(f), 8, domain=UNIT)
 
 
 def _elementwise_mass(values, edges):

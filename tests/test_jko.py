@@ -306,7 +306,7 @@ def test_step_descends_from_warm_start():
     for trial in range(10):
         prob = coupled_problem(rng, n=16)
         sol = solve_step(prob)
-        assert sol.value <= objective(prob, prob.prev.positions) + 1e-15
+        assert sol.objective <= objective(prob, prob.prev.positions) + 1e-15
         assert sol.residual <= prob.default_tol()
 
 
@@ -497,7 +497,7 @@ def _assert_solves_alone(problems, joint):
     """Each row of a joint solve is its one-row solve, to the bit."""
     for problem, sol in zip(problems, joint, strict=True):
         alone = solve_step(problem)
-        assert sol == dataclasses.replace(alone, rho=sol.rho)  # value, residual, iterations...
+        assert sol == dataclasses.replace(alone, rho=sol.rho)  # every diagnostic
         assert sol.rho.positions.tobytes() == alone.rho.positions.tobytes()
 
 
@@ -513,7 +513,7 @@ def test_joint_solve_agrees_with_one_at_a_time():
             assert sol.residual <= tol
             assert _natural_residual(problem, sol.rho.positions) <= tol
             assert sol.energy == energy_value(problem.energy, sol.rho)
-            assert sol.value == objective(problem, sol.rho.positions)
+            assert sol.objective == objective(problem, sol.rho.positions)
             assert sol.w2_sq == pytest.approx(
                 float(np.mean((sol.rho.positions - problem.prev.positions) ** 2)), rel=1e-15
             )

@@ -1,4 +1,5 @@
-"""The package surface: every export resolves, the README example runs, and the import stays lean."""
+"""The package surface: every export resolves, the README examples run or parse, and the
+import stays lean."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jkoflow
+from jkoflow.cli import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -29,6 +31,14 @@ def test_readme_python_example_runs_as_written(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == "True\n"
+
+
+def test_readme_scenario_schema_parses():
+    # parsing opens no file, so the schema's example csv path need not exist
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_scenario(block)
 
 
 def _heavy_modules_after(code: str) -> set[str]:
