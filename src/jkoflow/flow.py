@@ -10,7 +10,10 @@ independently, so each flow comes out to the bit as it does alone; run_flow
 is the one-flow case.  A flow is recorded as arrays: each population's
 positions, one row per step, and each step's diagnostics, one column per
 name of jko.COLUMNS.  ParticleDensity states are built from them only when
-asked for.
+asked for.  A caller can watch the first flow as it goes: run_flows hands
+each step's positions to an ``each_step`` hook as soon as they are stored,
+which the CLI uses to have a helper process format long trajectory CSVs
+while the later steps are computed.
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
@@ -28,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _trajectory_text
 from .energy import InternalEnergy, energy_value, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
@@ -150,11 +154,17 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     )
 
 
-def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
+def run_flows(
+    configs: Sequence[FlowConfig],
+    each_step: Callable[[int, list[np.ndarray]], None] | None = None,
+) -> tuple[FlowTrajectory, ...]:
     """The trajectory of each flow, computed side by side; see the module docstring.
 
     The flows must share their step count.  A failure reads ``step k,
     population i: ...`` and its ``row`` is the index of the flow that failed.
+    ``each_step(k, x)``, when given, is called for k = 0, ..., n_steps once
+    step k is stored, with x[i] population i's positions at step k in the
+    first flow.
     """
     configs = tuple(configs)
     if len({config.n_steps for config in configs}) > 1:
@@ -167,6 +177,8 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
         for i, p in enumerate(config.populations):
             positions[c][i][0] = p.initial.positions
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
+    if each_step is not None and configs:
+        each_step(0, [x[0] for x in positions[0]])
     # one kernel per group, built once: coupled populations share N, so every
     # partner is a row of the same kernel, and each step refills its column
     kernels = []  # (members, their rows, every step's diagnostics of the rows)
@@ -189,6 +201,8 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
             table[k - 1] = solved.columns
             for (c, i), x in zip(members, solved.x):
                 positions[c][i][k] = x
+        if each_step is not None:
+            each_step(k, [x[k] for x in positions[0]])
     tables = [np.empty((n_steps, len(COLUMNS), len(config.populations))) for config in configs]
     for members, _, table in kernels:
         for r, (c, i) in enumerate(members):
@@ -479,13 +493,13 @@ def weak_form_residual(
 
 
 def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
-    """States, one row per step: t, particle_0, ..., particle_{N-1}."""
-    if not 0 <= population < len(traj.config.populations):
+    """States, one row per step: t, particle_0, ..., particle_{N-1}; the text is
+    _trajectory_text's, which the CLI's helper process writes too."""
+    if not 0 <= population < len(traj.positions):
         raise InvalidInputError(f"population {population} out of range")
-    n = traj.config.populations[population].initial.n
-    lines = ["t," + ",".join(f"particle_{j}" for j in range(n))]
-    for t, row in zip(traj.times, traj.positions[population]):
-        lines.append(f"{t!r},{','.join(map(repr, row.tolist()))}")
+    x = traj.positions[population]
+    lines = [_trajectory_text.header(x.shape[1])]
+    lines += [_trajectory_text.line([t, *row.tolist()]) for t, row in zip(traj.times, x)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -21,7 +21,8 @@ from jkoflow.cli import (
     run_scenario,
 )
 from jkoflow.errors import InvalidInputError
-from jkoflow.flow import ContractionReport, contraction_rerun, run_flow
+from jkoflow.flow import (ContractionReport, FlowTrajectory, contraction_rerun, run_flow,
+                          trajectory_csv)
 from jkoflow.presets import PRESETS
 
 from helpers import leak_past_wall, serialize_scenario, wrong_sign_energy
@@ -393,6 +394,72 @@ def test_flow_failure_reads_alike_with_and_without_probes(tmp_path, monkeypatch,
     assert errors[0].startswith("numerical failure: step 1, population 1: step solver made")
 
 
+def _helpers_started(monkeypatch) -> list:
+    """Every run streams its trajectories to a helper process; the helpers it starts."""
+    started = []
+
+    class Spy(cli.TrajectoryHelper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(cli, "HELPER_MIN_VALUES", 0)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "TrajectoryHelper", Spy)
+    return started
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_helper_writes_the_bytes_trajectory_csv_writes(tmp_path):
+    # walls, negative positions, a repr with an exponent, and N = 1 and 1024
+    rng = np.random.default_rng(5)
+    wide = np.sort(rng.uniform(-1.0, 1.0, size=(4, 1024)), axis=1)
+    wide[:, 0], wide[:, 1], wide[:, 512], wide[:, -1] = -1.0, -0.5, 3.0e-05, 1.0
+    wide[1, 511] = 0.0
+    positions = (np.array([[0.0], [1.0], [-1.0], [2.5e-06]]), wide,
+                 np.array([[-1.0, 0.0, 1.0]] * 4))
+    times = tuple(k * 0.1 for k in range(4))  # 0.30000000000000004 among them
+    paths = [tmp_path / f"helper{i}.csv" for i in range(3)]
+    helper = cli.TrajectoryHelper(paths, [x.shape[1] for x in positions], len(times))
+    for k, t in enumerate(times):
+        helper.send(t, [x[k] for x in positions])
+    assert helper.close() == 0
+    traj = FlowTrajectory(None, times, positions, {})  # trajectory_csv reads only these
+    for i, path in enumerate(paths):
+        trajectory_csv(traj, i, tmp_path / "inline.csv")
+        assert path.read_bytes() == (tmp_path / "inline.csv").read_bytes()
+    assert b"e-05," in paths[1].read_bytes()
+
+
+def test_flow_failure_on_the_helper_path_leaves_no_trajectory(tmp_path, monkeypatch, capsys):
+    started = _helpers_started(monkeypatch)
+    leak_past_wall(monkeypatch, "upper")
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: step 1, population 1: ")
+    assert len(started) == 1 and started[0].proc.returncode == 1
+    assert list(tmp_path.glob("trajectory_pop*.csv")) == []
+    assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
+    _assert_no_child_left()
+
+
+def test_failing_helper_is_reported_and_reaped(tmp_path, monkeypatch, capfd):
+    # the helper cannot open population 0's file: the flow runs to its end,
+    # and the run reports the helper's failure instead of completing
+    started = _helpers_started(monkeypatch)
+    (tmp_path / "trajectory_pop0.csv").mkdir()
+    with pytest.raises(OSError, match="trajectory writer exited with status 1"):
+        run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True)
+    assert len(started) == 1
+    assert "trajectory writer: [Errno 21] Is a directory" in capfd.readouterr().err
+    assert not (tmp_path / "trajectory_pop1.csv").exists()
+    assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
+    _assert_no_child_left()
+
+
 def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
     # population 1 of the contraction probe's second flow, row 3 of the kernel
     # that all four populations share, leaves the box
@@ -496,6 +563,15 @@ def test_unbuildable_profile_error_names_its_field(tmp_path, capsys, old, new, f
 def test_main_missing_scenario_file_exits_2(capsys):
     assert main(["/nonexistent/scenario.yaml"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_scenario_file_not_utf8_exits_2_naming_it(tmp_path):
+    path = tmp_path / "s.yaml"
+    path.write_bytes(b"name: x\n\xff\xfe\n")
+    done = _run_module(str(path), "--validate-only")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"input error: {path}: 'utf-8' codec can't decode byte 0xff in "
+                           "position 8: invalid start byte\n")
 
 
 def test_main_invalid_scenario_exits_2(tmp_path, capsys):
