@@ -15,7 +15,7 @@ while the next one is computed (see jkoflow._trajectory_text).  The CSVs
 are the same bytes either way, and a run that fails leaves none of them.
 
 Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
-2 invalid input, 3 numerical failure.
+2 invalid input, 3 numerical failure, 4 an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -447,7 +447,14 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     """Run the flow, write artifacts and probe reports, return the exit code."""
     if output_dir is None:
         output_dir = scenario.output_dir or f"out_{scenario.name}"
-    out = Path(output_dir)
+    try:
+        return _run_scenario(scenario, Path(output_dir), quiet)
+    except OSError as err:  # its MANIFEST, if one could be written, reads complete: no
+        print(f"output error: {err}", file=sys.stderr)
+        return 4
+
+
+def _run_scenario(scenario: Scenario, out: Path, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     complete = False

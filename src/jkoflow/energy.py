@@ -14,9 +14,10 @@ energy at particle j is p(density right of j) - p(density left of j), and
 p' gives each gap's curvature.  An InternalEnergy therefore carries three
 closed forms, f, p and p', and gap_terms turns one pass over the gaps of a
 plain position array into the value, the gradient and the gap curvatures
-for the step solver; energy_value and energy_gradient apply it to a
-ParticleDensity.  gap_terms also takes several equal-size populations laid
-end to end, the step solver's layout, and masks the gaps between them out.
+for the step solver (the weak-form probe takes the gradient alone from the
+same pass); energy_value and energy_gradient apply it to a ParticleDensity.
+gap_terms also takes several equal-size populations laid end to end, the
+step solver's layout, and masks the gaps between them out.
 Each energy also states in closed form whether F is displacement convex,
 the convexity the contraction probe needs.
 """
@@ -85,27 +86,43 @@ def zero_energy() -> InternalEnergy:
     return InternalEnergy(None, None, None, True)
 
 
-def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The gap right of each particle floored at EPS_FLOOR * length, and which exceed the floor.
-
-    For ``rows`` equal-size populations end to end, a population's last particle has
-    no gap: its entry reads ``length`` and counts as floored."""
+def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, slice | np.ndarray]:
+    """The gap right of each particle floored at EPS_FLOOR * length, and the index of those
+    that count as floored: a mask, or the row ends' slice when no gap is at the floor.  For
+    ``rows`` equal-size populations end to end, a population's last particle has no gap:
+    its entry reads ``length`` and counts as floored."""
     n = x.size // rows
     if n < 2:
         raise InvalidInputError("discrete energy needs at least two particles")
-    raw = np.empty(x.size)
-    np.subtract(x[1:], x[:-1], out=raw[:-1])
-    raw[n - 1::n] = length
+    gaps = np.empty(x.size)
+    np.subtract(x[1:], x[:-1], out=gaps[:-1])
+    gaps[n - 1::n] = length
     floor = EPS_FLOOR * length
-    above = raw > floor
-    above[n - 1::n] = False
-    return np.maximum(raw, floor), above
+    if np.minimum.reduce(gaps) > floor:  # False on a NaN
+        return gaps, slice(n - 1, None, n)
+    floored = ~(gaps > floor)
+    floored[n - 1::n] = True
+    return np.maximum(gaps, floor), floored
 
 
-def gap_terms(
-    e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete energies of sorted positions x, the gradient and the gap curvatures.
+def _gap_gradient(e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1):
+    """gap_terms' gradient and its gap pass: the gaps, N gaps, densities s and floored
+    index.  -p(s) enters as 0.0 - p(s), as its sum into zeros rounds it: +0.0 where p is 0."""
+    if e.f is None:
+        return np.zeros(x.size), None
+    gaps, floored = _gaps(x, length, rows)
+    scaled = (x.size // rows) * gaps
+    s = 1.0 / scaled
+    push = np.zeros(x.size + 1)  # push[j + 1]: gap j's term, pushing particle j + 1
+    push[1:] = 0.0 - e.p(s)
+    push[1:][floored] = 0.0
+    return push[:-1] - push[1:], (gaps, scaled, s, floored)
+
+
+def gap_terms(e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Discrete energies of sorted positions x, the gradient, the gap curvatures and the
+    gaps, if none is at the floor (else None, as for the zero energy).
 
     Each gap contributes d/d(gap) [gap * f(s)] = -p(s), s = 1/(N gap), to its
     right particle and the negative to its left one.  Its curvature, the
@@ -118,17 +135,12 @@ def gap_terms(
     population and each particle's curvature, of its right gap, is 0 at a row end.
     """
     if e.f is None:
-        return np.zeros(rows), np.zeros(x.size), np.zeros(x.size)
-    n = x.size // rows
-    gaps, above = _gaps(x, length, rows)
-    s = 1.0 / (n * gaps)
-    dterm = np.where(above, -e.p(s), 0.0)[:-1]
-    grad = np.zeros(x.size)
-    grad[1:] += dterm
-    grad[:-1] -= dterm
-    curvature = np.where(above, e.dp(s) / (n * gaps * gaps), 0.0)
-    terms = (gaps * e.f(s)).reshape(rows, n)[:, :-1]
-    return np.add.reduce(terms, axis=1), grad, curvature
+        return np.zeros(rows), np.zeros(x.size), np.zeros(x.size), None
+    grad, (gaps, scaled, s, floored) = _gap_gradient(e, x, length, rows)
+    curvature = e.dp(s) / (scaled * gaps)
+    curvature[floored] = 0.0
+    terms = (gaps * e.f(s)).reshape(rows, -1)[:, :-1]
+    return np.add.reduce(terms, 1), grad, curvature, gaps if isinstance(floored, slice) else None
 
 
 def energy_value(e: InternalEnergy, rho: ParticleDensity) -> float:
@@ -145,4 +157,5 @@ def floored_gap_count(e: InternalEnergy, rho: ParticleDensity) -> int:
     """How many inter-particle gaps sit at the collision floor (diagnostic)."""
     if rho.n < 2:
         return 0
-    return int(np.count_nonzero(~_gaps(rho.positions, rho.domain.length)[1][:-1]))
+    floored = _gaps(rho.positions, rho.domain.length)[1]
+    return 0 if isinstance(floored, slice) else int(np.count_nonzero(floored[:-1]))

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import _trajectory_text
-from .energy import InternalEnergy, energy_value, gap_terms
+from .energy import InternalEnergy, _gap_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
 from .jko import COLUMNS, StepProblem, _Rows
@@ -87,23 +87,17 @@ class FlowConfig:
             if p.initial.domain != dom:
                 raise InvalidInputError("all populations must share one domain")
             if p.initial.n < 2:
-                raise InvalidInputError(
-                    f"population {i} needs at least two particles"
-                )
+                raise InvalidInputError(f"population {i} needs at least two particles")
             c = p.coupling
             if c is None:
                 continue
             if c.members.count(i) != 1:
-                raise InvalidInputError(
-                    f"population {i} must appear exactly once in its coupling"
-                )
+                raise InvalidInputError(f"population {i} must appear exactly once in its coupling")
             for m in c.members:
                 if not 0 <= m < len(self.populations):
                     raise InvalidInputError(f"coupling member {m} out of range")
                 if self.populations[m].initial.n != p.initial.n:
-                    raise InvalidInputError(
-                        "coupled populations must share one particle count"
-                    )
+                    raise InvalidInputError("coupled populations must share one particle count")
 
     @property
     def domain(self) -> Domain:
@@ -466,8 +460,8 @@ def weak_form_residual(
     # spatial factor once; one that ignores t returns a single (steps, N) block
     at_k1, at_k = np.broadcast_to(phi.value(np.array([t_k1, t_k]), x_new), (2, *x_new.shape))
     moved = np.mean(at_k1 - at_k, axis=1)
-    drive = x.shape[1] * gap_terms(p.energy, x_new.reshape(-1), config.domain.length,
-                                   len(x_new))[1].reshape(x_new.shape)
+    drive = x.shape[1] * _gap_gradient(p.energy, x_new.reshape(-1), config.domain.length,
+                                       len(x_new))[0].reshape(x_new.shape)
     if p.coupling is not None:  # against the partners frozen at step k
         members = p.coupling.members
         a, m, _ = p.coupling.cost.row_form(
@@ -481,12 +475,8 @@ def weak_form_residual(
     w2_sum = math.fsum(traj.columns["w2_sq"][:, i].tolist())
     bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
     cushion = 1e-12 * (1.0 + bound)
-    return WeakFormReport(
-        population=i,
-        residual=total,
-        bound=bound,
-        satisfied=abs(total) <= bound + cushion,
-    )
+    return WeakFormReport(population=i, residual=total, bound=bound,
+                          satisfied=abs(total) <= bound + cushion)
 
 
 # ------------------------------------------------------------------ CSV output

@@ -56,7 +56,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def accepted(domain: Domain, positions: np.ndarray):
     """Whether ParticleDensity accepts positions (one bool per row of a 2-d block): sorted
     and inside the domain, which a NaN or an infinity fails too, the domain being finite."""
-    return ((positions[..., 1:] >= positions[..., :-1]).all(axis=-1)
+    return (np.logical_and.reduce(positions[..., 1:] >= positions[..., :-1], -1)
             & (positions[..., 0] >= domain.lower) & (positions[..., -1] <= domain.upper))
 
 

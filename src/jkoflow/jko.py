@@ -17,19 +17,23 @@ D the within-row gap difference operator, q the energy's gap curvature and
 c_ss = a, the curvature of each row's cost in its slot.  A row's cost, with
 its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each rank j
 (QuadraticCost.row_form): the rows carry a, m and c as flat arrays, so an
-evaluation calls no cost method.  Damped Newton on H (the
-Lagrangian Newton step of Blanchet, Calvez and Carrillo: one LAPACK dptsv
-solve per iteration for all rows) drops negative curvature, so every
-direction descends.  Everything else is per row, so that a row's iterates
-are those it would take alone: its step length, cut so that its gaps stay
-positive and an outgoing wall particle stops at its wall; its Armijo
-backtracking on its own objective; its iteration count; and its stop, when
-its box-projected natural gradient |x - clip(x - (N/2) dE/dx)| reaches its
-tolerance, after which it holds still.  A wall particle whose descent
-points out of the box is held.  _Rows.step is the one driver of this
-loop: one step of every row, after which the minimizer is the rows'
-previous state, so a kernel that run_flows builds once starts each step at
-the point the last one accepted; solve_step is one step of a one-row
+evaluation calls no cost method.  Damped Newton on H (the Lagrangian Newton
+step of Blanchet, Calvez and Carrillo: one LAPACK dptsv solve per iteration
+for all rows) drops negative curvature, so every direction descends.
+Everything else is per row, so that a row's iterates are those it would
+take alone: its step length, cut so that its gaps stay positive and an
+outgoing wall particle stops at its wall; its Armijo backtracking on its own
+objective; its iteration count; and its stop, when its box-projected
+natural gradient |x - clip(x - (N/2) dE/dx)| reaches its tolerance, after
+which it holds still.  A wall particle whose descent points out of the box
+is held, cut out of H in place.  A pass evaluates its trial point once (one
+gap_terms pass per energy block, whose gaps also serve the step length);
+at the shipped sizes a pass costs its calls, not its arithmetic, so each
+array operation takes the cheapest numpy form that rounds as the formula.
+_Rows.step is the one driver of this loop: one step of every row, after
+which the minimizer is the rows' previous state, so a kernel that run_flows
+builds once starts each step at the point the last one accepted, with its
+energy terms and a zero step; solve_step is one step of a one-row
 kernel, returned as a StepSolution.  Row r is the callers' problem r.  A
 step returns plain arrays: the (P, N) minimizer and one row of per-row
 diagnostics for each name of COLUMNS.  The minimizer is checked in one
@@ -118,9 +122,7 @@ class StepProblem:
             if not isinstance(self.cost, QuadraticCost):
                 raise InvalidInputError("a step problem's cost must be a QuadraticCost")
             if len(self.frozen) != self.cost.arity - 1:
-                raise InvalidInputError(
-                    "frozen tuple must hold every other coupled population"
-                )
+                raise InvalidInputError("frozen tuple must hold every other coupled population")
             if not 0 <= self.slot < self.cost.arity:
                 raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
@@ -186,11 +188,10 @@ class _Rows:
                  columns: Sequence[Sequence[int] | None] | None = None):
         self.count, first = len(problems), problems[0]
         self.n, self.h, self.domain = first.prev.n, first.h, first.domain
-        self.energies, start = [], 0  # (energy, its run's first row, the row after it)
+        self.energies, stop = [], 0  # (energy, its run's first row, the row after it)
         for energy, run in groupby(problems, key=lambda p: p.energy):
-            stop = start + len(list(run))
+            start, stop = stop, stop + len(list(run))
             self.energies.append((energy, start, stop))
-            start = stop
         self.prev = np.concatenate([p.prev.positions for p in problems])
         self.at = None  # the evaluation at prev, once a step has accepted it
         self.tol = [float(p.default_tol() if p.tol is None else p.tol) for p in problems]
@@ -247,33 +248,37 @@ class _Point(NamedTuple):
     grad: np.ndarray
     energy_grad: np.ndarray  # dF/dx, before the 2h scaling
     curvature: np.ndarray  # q of the gap right of each particle, 0 at row ends
+    gaps: np.ndarray | None = None  # x's gaps, as gap_terms gives them, if it gives all
 
 
 def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point:
     """E, F, the coupling values and W2^2 of each row, dE/dx, dF/dx and q at x;
     F, dF/dx and q, which depend on x alone, are taken from ``reuse``, a point evaluated at x."""
-    n, h2, length = rows.n, 2.0 * rows.h, rows.domain.length
+    n, h2 = rows.n, 2.0 * rows.h
     if reuse is None:
-        energies, energy_grad, curvature = np.empty(rows.count), np.empty(x.size), np.empty(x.size)
-        for energy, a, b in rows.energies:
-            block = slice(a * n, b * n)
-            energies[a:b], energy_grad[block], curvature[block] = gap_terms(
-                energy, x[block], length, b - a)
+        blocks = [gap_terms(energy, x[a * n:b * n], rows.domain.length, b - a)
+                  for energy, a, b in rows.energies]
+        if len(blocks) > 1:  # the gaps are kept for one block only
+            blocks = [(*map(np.concatenate, list(zip(*blocks))[:3]), None)]
+        energies, energy_grad, curvature, gaps = blocks[0]
     else:
-        energies, energy_grad, curvature = reuse.energies, reuse.energy_grad, reuse.curvature
-    step = x - rows.prev
-    w2_sq = np.add.reduce(np.square(step).reshape(rows.count, n), axis=1) / n
+        energies, energy_grad, curvature, gaps = reuse[1], *reuse[5:]
+    if x is rows.prev:  # x - prev is +0.0 throughout: its terms are zeros, added as such
+        w2_sq, grad = np.zeros(rows.count), h2 * energy_grad + 0.0
+    else:
+        step = x - rows.prev
+        w2_sq = np.add.reduce((step * step).reshape(rows.count, n), 1) / n
+        grad = h2 * energy_grad
+        grad += (2.0 / n) * step
     values = w2_sq + h2 * energies
-    grad = h2 * energy_grad
-    grad += (2.0 / n) * step
     couplings = np.zeros(rows.count)
     if rows.coupled:
         d = x - rows.m
         c = 0.5 * rows.a * d * d + rows.c
-        couplings = np.add.reduce(c.reshape(rows.count, n), axis=1) / n  # as coupling_value
+        couplings = np.add.reduce(c.reshape(rows.count, n), 1) / n  # as coupling_value
         values += h2 * couplings
         grad += (h2 / n) * rows.a * d
-    return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature)
+    return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature, gaps)
 
 
 def objective(problem: StepProblem, x: np.ndarray) -> float:
@@ -289,14 +294,14 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
 def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     """Diagonal and off-diagonal of the step Hessian at a point, negative gap curvature
     dropped (a cost's curvature a is never negative)."""
-    h2 = 2.0 * rows.h
-    hq = h2 * np.maximum(at.curvature[:-1], 0.0)
-    diag = np.full(at.grad.size, 2.0 / rows.n)
-    diag[:-1] += hq
-    diag[1:] += hq
+    # hq[j + 1] = 2h max(q, 0) of particle j's right gap: diag adds the right, then the left
+    h2, hq = 2.0 * rows.h, np.zeros(at.grad.size + 1)
+    hq[1:] = h2 * np.maximum(at.curvature, 0.0)
+    diag = 2.0 / rows.n + hq[1:]
+    diag += hq[:-1]
     if rows.coupled:
         diag += (h2 / rows.n) * rows.a
-    return diag, -hq
+    return diag, -hq[1:-1]
 
 
 def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]) -> np.ndarray:
@@ -305,10 +310,11 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
 
     A wall particle is held when -g or the computed d would take it out of
     the box; holding one changes d, so the other walls are checked again.
+    Holding cuts its row and column out of H in place: dptsv leaves the bands as they are.
     """
     diag, off = _hessian_bands(rows, at)
     # diag > 0, so the product is finite exactly when both factors are (short of overflow)
-    if not math.isfinite(np.dot(diag, at.grad)):
+    if not math.isfinite(diag.dot(at.grad)):
         raise ValueError("Newton system must not contain infs or NaNs")
     if off.size == 0:
         off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal
@@ -317,36 +323,40 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
         descent.reshape(rows.count, rows.n)[np.logical_not(moving)] = 0.0
     ends = zip(rows.ends, x[rows.end_index].tolist())
     walls = [(j, s) for (j, _, s, wall), xj in ends if s * (xj - wall) >= 0.0]  # on a wall
-    held = {j for j, s in walls if s * descent[j] > 0.0}
+    on_wall = [j for j, _ in walls]
+    held, cut = [], [j for (j, s), v in zip(walls, descent[on_wall].tolist()) if s * v > 0.0]
     while True:
-        d_band, e_band = (diag.copy(), off.copy()) if held else (diag, off)
-        rhs = descent.copy() if walls else descent  # with no end on a wall, one solve
-        for j in held:
-            d_band[j], rhs[j] = 1.0, 0.0
-            e_band[max(j - 1, 0):j + 1] = 0.0  # cut loose from both neighbours
-        d, info = dptsv(d_band, e_band, rhs, overwrite_b=True)[2:]
+        if cut:  # hold them, in place (the held set only grows), cut from both neighbours
+            diag[cut], descent[cut] = 1.0, 0.0
+            off.put([i for j in cut for i in (j - 1, j)], 0.0, "clip")  # those that exist
+            held += cut
+        # with no end on a wall, one solve, which may overwrite the descent (the flags
+        # overwrite_d, _e, _b are positional: keywords cost the f2py wrapper microseconds)
+        d, info = dptsv(diag, off, descent.copy() if walls else descent, 0, 0, 1)[2:]
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-        leaving = {j for j, s in walls if s * d[j] > 0.0} - held
-        if not leaving:
+        cut = [j for (j, s), v in zip(walls, d[on_wall].tolist()) if s * v > 0.0 and j not in held]
+        if not cut:
             return d
-        held |= leaving
 
 
-def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray) -> tuple[list, list]:
+def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray,
+                  gaps: np.ndarray | None) -> tuple[list, list]:
     """Each row's largest step length along d, at most 1, and the (index, wall) of each
-    end particle that its row's step takes to its wall.
+    end particle that its row's step takes to its wall; ``gaps`` are x's, if known.
 
     Shrinking gaps keep BOUNDARY_FRACTION of the way to zero in reserve; an
     end particle moving outward stops exactly at its wall.
     """
-    # each gap's closing speed per unit of its length: a step of 1 / speed
-    # closes it (no division when no gap closes).  The slot after a row's last
-    # particle is no gap and reads 0; only coinciding particles divide by
-    # zero, and fmax and max drop a 0 / 0
+    # each gap's closing speed per unit of its length: a step of 1 / speed closes
+    # it; a row-end slot is no gap and reads 0 (any speed <= 0 allows the full step).
+    # Known gaps are positive; else only coinciding particles divide by zero, and
+    # fmax and max drop a 0 / 0 (no division when no gap closes)
     closing = d[:-1] - d[1:]
     closing[rows.n - 1::rows.n] = 0.0
-    if np.maximum.reduce(closing, initial=0.0) > 0.0:
+    if gaps is not None:
+        closing /= gaps[:-1]
+    elif np.maximum.reduce(closing, initial=0.0) > 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             closing /= x[1:] - x[:-1]
     speed = (np.fmax.reduceat(closing, rows.starts).tolist() if rows.n > 1
@@ -367,10 +377,9 @@ def _residuals(rows: _Rows, x: np.ndarray, grad: np.ndarray) -> list[float]:
     # fixed-point gap of the natural-scale gradient map projected onto the
     # box; the (N/2) scaling turns dE/dx into position units.  The ordering
     # is not projected: the boundary rule keeps it strict
-    y = (0.5 * rows.n) * grad
-    np.subtract(x, y, out=y)
-    np.clip(y, rows.domain.lower, rows.domain.upper, out=y)
-    np.subtract(x, y, out=y)
+    # (maximum and minimum clip as np.clip does, up to a zero's sign, which the square drops)
+    y = x - np.minimum(np.maximum(x - (0.5 * rows.n) * grad, rows.domain.lower),
+                       rows.domain.upper)
     y = y.reshape(rows.count, rows.n)
     return np.vecdot(y, y).tolist()
 
@@ -382,11 +391,8 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
     tol (among the rows flagged in ``among``, if given)."""
     finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
     bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
-    if bad:
-        row = bad[0]
-    else:
-        row = max((r for r in range(rows.count) if among is None or among[r]),
-                  key=lambda r: res[r] / rows.tol[r])
+    row = bad[0] if bad else max((r for r in range(rows.count) if among is None or among[r]),
+                                 key=lambda r: res[r] / rows.tol[r])
     return NumericalFailureError(message, residual=res[row], row=row)
 
 
@@ -413,16 +419,14 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         try:
             d = _newton_direction(rows, x, at, moving)
         except (ValueError, np.linalg.LinAlgError) as err:
-            raise _failure(
-                rows, "step solver met a non-finite or indefinite Newton system "
-                f"at iteration {k}", res, at.grad, at.curvature,
-            ) from err
+            raise _failure(rows, "step solver met a non-finite or indefinite Newton system "
+                           f"at iteration {k}", res, at.grad, at.curvature) from err
         x2, d2 = x.reshape(count, n), d.reshape(count, n)
         slope = np.vecdot(at.grad.reshape(count, n), d2).tolist()
-        alpha, walls = _longest_step(rows, x, d)
-        # rows mostly share their step length (a full step): a scalar gives the same bits
+        alpha, walls = _longest_step(rows, x, d, at.gaps)
+        # rows mostly share their step length (a full step): a scalar, and 1.0 d is d
         scale = alpha[0] if alpha.count(alpha[0]) == count else np.array(alpha)[:, None]
-        cand2 = x2 + scale * d2
+        cand2 = x2 + (d2 if alpha.count(1.0) == count else scale * d2)
         cand = cand2.reshape(-1)
         for j, wall in walls:
             cand[j] = wall
@@ -430,8 +434,9 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         for trial in range(MAX_BACKTRACKS):
             trial_at = _evaluate(rows, cand)
             _require_finite(rows, trial_at, k, res)
+            trial_values = trial_at.values.tolist()
             searching = [s and v > v0 + ARMIJO_C1 * a * sl for s, v, v0, a, sl
-                         in zip(searching, trial_at.values.tolist(), values, alpha, slope)]
+                         in zip(searching, trial_values, values, alpha, slope)]
             if trial == 0 and any(searching):
                 # E sums about N terms: a predicted decrease within its rounding
                 # cannot be seen in E, so such a row's full step is judged by its residual
@@ -449,7 +454,10 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         else:
             raise _failure(rows, f"step solver line search failed at iteration {k}", res,
                            among=searching)
-        stuck = [m and not v for m, v in zip(moving, (cand2 != x2).any(axis=1).tolist())]
+        # a row whose step does not move keeps its value to the bit: only then compare
+        stuck = [m and v == v0 for m, v, v0 in zip(moving, trial_values, values)]
+        if any(stuck):
+            stuck = [s and not v for s, v in zip(stuck, (cand2 != x2).any(axis=1).tolist())]
         if any(stuck):
             raise _failure(rows, f"step solver line search failed at iteration {k}: "
                            "the accepted step does not move", res, among=stuck)
@@ -465,9 +473,9 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
 def _check_states(domain: Domain, x: np.ndarray, res: list[float]) -> None:
     """Refuse the first row of the (P, N) minimizer x that ParticleDensity refuses: its
     numerical failure, with the constructor's message and the row's residual."""
-    refused = np.flatnonzero(~accepted(domain, x))
-    if refused.size:
-        r = int(refused[0])
+    ok = accepted(domain, x).tolist()
+    if not all(ok):
+        r = ok.index(False)
         try:
             ParticleDensity(domain, x[r])
         except InvalidInputError as err:  # the solver's failure, not bad input
@@ -493,8 +501,10 @@ def solve_step(problem: StepProblem) -> StepSolution:
 def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float]:
     """The Euler-Lagrange residual of each row of (P, N) positions and gradients."""
     margin = 1e-12 * domain.length
-    interior = (x > domain.lower + margin) & (x < domain.upper - margin)
-    return np.max(np.abs(0.5 * x.shape[1] * grad), where=interior, axis=1, initial=0.0).tolist()
+    scaled = np.abs(0.5 * x.shape[1] * grad)
+    # the max over interior particles, each term at least 0: the others read 0
+    scaled[(x <= domain.lower + margin) | (x >= domain.upper - margin)] = 0.0
+    return np.maximum.reduce(scaled, 1).tolist()
 
 
 def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float:

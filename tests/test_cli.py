@@ -451,13 +451,34 @@ def test_failing_helper_is_reported_and_reaped(tmp_path, monkeypatch, capfd):
     # and the run reports the helper's failure instead of completing
     started = _helpers_started(monkeypatch)
     (tmp_path / "trajectory_pop0.csv").mkdir()
-    with pytest.raises(OSError, match="trajectory writer exited with status 1"):
-        run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True)
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 4
     assert len(started) == 1
-    assert "trajectory writer: [Errno 21] Is a directory" in capfd.readouterr().err
+    err = capfd.readouterr().err
+    assert "trajectory writer: [Errno 21] Is a directory" in err
+    assert "output error: the trajectory writer exited with status 1\n" in err
     assert not (tmp_path / "trajectory_pop1.csv").exists()
     assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
     _assert_no_child_left()
+
+
+def test_unwritable_inline_trajectory_is_an_output_error(tmp_path, monkeypatch, capsys):
+    # helper off: the inline writer cannot open population 0's file
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    (tmp_path / "trajectory_pop0.csv").mkdir()
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("output error: [Errno 21] Is a directory") and err.count("\n") == 1
+    assert not (tmp_path / "trajectory_pop1.csv").exists()
+    assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
+    _assert_no_child_left()
+
+
+def test_output_directory_that_is_a_file_is_an_output_error(tmp_path, capsys):
+    # no directory can be made, so no MANIFEST either: the code and stderr say so
+    (tmp_path / "out").write_text("")
+    assert main([str(SCENARIO_DIR / "identity.yaml"), "--output-dir", str(tmp_path / "out"),
+                 "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith("output error: [Errno 17] File exists")
 
 
 def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):

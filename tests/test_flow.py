@@ -430,6 +430,34 @@ def test_contraction_passes_for_heat_flow():
     assert len(report.distances) == 16
 
 
+@pytest.mark.parametrize("h, status, max_increase", [
+    (0.5, "FAIL", 5.0e-3),
+    (0.1, "PASS", 0.0),
+])
+def test_contraction_of_coupled_jacobi_steps(h, status, max_increase):
+    # barycenter3's couplings: population 0 the barycenter of 1 and 2, which are
+    # pulled back to it.  A Jacobi step freezes the partners, so the product W2
+    # distance can grow by the norm of the Jacobi update of the translations
+    # (ROADMAP item 11): the second flow starts with population 0 moved by +1,
+    # and at h = 0.5 the distance grows past the slack, while at h = 0.1 it shrinks
+    dom = Domain(-6.0, 7.0)
+    initials = [from_grid(gaussian_profile(dom, c, 0.5), 128) for c in (0.25, 0.5, 0.75)]
+    pair = QuadraticCost((1.0,), "quadratic_pairwise")
+    cfg = FlowConfig(populations=(
+        PopulationSpec(initials[0], entropy_energy(),
+                       Coupling(QuadraticCost((1.0, 1.0), "barycenter"), (0, 1, 2))),
+        PopulationSpec(initials[1], entropy_energy(), Coupling(pair, (1, 0))),
+        PopulationSpec(initials[2], entropy_energy(), Coupling(pair, (2, 0))),
+    ), h=h, n_steps=3)
+    moved = (ParticleDensity(dom, initials[0].positions + 1.0), *initials[1:])
+    report = contraction_probe(*run_flows([cfg, contraction_rerun(cfg, moved)]))
+    assert report.status == status
+    assert report.max_increase == pytest.approx(max_increase, rel=0.01, abs=0.0)
+    assert report.reason == ("product W2 distance increased beyond slack" if status == "FAIL"
+                             else "product W2 distance stayed nonincreasing within slack")
+    assert report.distances[0] == pytest.approx(1.0)
+
+
 def test_contraction_skipped_without_displacement_convexity():
     # r * sqrt(1/r) = sqrt(r) increases, so f = sqrt(s) is not displacement
     # convex, while the steps stay solvable at small h; the probe needs the flow

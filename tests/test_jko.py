@@ -435,6 +435,23 @@ def test_non_finite_newton_system_is_a_numerical_failure(monkeypatch):
     assert math.isfinite(err.value.residual)
 
 
+def test_indefinite_newton_system_is_a_numerical_failure(monkeypatch):
+    # dptsv reports a leading minor that is not positive (info > 0): the pass's
+    # failure, charged to the row farthest above its tol with its residual at the start
+    problems = [StepProblem(prev=from_grid(gaussian_profile(UNIT, c, 0.1), 32),
+                            energy=entropy_energy(), h=1e-2, tol=tol)
+                for c, tol in ((0.3, 1e-3), (0.6, 1e-9))]
+    rows = _Rows(problems)
+    res = [math.sqrt(q) for q in _residuals(rows, rows.prev, _evaluate(rows, rows.prev).grad)]
+    monkeypatch.setattr(jko_module, "dptsv", lambda d, e, b, *flags, **named: (d, e, b, 1))
+    with pytest.raises(NumericalFailureError, match="^step solver met a non-finite or "
+                       "indefinite Newton system at iteration 0$") as info:
+        rows.step()
+    assert (info.value.row, info.value.residual) == (1, res[1])
+    assert res[1] / 1e-9 > res[0] / 1e-3
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_residual_matches_projected_residual_when_sorted():
     # the stopping test clips x - (N/2) g to the box without reordering it;
     # where that point is sorted it is the projected residual to the bit, and
@@ -767,7 +784,7 @@ def _fallback_dptsv(monkeypatch):
 
 def _dptsv_outputs(dptsv, diag, off, b):
     """dptsv's outputs on copies of one system, called as _newton_direction calls it."""
-    d_band, e_band, d, info = dptsv(diag.copy(), off.copy(), b.copy(), overwrite_b=True)
+    d_band, e_band, d, info = dptsv(diag.copy(), off.copy(), b.copy(), 0, 0, 1)
     return d_band.tobytes(), e_band.tobytes(), d.tobytes(), info
 
 
