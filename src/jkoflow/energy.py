@@ -95,7 +95,7 @@ def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, slic
     if n < 2:
         raise InvalidInputError("discrete energy needs at least two particles")
     gaps = np.empty(x.size)
-    np.subtract(x[1:], x[:-1], out=gaps[:-1])
+    np.subtract(x[1:], x[:-1], gaps[:-1])
     gaps[n - 1::n] = length
     floor = EPS_FLOOR * length
     if np.minimum.reduce(gaps) > floor:  # False on a NaN
@@ -114,7 +114,7 @@ def _gap_gradient(e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1
     scaled = (x.size // rows) * gaps
     s = 1.0 / scaled
     push = np.zeros(x.size + 1)  # push[j + 1]: gap j's term, pushing particle j + 1
-    push[1:] = 0.0 - e.p(s)
+    np.subtract(0.0, e.p(s), push[1:])
     push[1:][floored] = 0.0
     return push[:-1] - push[1:], (gaps, scaled, s, floored)
 

@@ -199,7 +199,6 @@ class _Rows:
         # (index, row, outward sign, wall) of each row's first and last particle
         self.ends = [e for r in range(self.count) for e in (
             (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
-        self.end_index = np.array([j for j, _, _, _ in self.ends])
         self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
         self.a, self.m, self.c = (np.zeros(self.count * self.n) for _ in range(3))
         self.coupled = any(p.cost is not None for p in problems)
@@ -294,14 +293,14 @@ def objective_gradient(problem: StepProblem, x: np.ndarray) -> np.ndarray:
 def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     """Diagonal and off-diagonal of the step Hessian at a point, negative gap curvature
     dropped (a cost's curvature a is never negative)."""
-    # hq[j + 1] = 2h max(q, 0) of particle j's right gap: diag adds the right, then the left
-    h2, hq = 2.0 * rows.h, np.zeros(at.grad.size + 1)
-    hq[1:] = h2 * np.maximum(at.curvature, 0.0)
-    diag = 2.0 / rows.n + hq[1:]
-    diag += hq[:-1]
+    # the term of particle j's right gap (0 for the last particle), then its left one's
+    h2 = 2.0 * rows.h
+    hq = h2 * np.maximum(at.curvature, 0.0)
+    diag = 2.0 / rows.n + hq
+    diag[1:] += hq[:-1]
     if rows.coupled:
         diag += (h2 / rows.n) * rows.a
-    return diag, -hq[1:-1]
+    return diag, -hq[:-1]
 
 
 def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]) -> np.ndarray:
@@ -321,13 +320,13 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     descent = -at.grad
     if not all(moving):
         descent.reshape(rows.count, rows.n)[np.logical_not(moving)] = 0.0
-    ends = zip(rows.ends, x[rows.end_index].tolist())
-    walls = [(j, s) for (j, _, s, wall), xj in ends if s * (xj - wall) >= 0.0]  # on a wall
-    on_wall = [j for j, _ in walls]
-    held, cut = [], [j for (j, s), v in zip(walls, descent[on_wall].tolist()) if s * v > 0.0]
+    # (item reads one entry as a float, the fastest way to a few of them)
+    walls = [(j, s) for j, _, s, wall in rows.ends if s * (x.item(j) - wall) >= 0.0]  # on a wall
+    held, cut = [], [j for j, s in walls if s * descent.item(j) > 0.0]
     while True:
         if cut:  # hold them, in place (the held set only grows), cut from both neighbours
-            diag[cut], descent[cut] = 1.0, 0.0
+            for j in cut:
+                diag[j], descent[j] = 1.0, 0.0
             off.put([i for j in cut for i in (j - 1, j)], 0.0, "clip")  # those that exist
             held += cut
         # with no end on a wall, one solve, which may overwrite the descent (the flags
@@ -335,7 +334,7 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
         d, info = dptsv(diag, off, descent.copy() if walls else descent, 0, 0, 1)[2:]
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-        cut = [j for (j, s), v in zip(walls, d[on_wall].tolist()) if s * v > 0.0 and j not in held]
+        cut = [j for j, s in walls if s * d.item(j) > 0.0 and j not in held]
         if not cut:
             return d
 
@@ -362,8 +361,8 @@ def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray,
     speed = (np.fmax.reduceat(closing, rows.starts).tolist() if rows.n > 1
              else [0.0] * rows.count)
     alpha = [BOUNDARY_FRACTION / max(BOUNDARY_FRACTION, v) for v in speed]
-    ends = zip(rows.ends, x[rows.end_index].tolist(), d[rows.end_index].tolist())
-    outgoing = [(j, r, s, wall, xj, dj) for (j, r, s, wall), xj, dj in ends if s * dj > 0.0]
+    outgoing = [(j, r, s, wall, x.item(j), dj) for j, r, s, wall in rows.ends
+                if s * (dj := d.item(j)) > 0.0]
     for j, r, s, wall, xj, dj in outgoing:
         if s * (xj + alpha[r] * dj - wall) >= 0.0:
             alpha[r] = (wall - xj) / dj
@@ -397,7 +396,8 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
-    if not (math.isfinite(sum(point.values.tolist())) and np.isfinite(point.grad).all()):
+    if not (math.isfinite(sum(point.values.tolist()))
+            and np.logical_and.reduce(np.isfinite(point.grad))):
         raise _failure(rows, "step solver met a non-finite objective or gradient "
                        f"at iteration {iteration}", res, point.values, point.grad)
 
