@@ -447,21 +447,14 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     """Run the flow, write artifacts and probe reports, return the exit code."""
     if output_dir is None:
         output_dir = scenario.output_dir or f"out_{scenario.name}"
-    try:
-        return _run_scenario(scenario, Path(output_dir), quiet)
-    except OSError as err:  # its MANIFEST, if one could be written, reads complete: no
-        print(f"output error: {err}", file=sys.stderr)
-        return 4
-
-
-def _run_scenario(scenario: Scenario, out: Path, quiet: bool) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(output_dir)
     written: list[str] = []
     complete = False
     say = (lambda *a: None) if quiet else print
     failed_probe = None
     helper = None
     try:
+        out.mkdir(parents=True, exist_ok=True)
         config = build_flow_config(scenario)
         # each probe's input: its second initials, or a contraction probe's
         # second flow (None when skipped), run in the scenario flow's kernels
@@ -508,12 +501,16 @@ def _run_scenario(scenario: Scenario, out: Path, quiet: bool) -> int:
         complete = True
     except FAILURES as err:
         return _exit_code(err)
+    except OSError as err:  # an output that cannot be written
+        print(f"output error: {err}", file=sys.stderr)
+        return 4
     finally:
         if helper is not None:  # after a failed flow it removes its files and exits
             helper.close()
-        manifest = [f"scenario: {scenario.name}", f"complete: {'yes' if complete else 'no'}"]
-        manifest += [f"file: {name}" for name in written]
-        (out / "MANIFEST.txt").write_text("\n".join(manifest) + "\n")
+        if out.is_dir():  # else it could not be made, which the error reports
+            manifest = [f"scenario: {scenario.name}", f"complete: {'yes' if complete else 'no'}"]
+            manifest += [f"file: {name}" for name in written]
+            (out / "MANIFEST.txt").write_text("\n".join(manifest) + "\n")
     if failed_probe is not None:
         print(f"probe failed: {failed_probe}", file=sys.stderr)
         return 1

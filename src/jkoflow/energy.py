@@ -14,12 +14,11 @@ energy at particle j is p(density right of j) - p(density left of j), and
 p' gives each gap's curvature.  An InternalEnergy therefore carries three
 closed forms, f, p and p', and gap_terms turns one pass over the gaps of a
 plain position array into the value, the gradient and the gap curvatures
-for the step solver (the weak-form probe takes the gradient alone from the
-same pass); energy_value and energy_gradient apply it to a ParticleDensity.
-gap_terms also takes several equal-size populations laid end to end, the
-step solver's layout, and masks the gaps between them out.
-Each energy also states in closed form whether F is displacement convex,
-the convexity the contraction probe needs.
+for the step solver (the weak form takes the gradient alone), and energy_value
+and energy_gradient apply it to a ParticleDensity.  gap_terms also takes several
+equal-size populations end to end, the step solver's layout, and masks the gaps
+between them out.  Each energy also states in closed form whether F is
+displacement convex, the convexity the contraction probe needs.
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ def zero_energy() -> InternalEnergy:
 
 
 def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, slice | np.ndarray]:
-    """The gap right of each particle floored at EPS_FLOOR * length, and the index of those
-    that count as floored: a mask, or the row ends' slice when no gap is at the floor.  For
-    ``rows`` equal-size populations end to end, a population's last particle has no gap:
-    its entry reads ``length`` and counts as floored."""
+    """The gap right of each particle floored at EPS_FLOOR * length, and the index of the
+    floored ones: a mask, or the row ends' slice if no gap is at the floor (a population's
+    last particle, of ``rows`` end to end, has no gap: it reads ``length``, floored)."""
     n = x.size // rows
     if n < 2:
         raise InvalidInputError("discrete energy needs at least two particles")

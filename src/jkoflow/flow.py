@@ -87,17 +87,23 @@ class FlowConfig:
             if p.initial.domain != dom:
                 raise InvalidInputError("all populations must share one domain")
             if p.initial.n < 2:
-                raise InvalidInputError(f"population {i} needs at least two particles")
+                raise InvalidInputError(
+                    f"population {i} needs at least two particles"
+                )
             c = p.coupling
             if c is None:
                 continue
             if c.members.count(i) != 1:
-                raise InvalidInputError(f"population {i} must appear exactly once in its coupling")
+                raise InvalidInputError(
+                    f"population {i} must appear exactly once in its coupling"
+                )
             for m in c.members:
                 if not 0 <= m < len(self.populations):
                     raise InvalidInputError(f"coupling member {m} out of range")
                 if self.populations[m].initial.n != p.initial.n:
-                    raise InvalidInputError("coupled populations must share one particle count")
+                    raise InvalidInputError(
+                        "coupled populations must share one particle count"
+                    )
 
     @property
     def domain(self) -> Domain:

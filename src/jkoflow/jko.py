@@ -26,17 +26,16 @@ outgoing wall particle stops at its wall; its Armijo backtracking on its own
 objective; its iteration count; and its stop, when its box-projected
 natural gradient |x - clip(x - (N/2) dE/dx)| reaches its tolerance, after
 which it holds still.  A wall particle whose descent points out of the box
-is held, cut out of H in place.  A pass evaluates its trial point once (one
-gap_terms pass per energy block, whose gaps also serve the step length);
-at the shipped sizes a pass costs its calls, not its arithmetic, so each
-array operation takes the cheapest numpy form that rounds as the formula.
-_Rows.step is the one driver of this loop: one step of every row, after
-which the minimizer is the rows' previous state, so a kernel that run_flows
-builds once starts each step at the point the last one accepted, with its
-energy terms and a zero step; solve_step is one step of a one-row
-kernel, returned as a StepSolution.  Row r is the callers' problem r.  A
-step returns plain arrays: the (P, N) minimizer and one row of per-row
-diagnostics for each name of COLUMNS.  The minimizer is checked in one
+is held.  At the shipped sizes a pass costs its numpy calls, not their
+arithmetic: each takes the cheapest form that rounds as the formula does,
+and a trial point's gap pass also serves the next step length.  _Rows.step
+is the one driver of this loop: one step of every row, after which the
+minimizer is the rows' previous state, so a kernel that run_flows builds
+once starts each step at the point the last one accepted, with its energy
+terms and a zero step; solve_step is one step of a one-row kernel, returned
+as a StepSolution.  Row r is the callers' problem r.  A step returns plain
+arrays: the (P, N) minimizer and one row of per-row diagnostics for each
+name of COLUMNS.  The minimizer is checked in one
 vectorized pass by the ParticleDensity constructor's own predicate
 (geometry.accepted); a row it refuses, with the constructor's message, or
 a non-finite E, dE/dx or Newton system is a numerical failure charged to
@@ -122,7 +121,9 @@ class StepProblem:
             if not isinstance(self.cost, QuadraticCost):
                 raise InvalidInputError("a step problem's cost must be a QuadraticCost")
             if len(self.frozen) != self.cost.arity - 1:
-                raise InvalidInputError("frozen tuple must hold every other coupled population")
+                raise InvalidInputError(
+                    "frozen tuple must hold every other coupled population"
+                )
             if not 0 <= self.slot < self.cost.arity:
                 raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
@@ -325,12 +326,10 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     held, cut = [], [j for j, s in walls if s * descent.item(j) > 0.0]
     while True:
         if cut:  # hold them, in place (the held set only grows), cut from both neighbours
-            for j in cut:
-                diag[j], descent[j] = 1.0, 0.0
+            diag[cut], descent[cut] = 1.0, 0.0
             off.put([i for j in cut for i in (j - 1, j)], 0.0, "clip")  # those that exist
             held += cut
-        # with no end on a wall, one solve, which may overwrite the descent (the flags
-        # overwrite_d, _e, _b are positional: keywords cost the f2py wrapper microseconds)
+        # a re-solve needs the descent; flags overwrite_d, _e, _b positional (keywords are slow)
         d, info = dptsv(diag, off, descent.copy() if walls else descent, 0, 0, 1)[2:]
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
@@ -339,8 +338,7 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
             return d
 
 
-def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray,
-                  gaps: np.ndarray | None) -> tuple[list, list]:
+def _longest_step(rows: _Rows, x: np.ndarray, d: np.ndarray, gaps) -> tuple[list, list]:
     """Each row's largest step length along d, at most 1, and the (index, wall) of each
     end particle that its row's step takes to its wall; ``gaps`` are x's, if known.
 
@@ -390,14 +388,16 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
     tol (among the rows flagged in ``among``, if given)."""
     finite = [np.isfinite(a.reshape(rows.count, -1)).all(axis=1) for a in arrays if a is not None]
     bad = [r for r in range(rows.count) if not all(f[r] for f in finite)]
-    row = bad[0] if bad else max((r for r in range(rows.count) if among is None or among[r]),
-                                 key=lambda r: res[r] / rows.tol[r])
+    if bad:
+        row = bad[0]
+    else:
+        row = max((r for r in range(rows.count) if among is None or among[r]),
+                  key=lambda r: res[r] / rows.tol[r])
     return NumericalFailureError(message, residual=res[row], row=row)
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
-    if not (math.isfinite(sum(point.values.tolist()))
-            and np.logical_and.reduce(np.isfinite(point.grad))):
+    if not (math.isfinite(sum(point.values.tolist())) and np.isfinite(point.grad).all()):
         raise _failure(rows, "step solver met a non-finite objective or gradient "
                        f"at iteration {iteration}", res, point.values, point.grad)
 
@@ -434,9 +434,8 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         for trial in range(MAX_BACKTRACKS):
             trial_at = _evaluate(rows, cand)
             _require_finite(rows, trial_at, k, res)
-            trial_values = trial_at.values.tolist()
             searching = [s and v > v0 + ARMIJO_C1 * a * sl for s, v, v0, a, sl
-                         in zip(searching, trial_values, values, alpha, slope)]
+                         in zip(searching, trial_at.values.tolist(), values, alpha, slope)]
             if trial == 0 and any(searching):
                 # E sums about N terms: a predicted decrease within its rounding
                 # cannot be seen in E, so such a row's full step is judged by its residual
@@ -455,7 +454,7 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
             raise _failure(rows, f"step solver line search failed at iteration {k}", res,
                            among=searching)
         # a row whose step does not move keeps its value to the bit: only then compare
-        stuck = [m and v == v0 for m, v, v0 in zip(moving, trial_values, values)]
+        stuck = [m and v == v0 for m, v, v0 in zip(moving, trial_at.values.tolist(), values)]
         if any(stuck):
             stuck = [s and not v for s, v in zip(stuck, (cand2 != x2).any(axis=1).tolist())]
         if any(stuck):
