@@ -262,7 +262,7 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
             blocks = [(*map(np.concatenate, list(zip(*blocks))[:3]), None)]
         energies, energy_grad, curvature, gaps = blocks[0]
     else:
-        energies, energy_grad, curvature, gaps = reuse[1], *reuse[5:]
+        _, energies, _, _, _, energy_grad, curvature, gaps = reuse  # the terms of x alone
     if x is rows.prev:  # x - prev is +0.0 throughout: its terms are zeros, added as such
         w2_sq, grad = np.zeros(rows.count), h2 * energy_grad + 0.0
     else:
@@ -502,7 +502,7 @@ def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float
     margin = 1e-12 * domain.length
     scaled = np.abs(0.5 * x.shape[1] * grad)
     # the max over interior particles, each term at least 0: the others read 0
-    scaled[(x <= domain.lower + margin) | (x >= domain.upper - margin)] = 0.0
+    scaled[~((x > domain.lower + margin) & (x < domain.upper - margin))] = 0.0
     return np.maximum.reduce(scaled, 1).tolist()
 
 
