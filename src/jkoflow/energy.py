@@ -104,10 +104,8 @@ def _gaps(x: np.ndarray, length: float, rows: int = 1) -> tuple[np.ndarray, slic
 
 
 def _gap_gradient(e: InternalEnergy, x: np.ndarray, length: float, rows: int = 1):
-    """gap_terms' gradient and its gap pass: the gaps, N gaps, densities s and floored
-    index.  -p(s) enters as 0.0 - p(s), as its sum into zeros rounds it: +0.0 where p is 0."""
-    if e.f is None:
-        return np.zeros(x.size), None
+    """gap_terms' gradient for a nonzero energy and its pass's gaps, N gaps, densities s and
+    floored index; -p(s) is 0.0 - p(s), rounded as its sum into zeros is: +0.0 where p is 0."""
     gaps, floored = _gaps(x, length, rows)
     scaled = (x.size // rows) * gaps
     s = 1.0 / scaled

@@ -466,8 +466,8 @@ def weak_form_residual(
     # spatial factor once; one that ignores t returns a single (steps, N) block
     at_k1, at_k = np.broadcast_to(phi.value(np.array([t_k1, t_k]), x_new), (2, *x_new.shape))
     moved = np.mean(at_k1 - at_k, axis=1)
-    drive = x.shape[1] * _gap_gradient(p.energy, x_new.reshape(-1), config.domain.length,
-                                       len(x_new))[0].reshape(x_new.shape)
+    drive = 0.0 if p.energy.f is None else x.shape[1] * _gap_gradient(  # zero energy: no drive
+        p.energy, x_new.reshape(-1), config.domain.length, len(x_new))[0].reshape(x_new.shape)
     if p.coupling is not None:  # against the partners frozen at step k
         members = p.coupling.members
         a, m, _ = p.coupling.cost.row_form(

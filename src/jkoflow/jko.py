@@ -194,7 +194,7 @@ class _Rows:
             start, stop = stop, stop + len(list(run))
             self.energies.append((energy, start, stop))
         self.prev = np.concatenate([p.prev.positions for p in problems])
-        self.at = None  # the evaluation at prev, once a step has accepted it
+        self.at, self.cuts = None, {}  # prev's evaluation, once accepted; held-index arrays
         self.tol = [float(p.default_tol() if p.tol is None else p.tol) for p in problems]
         lower, upper = self.domain.lower, self.domain.upper
         # (index, row, outward sign, wall) of each row's first and last particle
@@ -321,13 +321,15 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     descent = -at.grad
     if not all(moving):
         descent.reshape(rows.count, rows.n)[np.logical_not(moving)] = 0.0
-    # (item reads one entry as a float, the fastest way to a few of them)
     walls = [(j, s) for j, _, s, wall in rows.ends if s * (x.item(j) - wall) >= 0.0]  # on a wall
     held, cut = [], [j for j, s in walls if s * descent.item(j) > 0.0]
     while True:
         if cut:  # hold them, in place (the held set only grows), cut from both neighbours
-            diag[cut], descent[cut] = 1.0, 0.0
-            off.put([i for j in cut for i in (j - 1, j)], 0.0, "clip")  # those that exist
+            if (key := tuple(cut)) not in rows.cuts:  # index arrays, built once per set held
+                rows.cuts[key] = np.array(cut), np.array(
+                    [i for j in cut for i in (j - 1, j) if 0 <= i < off.size], dtype=int)
+            index, near = rows.cuts[key]
+            diag[index], descent[index], off[near] = 1.0, 0.0, 0.0
             held += cut
         # a re-solve needs the descent; flags overwrite_d, _e, _b positional (keywords are slow)
         d, info = dptsv(diag, off, descent.copy() if walls else descent, 0, 0, 1)[2:]
