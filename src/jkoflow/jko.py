@@ -399,7 +399,8 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
 
 
 def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
-    if not (math.isfinite(sum(point.values.tolist())) and np.isfinite(point.grad).all()):
+    if not (math.isfinite(sum(point.values.tolist()))
+            and np.logical_and.reduce(np.isfinite(point.grad))):
         raise _failure(rows, "step solver met a non-finite objective or gradient "
                        f"at iteration {iteration}", res, point.values, point.grad)
 
@@ -502,10 +503,9 @@ def solve_step(problem: StepProblem) -> StepSolution:
 def _el_residuals(domain: Domain, x: np.ndarray, grad: np.ndarray) -> list[float]:
     """The Euler-Lagrange residual of each row of (P, N) positions and gradients."""
     margin = 1e-12 * domain.length
-    scaled = np.abs(0.5 * x.shape[1] * grad)
-    # the max over interior particles, each term at least 0: the others read 0
-    scaled[~((x > domain.lower + margin) & (x < domain.upper - margin))] = 0.0
-    return np.maximum.reduce(scaled, 1).tolist()
+    interior = (x > domain.lower + margin) & (x < domain.upper - margin)
+    scaled = np.abs(0.5 * x.shape[1] * grad)  # np.max's own reduction, without its wrapper
+    return np.maximum.reduce(scaled, 1, where=interior, initial=0.0).tolist()
 
 
 def euler_lagrange_residual(problem: StepProblem, rho: ParticleDensity) -> float:
