@@ -12,9 +12,11 @@ It reads ROWS records from standard input, each the float64 buffer
 ``[t, positions of population 0, ..., positions of the last population]``
 (N_i values for population i), and writes each record's lines to the
 populations' CSVs as it comes, the same bytes that trajectory_csv writes.
-Should standard input end before the last record (the flow failed), or a
-file fail to open or write, it removes the files it opened and exits with
-1; after a failed file it still reads standard input to its end.
+Should standard input end before the last record (the flow failed), it
+exits with 1.  Should a file fail to open or write, it prints the error,
+still reads standard input to its end, and exits with 1, so that the CLI
+learns of the failure only when it ends the stream.  It removes no file:
+after a failed run the CLI removes the CSVs, on either path.
 """
 
 import os
@@ -33,16 +35,15 @@ def main(argv) -> int:
     rows, *pairs = argv
     counts = [int(n) for n in pairs[0::2]]
     read = sys.stdin.buffer.read
-    files = []
     try:
-        for path, n in zip(pairs[1::2], counts):
-            files.append(open(path, "w"))
-            files[-1].write(header(n) + "\n")
+        files = [open(path, "w") for path in pairs[1::2]]
+        for n, fh in zip(counts, files):
+            fh.write(header(n) + "\n")
         size = 8 * (1 + sum(counts))
         for _ in range(int(rows)):
             record = read(size)
             if len(record) < size:
-                raise EOFError  # the flow failed, and reports that itself
+                return 1  # the flow failed, and reports that itself
             values = memoryview(record).cast("d").tolist()
             t, start = values[0], 1
             for n, fh in zip(counts, files):
@@ -51,23 +52,16 @@ def main(argv) -> int:
         for fh in files:
             fh.close()
         return 0
-    except (EOFError, OSError) as err:
-        if isinstance(err, OSError):
-            print(f"trajectory writer: {err}", file=sys.stderr)
-            while read(1 << 16):  # so that the flow still runs to its end
-                pass
-        for fh in files:
-            try:
-                fh.close()
-            except OSError:
-                pass
-            os.remove(fh.name)
+    except OSError as err:
+        print(f"trajectory writer: {err}", file=sys.stderr)
+        while read(1 << 16):  # so that the flow still runs to its end
+            pass
         return 1
 
 
 if __name__ == "__main__":
     status = main(sys.argv[1:])
-    # every file is closed by now: skip the interpreter's teardown, about 4 ms
-    # that the CLI would wait for
+    # skip the interpreter's teardown, about 4 ms that the CLI would wait for;
+    # a file left open here belongs to a failed run, whose CSVs the CLI removes
     sys.stderr.flush()
     os._exit(status)

@@ -11,11 +11,12 @@ built before the first step, and ``--validate-only`` builds them all too.
 A long trajectory (at least HELPER_MIN_VALUES positions over all its steps)
 is written by a helper process, when the process may use two CPUs: the
 flow streams each step to it as the step is stored, and it formats the step
-while the next one is computed (see jkoflow._trajectory_text).  The CSVs
-are the same bytes either way, and a run that fails leaves none of them.
+while the next one is computed (see jkoflow._trajectory_text), and is reaped
+after the probe reports.  The CSVs are the same bytes either way; a failed
+run (exit 2, 3 or 4) removes them on either path, once its helper has exited.
 
 Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
-2 invalid input, 3 numerical failure, 4 an output that cannot be written.
+2 invalid input, 3 numerical failure, 4 an unwritable output, MANIFEST included.
 """
 
 from __future__ import annotations
@@ -448,11 +449,11 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     if output_dir is None:
         output_dir = scenario.output_dir or f"out_{scenario.name}"
     out = Path(output_dir)
+    names = [f"trajectory_pop{i}.csv" for i in range(len(scenario.flow.populations))]
     written: list[str] = []
-    complete = False
+    code = 0
     say = (lambda *a: None) if quiet else print
-    failed_probe = None
-    helper = None
+    failed_probe = helper = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         config = build_flow_config(scenario)
@@ -462,7 +463,6 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
                   else others for probe, others in zip(scenario.probes,
                                                        _probe_initials(scenario, config))]
         reruns = [j for j, given in enumerate(inputs) if isinstance(given, FlowConfig)]
-        names = [f"trajectory_pop{i}.csv" for i in range(len(config.populations))]
         helper = _helper(config, [out / name for name in names])
         each_step = None if helper is None else lambda k, x: helper.send(k * config.h, x)
         try:
@@ -478,12 +478,6 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
         if helper is None:
             for i, name in enumerate(names):
                 trajectory_csv(traj, i, out / name)
-                written.append(name)
-        else:
-            status = helper.close()
-            if status != 0:
-                raise OSError(f"the trajectory writer exited with status {status}")
-            written += names
         diagnostics_csv(traj, out / "diagnostics.csv")
         written.append("diagnostics.csv")
         kind_counts: dict[str, int] = {}
@@ -498,19 +492,33 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
             say(f"{probe.kind}: {status}")
             if status == "FAIL" and failed_probe is None:
                 failed_probe = probe.kind
-        complete = True
+        exited = 0 if helper is None else helper.close()  # reaped after the probes
+        helper = None  # closed once: the finally has nothing left to close
+        if exited != 0:
+            raise OSError(f"the trajectory writer exited with status {exited}")
+        written[:0] = names
     except FAILURES as err:
-        return _exit_code(err)
+        code = _exit_code(err)
     except OSError as err:  # an output that cannot be written
         print(f"output error: {err}", file=sys.stderr)
-        return 4
+        code = 4
     finally:
-        if helper is not None:  # after a failed flow it removes its files and exits
+        if helper is not None:  # the run failed before the helper's stream ended
             helper.close()
+    try:
+        if code:  # the helper has exited: a failed run leaves no trajectory, on either path
+            for path in (out / name for name in names):
+                if path.is_file():
+                    path.unlink()
         if out.is_dir():  # else it could not be made, which the error reports
-            manifest = [f"scenario: {scenario.name}", f"complete: {'yes' if complete else 'no'}"]
+            manifest = [f"scenario: {scenario.name}", f"complete: {'no' if code else 'yes'}"]
             manifest += [f"file: {name}" for name in written]
             (out / "MANIFEST.txt").write_text("\n".join(manifest) + "\n")
+    except OSError as err:  # a 2, 3 or 4 already reached stands
+        print(f"output error: {err}", file=sys.stderr)
+        code = code or 4
+    if code:
+        return code
     if failed_probe is not None:
         print(f"probe failed: {failed_probe}", file=sys.stderr)
         return 1

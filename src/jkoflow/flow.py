@@ -403,23 +403,21 @@ def bump_test_function(center: float, half_width: float, t_cut: float) -> TestFu
         raise InvalidInputError("bump width and time cutoff must be positive")
 
     def s(t):
-        # each time's factor a Python float: float ** 3 is the C library's pow,
-        # which numpy's vectorized power does not always match to the bit
         tt = np.asarray(t, dtype=float) / t_cut
-        return np.array([(1.0 - v * v) ** 3 if abs(v) < 1.0 else 0.0
-                         for v in tt.ravel().tolist()]).reshape(tt.shape)
+        v = 1.0 - tt * tt
+        return np.where(np.abs(tt) < 1.0, v * v * v, 0.0)  # products: pow's SIMD paths differ
 
     def space(x):
         u = (np.asarray(x, dtype=float) - center) / w
-        return u, np.abs(u) < 1.0
+        return u, 1.0 - u * u, np.abs(u) < 1.0
 
     def value(t, x):
-        u, inside = space(x)
-        return s(t) * np.where(inside, (1.0 - u * u) ** 3, 0.0)
+        u, v, inside = space(x)
+        return s(t) * np.where(inside, v * v * v, 0.0)
 
     def dx(t, x):
-        u, inside = space(x)
-        return s(t) * np.where(inside, -6.0 * u * (1.0 - u * u) ** 2 / w, 0.0)
+        u, v, inside = space(x)
+        return s(t) * np.where(inside, -6.0 * u * (v * v) / w, 0.0)
 
     return TestFunction(
         value=value,

@@ -313,8 +313,8 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     Holding cuts its row and column out of H in place: dptsv leaves the bands as they are.
     """
     diag, off = _hessian_bands(rows, at)
-    # diag > 0, so the product is finite exactly when both factors are (short of overflow)
-    if not math.isfinite(diag.dot(at.grad)):
+    # diag sums each term of off; isfinite sets no flag, where inf * 0 would warn
+    if not np.logical_and.reduce(np.isfinite(diag) & np.isfinite(at.grad)):
         raise ValueError("Newton system must not contain infs or NaNs")
     if off.size == 0:
         off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal

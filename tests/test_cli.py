@@ -457,7 +457,8 @@ def test_failing_helper_is_reported_and_reaped(tmp_path, monkeypatch, capfd):
     assert "trajectory writer: [Errno 21] Is a directory" in err
     assert "output error: the trajectory writer exited with status 1\n" in err
     assert not (tmp_path / "trajectory_pop1.csv").exists()
-    assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
+    assert (tmp_path / "MANIFEST.txt").read_text() == (
+        "scenario: minimal\ncomplete: no\nfile: diagnostics.csv\n")
     _assert_no_child_left()
 
 
@@ -470,6 +471,72 @@ def test_unwritable_inline_trajectory_is_an_output_error(tmp_path, monkeypatch, 
     assert err.startswith("output error: [Errno 21] Is a directory") and err.count("\n") == 1
     assert not (tmp_path / "trajectory_pop1.csv").exists()
     assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "helper"])
+def test_failed_run_leaves_no_trajectory_on_either_path(tmp_path, monkeypatch, capfd, cpus):
+    started = _helpers_started(monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    # population 1's trajectory cannot be written; population 0's can
+    (tmp_path / "a" / "trajectory_pop1.csv").mkdir(parents=True)
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path / "a", quiet=True) == 4
+    assert "output error: " in capfd.readouterr().err
+    assert not (tmp_path / "a" / "trajectory_pop0.csv").exists()
+    manifest = (tmp_path / "a" / "MANIFEST.txt").read_text()
+    assert manifest.startswith("scenario: minimal\ncomplete: no\n") and "trajectory" not in manifest
+    # a stale trajectory from an earlier run, then a flow that fails at step 1
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "trajectory_pop0.csv").write_text("t,particle_0\n0.0,0.5\n")
+    leak_past_wall(monkeypatch, "upper")
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path / "b", quiet=True) == 3
+    assert capfd.readouterr().err.startswith("numerical failure: step 1, population 1: ")
+    assert list((tmp_path / "b").glob("trajectory_pop*.csv")) == []
+    assert len(started) == (0 if cpus == 1 else 2)
+    _assert_no_child_left()
+
+
+def test_unwritable_manifest_is_an_output_error(tmp_path, monkeypatch, capsys):
+    (tmp_path / "MANIFEST.txt").mkdir()
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("output error: [Errno 21] Is a directory") and err.count("\n") == 1
+    # an otherwise complete run: the other outputs stay as written
+    assert (tmp_path / "trajectory_pop1.csv").is_file() and (tmp_path / "diagnostics.csv").is_file()
+    # a numerical failure's exit code stands, and both errors are reported
+    leak_past_wall(monkeypatch, "upper")
+    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[0] for line in err] == ["numerical failure", "output error"]
+    assert list(tmp_path.glob("trajectory_pop*.csv")) == []
+    done = _run_module(str(SCENARIO_DIR / "identity.yaml"), "--output-dir", str(tmp_path),
+                       "--quiet")
+    assert done.returncode == 4 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("output error: [Errno 21] Is a directory")
+    _assert_no_child_left()
+
+
+def test_helper_is_closed_once_after_the_last_probe_file(tmp_path, monkeypatch):
+    started = _helpers_started(monkeypatch)
+    seen = []
+    close = cli.TrajectoryHelper.close
+
+    def spy(self):
+        seen.append({path.relative_to(tmp_path).as_posix() for path in tmp_path.glob("*/*")})
+        return close(self)
+
+    monkeypatch.setattr(cli.TrajectoryHelper, "close", spy)
+    assert run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path / "a",
+                        quiet=True) == 0
+    assert len(started) == 1 and len(seen) == 1
+    assert {"a/diagnostics.csv", "a/probe_estimate_report.txt",
+            "a/probe_contraction_probe.txt"} <= seen[0]
+    assert "a/MANIFEST.txt" not in seen[0]
+    # a failed flow: closed once, as soon as the flow fails
+    leak_past_wall(monkeypatch, "upper")
+    assert run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path / "b",
+                        quiet=True) == 3
+    assert len(started) == 2 and len(seen) == 2 and "b/diagnostics.csv" not in seen[1]
     _assert_no_child_left()
 
 
