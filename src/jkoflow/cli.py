@@ -8,12 +8,9 @@ step diagnostics CSV, one text report per probe, and a MANIFEST listing
 what was completed.  Every initial state, probe second initials included, is
 built before the first step, and ``--validate-only`` builds them all too.
 
-A long trajectory (at least HELPER_MIN_VALUES positions over all its steps)
-is written by a helper process, when the process may use two CPUs: the
-flow streams each step to it as the step is stored, and it formats the step
-while the next one is computed (see jkoflow._trajectory_text), and is reaped
-after the probe reports.  The CSVs are the same bytes either way; a failed
-run (exit 2, 3 or 4) removes them on either path, once its helper has exited.
+Each trajectory is written after the flows, as repr text made in whole-array
+passes (see jkoflow._trajectory_text).  A failed run (exit 2, 3 or 4) leaves
+no trajectory CSV, and its MANIFEST lists only what was written.
 
 Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
 2 invalid input, 3 numerical failure, 4 an unwritable output, MANIFEST included.
@@ -24,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -32,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import _trajectory_text
 from .energy import entropy_energy, power_law_energy, zero_energy
 from .errors import DomainError, InvalidInputError, NumericalFailureError
 from .flow import (
@@ -383,57 +378,6 @@ def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:
 
 FAILURES = (InvalidInputError, DomainError, NumericalFailureError)
 
-# The fewest values (positions over all steps and populations) of a trajectory
-# that a helper process formats.  On a 2-core Xeon VM with Python 3.11, a
-# helper (python -I -S) takes about 11 ms to start, and each value it formats
-# saves the run about 0.6 us, so it pays from 11 ms / 0.6 us = 18 000 values
-# on; this is the power of two just below that.
-HELPER_MIN_VALUES = 16384
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class TrajectoryHelper:
-    """A helper process writing trajectory CSVs from the steps it is sent (see
-    jkoflow._trajectory_text): ``counts[i]`` positions per step to ``paths[i]``,
-    ``rows`` steps in all."""
-
-    def __init__(self, paths, counts, rows: int):
-        import subprocess  # here, so that a run without a helper does not load it
-
-        args = [str(v) for n, path in zip(counts, paths) for v in (n, path)]
-        self.proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", _trajectory_text.__file__, str(rows), *args],
-            stdin=subprocess.PIPE,
-        )
-
-    def send(self, t: float, x) -> None:
-        """One step: its time t and x[i], population i's positions."""
-        self.proc.stdin.write(np.concatenate(([t], *x)))
-
-    def close(self) -> int:
-        """End the stream and wait for the helper; its exit status."""
-        try:
-            self.proc.stdin.close()
-        except BrokenPipeError:  # it exited before reading every step; its status says so
-            pass
-        return self.proc.wait()
-
-
-def _helper(config: FlowConfig, paths) -> TrajectoryHelper | None:
-    """A helper for config's trajectory CSVs, or None where they are written inline."""
-    counts = [p.initial.n for p in config.populations]
-    if (sum(counts) * (config.n_steps + 1) < HELPER_MIN_VALUES or _cpus() < 2
-            or not sys.executable or not os.path.isfile(_trajectory_text.__file__)):
-        return None
-    return TrajectoryHelper(paths, counts, config.n_steps + 1)
-
-
 def _exit_code(err: Exception) -> int:
     """Report a failure on stderr, with its residual if known; 3 if numerical, 2 for bad input."""
     numerical = isinstance(err, NumericalFailureError)
@@ -453,7 +397,7 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
     written: list[str] = []
     code = 0
     say = (lambda *a: None) if quiet else print
-    failed_probe = helper = None
+    failed_probe = None
     try:
         out.mkdir(parents=True, exist_ok=True)
         config = build_flow_config(scenario)
@@ -463,10 +407,8 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
                   else others for probe, others in zip(scenario.probes,
                                                        _probe_initials(scenario, config))]
         reruns = [j for j, given in enumerate(inputs) if isinstance(given, FlowConfig)]
-        helper = _helper(config, [out / name for name in names])
-        each_step = None if helper is None else lambda k, x: helper.send(k * config.h, x)
         try:
-            traj, *rerun_trajs = run_flows([config, *(inputs[j] for j in reruns)], each_step)
+            traj, *rerun_trajs = run_flows([config, *(inputs[j] for j in reruns)])
         except NumericalFailureError as err:
             if not err.row:
                 raise
@@ -475,9 +417,8 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
                                         residual=err.residual) from err
         for j, rerun in zip(reruns, rerun_trajs):
             inputs[j] = rerun
-        if helper is None:
-            for i, name in enumerate(names):
-                trajectory_csv(traj, i, out / name)
+        for i, name in enumerate(names):
+            trajectory_csv(traj, i, out / name)
         diagnostics_csv(traj, out / "diagnostics.csv")
         written.append("diagnostics.csv")
         kind_counts: dict[str, int] = {}
@@ -492,21 +433,14 @@ def run_scenario(scenario: Scenario, output_dir=None, quiet: bool = False) -> in
             say(f"{probe.kind}: {status}")
             if status == "FAIL" and failed_probe is None:
                 failed_probe = probe.kind
-        exited = 0 if helper is None else helper.close()  # reaped after the probes
-        helper = None  # closed once: the finally has nothing left to close
-        if exited != 0:
-            raise OSError(f"the trajectory writer exited with status {exited}")
-        written[:0] = names
+        written[:0] = names  # listed once the run is complete: a failed run removes them
     except FAILURES as err:
         code = _exit_code(err)
     except OSError as err:  # an output that cannot be written
         print(f"output error: {err}", file=sys.stderr)
         code = 4
-    finally:
-        if helper is not None:  # the run failed before the helper's stream ended
-            helper.close()
     try:
-        if code:  # the helper has exited: a failed run leaves no trajectory, on either path
+        if code:  # a failed run leaves no trajectory, from this run or an earlier one
             for path in (out / name for name in names):
                 if path.is_file():
                     path.unlink()

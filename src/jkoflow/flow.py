@@ -10,10 +10,8 @@ independently, so each flow comes out to the bit as it does alone; run_flow
 is the one-flow case.  A flow is recorded as arrays: each population's
 positions, one row per step, and each step's diagnostics, one column per
 name of jko.COLUMNS.  ParticleDensity states are built from them only when
-asked for.  A caller can watch the first flow as it goes: run_flows hands
-each step's positions to an ``each_step`` hook as soon as they are stored,
-which the CLI uses to have a helper process format long trajectory CSVs
-while the later steps are computed.
+asked for, and trajectory_csv writes the positions as repr text in
+whole-array passes (jkoflow._trajectory_text).
 
 The module also carries the verification side: an a-priori estimate report
 (energy bound and summed squared step lengths), a two-flow contraction
@@ -154,17 +152,11 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     )
 
 
-def run_flows(
-    configs: Sequence[FlowConfig],
-    each_step: Callable[[int, list[np.ndarray]], None] | None = None,
-) -> tuple[FlowTrajectory, ...]:
+def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
     """The trajectory of each flow, computed side by side; see the module docstring.
 
     The flows must share their step count.  A failure reads ``step k,
     population i: ...`` and its ``row`` is the index of the flow that failed.
-    ``each_step(k, x)``, when given, is called for k = 0, ..., n_steps once
-    step k is stored, with x[i] population i's positions at step k in the
-    first flow.
     """
     configs = tuple(configs)
     if len({config.n_steps for config in configs}) > 1:
@@ -177,8 +169,6 @@ def run_flows(
         for i, p in enumerate(config.populations):
             positions[c][i][0] = p.initial.positions
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
-    if each_step is not None and configs:
-        each_step(0, [x[0] for x in positions[0]])
     # one kernel per group, built once: coupled populations share N, so every
     # partner is a row of the same kernel, and each step refills its column
     kernels = []  # (members, their rows, every step's diagnostics of the rows)
@@ -201,8 +191,6 @@ def run_flows(
             table[k - 1] = solved.columns
             for (c, i), x in zip(members, solved.x):
                 positions[c][i][k] = x
-        if each_step is not None:
-            each_step(k, [x[k] for x in positions[0]])
     tables = [np.empty((n_steps, len(COLUMNS), len(config.populations))) for config in configs]
     for members, _, table in kernels:
         for r, (c, i) in enumerate(members):
@@ -487,15 +475,12 @@ def weak_form_residual(
 
 
 def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
-    """States, one row per step: t, particle_0, ..., particle_{N-1}; the text is
-    _trajectory_text's, which the CLI's helper process writes too."""
+    """States, one row per step: t, particle_0, ..., particle_{N-1}, each float as its
+    repr (see _trajectory_text)."""
     if not 0 <= population < len(traj.positions):
         raise InvalidInputError(f"population {population} out of range")
-    x = traj.positions[population]
-    lines = [_trajectory_text.header(x.shape[1])]
-    lines += [_trajectory_text.line([t, *row.tolist()]) for t, row in zip(traj.times, x)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        _trajectory_text.write(fh, traj.times, traj.positions[population])
 
 
 def diagnostics_csv(traj: FlowTrajectory, path) -> None:

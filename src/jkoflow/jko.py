@@ -440,9 +440,11 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
             searching = [s and v > v0 + ARMIJO_C1 * a * sl for s, v, v0, a, sl
                          in zip(searching, trial_at.values.tolist(), values, alpha, slope)]
             if trial == 0 and any(searching):
-                # E sums about N terms: a predicted decrease within its rounding
-                # cannot be seen in E, so such a row's full step is judged by its residual
-                flat = [s and -sl <= n * EPS * abs(v0)
+                # E sums about N terms, so its computed value may be off by up to
+                # N EPS |E|, and the Armijo test asks E to fall by c1 |slope|: where
+                # that asked fall is within E's rounding, E cannot show it, and the
+                # row's full step is judged by its residual instead
+                flat = [s and -ARMIJO_C1 * sl <= n * EPS * abs(v0)
                         for s, sl, v0 in zip(searching, slope, values)]
                 if any(flat):
                     sq = _residuals(rows, cand, trial_at.grad)

@@ -14,7 +14,8 @@ reference contract of ParticleDensity, entry by entry; and the per-step
 references of the probes' whole-array passes: the weak form assembled one
 step at a time from ParticleDensity states and each population's
 diagnostics, and the contraction distances as the product W2 distance
-(sum_i W2^2)^(1/2) of each pair of states, from w2_distance.
+(sum_i W2^2)^(1/2) of each pair of states, from w2_distance.  Last, the text
+of a trajectory CSV, one float's repr at a time.
 """
 
 from __future__ import annotations
@@ -336,3 +337,12 @@ def per_step_contraction_distances(traj: FlowTrajectory, rerun: FlowTrajectory) 
     states."""
     return tuple(math.sqrt(sum(w2_distance(a, b) ** 2 for a, b in zip(sa, sb)))
                  for sa, sb in zip(traj.states, rerun.states))
+
+
+def trajectory_text(times, positions) -> bytes:
+    """``jkoflow.trajectory_csv``'s bytes: the header, then ``t`` and the row's positions,
+    each float's repr, joined by commas."""
+    rows = np.asarray(positions).tolist()
+    lines = ["t," + ",".join(f"particle_{j}" for j in range(len(rows[0])))]
+    lines += [",".join(map(repr, [float(t), *row])) for t, row in zip(times, rows)]
+    return ("\n".join(lines) + "\n").encode()

@@ -21,8 +21,7 @@ from jkoflow.cli import (
     run_scenario,
 )
 from jkoflow.errors import InvalidInputError
-from jkoflow.flow import (ContractionReport, FlowTrajectory, contraction_rerun, run_flow,
-                          trajectory_csv)
+from jkoflow.flow import ContractionReport, contraction_rerun, run_flow
 from jkoflow.presets import PRESETS
 
 from helpers import leak_past_wall, serialize_scenario, wrong_sign_energy
@@ -394,77 +393,22 @@ def test_flow_failure_reads_alike_with_and_without_probes(tmp_path, monkeypatch,
     assert errors[0].startswith("numerical failure: step 1, population 1: step solver made")
 
 
-def _helpers_started(monkeypatch) -> list:
-    """Every run streams its trajectories to a helper process; the helpers it starts."""
-    started = []
-
-    class Spy(cli.TrajectoryHelper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            started.append(self)
-
-    monkeypatch.setattr(cli, "HELPER_MIN_VALUES", 0)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "TrajectoryHelper", Spy)
-    return started
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_helper_writes_the_bytes_trajectory_csv_writes(tmp_path):
-    # walls, negative positions, a repr with an exponent, and N = 1 and 1024
-    rng = np.random.default_rng(5)
-    wide = np.sort(rng.uniform(-1.0, 1.0, size=(4, 1024)), axis=1)
-    wide[:, 0], wide[:, 1], wide[:, 512], wide[:, -1] = -1.0, -0.5, 3.0e-05, 1.0
-    wide[1, 511] = 0.0
-    positions = (np.array([[0.0], [1.0], [-1.0], [2.5e-06]]), wide,
-                 np.array([[-1.0, 0.0, 1.0]] * 4))
-    times = tuple(k * 0.1 for k in range(4))  # 0.30000000000000004 among them
-    paths = [tmp_path / f"helper{i}.csv" for i in range(3)]
-    helper = cli.TrajectoryHelper(paths, [x.shape[1] for x in positions], len(times))
-    for k, t in enumerate(times):
-        helper.send(t, [x[k] for x in positions])
-    assert helper.close() == 0
-    traj = FlowTrajectory(None, times, positions, {})  # trajectory_csv reads only these
-    for i, path in enumerate(paths):
-        trajectory_csv(traj, i, tmp_path / "inline.csv")
-        assert path.read_bytes() == (tmp_path / "inline.csv").read_bytes()
-    assert b"e-05," in paths[1].read_bytes()
-
-
-def test_flow_failure_on_the_helper_path_leaves_no_trajectory(tmp_path, monkeypatch, capsys):
-    started = _helpers_started(monkeypatch)
+def test_flow_failure_leaves_no_trajectory(tmp_path, monkeypatch, capsys):
     leak_past_wall(monkeypatch, "upper")
     assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 3
     assert capsys.readouterr().err.startswith("numerical failure: step 1, population 1: ")
-    assert len(started) == 1 and started[0].proc.returncode == 1
     assert list(tmp_path.glob("trajectory_pop*.csv")) == []
     assert (tmp_path / "MANIFEST.txt").read_text() == "scenario: minimal\ncomplete: no\n"
     _assert_no_child_left()
 
 
-def test_failing_helper_is_reported_and_reaped(tmp_path, monkeypatch, capfd):
-    # the helper cannot open population 0's file: the flow runs to its end,
-    # and the run reports the helper's failure instead of completing
-    started = _helpers_started(monkeypatch)
-    (tmp_path / "trajectory_pop0.csv").mkdir()
-    assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 4
-    assert len(started) == 1
-    err = capfd.readouterr().err
-    assert "trajectory writer: [Errno 21] Is a directory" in err
-    assert "output error: the trajectory writer exited with status 1\n" in err
-    assert not (tmp_path / "trajectory_pop1.csv").exists()
-    assert (tmp_path / "MANIFEST.txt").read_text() == (
-        "scenario: minimal\ncomplete: no\nfile: diagnostics.csv\n")
-    _assert_no_child_left()
-
-
-def test_unwritable_inline_trajectory_is_an_output_error(tmp_path, monkeypatch, capsys):
-    # helper off: the inline writer cannot open population 0's file
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+def test_unwritable_inline_trajectory_is_an_output_error(tmp_path, capsys):
+    # the writer cannot open population 0's file
     (tmp_path / "trajectory_pop0.csv").mkdir()
     assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path, quiet=True) == 4
     err = capsys.readouterr().err
@@ -474,10 +418,7 @@ def test_unwritable_inline_trajectory_is_an_output_error(tmp_path, monkeypatch, 
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "helper"])
-def test_failed_run_leaves_no_trajectory_on_either_path(tmp_path, monkeypatch, capfd, cpus):
-    started = _helpers_started(monkeypatch)
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+def test_failed_run_leaves_no_trajectory(tmp_path, monkeypatch, capfd):
     # population 1's trajectory cannot be written; population 0's can
     (tmp_path / "a" / "trajectory_pop1.csv").mkdir(parents=True)
     assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path / "a", quiet=True) == 4
@@ -492,7 +433,6 @@ def test_failed_run_leaves_no_trajectory_on_either_path(tmp_path, monkeypatch, c
     assert run_scenario(parse_scenario(MINIMAL), output_dir=tmp_path / "b", quiet=True) == 3
     assert capfd.readouterr().err.startswith("numerical failure: step 1, population 1: ")
     assert list((tmp_path / "b").glob("trajectory_pop*.csv")) == []
-    assert len(started) == (0 if cpus == 1 else 2)
     _assert_no_child_left()
 
 
@@ -513,30 +453,6 @@ def test_unwritable_manifest_is_an_output_error(tmp_path, monkeypatch, capsys):
                        "--quiet")
     assert done.returncode == 4 and "Traceback" not in done.stderr
     assert done.stderr.startswith("output error: [Errno 21] Is a directory")
-    _assert_no_child_left()
-
-
-def test_helper_is_closed_once_after_the_last_probe_file(tmp_path, monkeypatch):
-    started = _helpers_started(monkeypatch)
-    seen = []
-    close = cli.TrajectoryHelper.close
-
-    def spy(self):
-        seen.append({path.relative_to(tmp_path).as_posix() for path in tmp_path.glob("*/*")})
-        return close(self)
-
-    monkeypatch.setattr(cli.TrajectoryHelper, "close", spy)
-    assert run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path / "a",
-                        quiet=True) == 0
-    assert len(started) == 1 and len(seen) == 1
-    assert {"a/diagnostics.csv", "a/probe_estimate_report.txt",
-            "a/probe_contraction_probe.txt"} <= seen[0]
-    assert "a/MANIFEST.txt" not in seen[0]
-    # a failed flow: closed once, as soon as the flow fails
-    leak_past_wall(monkeypatch, "upper")
-    assert run_scenario(parse_scenario(WITH_CONTRACTION), output_dir=tmp_path / "b",
-                        quiet=True) == 3
-    assert len(started) == 2 and len(seen) == 2 and "b/diagnostics.csv" not in seen[1]
     _assert_no_child_left()
 
 

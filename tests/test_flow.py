@@ -288,21 +288,6 @@ def test_run_flows_refuses_flows_of_different_lengths():
         run_flows((small_heat_config(n=16, n_steps=3), small_heat_config(n=16, n_steps=4)))
 
 
-def test_each_step_sees_every_step_of_the_first_flow_once_stored():
-    # mixed particle counts, two kernels, and a second flow beside the first:
-    # the hook gets k = 0, ..., n_steps in order, each with the first flow's
-    # rows as the trajectory keeps them
-    config = mixed_config()
-    seen = []
-    trajs = run_flows((config, _other_mixed_config()),
-                      lambda k, x: seen.append((k, [row.copy() for row in x])))
-    assert [k for k, _ in seen] == list(range(config.n_steps + 1))
-    for k, x in seen:
-        assert len(x) == len(config.populations)
-        for row, positions in zip(x, trajs[0].positions, strict=True):
-            assert np.array_equal(row, positions[k])
-
-
 def test_energy_terms_evaluated_once_per_point(monkeypatch):
     # each step starts where the previous one stopped, so it reuses that
     # point's energy terms: gap_terms runs once per energy block per trial

@@ -385,6 +385,42 @@ def test_failed_line_search_raises_with_residual():
     assert info.value.residual > problem.default_tol()
 
 
+def test_fall_within_the_objectives_rounding_is_judged_by_the_residual(monkeypatch):
+    # E sums about N terms, so its computed value may be off by N EPS |E|, and
+    # Armijo asks it to fall by c1 |slope|.  A barycenter step near its optimum,
+    # with partners far apart (a large constant in E): its Newton slope lies in
+    # (N EPS |E|, N EPS |E| / c1], low enough that the full step's fall, about
+    # |slope| / 2, is within E's rounding; its residual is above tol
+    n, shift = 8, 2.24e-8
+    x0 = np.linspace(0.3, 0.7, n)
+    partners = tuple(ParticleDensity(UNIT, x0 + shift + s) for s in (-0.25, 0.25))
+    problem = StepProblem(prev=ParticleDensity(UNIT, x0), energy=zero_energy(), h=0.05,
+                          cost=QuadraticCost((1.0, 1.0)), frozen=partners, slot=0)
+    rows = _Rows([problem])
+    at = _evaluate(rows, rows.prev)
+    slope = float(at.grad @ _newton_direction(rows, rows.prev, at, [True]))
+    e = float(at.values[0])
+    rounding = n * EPS * abs(e)
+    assert rounding < -slope < 2.0 * rounding
+    assert math.sqrt(_residuals(rows, rows.prev, at.grad)[0]) > problem.default_tol()
+    # E read as its rounding may read it: a fall within N EPS |E| does not show, and
+    # near x0 every other point reads one ulp above E(x0)
+    evaluate = jko_module._evaluate
+
+    def rounded(rows, x, reuse=None):
+        at = evaluate(rows, x, reuse)
+        if np.array_equal(x, x0):
+            return at
+        return at._replace(values=np.where(at.values > e - rounding, np.nextafter(e, np.inf),
+                                           at.values))
+
+    monkeypatch.setattr(jko_module, "_evaluate", rounded)
+    # the full step is judged by its residual, where Armijo would halve it until no
+    # particle moves
+    sol = solve_step(problem)
+    assert sol.iterations == 1 and sol.residual <= problem.default_tol()
+
+
 def _nan_left_of(monkeypatch, wall, row=0):
     """Make the cost of row ``row`` NaN at each evaluated particle left of ``wall``, by a
     NaN planted in the row's cost centre m."""

@@ -51,24 +51,6 @@ def _heavy_modules_after(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
-def test_trajectory_helper_starts_on_the_standard_library_alone(tmp_path):
-    # the helper runs as the CLI starts it, here with empty input: it must
-    # import neither numpy nor jkoflow (either would add about 100 ms to each
-    # start), and it exits with 1 when the steps never come
-    import jkoflow._trajectory_text as helper
-
-    path = tmp_path / "trajectory_pop0.csv"
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-I", "-S", helper.__file__, "1", "4", str(path)],
-        input=b"", capture_output=True, timeout=120,
-    )
-    lines = done.stderr.decode().splitlines()
-    assert done.returncode == 1
-    assert lines and all(line.startswith("import time:") for line in lines), done.stderr
-    modules = {line.split("|")[-1].strip() for line in lines[1:]}
-    assert {m for m in modules if m.split(".")[0] in ("numpy", "jkoflow")} == set()
-
-
 def test_import_loads_only_what_runs_need(tmp_path):
     assert _heavy_modules_after("import jkoflow") == set()
     run = "from jkoflow.cli import main\nassert main([{!r}, '--output-dir', {!r}, '--quiet']) == 0"
