@@ -30,7 +30,6 @@ from .transport import (
     QuadraticCost,
     convexity_probe,
     coupling_value,
-    displacement_interpolate,
 )
 from .jko import (
     StepProblem,
@@ -107,7 +106,6 @@ __all__ = [
     "QuadraticCost",
     "convexity_probe",
     "coupling_value",
-    "displacement_interpolate",
     "l1_distance_to_profile",
     "l1_grid_distance",
     "particle_step_density",

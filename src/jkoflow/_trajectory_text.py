@@ -47,7 +47,7 @@ COLUMN = np.arange(22, dtype=np.uint8)[:, None]  # a value's characters, as belo
 
 
 def header(n: int) -> str:
-    return "t," + ",".join(f"particle_{j}" for j in range(n))
+    return "t,particle_" + ",particle_".join(map(str, range(n)))  # n >= 1, as every density
 
 
 def write(fh, times, x) -> None:

@@ -90,30 +90,14 @@ def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) ->
             raise InvalidInputError(f"marginal particle counts differ: {m.n} vs {n}")
         if m.domain != dom:
             raise InvalidInputError("marginals live on different domains")
-    a, centre, c0 = cost.row_form(0, [m.positions for m in marginals[1:]])
-    d = marginals[0].positions - centre
-    return float(np.add.reduce(0.5 * a * d * d + c0) / n)  # as the step kernel sums it
+    return _mean_cost(cost, [m.positions for m in marginals])
 
 
-def displacement_interpolate(
-    rho0: ParticleDensity, rho1: ParticleDensity, t: float
-) -> ParticleDensity:
-    """Constant-speed geodesic between equal-count densities.
-
-    Particle j moves on the straight line (1-t) x_j + t y_j; sortedness and
-    the domain box are preserved by convexity.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"interpolation time {t!r} outside [0, 1]")
-    if rho0.n != rho1.n:
-        raise InvalidInputError("particle counts differ")
-    if rho0.domain != rho1.domain:
-        raise InvalidInputError("densities live on different domains")
-    if t == 0.0:
-        return rho0
-    if t == 1.0:
-        return rho1
-    return ParticleDensity(rho0.domain, (1.0 - t) * rho0.positions + t * rho1.positions)
+def _mean_cost(cost: QuadraticCost, columns: Sequence[np.ndarray]) -> float:
+    """The cost's mean over the rank tuples of ``columns``, one column per slot."""
+    a, centre, c0 = cost.row_form(0, columns[1:])
+    d = columns[0] - centre
+    return float(np.add.reduce(0.5 * a * d * d + c0) / len(d))  # as the step kernel sums it
 
 
 @dataclass(frozen=True)
@@ -122,6 +106,7 @@ class ConvexityReport:
     violations: tuple[float, ...]
     max_violation: float
     endpoint_values: tuple[float, float]
+    curvature: float
 
 
 def convexity_probe(
@@ -129,26 +114,21 @@ def convexity_probe(
     endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
     t_samples: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> ConvexityReport:
-    """Check convexity of the coupling value along displacement interpolation.
+    """Convexity of the coupling value W along displacement interpolation, in closed form.
 
-    For each t the tuple is interpolated component-wise and the coupling
-    value is compared with the chord (1-t) W(a) + t W(b); positive numbers
-    are convexity violations.  ``coupling_value`` refuses any other cost
-    and tuples that do not fill the cost's slots, ``displacement_interpolate``
-    every t outside [0, 1].
+    W is a quadratic form of the tuple, so at (1-t) a + t b it is exactly the
+    chord (1-t) W(a) + t W(b) minus t(1-t) Q, the curvature Q = W(b - a) >= 0
+    taken slot-wise: each t's violation is -t(1-t) Q (+0.0 at t = 0 and 1).
+    ``coupling_value`` refuses any other cost and tuples that do not fill
+    its slots; the two tuples must share N and domain, and each t lie in [0, 1].
     """
     tuple_a, tuple_b = (tuple(endpoints[0]), tuple(endpoints[1]))
+    value_a, value_b = coupling_value(cost, tuple_a), coupling_value(cost, tuple_b)
+    if (tuple_a[0].n, tuple_a[0].domain) != (tuple_b[0].n, tuple_b[0].domain):
+        raise InvalidInputError("the two tuples differ in particle count or domain")
     ts = tuple(float(t) for t in t_samples)
-    value_a = coupling_value(cost, tuple_a)
-    value_b = coupling_value(cost, tuple_b)
-    violations = []
-    for t in ts:
-        mid = tuple(displacement_interpolate(a, b, t) for a, b in zip(tuple_a, tuple_b))
-        violations.append(coupling_value(cost, mid) - ((1.0 - t) * value_a + t * value_b))
-    max_v = max(violations) if violations else 0.0
-    return ConvexityReport(
-        t_samples=ts,
-        violations=tuple(violations),
-        max_violation=float(max_v),
-        endpoint_values=(value_a, value_b),
-    )
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise DomainError(f"interpolation times {ts} not all in [0, 1]")
+    q = _mean_cost(cost, [b.positions - a.positions for a, b in zip(tuple_a, tuple_b)])
+    violations = tuple(0.0 - t * (1.0 - t) * q for t in ts)
+    return ConvexityReport(ts, violations, max(violations, default=0.0), (value_a, value_b), q)

@@ -5,7 +5,10 @@ is the rank-diagonal one (``jkoflow.coupling_value``).  This module solves
 the same transport problem over the full product grid, with dual
 certificates, for any cost given by a callback (``CostFunction``), so the
 tests can confirm that plan's optimality and measure what a cost outside
-the family would do.
+the family would do.  Beside it, the sampled convexity probe: a coupling
+value at displacement interpolations of two tuples against its chord, the
+sampling that ``jkoflow.convexity_probe`` states in closed form, and the
+rounding bound between the two.
 
 It also holds two oracles for the internal energies: a sampled test of
 displacement convexity, against which each energy's closed-form flag is
@@ -27,7 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from jkoflow import (
+    ConvexityReport,
     Domain,
+    DomainError,
     FlowTrajectory,
     GridDensity,
     InternalEnergy,
@@ -37,12 +42,12 @@ from jkoflow import (
     QuadraticCost,
     TestFunction,
     WeakFormReport,
-    displacement_interpolate,
     energy_gradient,
     profile_grid,
     w2_distance,
 )
 
+EPS = float(np.finfo(float).eps)
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
 # log-spaced dilation factors r and relative tolerance of mccann_check
 MCCANN_R_MIN = 1e-3
@@ -190,25 +195,87 @@ def lp_solve_mm(
     return MultiMarginalPlan(marginals, support, w, cost_value=value)
 
 
+def displacement_interpolate(
+    rho0: ParticleDensity, rho1: ParticleDensity, t: float
+) -> ParticleDensity:
+    """Constant-speed geodesic between equal-count densities.
+
+    Particle j moves on the straight line (1-t) x_j + t y_j; sortedness and
+    the domain box are preserved by convexity.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"interpolation time {t!r} outside [0, 1]")
+    if rho0.n != rho1.n:
+        raise InvalidInputError("particle counts differ")
+    if rho0.domain != rho1.domain:
+        raise InvalidInputError("densities live on different domains")
+    if t == 0.0:
+        return rho0
+    if t == 1.0:
+        return rho1
+    return ParticleDensity(rho0.domain, (1.0 - t) * rho0.positions + t * rho1.positions)
+
+
+def sampled_convexity_violations(
+    value: Callable[[tuple[ParticleDensity, ...]], float],
+    endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
+    t_samples: Sequence[float] = (0.25, 0.5, 0.75),
+) -> tuple[float, ...]:
+    """``value`` at each interpolated tuple minus the chord between the endpoints.
+
+    With ``coupling_value`` this is the sampled form of what
+    ``jkoflow.convexity_probe`` states in closed form; with the LP, any cost's.
+    """
+    tuple_a, tuple_b = (tuple(endpoints[0]), tuple(endpoints[1]))
+    value_a, value_b = value(tuple_a), value(tuple_b)
+    return tuple(
+        value(tuple(displacement_interpolate(a, b, t) for a, b in zip(tuple_a, tuple_b)))
+        - ((1.0 - t) * value_a + t * value_b)
+        for t in t_samples
+    )
+
+
 def lp_convexity_violations(
     cost: CostFunction | QuadraticCost,
     endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
     t_samples: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> tuple[float, ...]:
-    """LP coupling value at each interpolated tuple minus the chord between the endpoints.
+    """The LP coupling value's convexity violations, for any cost."""
+    return sampled_convexity_violations(lambda m: lp_solve_mm(m, cost).cost_value,
+                                        endpoints, t_samples)
 
-    ``jkoflow.convexity_probe`` measured on this oracle, for any cost.
+
+def convexity_rounding_bound(
+    cost: QuadraticCost,
+    endpoints: tuple[Sequence[ParticleDensity], Sequence[ParticleDensity]],
+    report: ConvexityReport,
+) -> float:
+    """A bound on |sampled - closed form| at every t of ``convexity_probe``'s report.
+
+    EPS is machine epsilon, twice the unit roundoff; N the particle count,
+    L the domain's length, X its largest |bound|, s = sum_k w_k.  To first
+    order in EPS:
+    - an interpolated position (1-t) a + t b is rounded by at most 2 EPS X,
+      and moves the rank cost sum_k w_k (x_0 - x_k)^2, whose differences
+      are at most L, by at most 2 s L (2 EPS X + 2 EPS X) = 8 EPS s L X;
+    - ``coupling_value`` itself rounds its centre m = sum_k w_k y_k / s by
+      at most arity EPS X, which moves the rank cost by at most
+      4 arity EPS s L X (the squared differences from m have factors
+      at most L), and each term and the N-term sum of nonnegative terms by
+      at most (N + 4) EPS of W; this holds at both endpoints and at the
+      sampled tuple, where W is at most W(a) + W(b) by convexity;
+    - the chord and the subtraction add at most 3 EPS (W(a) + W(b));
+    - the closed form evaluates Q = W(b - a) the same way, with X <= L and
+      differences at most 2 L, after rounding b - a by EPS L / 2: at most
+      (8 arity + 4) EPS s L^2 + (N + 4) EPS Q, scaled by t(1-t) <= 1/4.
+    The sum is at most EPS ((2N + 12)(W(a) + W(b) + Q) + 8 (arity + 1) s L (X + L));
+    the terms of order EPS^2 are far inside the constants' rounding up.
     """
-    tuple_a, tuple_b = (tuple(endpoints[0]), tuple(endpoints[1]))
-    value_a = lp_solve_mm(tuple_a, cost).cost_value
-    value_b = lp_solve_mm(tuple_b, cost).cost_value
-    return tuple(
-        lp_solve_mm(
-            tuple(displacement_interpolate(a, b, t) for a, b in zip(tuple_a, tuple_b)), cost
-        ).cost_value
-        - ((1.0 - t) * value_a + t * value_b)
-        for t in t_samples
-    )
+    first = tuple(endpoints[0])[0]
+    length, x = first.domain.length, max(abs(first.domain.lower), abs(first.domain.upper))
+    w_a, w_b = report.endpoint_values
+    return EPS * ((2 * first.n + 12) * (w_a + w_b + report.curvature)
+                  + 8 * (cost.arity + 1) * sum(cost.weights) * length * (x + length))
 
 
 @dataclass(frozen=True)

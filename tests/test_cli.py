@@ -269,8 +269,9 @@ CONVEXITY = """probes:
 
 @pytest.mark.parametrize("coupling, status, report", [
     ("      coupling: {type: quadratic_pairwise, partner: 0}\n", "PASS",
-     r"population 1 cost=quadratic_pairwise: max_violation=(\S+)\n"
-     r"worst_violation=(\S+) tolerance=1e-08"),
+     r"population 1 cost=quadratic_pairwise: q=(\S+) margin=(\S+)\n"
+     r"criterion: each t's violation is -t\(1-t\) q exactly, and q >= 0; "
+     r"margin = min over t of t\(1-t\) q"),
     ("", "SKIPPED", "reason: no couplings declared"),
 ], ids=["coupled", "uncoupled"])
 def test_convexity_probe_report(tmp_path, coupling, status, report):
@@ -279,9 +280,9 @@ def test_convexity_probe_report(tmp_path, coupling, status, report):
     text = (tmp_path / "probe_convexity_probe.txt").read_text()
     match = re.fullmatch(f"probe: convexity_probe\nstatus: {status}\n{report}\n", text)
     assert match
-    if match.groups():  # the worst is the one coupled population's, floored at 0
-        violation, worst = map(float, match.groups())
-        assert worst == max(violation, 0.0) <= 1e-8
+    if match.groups():  # the margin is t(1-t) q at the default t = 0.25 and 0.75
+        q, margin = map(float, match.groups())
+        assert margin == 0.1875 * q > 0.0
 
 
 def test_non_mccann_contraction_probe_skipped(tmp_path):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jkoflow import (
     Domain,
+    DomainError,
     ParticleDensity,
     QuadraticCost,
     barenblatt_profile,
@@ -14,7 +17,13 @@ from jkoflow import (
     w2_distance,
 )
 from helpers import spread_particles, uniform_particles
-from oracle import CapacityError, barenblatt_density_m, barenblatt_profile_m, lp_solve_mm
+from oracle import (
+    CapacityError,
+    barenblatt_density_m,
+    barenblatt_profile_m,
+    displacement_interpolate,
+    lp_solve_mm,
+)
 
 UNIT = Domain(0.0, 1.0)
 
@@ -92,3 +101,29 @@ def test_barenblatt_oracle_is_the_shipped_profile_at_m_2():
             density, radius = barenblatt_density_m(m, t)
             y = np.linspace(-radius, radius, 200_001)
             assert abs(np.trapezoid(density(y), y) - 1.0) <= 1e-6, (m, t)
+
+
+def test_interpolation_endpoints_exact():
+    rng = np.random.default_rng(41)
+    a = spread_particles(rng, UNIT, 9)
+    b = spread_particles(rng, UNIT, 9)
+    assert displacement_interpolate(a, b, 0.0) is a
+    assert displacement_interpolate(a, b, 1.0) is b
+    with pytest.raises(DomainError):
+        displacement_interpolate(a, b, 1.5)
+    with pytest.raises(DomainError):
+        displacement_interpolate(a, b, -0.1)
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=500))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_interpolation_constant_speed(n, seed):
+    rng = np.random.default_rng(seed)
+    a = ParticleDensity(UNIT, np.sort(rng.uniform(0, 1, size=n)))
+    b = ParticleDensity(UNIT, np.sort(rng.uniform(0, 1, size=n)))
+    d = w2_distance(a, b)
+    t, s = 0.3, 0.85
+    rt = displacement_interpolate(a, b, t)
+    rs = displacement_interpolate(a, b, s)
+    assert abs(w2_distance(rt, rs) - abs(t - s) * d) <= 1e-10
+    assert abs(w2_distance(a, rt) - t * d) <= 1e-10

@@ -13,8 +13,6 @@ from jkoflow import (
     QuadraticCost,
     convexity_probe,
     coupling_value,
-    displacement_interpolate,
-    w2_distance,
 )
 from helpers import spread_particles, uniform_particles
 from oracle import CostFunction, difference_form, lp_convexity_violations
@@ -167,35 +165,6 @@ def test_zero_cost_plan_value():
     assert coupling_value(QuadraticCost((0.0,)), [a, b]) == 0.0
 
 
-# ---------------------------------------------------------------- geodesics
-
-
-def test_interpolation_endpoints_exact():
-    rng = np.random.default_rng(41)
-    a = spread_particles(rng, UNIT, 9)
-    b = spread_particles(rng, UNIT, 9)
-    assert displacement_interpolate(a, b, 0.0) is a
-    assert displacement_interpolate(a, b, 1.0) is b
-    with pytest.raises(DomainError):
-        displacement_interpolate(a, b, 1.5)
-    with pytest.raises(DomainError):
-        displacement_interpolate(a, b, -0.1)
-
-
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=500))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_interpolation_constant_speed(n, seed):
-    rng = np.random.default_rng(seed)
-    a = ParticleDensity(UNIT, np.sort(rng.uniform(0, 1, size=n)))
-    b = ParticleDensity(UNIT, np.sort(rng.uniform(0, 1, size=n)))
-    d = w2_distance(a, b)
-    t, s = 0.3, 0.85
-    rt = displacement_interpolate(a, b, t)
-    rs = displacement_interpolate(a, b, s)
-    assert abs(w2_distance(rt, rs) - abs(t - s) * d) <= 1e-10
-    assert abs(w2_distance(a, rt) - t * d) <= 1e-10
-
-
 # ---------------------------------------------------------------- convexity
 
 
@@ -206,7 +175,7 @@ def test_convexity_probe_certified_cost():
         ta = tuple(spread_particles(rng, UNIT, 6) for _ in range(2))
         tb = tuple(spread_particles(rng, UNIT, 6) for _ in range(2))
         report = convexity_probe(cost, (ta, tb))
-        assert report.max_violation <= 1e-8
+        assert report.max_violation <= 0.0
 
 
 def test_convexity_probe_flags_product_cost():
@@ -239,6 +208,39 @@ def test_convexity_probe_validates_times():
     ta = (atoms(0.2), atoms(0.4))
     with pytest.raises(DomainError):
         convexity_probe(QuadraticCost((1.0,)), (ta, ta), t_samples=(1.2,))
+    with pytest.raises(DomainError):
+        convexity_probe(QuadraticCost((1.0,)), (ta, ta), t_samples=(-0.1,))
+
+
+def test_convexity_probe_refuses_mismatched_tuples():
+    # each tuple alone fills the cost's slots; the two must also share N and domain
+    cost = QuadraticCost((1.0,))
+    ta = (atoms(0.2), atoms(0.4))
+    with pytest.raises(InvalidInputError, match="particle count or domain"):
+        convexity_probe(cost, (ta, (atoms(0.2, 0.3), atoms(0.4, 0.5))))
+    wide = Domain(0.0, 2.0)
+    with pytest.raises(InvalidInputError, match="particle count or domain"):
+        convexity_probe(cost, (ta, (atoms(0.2, domain=wide), atoms(0.4, domain=wide))))
+
+
+def test_convexity_probe_closed_form():
+    # W is a quadratic form of the tuple: along (1-t) a + t b it is the chord
+    # minus t(1-t) W(b - a), so the report is that curvature times -t(1-t)
+    rng = np.random.default_rng(52)
+    cost = QuadraticCost((0.7, 1.9))
+    ta = tuple(spread_particles(rng, UNIT, 5) for _ in range(3))
+    tb = tuple(spread_particles(rng, UNIT, 5) for _ in range(3))
+    ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+    report = convexity_probe(cost, (ta, tb), t_samples=ts)
+    d0, *dk = (b.positions - a.positions for a, b in zip(ta, tb))
+    q = np.mean(sum(w * (d0 - d) ** 2 for w, d in zip(cost.weights, dk)))
+    assert report.curvature > 0.0
+    assert math.isclose(report.curvature, q, rel_tol=16 * EPS)
+    assert report.endpoint_values == (coupling_value(cost, ta), coupling_value(cost, tb))
+    assert report.violations == tuple(0.0 - t * (1.0 - t) * report.curvature for t in ts)
+    assert [math.copysign(1.0, v) for v in report.violations[::4]] == [1.0, 1.0]  # +0.0
+    assert report.max_violation == 0.0
+    assert convexity_probe(cost, (ta, tb), t_samples=()).max_violation == 0.0
 
 
 # ---------------------------------------------------------------- frozen slot
