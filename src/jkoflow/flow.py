@@ -23,6 +23,7 @@ The probes read the arrays, each in a few whole-array passes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -37,19 +38,28 @@ from .jko import COLUMNS, StepProblem, _Rows
 from .transport import QuadraticCost
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Coupling:
     """A population's interaction term: cost plus the populations it couples.
 
     ``members`` lists the population indices filling the cost slots in
-    order; the owning population must appear exactly once.
+    order, integers: in a flow, the owning population first, then its
+    distinct partners, so that the owner sits in slot 0.
     """
 
     cost: QuadraticCost
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        object.__setattr__(self, "members",
+                           tuple(_integer(m, "a coupling member") for m in self.members))
         if not isinstance(self.cost, QuadraticCost):
             raise InvalidInputError("a coupling's cost must be a QuadraticCost")
         if len(self.members) != self.cost.arity:
@@ -72,6 +82,7 @@ class FlowConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
+        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
         if len(self.populations) < 2:
             raise InvalidInputError("a flow needs at least two populations")
         if not (np.isfinite(self.h) and self.h > 0):
@@ -91,10 +102,9 @@ class FlowConfig:
             c = p.coupling
             if c is None:
                 continue
-            if c.members.count(i) != 1:
-                raise InvalidInputError(
-                    f"population {i} must appear exactly once in its coupling"
-                )
+            if c.members[0] != i or len(set(c.members)) != len(c.members):
+                raise InvalidInputError(f"population {i}'s coupling must list it first, "
+                                        "then distinct partners")
             for m in c.members:
                 if not 0 <= m < len(self.populations):
                     raise InvalidInputError(f"coupling member {m} out of range")
@@ -144,12 +154,8 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     p = config.populations[i]
     if p.coupling is None:
         return StepProblem(prev=state[i], energy=p.energy, h=config.h, tol=config.tol)
-    slot = p.coupling.members.index(i)
-    frozen = tuple(state[m] for m in p.coupling.members if m != i)
-    return StepProblem(
-        prev=state[i], energy=p.energy, h=config.h, cost=p.coupling.cost,
-        frozen=frozen, slot=slot, tol=config.tol,
-    )
+    return StepProblem(prev=state[i], energy=p.energy, h=config.h, cost=p.coupling.cost,
+                       frozen=tuple(state[m] for m in p.coupling.members[1:]), tol=config.tol)
 
 
 def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
@@ -170,16 +176,16 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
             positions[c][i][0] = p.initial.positions
             groups.setdefault((p.initial.n, config.h, config.domain), []).append((c, i))
     # one kernel per group, built once: coupled populations share N, so every
-    # partner is a row of the same kernel, and each step refills its column
+    # partner is a row of the same kernel, from which each step refills its row
     kernels = []  # (members, their rows, every step's diagnostics of the rows)
     for members in groups.values():
         couplings = [configs[c].populations[i].coupling for c, i in members]
-        columns = [None if cp is None else [members.index((c, m)) for m in cp.members]
-                   for (c, _), cp in zip(members, couplings)]
+        partners = [() if cp is None else [members.index((c, m)) for m in cp.members[1:]]
+                    for (c, _), cp in zip(members, couplings)]
         problems = [_step_problem(configs[c], [p.initial for p in configs[c].populations], i)
                     for c, i in members]
         table = np.empty((n_steps, len(COLUMNS), len(members)))
-        kernels.append((members, _Rows(problems, columns), table))
+        kernels.append((members, _Rows(problems, partners), table))
     for k in range(1, n_steps + 1):
         for members, rows, table in kernels:
             try:
@@ -455,9 +461,8 @@ def weak_form_residual(
     drive = 0.0 if p.energy.f is None else x.shape[1] * _gap_gradient(  # zero energy: no drive
         p.energy, x_new.reshape(-1), config.domain.length, len(x_new))[0].reshape(x_new.shape)
     if p.coupling is not None:  # against the partners frozen at step k
-        members = p.coupling.members
         a, m, _ = p.coupling.cost.row_form(
-            members.index(i), [traj.positions[j][:-1] for j in members if j != i])
+            0, [traj.positions[j][:-1] for j in p.coupling.members[1:]])
         drive = drive + a * (x_new - m)
     pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
     ends = [float(np.mean(phi.value(traj.times[0], x[0]))),

@@ -154,26 +154,32 @@ def normalized_grid(cell_edges, cell_values) -> GridDensity:
 def grid_from_csv(path) -> GridDensity:
     """Load a GridDensity from CSV rows ``edge_left, edge_right, value``.
 
-    A single header row is skipped if its first field is not numeric.  Cells
+    The first non-blank row is a header, skipped, if its first field is not a
+    number; any other non-numeric field is refused with its line.  Cells
     must be contiguous (edge_right of one row equals edge_left of the next
     within 1e-12) and increasing.  Values are rescaled to unit mass; a total
     mass farther than 1e-6 from 1 is rejected as ill-formed.
     """
-    rows = []
+    rows, first = [], True  # first: no non-blank row read yet
     with open(path, newline="", encoding="utf-8") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
+            header, first = first, False
             if len(row) != 3:
                 raise InvalidInputError(
                     f"{path}:{lineno}: expected 3 columns (edge_left, edge_right, value)"
                 )
-            try:
-                triple = tuple(float(c) for c in row)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise InvalidInputError(f"{path}:{lineno}: non-numeric row") from None
+            triple = []
+            for c in row:
+                try:
+                    triple.append(float(c))
+                except ValueError:
+                    break
+            if len(triple) < 3:
+                if header and not triple:  # the first non-blank row, its first field no number
+                    continue
+                raise InvalidInputError(f"{path}:{lineno}: non-numeric row")
             rows.append((lineno, triple))
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")

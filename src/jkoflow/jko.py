@@ -16,10 +16,12 @@ of N particles.  The Hessian is tridiagonal, with a zero entry between rows,
 D the within-row gap difference operator, q the energy's gap curvature and
 c_ss = a, the curvature of each row's cost in its slot.  A row's cost, with
 its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each rank j
-(QuadraticCost.row_form): the rows carry a, m and c as flat arrays, so an
-evaluation calls no cost method.  Damped Newton on H (the Lagrangian Newton
-step of Blanchet, Calvez and Carrillo: one LAPACK dptsv solve per iteration
-for all rows) drops negative curvature, so every direction descends.
+(QuadraticCost.row_form): the rows carry a, m and c as flat arrays, and a
+kernel that run_flows builds refills m and c from its partner table after
+each step, so no evaluation or step calls a cost method.  Damped Newton
+on H (the Lagrangian Newton step of Blanchet, Calvez and Carrillo: one
+LAPACK dptsv solve per iteration for all rows) drops negative curvature,
+so every direction descends.
 Everything else is per row, so that a row's iterates are those it would
 take alone: its step length, cut so that its gaps stay positive and an
 outgoing wall particle stops at its wall; its Armijo backtracking on its own
@@ -35,11 +37,10 @@ once starts each step at the point the last one accepted, with its energy
 terms and a zero step; solve_step is one step of a one-row kernel, returned
 as a StepSolution.  Row r is the callers' problem r.  A step returns plain
 arrays: the (P, N) minimizer and one row of per-row diagnostics for each
-name of COLUMNS.  The minimizer is checked in one
-vectorized pass by the ParticleDensity constructor's own predicate
-(geometry.accepted); a row it refuses, with the constructor's message, or
-a non-finite E, dE/dx or Newton system is a numerical failure charged to
-one row.
+name of COLUMNS.  The minimizer is checked in one vectorized pass by the
+ParticleDensity constructor's own predicate (geometry.accepted); a row it
+refuses, with the constructor's message, or a non-finite E, dE/dx or
+Newton system is a numerical failure charged to one row.
 
 dptsv is scipy's f2py wrapper of the LAPACK routine.  _load_dptsv loads
 scipy's compiled _flapack extension straight from its file, so that
@@ -56,7 +57,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -101,9 +102,9 @@ dptsv = _load_dptsv()
 class StepProblem:
     """Data of one implicit step for one population.
 
-    ``frozen`` holds the other populations' current states in population
-    order with this population removed; ``slot`` is this population's
-    coordinate in the cost.  ``cost`` may be None for an uncoupled step.
+    ``frozen`` holds the states that fill the cost's other slots, in slot
+    order; ``slot`` is this population's coordinate in the cost (0 in a
+    flow).  ``cost`` may be None for an uncoupled step.
     """
 
     prev: ParticleDensity
@@ -181,12 +182,14 @@ class _Rows:
     against its frozen partners is (a/2)(x - m)^2 + c, from the flat arrays
     a, m and c, all 0 in an uncoupled row.  step solves every row from prev
     and makes the solution the next step's prev, keeping its evaluation as
-    ``at``; given the rows that fill each problem's cost slots (``columns``),
-    it refills m and c from them as well.
+    ``at``.  Given each row's partner rows in slot order (``partners``, for
+    problems in slot 0), it refills m and c from them through one partner
+    table: two sums over its slots, in slot order, as row_form sums them.
+    A row of weight sum 0 (uncoupled, or the zero cost) keeps m = c = 0.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
-                 columns: Sequence[Sequence[int] | None] | None = None):
+                 partners: Sequence[Sequence[int]] | None = None):
         self.count, first = len(problems), problems[0]
         self.n, self.h, self.domain = first.prev.n, first.h, first.domain
         self.energies, stop = [], 0  # (energy, its run's first row, the row after it)
@@ -203,15 +206,17 @@ class _Rows:
         self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
         self.a, self.m, self.c = (np.zeros(self.count * self.n) for _ in range(3))
         self.coupled = any(p.cost is not None for p in problems)
-        self.sources = []  # (row's slice of x, cost, slot, the rows that fill its other slots)
         for r, p in enumerate(problems):
             if p.cost is not None:
                 segment = slice(r * self.n, (r + 1) * self.n)
                 self.a[segment], self.m[segment], self.c[segment] = p.cost.row_form(
                     p.slot, [f.positions for f in p.frozen])
-                if columns is not None:
-                    self.sources.append((segment, p.cost, p.slot,
-                                         [m for c, m in enumerate(columns[r]) if c != p.slot]))
+        self.partners = None  # partner rows (K, P), their weights (K, P, 1), m's divisors (P, 1)
+        if self.coupled and partners is not None:  # padded with row 0 at weight 0
+            weights = [() if p.cost is None else p.cost.weights for p in problems]
+            self.partners = (np.array(list(zip_longest(*partners, fillvalue=0))),
+                             np.array(list(zip_longest(*weights, fillvalue=0.0)))[:, :, None],
+                             np.array([[sum(w) or 1.0] for w in weights]))  # a 0 sum divides by 1
 
     def step(self) -> _Step:
         """One implicit step of every row, warm-started at prev.  The minimizer becomes
@@ -221,8 +226,12 @@ class _Rows:
         _check_states(self.domain, block, res)
         columns = _columns(self, block, at, res, iters)
         self.prev, self.at = x, at
-        for segment, cost, slot, partners in self.sources:
-            _, self.m[segment], self.c[segment] = cost.row_form(slot, block[partners])
+        if self.partners is not None:  # row_form's two sums, in slot order, to the bit
+            index, weight, total = self.partners
+            y = block[index]
+            m = np.add.reduce(weight * y, 0, initial=0.0) / total
+            c = np.add.reduce(weight * (y - m) ** 2, 0, initial=0.0)
+            self.m, self.c = m.ravel(), c.ravel()
         return _Step(block, columns)
 
 

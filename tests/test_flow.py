@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -240,8 +241,25 @@ def _assert_same_flow(traj, ref):
             assert rho.positions.tobytes() == ref_rho.positions.tobytes()
 
 
-@pytest.mark.parametrize("make", [heat_flow_preset, barycenter3_preset, mixed_config],
-                         ids=["heat_flow", "barycenter3", "mixed"])
+def unordered_barycenter_config():
+    # population 0's three partners fill its slots out of population order, with
+    # weights that are not 1: the partner table sums them in slot order, as row_form does
+    rng = np.random.default_rng(34)
+    pair, zero = QuadraticCost((0.9,)), QuadraticCost((0.0,), "zero")
+    barycenter = Coupling(QuadraticCost((1.3, 0.3, 0.7), "barycenter"), (0, 3, 1, 2))
+    couplings = (barycenter, Coupling(pair, (1, 0)), Coupling(zero, (2, 0)),
+                 Coupling(pair, (3, 0)))
+    return FlowConfig(
+        populations=tuple(PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(), c)
+                          for c in couplings),
+        h=2e-2,
+        n_steps=5,
+    )
+
+
+@pytest.mark.parametrize("make", [heat_flow_preset, barycenter3_preset, mixed_config,
+                                  unordered_barycenter_config],
+                         ids=["heat_flow", "barycenter3", "mixed", "unordered-barycenter"])
 def test_run_flow_matches_steps_built_afresh(make):
     # the flow's kernel is built once and advanced; stale frozen columns, a
     # stale prev or stale reused energy terms would move some bit
@@ -373,12 +391,35 @@ def test_flow_validation():
                                   coupling=Coupling(pair, (0, 5)))
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(out_of_range, spec), h=1e-2, n_steps=1)
+    # a flow's coupling lists its population first, then distinct partners
+    for members, cost in [((1, 0), pair), ((0, 1, 1), QuadraticCost((1.0, 2.0)))]:
+        misplaced = PopulationSpec(initial=a, energy=entropy_energy(),
+                                   coupling=Coupling(cost, members))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "population 0's coupling must list it first, then distinct partners")):
+            FlowConfig(populations=(misplaced, spec), h=1e-2, n_steps=1)
     mismatched = PopulationSpec(
         initial=from_grid(gaussian_profile(UNIT, 0.5, 0.1), 9),
         energy=entropy_energy(), coupling=Coupling(pair, (0, 1)),
     )
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(mismatched, spec), h=1e-2, n_steps=1)
+
+
+def test_coupling_refuses_members_that_are_not_integers():
+    pair = QuadraticCost((1.0,))
+    assert Coupling(pair, (np.int64(0), np.int32(1))).members == (0, 1)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "a coupling member must be an integer, got 1.7")):
+        Coupling(pair, (0, 1.7))
+
+
+def test_flow_config_refuses_a_step_count_that_is_not_an_integer():
+    spec = PopulationSpec(initial=from_grid(gaussian_profile(UNIT, 0.5, 0.1), 8),
+                          energy=entropy_energy())
+    assert type(FlowConfig((spec, spec), h=1e-2, n_steps=np.int64(2)).n_steps) is int
+    with pytest.raises(InvalidInputError, match="^n_steps must be an integer, got 2.5$"):
+        FlowConfig((spec, spec), h=1e-2, n_steps=2.5)
 
 
 # ------------------------------------------------------------------ estimates

@@ -157,13 +157,14 @@ def test_grid_from_csv(tmp_path):
     ("\n0.0,1.0\n", ":2: expected 3 columns (edge_left, edge_right, value)"),
     ("0.0,1.0\n", ":1: expected 3 columns (edge_left, edge_right, value)"),
     ("0.0,0.5,1.0\n0.5,1.0,abc\n", ":2: non-numeric row"),
+    ("0.0,0.5,x\n0.5,1.0,1.0\n", ":1: non-numeric row"),
     ("edge_left,edge_right,value\n", ": no data rows"),
     ("0.5,0.5,1.0\n", ":1: edge_right must exceed edge_left"),
     ("0.0,0.5,-1.0\n0.5,1.0,3.0\n", ":1: negative value"),
     ("0.0,1.0,2.0\n", ": grid mass 2.0 too far from 1 (normalize the file first)"),
     ("0.0,2.0,0.5\n", "grid support must be contained in the requested domain"),
-], ids=["blank-row-counted", "column-count", "non-numeric", "no-data", "empty-cell",
-        "negative", "mass", "outside-domain"])
+], ids=["blank-row-counted", "column-count", "non-numeric", "non-numeric-first-row",
+        "no-data", "empty-cell", "negative", "mass", "outside-domain"])
 def test_grid_from_csv_refusals(tmp_path, text, message):
     # each refusal of a grid file, as a scenario's csv initial meets it on [0, 1]; the
     # file's own refusals name it, and a blank row is skipped but keeps its line number
@@ -173,6 +174,13 @@ def test_grid_from_csv_refusals(tmp_path, text, message):
         message = f"{f}{message}"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         from_grid(grid_from_csv(f), 8, domain=UNIT)
+
+
+def test_grid_from_csv_header_after_a_blank_line(tmp_path):
+    # the header is the first non-blank row, wherever that is
+    f = tmp_path / "grid.csv"
+    f.write_text("\nedge_left,edge_right,value\n0.0,0.5,1.0\n0.5,1.0,1.0\n")
+    assert grid_from_csv(f).cell_edges.tolist() == [0.0, 0.5, 1.0]
 
 
 def _elementwise_mass(values, edges):

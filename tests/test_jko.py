@@ -15,7 +15,9 @@ from jkoflow import (
     ParticleDensity,
     PopulationSpec,
     QuadraticCost,
+    barycenter3_preset,
     bump_profile,
+    contraction_rerun,
     coupling_value,
     energy_value,
     entropy_energy,
@@ -23,9 +25,11 @@ from jkoflow import (
     gaussian_profile,
     power_law_energy,
     run_flow,
+    run_flows,
     zero_energy,
 )
 import jkoflow.energy as energy_module
+import jkoflow.flow as flow_module
 import jkoflow.jko as jko_module
 from jkoflow.jko import (
     StepProblem,
@@ -192,9 +196,19 @@ def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
         calls["_gaps"] += 1
         return gaps(*args)
 
+    monkeypatch.setattr(energy_module, "_gaps", counted_gaps)
+    _refuse_cost_after_build(monkeypatch, calls["cost"], jko_module)
+    sol = solve_step(problem)
+    assert sol.iterations >= 3
+    assert calls == {"_gaps": sol.iterations + 1, "cost": []}
+
+
+def _refuse_cost_after_build(monkeypatch, calls, *modules):
+    """Once a step kernel is built through the _Rows of any of ``modules``, every
+    QuadraticCost method and its arity append their name to ``calls`` and raise."""
     def refuse(name):
         def method(*args):
-            calls["cost"].append(name)
+            calls.append(name)
             raise AssertionError(f"QuadraticCost.{name} called after the kernel's build")
         return method
 
@@ -208,11 +222,24 @@ def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
                                 property(wrapped) if name == "arity" else wrapped)
         return rows
 
-    monkeypatch.setattr(energy_module, "_gaps", counted_gaps)
-    monkeypatch.setattr(jko_module, "_Rows", built)
-    sol = solve_step(problem)
-    assert sol.iterations >= 3
-    assert calls == {"_gaps": sol.iterations + 1, "cost": []}
+    for module in modules:
+        monkeypatch.setattr(module, "_Rows", built)
+
+
+def test_run_flows_calls_row_form_only_at_the_kernel_build(monkeypatch):
+    # a flow's kernel refills each coupled row's m and c from its partner table: row_form
+    # runs once per coupled row when the one kernel of the flow and its rerun is built
+    config = barycenter3_preset(n=16, n_steps=3)
+    rerun = contraction_rerun(config, [from_grid(gaussian_profile(UNIT, c, 0.1), 16)
+                                       for c in (0.35, 0.55, 0.65)])
+    row_form, built_with, calls = QuadraticCost.row_form, [], []
+    monkeypatch.setattr(QuadraticCost, "row_form",
+                        lambda cost, *args: built_with.append(cost) or row_form(cost, *args))
+    _refuse_cost_after_build(monkeypatch, calls, jko_module, flow_module)
+    traj, rerun_traj = run_flows((config, rerun))
+    assert calls == []
+    assert len(built_with) == 6
+    assert traj.positions[0].shape == rerun_traj.positions[0].shape == (4, 16)
 
 
 @pytest.mark.parametrize("cost, slot", [
