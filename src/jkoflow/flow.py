@@ -34,7 +34,7 @@ from . import _trajectory_text
 from .energy import InternalEnergy, _gap_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
-from .jko import COLUMNS, StepProblem, _Rows
+from .jko import COLUMNS, StepProblem, _Rows, _check_h_and_tol
 from .transport import QuadraticCost
 
 
@@ -85,12 +85,9 @@ class FlowConfig:
         object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps"))
         if len(self.populations) < 2:
             raise InvalidInputError("a flow needs at least two populations")
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise InvalidInputError("step size h must be positive")
+        _check_h_and_tol(self.h, self.tol)
         if self.n_steps < 1:
             raise InvalidInputError("need at least one step")
-        if self.tol is not None and not 0 < self.tol < np.inf:
-            raise InvalidInputError("tol must be positive and finite")
         dom = self.populations[0].initial.domain
         for i, p in enumerate(self.populations):
             if p.initial.domain != dom:

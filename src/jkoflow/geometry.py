@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class Domain:
     upper: float
 
     def __post_init__(self):
+        if not (isinstance(self.lower, numbers.Real) and isinstance(self.upper, numbers.Real)):
+            raise InvalidInputError(
+                f"domain bounds must be real numbers, got [{self.lower!r}, {self.upper!r}]")
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise InvalidInputError("domain bounds must be finite")
         if not self.lower < self.upper:
@@ -155,10 +159,11 @@ def grid_from_csv(path) -> GridDensity:
     """Load a GridDensity from CSV rows ``edge_left, edge_right, value``.
 
     The first non-blank row is a header, skipped, if its first field is not a
-    number; any other non-numeric field is refused with its line.  Cells
-    must be contiguous (edge_right of one row equals edge_left of the next
-    within 1e-12) and increasing.  Values are rescaled to unit mass; a total
-    mass farther than 1e-6 from 1 is rejected as ill-formed.
+    number; any other non-numeric field, and any inf or nan, is refused with
+    its line.  Cells must be contiguous (edge_right of one row equals
+    edge_left of the next within 1e-12) and increasing.  Values are rescaled
+    to unit mass; a total mass farther than 1e-6 from 1 is rejected as
+    ill-formed.
     """
     rows, first = [], True  # first: no non-blank row read yet
     with open(path, newline="", encoding="utf-8") as f:
@@ -180,6 +185,8 @@ def grid_from_csv(path) -> GridDensity:
                 if header and not triple:  # the first non-blank row, its first field no number
                     continue
                 raise InvalidInputError(f"{path}:{lineno}: non-numeric row")
+            if not all(map(math.isfinite, triple)):
+                raise InvalidInputError(f"{path}:{lineno}: non-finite value")
             rows.append((lineno, triple))
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")

@@ -54,6 +54,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,6 +99,18 @@ def _load_dptsv():
 dptsv = _load_dptsv()
 
 
+def _check_h_and_tol(h, tol) -> None:
+    """Refuse a step size ``h``, or a tolerance ``tol`` other than None (the default),
+    that is not a positive, finite real number: StepProblem's and FlowConfig's check."""
+    for name, value in (("step size h", h), ("tol", 1.0 if tol is None else tol)):
+        if not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidInputError(f"step size h must be positive, got {h!r}")
+    if tol is not None and not 0 < tol < np.inf:
+        raise InvalidInputError("tol must be positive and finite")
+
+
 @dataclass(frozen=True)
 class StepProblem:
     """Data of one implicit step for one population.
@@ -116,8 +129,7 @@ class StepProblem:
     tol: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.h) or self.h <= 0:
-            raise InvalidInputError(f"step size h must be positive, got {self.h!r}")
+        _check_h_and_tol(self.h, self.tol)
         if self.cost is not None:
             if not isinstance(self.cost, QuadraticCost):
                 raise InvalidInputError("a step problem's cost must be a QuadraticCost")
@@ -130,8 +142,6 @@ class StepProblem:
             for m in self.frozen:
                 if m.n != self.prev.n or m.domain != self.prev.domain:
                     raise InvalidInputError("coupled populations must share one N and one domain")
-        if self.tol is not None and not 0 < self.tol < np.inf:
-            raise InvalidInputError("tol must be positive and finite")
 
     @property
     def domain(self) -> Domain:

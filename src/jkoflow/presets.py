@@ -1,8 +1,8 @@
 """Ready-made flow configurations and the analytic profiles they test.
 
-Every preset is deterministic: initial particles come from exact quantile
-discretization of closed-form density profiles, so repeated runs produce
-byte-identical output.
+Each preset is the flow of a shipped scenario, ``scenarios/<name>.yaml`` in
+this package.  Initial particles come from exact quantile discretization of
+closed-form density profiles, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import entropy_energy, power_law_energy, zero_energy
 from .errors import InvalidInputError
-from .flow import Coupling, FlowConfig, PopulationSpec
-from .geometry import Domain, GridDensity, ParticleDensity, from_grid, normalized_grid
-from .transport import QuadraticCost
+from .flow import FlowConfig
+from .geometry import Domain, GridDensity, normalized_grid
 
 PROFILE_CELLS = 2048  # resolution used to discretize closed-form densities
 
@@ -73,83 +71,49 @@ def barenblatt_profile(t: float, domain: Domain) -> GridDensity:
     return profile_grid(domain, density)
 
 
-def identity_preset(n: int = 16, h: float = 0.1, n_steps: int = 5) -> FlowConfig:
-    """Two inert populations: no internal energy, no coupling.
+def _shipped(name: str, n=None, h=None, n_steps=None, t0=None) -> FlowConfig:
+    """The flow of the shipped ``scenarios/<name>.yaml``, each keyword given replacing the
+    file's value: every population's ``n``, ``h``, ``n_steps`` and every profile's ``t0``."""
+    from dataclasses import replace
+    from pathlib import Path
 
-    States must stay exactly at their initial positions, which makes this
-    the reference scenario for determinism checks.
-    """
-    dom = Domain(0.0, 1.0)
-    rho_a = from_grid(gaussian_profile(dom, 0.4, 0.15), n)
-    rho_b = from_grid(bump_profile(dom, 0.6, 0.3), n)
-    return FlowConfig(
-        populations=(
-            PopulationSpec(initial=rho_a, energy=zero_energy()),
-            PopulationSpec(initial=rho_b, energy=zero_energy()),
-        ),
-        h=h,
-        n_steps=n_steps,
-    )
+    from .cli import build_flow_config, parse_scenario  # cli imports this module
 
+    def given(spec, **values):
+        return replace(spec, **{k: v for k, v in values.items() if v is not None})
 
-def heat_flow_preset(n: int = 128, h: float = 1e-2, n_steps: int = 200) -> FlowConfig:
-    """Two uncoupled entropy flows on the unit interval.
-
-    Each population follows the implicit scheme for the heat equation with
-    no-flux walls; both relax toward the uniform density.
-    """
-    dom = Domain(0.0, 1.0)
-    rho_a = from_grid(gaussian_profile(dom, 0.3, 0.1), n)
-    rho_b = from_grid(bump_profile(dom, 0.7, 0.25), n)
-    return FlowConfig(
-        populations=(
-            PopulationSpec(initial=rho_a, energy=entropy_energy()),
-            PopulationSpec(initial=rho_b, energy=entropy_energy()),
-        ),
-        h=h,
-        n_steps=n_steps,
-    )
+    scenario = parse_scenario(
+        Path(__file__).with_name("scenarios").joinpath(f"{name}.yaml").read_text(encoding="utf-8"))
+    pops = tuple(replace(p, initial=given(p.initial, n=n, profile=None if t0 is None
+                                          else replace(p.initial.profile, t0=t0)))
+                 for p in scenario.flow.populations)
+    flow = given(scenario.flow, populations=pops, h=h, n_steps=n_steps)
+    return build_flow_config(replace(scenario, flow=flow))
 
 
-def barycenter3_preset(n: int = 128, h: float = 1e-2, n_steps: int = 100) -> FlowConfig:
-    """Three diffusing populations pulled together pairwise.
-
-    Population 0 is attracted to both others through a two-target
-    quadratic cost; populations 1 and 2 are each attracted back to
-    population 0.  All three carry the entropy energy.
-    """
-    dom = Domain(0.0, 1.0)
-    mk = lambda c: from_grid(gaussian_profile(dom, c, 0.08), n)
-    pair = QuadraticCost((1.0,), "quadratic_pairwise")
-    return FlowConfig(
-        populations=(
-            PopulationSpec(
-                initial=mk(0.25), energy=entropy_energy(),
-                coupling=Coupling(QuadraticCost((1.0, 1.0), "barycenter"), (0, 1, 2)),
-            ),
-            PopulationSpec(
-                initial=mk(0.5), energy=entropy_energy(),
-                coupling=Coupling(pair, (1, 0)),
-            ),
-            PopulationSpec(
-                initial=mk(0.75), energy=entropy_energy(),
-                coupling=Coupling(pair, (2, 0)),
-            ),
-        ),
-        h=h,
-        n_steps=n_steps,
-    )
+def identity_preset(n: int | None = None, h: float | None = None,
+                    n_steps: int | None = None) -> FlowConfig:
+    """Two inert populations, no energy and no coupling: ``scenarios/identity.yaml``."""
+    return _shipped("identity", n, h, n_steps)
 
 
-def porous_medium_preset(
-    n: int = 256, h: float = 2e-3, n_steps: int = 25, t0: float = 0.01
-) -> FlowConfig:
-    """Two copies of the quadratic porous-medium flow started at a source
-    profile, for comparison against the self-similar solution at t0 + T."""
-    dom = Domain(-1.0, 1.0)
-    rho = from_grid(barenblatt_profile(t0, dom), n)
-    spec = PopulationSpec(initial=rho, energy=power_law_energy(2.0))
-    return FlowConfig(populations=(spec, spec), h=h, n_steps=n_steps)
+def heat_flow_preset(n: int | None = None, h: float | None = None,
+                     n_steps: int | None = None) -> FlowConfig:
+    """Two uncoupled entropy flows, the discrete heat equation: ``scenarios/heat_flow.yaml``."""
+    return _shipped("heat_flow", n, h, n_steps)
+
+
+def barycenter3_preset(n: int | None = None, h: float | None = None,
+                       n_steps: int | None = None) -> FlowConfig:
+    """Three entropy populations pulled toward a barycenter: ``scenarios/barycenter3.yaml``."""
+    return _shipped("barycenter3", n, h, n_steps)
+
+
+def porous_medium_preset(n: int | None = None, h: float | None = None,
+                         n_steps: int | None = None, t0: float | None = None) -> FlowConfig:
+    """Two quadratic porous-medium flows started from the source solution at ``t0``, to
+    compare with it at t0 + T: ``scenarios/porous_medium.yaml``."""
+    return _shipped("porous_medium", n, h, n_steps, t0)
 
 
 PRESETS: dict[str, Callable[[], FlowConfig]] = {

@@ -22,7 +22,8 @@ from jkoflow.cli import (
 )
 from jkoflow.errors import InvalidInputError
 from jkoflow.flow import ContractionReport, contraction_rerun, run_flow
-from jkoflow.presets import PRESETS
+from jkoflow.geometry import Domain, from_grid
+from jkoflow.presets import PRESETS, barenblatt_profile, heat_flow_preset, porous_medium_preset
 
 from helpers import leak_past_wall, serialize_scenario, wrong_sign_energy
 
@@ -202,21 +203,21 @@ def test_shipped_scenarios_round_trip(name):
     assert parse_scenario(serialize_scenario(s)) == s
 
 
-@pytest.mark.parametrize(
-    "name", ["identity", "heat_flow", "barycenter3", "porous_medium"]
-)
-def test_shipped_scenarios_match_presets(name):
-    # the gates test the presets and users run the files: both must be one flow
-    from_file = build_flow_config(parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text()))
-    preset = PRESETS[name]()
-    for field in ("h", "n_steps", "tol"):
-        assert getattr(from_file, field) == getattr(preset, field), field
-    runs = [run_flow(dataclasses.replace(c, n_steps=2)) for c in (from_file, preset)]
-    assert runs[0].times == runs[1].times
-    for state_a, state_b in zip(runs[0].states, runs[1].states, strict=True):
-        for a, b in zip(state_a, state_b, strict=True):
-            assert a.domain == b.domain
-            assert np.array_equal(a.positions, b.positions)
+def test_presets_are_the_shipped_files_with_the_given_values():
+    # a preset reads its file, so every shipped file has one and enters each PRESETS gate
+    assert sorted(PRESETS) == sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml"))
+    for name, make in PRESETS.items():
+        flow = parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text()).flow
+        config = make()
+        assert (config.h, config.n_steps) == (flow.h, flow.n_steps)
+        assert [p.initial.n for p in config.populations] == [p.initial.n for p in flow.populations]
+    heat = heat_flow_preset(n=16, h=0.02, n_steps=3)
+    assert (heat.h, heat.n_steps) == (0.02, 3)
+    assert [p.initial.n for p in heat.populations] == [16, 16]
+    want = from_grid(barenblatt_profile(0.02, Domain(-1.0, 1.0)), 32)
+    for pop in porous_medium_preset(n=32, t0=0.02).populations:
+        assert pop.initial.domain == want.domain
+        assert np.array_equal(pop.initial.positions, want.positions)
 
 
 def test_round_trip_preserves_custom_energy_and_probe_options():
@@ -603,7 +604,9 @@ def test_main_missing_initial_csv_exits_2(tmp_path, capsys):
     (b"0.0,2.0,0.5\n", "grid support must be contained in the requested domain"),
     (b"0.0,1.0,1.0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 12: "
                                "invalid start byte"),
-], ids=["outside-domain", "not-utf8"])
+    # an infinite edge makes the mass sum inf * 0: refused before it is summed
+    (b"0.0,1.0,1.0\n1.0,inf,0.0\n", ":2: non-finite value"),
+], ids=["outside-domain", "not-utf8", "inf-edge"])
 def test_bad_csv_initial_names_its_field(tmp_path, capsys, content, message):
     grid = tmp_path / "grid.csv"
     grid.write_bytes(content)
@@ -612,10 +615,11 @@ def test_bad_csv_initial_names_its_field(tmp_path, capsys, content, message):
         "initial: {n: 8, profile: {type: bump, center: 0.6, half_width: 0.2}}",
         f"initial: {{n: 8, csv: {grid}}}",
     ))
+    where = f"{grid}{message}" if message.startswith(":") else f"{grid}: {message}"
     for args in (["--validate-only"], ["--output-dir", str(tmp_path / "out"), "--quiet"]):
         assert main([str(path), *args]) == 2
         assert capsys.readouterr().err == (
-            f"input error: flow.populations[1].initial.csv: {grid}: {message}\n")
+            f"input error: flow.populations[1].initial.csv: {where}\n")
     assert not (tmp_path / "out" / "trajectory_pop0.csv").exists()
 
 

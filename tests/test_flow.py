@@ -42,7 +42,7 @@ from jkoflow import (
 )
 import jkoflow.jko as jko_module
 from jkoflow.flow import _step_problem
-from jkoflow.jko import COLUMNS, StepSolution
+from jkoflow.jko import COLUMNS, StepProblem, StepSolution
 from helpers import leak_past_wall, reference_run_flow, spread_particles, wrong_sign_energy
 from oracle import CostFunction, per_step_contraction_distances, per_step_weak_form
 
@@ -420,6 +420,21 @@ def test_flow_config_refuses_a_step_count_that_is_not_an_integer():
     assert type(FlowConfig((spec, spec), h=1e-2, n_steps=np.int64(2)).n_steps) is int
     with pytest.raises(InvalidInputError, match="^n_steps must be an integer, got 2.5$"):
         FlowConfig((spec, spec), h=1e-2, n_steps=2.5)
+
+
+@pytest.mark.parametrize("make", ["FlowConfig", "StepProblem"])
+@pytest.mark.parametrize("field, value, name", [("h", "0.1", "step size h"), ("tol", "x", "tol")])
+def test_step_size_and_tol_must_be_real_numbers(make, field, value, name):
+    # FlowConfig and StepProblem share one check, which names a field that holds no number
+    a = from_grid(gaussian_profile(UNIT, 0.5, 0.1), 8)
+    given = {"h": 1e-2, field: value}
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{name} must be a real number, got {value!r}")):
+        if make == "FlowConfig":
+            spec = PopulationSpec(initial=a, energy=entropy_energy())
+            FlowConfig((spec, spec), n_steps=1, **given)
+        else:
+            StepProblem(prev=a, energy=entropy_energy(), **given)
 
 
 # ------------------------------------------------------------------ estimates

@@ -163,8 +163,12 @@ def test_grid_from_csv(tmp_path):
     ("0.0,0.5,-1.0\n0.5,1.0,3.0\n", ":1: negative value"),
     ("0.0,1.0,2.0\n", ": grid mass 2.0 too far from 1 (normalize the file first)"),
     ("0.0,2.0,0.5\n", "grid support must be contained in the requested domain"),
+    ("0.0,1.0,1.0\n1.0,inf,0.0\n", ":2: non-finite value"),
+    ("0.0,0.5,1.0\n0.5,1.0,nan\n", ":2: non-finite value"),
+    ("0.0,0.5,1.0\n0.5,1.0,1e999\n", ":2: non-finite value"),
 ], ids=["blank-row-counted", "column-count", "non-numeric", "non-numeric-first-row",
-        "no-data", "empty-cell", "negative", "mass", "outside-domain"])
+        "no-data", "empty-cell", "negative", "mass", "outside-domain", "inf-edge", "nan-value",
+        "overflowing-value"])
 def test_grid_from_csv_refusals(tmp_path, text, message):
     # each refusal of a grid file, as a scenario's csv initial meets it on [0, 1]; the
     # file's own refusals name it, and a blank row is skipped but keeps its line number
@@ -174,6 +178,16 @@ def test_grid_from_csv_refusals(tmp_path, text, message):
         message = f"{f}{message}"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         from_grid(grid_from_csv(f), 8, domain=UNIT)
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    ("0", 1.0, "domain bounds must be real numbers, got ['0', 1.0]"),
+    (0.0, math.inf, "domain bounds must be finite"),
+    (1.0, 0.0, "domain needs lower < upper, got [1.0, 0.0]"),
+], ids=["not-a-number", "infinite", "reversed"])
+def test_domain_refusals(lower, upper, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        Domain(lower, upper)
 
 
 def test_grid_from_csv_header_after_a_blank_line(tmp_path):
