@@ -105,7 +105,10 @@ def _read(node, kind, path: str):
     if isinstance(node, bool) or not isinstance(node, (int, float) if shape is float else shape):
         _fail(path, f"expected {_NOUNS[shape]}")
     if isinstance(kind, type):
-        return kind(node)
+        try:
+            return kind(node)
+        except OverflowError:  # an integer too large for a float
+            _fail(path, "out of range for a float")
     if isinstance(kind, list):
         return tuple(_read(v, kind[0], f"{path}[{i}]") for i, v in enumerate(node))
     if isinstance(kind, dict):
@@ -168,9 +171,9 @@ def _run_convexity_probe(probe, config, traj, others) -> tuple[str, list[str]]:
     for i, pop in enumerate(config.populations):
         if pop.coupling is None:
             continue
-        members = pop.coupling.members
-        end_a = tuple(config.populations[m].initial for m in members)
-        end_b = tuple(others[m] for m in members)
+        slots = (i, *pop.coupling.partners)
+        end_a = tuple(config.populations[m].initial for m in slots)
+        end_b = tuple(others[m] for m in slots)
         report = convexity_probe(pop.coupling.cost, (end_a, end_b), t_samples)
         lines.append(f"population {i} cost={pop.coupling.cost.name}: "
                      f"q={_fmt(report.curvature)} margin={_fmt(0.0 - report.max_violation)}")
@@ -308,10 +311,10 @@ def parse_scenario(text: str) -> Scenario:
     scenario = _read(doc, SCENARIO, "")
     n_pops = len(scenario.flow.populations)
     for i, p in enumerate(scenario.flow.populations):
-        members = (i,) + (_cost_partners(p.coupling) if p.coupling is not None else ())
-        if len(set(members)) != len(members):
+        slots = (i,) + (_cost_partners(p.coupling) if p.coupling is not None else ())
+        if len(set(slots)) != len(slots):
             _fail(f"flow.populations[{i}].coupling", "partners must be distinct other populations")
-        for j in members:
+        for j in slots:
             if not 0 <= j < n_pops:
                 _fail(f"flow.populations[{i}].coupling", f"partner {j} out of range")
     for i, probe in enumerate(scenario.probes):
@@ -350,8 +353,7 @@ def build_flow_config(scenario: Scenario) -> FlowConfig:
     for i, p in enumerate(flow.populations):
         coupling = None
         if p.coupling is not None:
-            members = (i,) + _cost_partners(p.coupling)
-            coupling = Coupling(COST.build(p.coupling), members)
+            coupling = Coupling(COST.build(p.coupling), _cost_partners(p.coupling))
         initial = _build_initial(p.initial, domain, f"flow.populations[{i}].initial")
         pops.append(PopulationSpec(initial, ENERGY.build(p.energy), coupling))
     return FlowConfig(tuple(pops), flow.h, flow.n_steps, flow.tol)

@@ -35,7 +35,7 @@ from .energy import InternalEnergy, _gap_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity
 from .jko import COLUMNS, StepProblem, _Rows, _check_h_and_tol
-from .transport import QuadraticCost
+from .transport import QuadraticCost, centred
 
 
 def _integer(value, name: str) -> int:
@@ -47,23 +47,23 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Coupling:
-    """A population's interaction term: cost plus the populations it couples.
+    """A population's interaction term: its cost and the partners it is coupled with.
 
-    ``members`` lists the population indices filling the cost slots in
-    order, integers: in a flow, the owning population first, then its
-    distinct partners, so that the owner sits in slot 0.
+    The owning population fills the cost's slot 0; ``partners`` lists the
+    indices of the distinct other populations that fill slots 1, 2, ...
+    in order, integers.
     """
 
     cost: QuadraticCost
-    members: tuple[int, ...]
+    partners: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members",
-                           tuple(_integer(m, "a coupling member") for m in self.members))
+        object.__setattr__(self, "partners",
+                           tuple(_integer(m, "a coupling partner") for m in self.partners))
         if not isinstance(self.cost, QuadraticCost):
             raise InvalidInputError("a coupling's cost must be a QuadraticCost")
-        if len(self.members) != self.cost.arity:
-            raise InvalidInputError("coupling members must fill every cost slot")
+        if len(self.partners) != self.cost.arity - 1:
+            raise InvalidInputError("coupling partners must fill every cost slot but the owner's")
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,12 @@ class FlowConfig:
             c = p.coupling
             if c is None:
                 continue
-            if c.members[0] != i or len(set(c.members)) != len(c.members):
-                raise InvalidInputError(f"population {i}'s coupling must list it first, "
-                                        "then distinct partners")
-            for m in c.members:
+            if i in c.partners or len(set(c.partners)) != len(c.partners):
+                raise InvalidInputError(f"population {i}'s coupling partners must be "
+                                        "distinct other populations")
+            for m in c.partners:
                 if not 0 <= m < len(self.populations):
-                    raise InvalidInputError(f"coupling member {m} out of range")
+                    raise InvalidInputError(f"coupling partner {m} out of range")
                 if self.populations[m].initial.n != p.initial.n:
                     raise InvalidInputError(
                         "coupled populations must share one particle count"
@@ -152,7 +152,7 @@ def _step_problem(config: FlowConfig, state, i: int) -> StepProblem:
     if p.coupling is None:
         return StepProblem(prev=state[i], energy=p.energy, h=config.h, tol=config.tol)
     return StepProblem(prev=state[i], energy=p.energy, h=config.h, cost=p.coupling.cost,
-                       frozen=tuple(state[m] for m in p.coupling.members[1:]), tol=config.tol)
+                       frozen=tuple(state[m] for m in p.coupling.partners), tol=config.tol)
 
 
 def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
@@ -177,7 +177,7 @@ def run_flows(configs: Sequence[FlowConfig]) -> tuple[FlowTrajectory, ...]:
     kernels = []  # (members, their rows, every step's diagnostics of the rows)
     for members in groups.values():
         couplings = [configs[c].populations[i].coupling for c, i in members]
-        partners = [() if cp is None else [members.index((c, m)) for m in cp.members[1:]]
+        partners = [() if cp is None else [members.index((c, m)) for m in cp.partners]
                     for (c, _), cp in zip(members, couplings)]
         problems = [_step_problem(configs[c], [p.initial for p in configs[c].populations], i)
                     for c, i in members]
@@ -458,9 +458,9 @@ def weak_form_residual(
     drive = 0.0 if p.energy.f is None else x.shape[1] * _gap_gradient(  # zero energy: no drive
         p.energy, x_new.reshape(-1), config.domain.length, len(x_new))[0].reshape(x_new.shape)
     if p.coupling is not None:  # against the partners frozen at step k
-        a, m, _ = p.coupling.cost.row_form(
-            0, [traj.positions[j][:-1] for j in p.coupling.members[1:]])
-        drive = drive + a * (x_new - m)
+        weights = p.coupling.cost.weights
+        m, _ = centred(weights, [traj.positions[j][:-1] for j in p.coupling.partners])
+        drive = drive + 2.0 * sum(weights, 0.0) * (x_new - m)
     pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
     ends = [float(np.mean(phi.value(traj.times[0], x[0]))),
             float(-np.mean(phi.value(traj.times[-1], x[-1])))]

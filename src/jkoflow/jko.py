@@ -14,11 +14,11 @@ of N particles.  The Hessian is tridiagonal, with a zero entry between rows,
     H = (2/N) I + 2h D^T diag(q) D + (2h/N) diag(c_ss),
 
 D the within-row gap difference operator, q the energy's gap curvature and
-c_ss = a, the curvature of each row's cost in its slot.  A row's cost, with
-its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each rank j
-(QuadraticCost.row_form): the rows carry a, m and c as flat arrays, and a
+c_ss = a, the curvature of each row's cost in slot 0, the population's own.
+A row's cost, with its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each
+rank j (transport.centred): the rows carry a, m and c as flat arrays, and a
 kernel that run_flows builds refills m and c from its partner table after
-each step, so no evaluation or step calls a cost method.  Damped Newton
+each step, so no evaluation calls a cost method.  Damped Newton
 on H (the Lagrangian Newton step of Blanchet, Calvez and Carrillo: one
 LAPACK dptsv solve per iteration for all rows) drops negative curvature,
 so every direction descends.
@@ -66,7 +66,7 @@ import numpy as np
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, accepted
-from .transport import QuadraticCost
+from .transport import QuadraticCost, centred
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
@@ -115,9 +115,9 @@ def _check_h_and_tol(h, tol) -> None:
 class StepProblem:
     """Data of one implicit step for one population.
 
-    ``frozen`` holds the states that fill the cost's other slots, in slot
-    order; ``slot`` is this population's coordinate in the cost (0 in a
-    flow).  ``cost`` may be None for an uncoupled step.
+    The population fills slot 0 of ``cost``, and ``frozen`` holds its
+    partners' states, which fill the other slots in slot order.  ``cost``
+    may be None for an uncoupled step.
     """
 
     prev: ParticleDensity
@@ -125,7 +125,6 @@ class StepProblem:
     h: float
     cost: QuadraticCost | None = None
     frozen: tuple[ParticleDensity, ...] = ()
-    slot: int = 0
     tol: float | None = None
 
     def __post_init__(self):
@@ -137,8 +136,6 @@ class StepProblem:
                 raise InvalidInputError(
                     "frozen tuple must hold every other coupled population"
                 )
-            if not 0 <= self.slot < self.cost.arity:
-                raise InvalidInputError(f"slot {self.slot} out of range")
             for m in self.frozen:
                 if m.n != self.prev.n or m.domain != self.prev.domain:
                     raise InvalidInputError("coupled populations must share one N and one domain")
@@ -190,12 +187,12 @@ class _Rows:
     Row r is problem r.  Each maximal run of adjacent rows that share one
     energy is a block that a single gap pass evaluates.  Each particle's cost
     against its frozen partners is (a/2)(x - m)^2 + c, from the flat arrays
-    a, m and c, all 0 in an uncoupled row.  step solves every row from prev
-    and makes the solution the next step's prev, keeping its evaluation as
-    ``at``.  Given each row's partner rows in slot order (``partners``, for
-    problems in slot 0), it refills m and c from them through one partner
-    table: two sums over its slots, in slot order, as row_form sums them.
-    A row of weight sum 0 (uncoupled, or the zero cost) keeps m = c = 0.
+    a, m and c of a coupled kernel, all 0 in an uncoupled row: centred on a
+    (K, P, N) table of the rows' frozen partners in slot order, their weights
+    beside it, padded with zero rows at weight 0.  step solves every row from
+    prev and makes the solution the next step's prev, keeping its evaluation
+    as ``at``.  Given each row's partner rows (``partners``), it refills m and
+    c from the table of those rows' new states.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
@@ -214,19 +211,18 @@ class _Rows:
         self.ends = [e for r in range(self.count) for e in (
             (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
         self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
-        self.a, self.m, self.c = (np.zeros(self.count * self.n) for _ in range(3))
         self.coupled = any(p.cost is not None for p in problems)
-        for r, p in enumerate(problems):
-            if p.cost is not None:
-                segment = slice(r * self.n, (r + 1) * self.n)
-                self.a[segment], self.m[segment], self.c[segment] = p.cost.row_form(
-                    p.slot, [f.positions for f in p.frozen])
-        self.partners = None  # partner rows (K, P), their weights (K, P, 1), m's divisors (P, 1)
-        if self.coupled and partners is not None:  # padded with row 0 at weight 0
+        self.partners = None  # each row's partner rows (K, P), padded with row 0, if refilled
+        if self.coupled:
             weights = [() if p.cost is None else p.cost.weights for p in problems]
-            self.partners = (np.array(list(zip_longest(*partners, fillvalue=0))),
-                             np.array(list(zip_longest(*weights, fillvalue=0.0)))[:, :, None],
-                             np.array([[sum(w) or 1.0] for w in weights]))  # a 0 sum divides by 1
+            self.weights = np.array(list(zip_longest(*weights, fillvalue=0.0)))[:, :, None]
+            self.a = np.repeat(2.0 * sum(self.weights, 0.0).ravel(), self.n)
+            frozen = [[f.positions for f in p.frozen] for p in problems]
+            m, c = centred(self.weights, np.array(list(zip_longest(*frozen,
+                                                                  fillvalue=np.zeros(self.n)))))
+            self.m, self.c = m.ravel(), c.ravel()
+            if partners is not None:
+                self.partners = np.array(list(zip_longest(*partners, fillvalue=0)))
 
     def step(self) -> _Step:
         """One implicit step of every row, warm-started at prev.  The minimizer becomes
@@ -236,11 +232,8 @@ class _Rows:
         _check_states(self.domain, block, res)
         columns = _columns(self, block, at, res, iters)
         self.prev, self.at = x, at
-        if self.partners is not None:  # row_form's two sums, in slot order, to the bit
-            index, weight, total = self.partners
-            y = block[index]
-            m = np.add.reduce(weight * y, 0, initial=0.0) / total
-            c = np.add.reduce(weight * (y - m) ** 2, 0, initial=0.0)
+        if self.partners is not None:
+            m, c = centred(self.weights, block[self.partners])
             self.m, self.c = m.ravel(), c.ravel()
         return _Step(block, columns)
 

@@ -25,7 +25,8 @@ def profile_grid(
     """Midpoint-sampled, renormalized piecewise-constant version of a density."""
     edges = np.linspace(domain.lower, domain.upper, cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = np.maximum(np.asarray(density(mids), dtype=float), 0.0)
+    with np.errstate(over="ignore"):  # a far tail overflows to inf, which the profiles take to 0
+        vals = np.maximum(np.asarray(density(mids), dtype=float), 0.0)
     return normalized_grid(edges, vals)
 
 

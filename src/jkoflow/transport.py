@@ -5,10 +5,11 @@ weights w_k >= 0 (``QuadraticCost``).  Its mixed second derivatives -2 w_k
 are nonpositive, so the co-monotone plan, which with a shared particle count
 matches the j-th smallest particles of every marginal, is optimal (Carlier,
 J. Convex Anal. 2003), and a coupling value is the mean of the cost over
-the rank-diagonal tuples (``coupling_value``).  In each slot the cost is a
-centred quadratic of that slot's particle (``QuadraticCost.row_form``),
-which is how the step solver evaluates it.  The exhaustive LP that checks
-this optimality, for any cost, is a test oracle and lives beside the tests.
+the rank-diagonal tuples (``coupling_value``).  Each population sits in
+slot 0 of its own cost, a centred quadratic of its particle against its
+partners (``centred``), which is how the step solver evaluates it.  The
+exhaustive LP that checks this optimality, for any cost, is a test oracle
+and lives beside the tests.
 """
 
 from __future__ import annotations
@@ -50,24 +51,20 @@ class QuadraticCost:
         """A bound on every |dc/dx_i| on a domain of this length."""
         return 2.0 * length * sum(self.weights)
 
-    def row_form(self, slot: int, columns: Sequence[np.ndarray]
-                 ) -> tuple[float, np.ndarray, np.ndarray]:
-        """(a, m, c0) such that c = (a/2) (x - m)^2 + c0 at each rank, for x in ``slot`` and
-        ``columns`` filling the other slots in slot order."""
-        if not 0 <= slot < self.arity:
-            raise InvalidInputError(f"slot {slot} out of range for arity {self.arity}")
-        if len(columns) != self.arity - 1:
-            raise InvalidInputError(f"need one column per other slot ({self.arity - 1})")
-        w, y0 = self.weights, columns[0]
-        zero = np.zeros_like(y0, dtype=float)
-        if slot > 0:  # w_s (x - y_0)^2 plus the terms without x
-            rest = zip(w[:slot - 1] + w[slot:], columns[1:])
-            return 2.0 * w[slot - 1], y0, sum((wk * (y0 - y) ** 2 for wk, y in rest), zero)
-        total = sum(w)
-        if total == 0.0:
-            return 0.0, zero, zero
-        m = sum(wk * y for wk, y in zip(w, columns)) / total
-        return 2.0 * total, m, sum((wk * (y - m) ** 2 for wk, y in zip(w, columns)), zero)
+
+def centred(weights, partners) -> tuple[np.ndarray, np.ndarray]:
+    """(m, c) such that sum_k w_k (x - y_k)^2 = (sum_k w_k)(x - m)^2 + c at each rank.
+
+    The partners y_k come in slot order along axis 0 (of an array, or as a
+    sequence of arrays), the weights w_k beside them, scalars or arrays that
+    broadcast against a partner; the cost's curvature in x is a = 2 sum_k w_k.
+    Every sum runs over the slots in order from +0.0, the weight total's too
+    (a numpy reduction would sum pairwise), so a zero weight adds +0.0 and a
+    weight sum of 0 gives m = c = 0.
+    """
+    total = sum(weights, 0.0)
+    m = sum((w * y for w, y in zip(weights, partners)), 0.0) / np.where(total == 0.0, 1.0, total)
+    return m, sum((w * (y - m) ** 2 for w, y in zip(weights, partners)), 0.0)
 
 
 def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) -> float:
@@ -95,8 +92,8 @@ def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) ->
 
 def _mean_cost(cost: QuadraticCost, columns: Sequence[np.ndarray]) -> float:
     """The cost's mean over the rank tuples of ``columns``, one column per slot."""
-    a, centre, c0 = cost.row_form(0, columns[1:])
-    d = columns[0] - centre
+    centre, c0 = centred(cost.weights, columns[1:])
+    d, a = columns[0] - centre, 2.0 * sum(cost.weights, 0.0)
     return float(np.add.reduce(0.5 * a * d * d + c0) / len(d))  # as the step kernel sums it
 
 

@@ -77,7 +77,7 @@ class CostFunction:
 
 def difference_form(cost: QuadraticCost) -> CostFunction:
     """A QuadraticCost summed term by term, sum_k w_k (x_0 - x_k)^2: the reference for
-    its row form and the form in which the LP evaluates it."""
+    its centred form and the form in which the LP evaluates it."""
     w = np.array(cost.weights)
     return CostFunction(cost.arity, lambda xs: np.sum(w * (xs[..., :1] - xs[..., 1:]) ** 2,
                                                       axis=-1), cost.name)
@@ -380,11 +380,12 @@ def per_step_weak_form(traj: FlowTrajectory, phi: TestFunction, population: int)
         terms.append(float(np.mean(phi.value(t_k1, x_new.positions)
                                    - phi.value(t_k, x_new.positions))))
         drive = n * energy_gradient(p.energy, x_new)
-        if p.coupling is not None:  # against the partners frozen at step k
-            members = p.coupling.members
-            a, m, _ = p.coupling.cost.row_form(
-                members.index(i), [state_k[j].positions for j in members if j != i])
-            drive = drive + a * (x_new.positions - m)
+        if p.coupling is not None:  # against the partners frozen at step k, slot by slot
+            total, moment = 0.0, 0.0
+            for w, j in zip(p.coupling.cost.weights, p.coupling.partners):
+                total, moment = total + w, moment + w * state_k[j].positions
+            m = moment / (total if total != 0.0 else 1.0)
+            drive = drive + 2.0 * total * (x_new.positions - m)
         terms.append(float(
             -config.h * np.mean(drive * phi.dx(t_k, x_new.positions))
         ))

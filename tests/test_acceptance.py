@@ -81,6 +81,15 @@ def _random_certified_cost(rng, l: int):
     return QuadraticCost((1.0,))
 
 
+def _in_slot_zero(cost, frozen, slot: int):
+    """The cost and partners of a row drawn in ``slot`` of ``cost`` against ``frozen`` (the
+    other slots in order), as its slot-0 equivalent: w_s (x - y_0)^2 for s > 0, the terms
+    dropped being constant in x, so that its gradient, Hessian and minimizer are the same."""
+    if slot == 0:
+        return cost, frozen
+    return QuadraticCost((cost.weights[slot - 1],)), frozen[:1]
+
+
 # 1 ── rank-diagonal plan matches the LP optimum on certified costs
 
 
@@ -167,7 +176,6 @@ def test_single_particle_step_closed_form():
                 h=h,
                 cost=cost,
                 frozen=(_atoms(dom, y),),
-                slot=0,
                 tol=1e-12,
             )
             expected = (xk + 2.0 * h * y) / (1.0 + 2.0 * h)
@@ -252,10 +260,8 @@ def test_euler_lagrange_identity():
             l = 2 if kind == 2 else 3
             cost = _random_certified_cost(rng, l)
             frozen = tuple(spread_particles(rng, DOM, n) for _ in range(l - 1))
-            problem = StepProblem(
-                prev=prev, energy=energy, h=h, cost=cost,
-                frozen=frozen, slot=int(rng.integers(0, l)),
-            )
+            cost, frozen = _in_slot_zero(cost, frozen, int(rng.integers(0, l)))
+            problem = StepProblem(prev=prev, energy=energy, h=h, cost=cost, frozen=frozen)
         sol = solve_step(problem)
         tol = problem.default_tol()
         worst = max(worst, euler_lagrange_residual(problem, sol.rho) - 10.0 * tol)
@@ -439,10 +445,8 @@ def test_gradients_match_finite_differences():
             l = 2 if trial % 3 == 1 else 3
             cost = _random_certified_cost(rng, l)
             frozen = tuple(spread_particles(rng, dom, n) for _ in range(l - 1))
-            problem = StepProblem(
-                prev=prev, energy=energy, h=h, cost=cost,
-                frozen=frozen, slot=int(rng.integers(0, l)),
-            )
+            cost, frozen = _in_slot_zero(cost, frozen, int(rng.integers(0, l)))
+            problem = StepProblem(prev=prev, energy=energy, h=h, cost=cost, frozen=frozen)
         x = spread_particles(rng, dom, n).positions
         grad = objective_gradient(problem, x)
         fd = _fd_gradient(lambda z: objective(problem, z), x.copy())
@@ -569,15 +573,15 @@ def test_coupled_gaussian_closed_form():
     cases = {
         "pairwise": (
             ((-0.3, 0.05), (0.4, 0.1)),
-            (Coupling(pair, (0, 1)), Coupling(pair, (1, 0))),
+            (Coupling(pair, (1,)), Coupling(pair, (0,))),
             ({1: 1.0}, {0: 1.0}),
         ),
         "barycenter": (
             ((-0.3, 0.05), (0.0, 0.08), (0.4, 0.1)),
             (
-                Coupling(QuadraticCost((1.0, 2.0)), (0, 1, 2)),
-                Coupling(pair, (1, 0)),
-                Coupling(pair, (2, 0)),
+                Coupling(QuadraticCost((1.0, 2.0)), (1, 2)),
+                Coupling(pair, (0,)),
+                Coupling(pair, (0,)),
             ),
             ({1: 1.0, 2: 2.0}, {0: 1.0}, {0: 1.0}),
         ),

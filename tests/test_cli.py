@@ -528,12 +528,16 @@ def test_main_validate_only_does_not_run(tmp_path):
     ("  n_steps: 3\n", "  n_steps: 3\n  tol: .inf\n", r"flow\.tol"),
     ("probes: []", "probes: [{kind: contraction_probe, slack: .nan, second_initials: "
      "[{type: uniform}, {type: uniform}]}]", r"probes\[0\]\.slack"),
-], ids=["tol-nan", "tol-inf", "slack-nan"])
+    # an integer too large for a float
+    ("h: 0.05", "h: 1" + "0" * 400, r"^input error: flow\.h: out of range for a float$"),
+    ("upper: 1.0}", "upper: 1" + "0" * 400 + "}",
+     r"^input error: flow\.domain\.upper: out of range for a float$"),
+], ids=["tol-nan", "tol-inf", "slack-nan", "h-huge-integer", "upper-huge-integer"])
 def test_main_validate_only_rejects_non_finite_tolerances(tmp_path, capsys, old, new, field):
     path = tmp_path / "s.yaml"
     path.write_text((MINIMAL + "probes: []\n").replace(old, new))
     assert main([str(path), "--validate-only"]) == 2
-    assert re.search(field, capsys.readouterr().err)
+    assert re.search(field, capsys.readouterr().err, re.MULTILINE)
 
 
 @pytest.mark.parametrize("probe, message", [
@@ -558,7 +562,13 @@ def test_scenario_that_cannot_run_fails_validation_and_runs_nothing(
     ("probes: []", "probes: [{kind: estimate_report}, {kind: contraction_probe, second_initials: "
      "[{type: uniform}, {type: barenblatt, t0: 100.0}]}]",
      r"probes\[1\]\.second_initials\[1\]: domain too small"),
-], ids=["initial", "second-initial"])
+    # a width so small that the density overflows in its far tail: no RuntimeWarning
+    ("sigma: 0.1}", "sigma: 1.0e-300}",
+     r"flow\.populations\[0\]\.initial\.profile: grid has zero total mass"),
+    ("half_width: 0.2}", "half_width: 1.0e-300}",
+     r"flow\.populations\[1\]\.initial\.profile: grid has zero total mass"),
+], ids=["initial", "second-initial", "tiny-sigma", "tiny-half-width"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unbuildable_profile_error_names_its_field(tmp_path, capsys, old, new, field):
     path = tmp_path / "s.yaml"
     path.write_text((MINIMAL + "probes: []\n").replace(old, new))

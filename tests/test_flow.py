@@ -72,9 +72,9 @@ def attract_config(h=0.05, n_steps=10):
     return FlowConfig(
         populations=(
             PopulationSpec(initial=a, energy=zero_energy(),
-                           coupling=Coupling(pair, (0, 1))),
+                           coupling=Coupling(pair, (1,))),
             PopulationSpec(initial=b, energy=zero_energy(),
-                           coupling=Coupling(pair, (1, 0))),
+                           coupling=Coupling(pair, (0,))),
         ),
         h=h,
         n_steps=n_steps,
@@ -200,9 +200,9 @@ def mixed_config():
     return FlowConfig(
         populations=(
             PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(),
-                           Coupling(pair, (0, 1))),
+                           Coupling(pair, (1,))),
             PopulationSpec(spread_particles(rng, UNIT, 16), power_law_energy(2.0),
-                           Coupling(pair, (1, 0))),
+                           Coupling(pair, (0,))),
             PopulationSpec(spread_particles(rng, UNIT, 24), entropy_energy()),
             PopulationSpec(spread_particles(rng, UNIT, 16), zero_energy()),
         ),
@@ -243,12 +243,11 @@ def _assert_same_flow(traj, ref):
 
 def unordered_barycenter_config():
     # population 0's three partners fill its slots out of population order, with
-    # weights that are not 1: the partner table sums them in slot order, as row_form does
+    # weights that are not 1: the partner table sums them in slot order
     rng = np.random.default_rng(34)
     pair, zero = QuadraticCost((0.9,)), QuadraticCost((0.0,), "zero")
-    barycenter = Coupling(QuadraticCost((1.3, 0.3, 0.7), "barycenter"), (0, 3, 1, 2))
-    couplings = (barycenter, Coupling(pair, (1, 0)), Coupling(zero, (2, 0)),
-                 Coupling(pair, (3, 0)))
+    barycenter = Coupling(QuadraticCost((1.3, 0.3, 0.7), "barycenter"), (3, 1, 2))
+    couplings = (barycenter, Coupling(pair, (0,)), Coupling(zero, (0,)), Coupling(pair, (0,)))
     return FlowConfig(
         populations=tuple(PopulationSpec(spread_particles(rng, UNIT, 16), entropy_energy(), c)
                           for c in couplings),
@@ -380,38 +379,36 @@ def test_flow_validation():
     product = CostFunction(arity=2, fn=lambda xs: xs[..., 0] * xs[..., 1])
     with pytest.raises(InvalidInputError, match="QuadraticCost"):
         FlowConfig(populations=(PopulationSpec(initial=a, energy=entropy_energy(),
-                                               coupling=Coupling(product, (0, 1))), spec),
+                                               coupling=Coupling(product, (1,))), spec),
                    h=1e-2, n_steps=1)
     pair = QuadraticCost((1.0,))
-    not_member = PopulationSpec(initial=a, energy=entropy_energy(),
-                                coupling=Coupling(pair, (1, 1)))
-    with pytest.raises(InvalidInputError):
-        FlowConfig(populations=(not_member, spec), h=1e-2, n_steps=1)
     out_of_range = PopulationSpec(initial=a, energy=entropy_energy(),
-                                  coupling=Coupling(pair, (0, 5)))
+                                  coupling=Coupling(pair, (5,)))
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(out_of_range, spec), h=1e-2, n_steps=1)
-    # a flow's coupling lists its population first, then distinct partners
-    for members, cost in [((1, 0), pair), ((0, 1, 1), QuadraticCost((1.0, 2.0)))]:
+    # a coupling's partners are distinct other populations: not the owner, none twice
+    for partners, cost in [((0,), pair), ((1, 1), QuadraticCost((1.0, 2.0)))]:
         misplaced = PopulationSpec(initial=a, energy=entropy_energy(),
-                                   coupling=Coupling(cost, members))
+                                   coupling=Coupling(cost, partners))
         with pytest.raises(InvalidInputError, match=re.escape(
-                "population 0's coupling must list it first, then distinct partners")):
+                "population 0's coupling partners must be distinct other populations")):
             FlowConfig(populations=(misplaced, spec), h=1e-2, n_steps=1)
+    with pytest.raises(InvalidInputError, match="every cost slot but the owner's"):
+        Coupling(pair, (0, 1))
     mismatched = PopulationSpec(
         initial=from_grid(gaussian_profile(UNIT, 0.5, 0.1), 9),
-        energy=entropy_energy(), coupling=Coupling(pair, (0, 1)),
+        energy=entropy_energy(), coupling=Coupling(pair, (1,)),
     )
     with pytest.raises(InvalidInputError):
         FlowConfig(populations=(mismatched, spec), h=1e-2, n_steps=1)
 
 
-def test_coupling_refuses_members_that_are_not_integers():
-    pair = QuadraticCost((1.0,))
-    assert Coupling(pair, (np.int64(0), np.int32(1))).members == (0, 1)
+def test_coupling_refuses_partners_that_are_not_integers():
+    barycenter = QuadraticCost((1.0, 1.0))
+    assert Coupling(barycenter, (np.int64(0), np.int32(1))).partners == (0, 1)
     with pytest.raises(InvalidInputError, match=re.escape(
-            "a coupling member must be an integer, got 1.7")):
-        Coupling(pair, (0, 1.7))
+            "a coupling partner must be an integer, got 1.7")):
+        Coupling(barycenter, (0, 1.7))
 
 
 def test_flow_config_refuses_a_step_count_that_is_not_an_integer():
@@ -486,9 +483,9 @@ def test_contraction_of_coupled_jacobi_steps(h, status, max_increase):
     pair = QuadraticCost((1.0,), "quadratic_pairwise")
     cfg = FlowConfig(populations=(
         PopulationSpec(initials[0], entropy_energy(),
-                       Coupling(QuadraticCost((1.0, 1.0), "barycenter"), (0, 1, 2))),
-        PopulationSpec(initials[1], entropy_energy(), Coupling(pair, (1, 0))),
-        PopulationSpec(initials[2], entropy_energy(), Coupling(pair, (2, 0))),
+                       Coupling(QuadraticCost((1.0, 1.0), "barycenter"), (1, 2))),
+        PopulationSpec(initials[1], entropy_energy(), Coupling(pair, (0,))),
+        PopulationSpec(initials[2], entropy_energy(), Coupling(pair, (0,))),
     ), h=h, n_steps=3)
     moved = (ParticleDensity(dom, initials[0].positions + 1.0), *initials[1:])
     report = contraction_probe(*run_flows([cfg, contraction_rerun(cfg, moved)]))

@@ -46,6 +46,7 @@ from jkoflow.jko import (
     project_ordered_box,
     solve_step,
 )
+from jkoflow.transport import centred
 from helpers import spread_particles, uniform_particles, wrong_sign_energy
 from oracle import CostFunction, difference_form
 
@@ -62,7 +63,6 @@ def coupled_problem(rng, n=16, h=1e-2, energy=None, tol=None):
         h=h,
         cost=QuadraticCost((1.0,)),
         frozen=(target,),
-        slot=0,
         tol=tol,
     )
 
@@ -117,7 +117,9 @@ def test_objective_gradient_matches_finite_differences():
 
 def test_hessian_matches_finite_differences_of_gradient():
     # the tridiagonal step Hessian against a central difference of the gradient,
-    # for each energy kind alone and under each certified cost and slot
+    # for each energy kind alone and under each certified cost.  A row in slot s > 0 of
+    # (1.0, 0.5) is solved as its slot-0 equivalent (w_s,) against the slot-0 partner,
+    # the first of the two drawn: the terms dropped are constant in x
     rng = np.random.default_rng(13)
     n, eps = 12, 1e-6
     energies = (
@@ -126,21 +128,19 @@ def test_hessian_matches_finite_differences_of_gradient():
         power_law_energy(1.5),
         power_law_energy(0.5, -1.0),
     )
-    couplings = (
+    couplings = (  # (cost, partner states drawn)
         (None, 0),
         (QuadraticCost((1.0,)), 1),
-        (QuadraticCost((1.0, 0.5)), 0),
-        (QuadraticCost((1.0, 0.5)), 1),
         (QuadraticCost((1.0, 0.5)), 2),
-        (QuadraticCost((0.0,)), 0),
+        (QuadraticCost((1.0,)), 2),
+        (QuadraticCost((0.5,)), 2),
+        (QuadraticCost((0.0,)), 1),
     )
     for energy in energies:
-        for cost, slot in couplings:
-            frozen = () if cost is None else tuple(
-                spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
-            )
-            prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy,
-                               h=0.05, cost=cost, frozen=frozen, slot=slot)
+        for cost, draws in couplings:
+            drawn = tuple(spread_particles(rng, UNIT, n) for _ in range(draws))
+            prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy, h=0.05,
+                               cost=cost, frozen=drawn[:0 if cost is None else cost.arity - 1])
             x = spread_particles(rng, UNIT, n).positions
             rows = _Rows((prob,))
             diag, off = _hessian_bands(rows, _evaluate(rows, x))
@@ -184,7 +184,7 @@ def test_solve_step_builds_one_density(monkeypatch):
                          ids=["uncoupled", "pairwise"])
 def test_solve_step_evaluates_each_point_once(monkeypatch, cost):
     # one gap pass per evaluated point: the start and each accepted step, none
-    # repeated for the gradient, Hessian or diagnostics.  The cost's row form is
+    # repeated for the gradient, Hessian or diagnostics.  The cost's centred form is
     # taken when the kernel is built; from then to the result no cost method runs
     prev = from_grid(gaussian_profile(UNIT, 0.3, 0.1), 128)
     frozen = () if cost is None else (from_grid(gaussian_profile(UNIT, 0.6, 0.1), 128),)
@@ -216,7 +216,7 @@ def _refuse_cost_after_build(monkeypatch, calls, *modules):
 
     def built(*args):
         rows = build(*args)
-        for name in ("arity", "partial_bound", "row_form"):  # its property and methods
+        for name in ("arity", "partial_bound"):  # its property and method
             wrapped = refuse(name)
             monkeypatch.setattr(QuadraticCost, name,
                                 property(wrapped) if name == "arity" else wrapped)
@@ -226,65 +226,67 @@ def _refuse_cost_after_build(monkeypatch, calls, *modules):
         monkeypatch.setattr(module, "_Rows", built)
 
 
-def test_run_flows_calls_row_form_only_at_the_kernel_build(monkeypatch):
-    # a flow's kernel refills each coupled row's m and c from its partner table: row_form
-    # runs once per coupled row when the one kernel of the flow and its rerun is built
+def test_run_flows_calls_centred_once_at_the_build_and_once_per_step(monkeypatch):
+    # the one kernel of a flow and its rerun centres all six coupled rows' costs in one
+    # call when it is built, and refills them from its partner table in one call per
+    # step; no cost method runs after the build
     config = barycenter3_preset(n=16, n_steps=3)
     rerun = contraction_rerun(config, [from_grid(gaussian_profile(UNIT, c, 0.1), 16)
                                        for c in (0.35, 0.55, 0.65)])
-    row_form, built_with, calls = QuadraticCost.row_form, [], []
-    monkeypatch.setattr(QuadraticCost, "row_form",
-                        lambda cost, *args: built_with.append(cost) or row_form(cost, *args))
+    centred, tables, calls = jko_module.centred, [], []
+    monkeypatch.setattr(jko_module, "centred",
+                        lambda weights, partners: tables.append(partners.shape)
+                        or centred(weights, partners))
     _refuse_cost_after_build(monkeypatch, calls, jko_module, flow_module)
     traj, rerun_traj = run_flows((config, rerun))
     assert calls == []
-    assert len(built_with) == 6
+    assert tables == [(2, 6, 16)] * 4
     assert traj.positions[0].shape == rerun_traj.positions[0].shape == (4, 16)
 
 
-@pytest.mark.parametrize("cost, slot", [
+# a row in slot s > 0 of (1.0, 0.5) is solved as its slot-0 equivalent (w_s,) against the
+# slot-0 partner, the first of the partner states drawn: the terms dropped are constant in x
+@pytest.mark.parametrize("cost, draws", [
     (None, 0),
     (QuadraticCost((1.0,)), 1),
-    (QuadraticCost((1.0, 0.5)), 0),
     (QuadraticCost((1.0, 0.5)), 2),
+    (QuadraticCost((0.5,)), 2),
 ], ids=["uncoupled", "pairwise", "barycenter-slot0", "barycenter-slot2"])
-def test_solution_carries_its_step_diagnostics(cost, slot):
+def test_solution_carries_its_step_diagnostics(cost, draws):
     rng = np.random.default_rng(14)
     n = 16
-    frozen = () if cost is None else tuple(
-        spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
-    )
+    drawn = tuple(spread_particles(rng, UNIT, n) for _ in range(draws))
+    frozen = drawn[:0 if cost is None else cost.arity - 1]
     prob = StepProblem(prev=spread_particles(rng, UNIT, n), energy=entropy_energy(),
-                       h=1e-2, cost=cost, frozen=frozen, slot=slot)
+                       h=1e-2, cost=cost, frozen=frozen)
     sol = solve_step(prob)
     assert sol.iterations >= 1
     coupling = 0.0
-    if cost is not None:  # the mean of the row's cost in its slot at the solution
-        a, m, c0 = cost.row_form(slot, [f.positions for f in frozen])
+    if cost is not None:  # the mean of the row's cost in slot 0 at the solution
+        m, c0 = centred(cost.weights, [f.positions for f in frozen])
         d = sol.rho.positions - m
+        a = 2.0 * sum(cost.weights)
         coupling = float(np.add.reduce(0.5 * a * d * d + c0) / n)
-        cols = [f.positions for f in frozen]
-        cols.insert(slot, sol.rho.positions)
+        cols = [sol.rho.positions] + [f.positions for f in frozen]
         reference = float(np.mean(difference_form(cost).evaluate(np.stack(cols, axis=-1))))
-        # the rounding bound of the row-form test in test_transport.py, R = 2 on the unit box
+        # the rounding bound of the centred-form test in test_transport.py, R = 2 on the
+        # unit box
         assert abs(sol.coupling - reference) <= 8 * (cost.arity + 1) * EPS * sum(cost.weights) * 4
     assert sol.energy == energy_value(prob.energy, sol.rho)
     assert sol.coupling == coupling
     assert sol.el_residual == euler_lagrange_residual(prob, sol.rho)
 
 
-@pytest.mark.parametrize("cost, slot", [
-    (QuadraticCost((1.0,)), 1),
-    (QuadraticCost((1.0, 0.5)), 0),
-], ids=["pairwise", "barycenter"])
-def test_step_coupling_is_the_coupling_value(cost, slot):
+@pytest.mark.parametrize("cost", [QuadraticCost((1.0,)), QuadraticCost((1.0, 0.5))],
+                         ids=["pairwise", "barycenter"])
+def test_step_coupling_is_the_coupling_value(cost):
     # the solver's coupling and the public coupling value are one computation
     rng = np.random.default_rng(15)
     n = 24
     frozen = tuple(spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1))
     sol = solve_step(StepProblem(prev=spread_particles(rng, UNIT, n), energy=entropy_energy(),
-                                 h=1e-2, cost=cost, frozen=frozen, slot=slot))
-    assert sol.coupling == coupling_value(cost, frozen[:slot] + (sol.rho,) + frozen[slot:])
+                                 h=1e-2, cost=cost, frozen=frozen))
+    assert sol.coupling == coupling_value(cost, (sol.rho,) + frozen)
 
 
 def test_pure_w2_step_returns_prev():
@@ -305,7 +307,7 @@ def test_single_particle_closed_form():
     for h in (1e-3, 1e-2, 1e-1):
         prob = StepProblem(
             prev=prev, energy=zero_energy(), h=h,
-            cost=QuadraticCost((1.0,)), frozen=(frozen,), slot=0, tol=1e-12,
+            cost=QuadraticCost((1.0,)), frozen=(frozen,), tol=1e-12,
         )
         sol = solve_step(prob)
         want = (xk + 2 * h * y) / (1 + 2 * h)
@@ -321,7 +323,7 @@ def test_uncoupled_transport_pull_closed_form():
     h = 0.05
     prob = StepProblem(
         prev=prev, energy=zero_energy(), h=h,
-        cost=QuadraticCost((1.0,)), frozen=(target,), slot=0, tol=1e-13,
+        cost=QuadraticCost((1.0,)), frozen=(target,), tol=1e-13,
     )
     sol = solve_step(prob)
     want = (prev.positions + 2 * h * target.positions) / (1 + 2 * h)
@@ -376,16 +378,12 @@ def test_problem_validation():
         StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
                     cost=QuadraticCost((1.0,)),
                     frozen=(spread_particles(rng, UNIT, 5),))
-    with pytest.raises(InvalidInputError):
-        StepProblem(prev=prev, energy=zero_energy(), h=1e-2,
-                    cost=QuadraticCost((1.0,)),
-                    frozen=(spread_particles(rng, UNIT, 4),), slot=2)
     # c = x y has mixed partial +1: the rank-diagonal value is not its optimal
     # coupling, and a step problem refuses every cost but a QuadraticCost
     product = CostFunction(2, lambda xs: xs[..., 0] * xs[..., 1])
     with pytest.raises(InvalidInputError, match="QuadraticCost"):
         StepProblem(prev=prev, energy=entropy_energy(), h=0.01, cost=product,
-                    frozen=(spread_particles(rng, UNIT, 4),), slot=0)
+                    frozen=(spread_particles(rng, UNIT, 4),))
 
 
 def test_zero_cost_slot_matches_uncoupled():
@@ -395,7 +393,7 @@ def test_zero_cost_slot_matches_uncoupled():
     a = solve_step(StepProblem(prev=prev, energy=entropy_energy(), h=1e-2))
     b = solve_step(StepProblem(
         prev=prev, energy=entropy_energy(), h=1e-2,
-        cost=QuadraticCost((0.0,)), frozen=(other,), slot=1,
+        cost=QuadraticCost((0.0,)), frozen=(other,),
     ))
     assert float(np.max(np.abs(a.rho.positions - b.rho.positions))) <= 1e-12
 
@@ -422,7 +420,7 @@ def test_fall_within_the_objectives_rounding_is_judged_by_the_residual(monkeypat
     x0 = np.linspace(0.3, 0.7, n)
     partners = tuple(ParticleDensity(UNIT, x0 + shift + s) for s in (-0.25, 0.25))
     problem = StepProblem(prev=ParticleDensity(UNIT, x0), energy=zero_energy(), h=0.05,
-                          cost=QuadraticCost((1.0, 1.0)), frozen=partners, slot=0)
+                          cost=QuadraticCost((1.0, 1.0)), frozen=partners)
     rows = _Rows([problem])
     at = _evaluate(rows, rows.prev)
     slope = float(at.grad @ _newton_direction(rows, rows.prev, at, [True]))
@@ -469,7 +467,7 @@ def test_non_finite_point_raises_naming_the_iteration(monkeypatch, wall, iterati
     # the second
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2,
-                          cost=QuadraticCost((1.0,)), frozen=(prev,), slot=0)
+                          cost=QuadraticCost((1.0,)), frozen=(prev,))
     _nan_left_of(monkeypatch, wall)
     with pytest.raises(NumericalFailureError,
                        match=f"non-finite .* at iteration {iteration}$") as err:
@@ -483,7 +481,7 @@ def test_non_finite_newton_system_is_a_numerical_failure(monkeypatch):
     # makes a RuntimeWarning an error, so the check must raise none
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 16))
     problem = StepProblem(prev=prev, energy=entropy_energy(), h=1e-2,
-                          cost=QuadraticCost((1.0,)), frozen=(prev,), slot=0)
+                          cost=QuadraticCost((1.0,)), frozen=(prev,))
     bands = jko_module._hessian_bands
 
     def kinked(rows, at):
@@ -554,17 +552,16 @@ def _natural_residual(problem, x):
 
 
 def _independent_problems(rng, n=24, h=2e-2):
-    # one N, domain and h; energies, costs and slots differ from row to row
+    # one N, domain and h; energies and costs differ from row to row
     energies = (entropy_energy(), power_law_energy(2.0), zero_energy(), entropy_energy())
-    couplings = ((None, 0), (QuadraticCost((1.0,)), 1),
-                 (QuadraticCost((1.0, 0.5)), 0), (QuadraticCost((2.0,)), 1))
+    costs = (None, QuadraticCost((1.0,)), QuadraticCost((1.0, 0.5)), QuadraticCost((2.0,)))
     problems = []
-    for energy, (cost, slot) in zip(energies, couplings):
+    for energy, cost in zip(energies, costs):
         frozen = () if cost is None else tuple(
             spread_particles(rng, UNIT, n) for _ in range(cost.arity - 1)
         )
         problems.append(StepProblem(prev=spread_particles(rng, UNIT, n), energy=energy, h=h,
-                                    cost=cost, frozen=frozen, slot=slot))
+                                    cost=cost, frozen=frozen))
     return problems
 
 
@@ -622,7 +619,7 @@ def test_one_particle_rows_solve_as_alone():
     # a one-particle row has no gap: only its walls limit its step
     frozen = (ParticleDensity(UNIT, np.array([0.9])),)
     problems = [StepProblem(prev=ParticleDensity(UNIT, np.array([xk])), energy=zero_energy(),
-                            h=0.1, cost=QuadraticCost((1.0,)), frozen=frozen, slot=0,
+                            h=0.1, cost=QuadraticCost((1.0,)), frozen=frozen,
                             tol=tol)
                 for xk, tol in ((0.0, 1e-12), (0.3, 1e-9), (1.0, 1e-12))]
     joint = _kernel_solutions(problems)
@@ -698,7 +695,7 @@ def test_joint_failure_names_its_row(monkeypatch):
     # a non-finite row is named at the iteration it appears in
     prev = ParticleDensity(UNIT, np.linspace(0.2, 0.8, 8))
     bad = StepProblem(prev=prev, energy=entropy_energy(), h=0.05, cost=QuadraticCost((1.0,)),
-                      frozen=(prev,), slot=0)
+                      frozen=(prev,))
     _nan_left_of(monkeypatch, 0.5, row=2)
     with pytest.raises(NumericalFailureError, match="non-finite .* at iteration 0$") as info:
         _Rows([healthy, healthy, bad]).step()

@@ -14,6 +14,7 @@ from jkoflow import (
     convexity_probe,
     coupling_value,
 )
+from jkoflow.transport import centred
 from helpers import spread_particles, uniform_particles
 from oracle import CostFunction, difference_form, lp_convexity_violations
 
@@ -34,12 +35,12 @@ def atoms(*positions, domain=UNIT):
 # ---------------------------------------------------------------- costs
 
 
-def _slot_terms(cost, slot, xs):
-    """Value, partial and curvature in ``slot`` at the tuples xs (shape (..., arity)), from
-    the cost's row form against the other columns."""
-    columns = [xs[..., k] for k in range(cost.arity) if k != slot]
-    a, m, c0 = cost.row_form(slot, columns)
-    d = xs[..., slot] - m
+def _terms(cost, xs):
+    """Value, partial and curvature in slot 0 at the tuples xs (shape (..., arity)), from
+    the centred form against the other columns."""
+    m, c0 = centred(cost.weights, [xs[..., k] for k in range(1, cost.arity)])
+    a = 2.0 * sum(cost.weights)
+    d = xs[..., 0] - m
     return 0.5 * a * d * d + c0, a * d, a
 
 
@@ -47,28 +48,25 @@ def test_quadratic_cost_values_and_partials():
     c = QuadraticCost((1.0,))
     xs = np.array([[0.2, 0.7], [1.0, 0.0]])
     assert c.arity == 2
-    for slot, partial in ((0, [-1.0, 2.0]), (1, [1.0, -2.0])):
-        value, got, curvature = _slot_terms(c, slot, xs)
-        assert np.allclose(value, [0.25, 1.0])
-        assert np.allclose(got, partial)
-        assert curvature == 2.0
+    value, got, curvature = _terms(c, xs)
+    assert np.allclose(value, [0.25, 1.0])
+    assert np.allclose(got, [-1.0, 2.0])
+    assert curvature == 2.0
     assert c.partial_bound(1.0) == 2.0
 
 
 def test_barycenter_cost_closed_form():
     c = QuadraticCost((2.0, 3.0))
     xs = np.array([0.5, 0.1, 0.9])
-    # 2 (0.5-0.1)^2 + 3 (0.5-0.9)^2 = 0.32 + 0.48, from every slot
-    terms = [_slot_terms(c, slot, xs) for slot in range(3)]
-    for value, _, _ in terms:
-        assert math.isclose(float(value), 0.8, rel_tol=0, abs_tol=1e-14)
-    assert math.isclose(float(terms[1][1]), 2 * 2.0 * (0.1 - 0.5), abs_tol=1e-14)
+    # 2 (0.5-0.1)^2 + 3 (0.5-0.9)^2 = 0.32 + 0.48
+    value, partial, curvature = _terms(c, xs)
+    assert math.isclose(float(value), 0.8, rel_tol=0, abs_tol=1e-14)
     assert math.isclose(
-        float(terms[0][1]),
+        float(partial),
         -2 * (2.0 * (0.1 - 0.5) + 3.0 * (0.9 - 0.5)),
         abs_tol=1e-14,
     )
-    assert [curvature for _, _, curvature in terms] == [10.0, 4.0, 6.0]
+    assert curvature == 10.0
     assert c.partial_bound(1.0) == 2.0 * 1.0 * 5.0
 
 
@@ -76,47 +74,65 @@ def test_cost_validation():
     for weights in ((1.0, -1.0), (math.nan,), (1.0, math.inf), (-math.inf,), ()):
         with pytest.raises(InvalidInputError, match="finite and nonnegative"):
             QuadraticCost(weights)
-    c = QuadraticCost((1.0,))
-    with pytest.raises(InvalidInputError, match="out of range"):
-        c.row_form(2, [np.zeros(3)])
-    with pytest.raises(InvalidInputError, match="out of range"):
-        c.row_form(-1, [np.zeros(3)])
-    with pytest.raises(InvalidInputError, match="one column per other slot"):
-        c.row_form(0, [np.zeros(3), np.zeros(3)])
     assert QuadraticCost([0.5, 0]).weights == (0.5, 0.0)
 
 
 def _weights():
-    """One to four weights, each zero or spread over six decades."""
+    """One to twelve weights, each zero or spread over six decades."""
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
-    return st.lists(weight, min_size=1, max_size=4)
+    return st.lists(weight, min_size=1, max_size=12)
 
 
 @given(_weights(), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_row_form_matches_the_difference_form(weights, seed):
-    # the centred row form (a/2)(x - m)^2 + c0 in every slot against the term-by-term
+def test_centred_matches_the_difference_form(weights, seed):
+    # the centred form (a/2)(x - m)^2 + c0 in slot 0 against the term-by-term
     # sum_k w_k (x_0 - x_k)^2.  Either side rounds each of its O(K) operations by
     # at most eps relative to sum_k w_k R^2 (value) or sum_k w_k R (partial), R the
     # largest |coordinate| of the tuple doubled, so 8 (K + 2) eps times that scale
-    # bounds their difference; the curvatures are the closed forms exactly
+    # bounds their difference; the curvature is the closed form exactly
     rng = np.random.default_rng(seed)
     cost = QuadraticCost(weights)
     k = len(weights)
     xs = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 12)), k + 1))
     xs *= 10.0 ** rng.uniform(-3, 3)
     w = np.array(weights)
-    diff = xs[:, :1] - xs[:, 1:]
     value = difference_form(cost).evaluate(xs)
-    partials = [2.0 * np.sum(w * diff, axis=-1)] + [-2.0 * w[s] * diff[:, s] for s in range(k)]
-    curvatures = [2.0 * sum(weights)] + [2.0 * v for v in weights]
+    partial = 2.0 * np.sum(w * (xs[:, :1] - xs[:, 1:]), axis=-1)
     r = 2.0 * np.max(np.abs(xs), axis=-1)
     tol = 8.0 * (k + 2) * EPS * float(np.sum(w))
-    for slot in range(k + 1):
-        got_value, got_partial, got_curvature = _slot_terms(cost, slot, xs)
-        assert np.all(np.abs(got_value - value) <= tol * r * r), slot
-        assert np.all(np.abs(got_partial - partials[slot]) <= tol * r), slot
-        assert got_curvature == curvatures[slot]
+    got_value, got_partial, got_curvature = _terms(cost, xs)
+    assert np.all(np.abs(got_value - value) <= tol * r * r)
+    assert np.all(np.abs(got_partial - partial) <= tol * r)
+    assert got_curvature == 2.0 * sum(weights)
+
+
+def _slot_order(weights, partners):
+    """centred's m and c, each a plain loop over the slots in order from +0.0."""
+    total, moment = 0.0, 0.0
+    for w, y in zip(weights, partners):
+        total, moment = total + w, moment + w * y
+    m, c = moment / (total if total != 0.0 else 1.0), 0.0
+    for w, y in zip(weights, partners):
+        c = c + w * (y - m) ** 2
+    return m, c
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (7,), (3, 5)], ids=["K1", "K11", "KN", "KPN"])
+@given(_weights(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_centred_sums_in_slot_order_to_the_bit(shape, weights, seed):
+    # a numpy reduction over the slot axis sums pairwise from 8 terms and would round
+    # otherwise; the weights come as scalars, and as a (K, 1, ...) array beside them
+    rng = np.random.default_rng(seed)
+    partners = rng.uniform(-2.0, 2.0, size=(len(weights), *shape))
+    want = _slot_order(weights, partners)
+    stacked = np.reshape(weights, (-1,) + (1,) * len(shape))
+    for given_weights in (weights, stacked):
+        got = centred(given_weights, partners)
+        for g, v in zip(got, want):
+            assert np.shape(g) == shape and np.array_equal(g, np.broadcast_to(v, shape))
+            assert np.array_equal(np.signbit(g), np.signbit(np.broadcast_to(v, shape)))
 
 
 # ---------------------------------------------------------------- coupling value
