@@ -19,7 +19,6 @@ Exit codes: 0 success (skipped probes are not failures), 1 probe failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from collections import namedtuple
@@ -60,14 +59,13 @@ Opt = namedtuple("Opt", "kind default", defaults=(None,))
 
 
 class Record:
-    """A YAML mapping with the keys of ``fields``, read into the frozen dataclass ``cls``."""
+    """A YAML mapping with the keys of ``fields``, read into the named tuple ``cls``: every
+    field has its own default, an Opt's or None, and _read refuses a missing required key."""
 
     def __init__(self, name: str, fields: dict):
         self.fields = fields
-        self.cls = dataclasses.make_dataclass(name, [
-            (key, object, dataclasses.field(default=getattr(kind, "default", dataclasses.MISSING)))
-            for key, kind in fields.items()
-        ], frozen=True, namespace={"__module__": __name__})
+        self.cls = namedtuple(name, fields, module=__name__,
+                              defaults=[getattr(kind, "default", None) for kind in fields.values()])
 
 
 class Union(Record):

@@ -23,9 +23,8 @@ displacement convex, the convexity the contraction probe needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ EPS_FLOOR = 1e-12  # gap floor, relative to the domain length
 Form = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class InternalEnergy:
+class InternalEnergy(NamedTuple):
     """The integrand f, the pressure p(s) = s f'(s) - f(s) and p', vectorized over s > 0.
 
     All three are None for the zero energy, the one kind the kernels skip.

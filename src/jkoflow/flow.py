@@ -23,26 +23,18 @@ The probes read the arrays, each in a few whole-array passes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _trajectory_text
 from .energy import InternalEnergy, _gap_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
-from .geometry import Domain, ParticleDensity
+from .geometry import Domain, ParticleDensity, _integer
 from .jko import COLUMNS, StepProblem, _Rows, _check_h_and_tol
 from .transport import QuadraticCost, centred
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,8 +58,7 @@ class Coupling:
             raise InvalidInputError("coupling partners must fill every cost slot but the owner's")
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(NamedTuple):
     initial: ParticleDensity
     energy: InternalEnergy
     coupling: Coupling | None = None
@@ -222,8 +213,7 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
 # ------------------------------------------------------------------ estimates
 
 
-@dataclass(frozen=True)
-class PopulationEstimate:
+class PopulationEstimate(NamedTuple):
     population: int
     f_initial: float
     f_final: float
@@ -234,8 +224,7 @@ class PopulationEstimate:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     populations: tuple[PopulationEstimate, ...]
     satisfied: bool
 
@@ -277,8 +266,7 @@ def estimate_report(traj: FlowTrajectory) -> EstimateReport:
 # ----------------------------------------------------------------- contraction
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     status: str  # "PASS", "FAIL", or "SKIPPED"
     reason: str
     max_increase: float
@@ -310,7 +298,7 @@ def contraction_rerun(
                 "alternative initial states must match in particle count and domain"
             )
     return replace(config, populations=tuple(
-        replace(p, initial=rho) for p, rho in zip(config.populations, other_initials)
+        p._replace(initial=rho) for p, rho in zip(config.populations, other_initials)
     ))
 
 
@@ -363,8 +351,7 @@ def contraction_probe(
 # ------------------------------------------------------------------ weak form
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Space-time test function with analytic derivative bounds.
 
     ``value`` and ``dx`` are vectorized in x, with the times t broadcast
@@ -418,8 +405,7 @@ def bump_test_function(center: float, half_width: float, t_cut: float) -> TestFu
     )
 
 
-@dataclass(frozen=True)
-class WeakFormReport:
+class WeakFormReport(NamedTuple):
     population: int
     residual: float
     bound: float
@@ -442,9 +428,9 @@ def weak_form_residual(
     where particles may sit on the box constraint.
     """
     config = traj.config
-    if not 0 <= population < len(config.populations):
-        raise InvalidInputError(f"population {population} out of range")
-    i = population
+    i = _integer(population, "population")
+    if not 0 <= i < len(config.populations):
+        raise InvalidInputError(f"population {i} out of range")
     p = config.populations[i]
     # every step k -> k + 1 at once: row k of x_new is rho^{k+1}, of t_k its time t_k
     x = traj.positions[i]
@@ -479,10 +465,11 @@ def weak_form_residual(
 def trajectory_csv(traj: FlowTrajectory, population: int, path) -> None:
     """States, one row per step: t, particle_0, ..., particle_{N-1}, each float as its
     repr (see _trajectory_text)."""
-    if not 0 <= population < len(traj.positions):
-        raise InvalidInputError(f"population {population} out of range")
+    i = _integer(population, "population")
+    if not 0 <= i < len(traj.positions):
+        raise InvalidInputError(f"population {i} out of range")
     with open(path, "wb") as fh:
-        _trajectory_text.write(fh, traj.times, traj.positions[population])
+        _trajectory_text.write(fh, traj.times, traj.positions[i])
 
 
 def diagnostics_csv(traj: FlowTrajectory, path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ from .errors import InvalidInputError
 
 # Mass defect tolerated by the GridDensity normalization invariant.
 MASS_TOL = 1e-12
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -222,6 +230,7 @@ def from_grid(grid: GridDensity, n: int, domain: Domain | None = None) -> Partic
     result lives on `domain` if given (which must contain the grid), else on
     the grid's own interval.
     """
+    n = _integer(n, "a particle count")
     if n < 1:
         raise InvalidInputError("need at least one particle")
     gd = grid.domain

@@ -153,8 +153,7 @@ class StepProblem:
         return _Rows((self,))
 
 
-@dataclass(frozen=True)
-class StepSolution:
+class StepSolution(NamedTuple):
     """The new state and its diagnostics, one field per name of COLUMNS in that order:
     F (``energy``), the rank-diagonal coupling value (0 when uncoupled), the squared
     step length W2^2, the solver and Euler-Lagrange residuals, E (``objective``) and

@@ -75,21 +75,20 @@ def barenblatt_profile(t: float, domain: Domain) -> GridDensity:
 def _shipped(name: str, n=None, h=None, n_steps=None, t0=None) -> FlowConfig:
     """The flow of the shipped ``scenarios/<name>.yaml``, each keyword given replacing the
     file's value: every population's ``n``, ``h``, ``n_steps`` and every profile's ``t0``."""
-    from dataclasses import replace
     from pathlib import Path
 
     from .cli import build_flow_config, parse_scenario  # cli imports this module
 
     def given(spec, **values):
-        return replace(spec, **{k: v for k, v in values.items() if v is not None})
+        return spec._replace(**{k: v for k, v in values.items() if v is not None})
 
     scenario = parse_scenario(
         Path(__file__).with_name("scenarios").joinpath(f"{name}.yaml").read_text(encoding="utf-8"))
-    pops = tuple(replace(p, initial=given(p.initial, n=n, profile=None if t0 is None
-                                          else replace(p.initial.profile, t0=t0)))
+    pops = tuple(p._replace(initial=given(p.initial, n=n, profile=None if t0 is None
+                                          else p.initial.profile._replace(t0=t0)))
                  for p in scenario.flow.populations)
     flow = given(scenario.flow, populations=pops, h=h, n_steps=n_steps)
-    return build_flow_config(replace(scenario, flow=flow))
+    return build_flow_config(scenario._replace(flow=flow))
 
 
 def identity_preset(n: int | None = None, h: float | None = None,

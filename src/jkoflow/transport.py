@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def _mean_cost(cost: QuadraticCost, columns: Sequence[np.ndarray]) -> float:
     return float(np.add.reduce(0.5 * a * d * d + c0) / len(d))  # as the step kernel sums it
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     t_samples: tuple[float, ...]
     violations: tuple[float, ...]
     max_violation: float

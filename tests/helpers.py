@@ -1,7 +1,5 @@
 """Shared generators for the test suite (deterministic, seeded by caller)."""
 
-import dataclasses
-
 import numpy as np
 import yaml
 
@@ -57,12 +55,12 @@ def wrong_sign_energy(c):
 
 def _dump(value):
     """The YAML data that the scenario reader turns back into ``value``."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _dump(getattr(value, f.name)) for f in dataclasses.fields(value)
-                if getattr(value, f.name) != f.default}
-    if isinstance(value, tuple):  # pairs were read from a mapping
-        return dict(value) if value and isinstance(value[0], tuple) else [_dump(v) for v in value]
-    return value
+    if not isinstance(value, tuple):
+        return value
+    if type(value) is not tuple:  # a record, a named tuple; it omits what equals its default
+        return {k: _dump(v) for k, v in value._asdict().items() if v != value._field_defaults[k]}
+    # a list, or a mapping's (key, value) pairs: plain tuples, where a record is not
+    return dict(value) if value and type(value[0]) is tuple else [_dump(v) for v in value]
 
 
 def serialize_scenario(s):

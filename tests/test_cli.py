@@ -1,6 +1,5 @@
 """Scenario front end: parsing, round-trips, artifact runs, exit codes."""
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -200,7 +199,9 @@ def test_non_mapping_document_rejected():
 )
 def test_shipped_scenarios_round_trip(name):
     s = parse_scenario((SCENARIO_DIR / f"{name}.yaml").read_text())
-    assert parse_scenario(serialize_scenario(s)) == s
+    s2 = parse_scenario(serialize_scenario(s))
+    assert s2 == s
+    assert repr(s2) == repr(s)  # names every record's class, which tuple equality does not
 
 
 def test_presets_are_the_shipped_files_with_the_given_values():
@@ -224,6 +225,7 @@ def test_round_trip_preserves_custom_energy_and_probe_options():
     s = parse_scenario(BACKWARD)
     s2 = parse_scenario(serialize_scenario(s))
     assert s2 == s
+    assert repr(s2) == repr(s)
     assert s2.flow.populations[0].energy.coefficient == 1.0
 
 
@@ -307,7 +309,7 @@ def test_probes_do_not_change_the_flow_artifacts(tmp_path):
     # the contraction probe's second flow runs in the scenario flow's kernel
     full = parse_scenario((SCENARIO_DIR / "heat_flow.yaml").read_text())
     assert run_scenario(full, output_dir=tmp_path / "full", quiet=True) == 0
-    bare = dataclasses.replace(full, probes=())
+    bare = full._replace(probes=())
     assert run_scenario(bare, output_dir=tmp_path / "bare", quiet=True) == 0
     for name in ("trajectory_pop0.csv", "trajectory_pop1.csv", "diagnostics.csv"):
         assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
@@ -489,7 +491,7 @@ def test_second_flow_failure_names_its_probe(tmp_path, monkeypatch, capsys):
 
 def test_duplicate_probe_kinds_get_distinct_files(tmp_path):
     s = parse_scenario((SCENARIO_DIR / "identity.yaml").read_text())
-    doubled = dataclasses.replace(s, probes=s.probes[:1] + s.probes[:1])
+    doubled = s._replace(probes=s.probes[:1] + s.probes[:1])
     assert run_scenario(doubled, output_dir=tmp_path, quiet=True) == 0
     assert (tmp_path / "probe_estimate_report.txt").exists()
     assert (tmp_path / "probe_estimate_report_2.txt").exists()
@@ -506,7 +508,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_scenario_output_dir_field_used(tmp_path):
     s = parse_scenario(MINIMAL)
-    s = dataclasses.replace(s, output_dir=str(tmp_path / "nested" / "out"))
+    s = s._replace(output_dir=str(tmp_path / "nested" / "out"))
     assert run_scenario(s, quiet=True) == 0
     assert (tmp_path / "nested" / "out" / "MANIFEST.txt").exists()
 

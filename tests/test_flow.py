@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -659,7 +659,7 @@ def test_trajectory_records_read_only_arrays():
         assert x.shape == (5, p.initial.n) and not x.flags.writeable
         assert x[0].tobytes() == p.initial.positions.tobytes()
         assert state.positions.tobytes() == x[-1].tobytes()
-    assert [f.name for f in fields(StepSolution)][1:] == list(COLUMNS)
+    assert StepSolution._fields[1:] == COLUMNS
     for column in traj.columns.values():
         assert column.shape == (4, 4) and not column.flags.writeable
     assert traj.columns["iterations"].dtype == int
@@ -670,6 +670,22 @@ def test_weak_form_refuses_a_population_out_of_range():
     phi = bump_test_function(0.5, 0.3, 0.02)
     with pytest.raises(InvalidInputError, match="population 5 out of range"):
         weak_form_residual(traj, phi, 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda traj, path: from_grid(gaussian_profile(UNIT, 0.5, 0.1), 2.5),
+     "a particle count must be an integer, got 2.5"),
+    (lambda traj, path: heat_flow_preset(n=3.5), "a particle count must be an integer, got 3.5"),
+    (lambda traj, path: weak_form_residual(traj, bump_test_function(0.5, 0.3, 0.02), 0.5),
+     "population must be an integer, got 0.5"),
+    (lambda traj, path: trajectory_csv(traj, 0.5, path), "population must be an integer, got 0.5"),
+], ids=["from_grid", "preset", "weak_form_residual", "trajectory_csv"])
+def test_a_count_or_index_that_is_not_an_integer_is_refused(tmp_path, call, message):
+    traj = run_flow(identity_preset(n=8, n_steps=2))
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+        call(traj, path)
+    assert not path.exists()  # refused before the file is opened
 
 
 # ------------------------------------------------------------------ CSV files

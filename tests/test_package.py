@@ -1,14 +1,21 @@
 """The package surface: every export resolves, the README examples run or parse, and the
 import stays lean."""
 
+import dataclasses
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jkoflow
+from jkoflow import cli
 from jkoflow.cli import parse_scenario
+from jkoflow.errors import InvalidInputError
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -23,6 +30,32 @@ HEAVY = ("numpy.f2py", "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse"
 
 def test_every_export_resolves():
     assert [name for name in jkoflow.__all__ if not hasattr(jkoflow, name)] == []
+
+
+# the types whose constructor validates its fields (__post_init__), and FlowTrajectory,
+# whose cached states need an instance dict; every other record is a named tuple
+VALIDATING = {"Domain", "ParticleDensity", "GridDensity", "QuadraticCost", "Coupling",
+              "FlowConfig", "StepProblem"}
+
+
+def test_only_validating_types_are_dataclasses():
+    modules = [importlib.import_module(f"jkoflow.{m.name}")
+               for m in pkgutil.iter_modules(jkoflow.__path__)]
+    classes = {v for module in modules for v in vars(module).values()
+               if isinstance(v, type) and v.__module__ == module.__name__}
+    classes |= {v.cls for v in vars(cli).values() if isinstance(v, cli.Record)}
+    dataclass_types = {c for c in classes if dataclasses.is_dataclass(c)}
+    assert sorted(c.__name__ for c in dataclass_types) == sorted(VALIDATING | {"FlowTrajectory"})
+    for c in dataclass_types:
+        assert ("__post_init__" in vars(c)) == (c.__name__ in VALIDATING), c.__name__
+
+
+def test_a_record_reads_an_optional_key_before_a_required_one():
+    record = cli.Record("Spec", {"a": cli.Opt(float, 1.5), "b": int, "c": cli.Opt(str)})
+    spec = cli._read({"b": 2}, record, "spec")
+    assert (spec.a, spec.b, spec.c) == (1.5, 2, None)  # each key's own default
+    with pytest.raises(InvalidInputError, match="^spec.b: missing required key$"):
+        cli._read({"a": 0.5}, record, "spec")
 
 
 def test_readme_python_example_runs_as_written(capsys):
