@@ -16,9 +16,9 @@ of N particles.  The Hessian is tridiagonal, with a zero entry between rows,
 D the within-row gap difference operator, q the energy's gap curvature and
 c_ss = a, the curvature of each row's cost in slot 0, the population's own.
 A row's cost, with its partners frozen, is (a/2)(x_j - m_j)^2 + c_j at each
-rank j (transport.centred): the rows carry a, m and c as flat arrays, and a
-kernel that run_flows builds refills m and c from its partner table after
-each step, so no evaluation calls a cost method.  Damped Newton
+rank j (transport.centred): the rows carry a/2, (2h/N) a, m and c as flat
+arrays, and a kernel that run_flows builds refills m and c from its partner
+table after each step, so no evaluation calls a cost method.  Damped Newton
 on H (the Lagrangian Newton step of Blanchet, Calvez and Carrillo: one
 LAPACK dptsv solve per iteration for all rows) drops negative curvature,
 so every direction descends.
@@ -186,7 +186,8 @@ class _Rows:
     Row r is problem r.  Each maximal run of adjacent rows that share one
     energy is a block that a single gap pass evaluates.  Each particle's cost
     against its frozen partners is (a/2)(x - m)^2 + c, from the flat arrays
-    a, m and c of a coupled kernel, all 0 in an uncoupled row: centred on a
+    half_a = a/2, m and c of a coupled kernel (and step_a = (2h/N) a, the
+    term of dE/dx and of H), all 0 in an uncoupled row: centred on a
     (K, P, N) table of the rows' frozen partners in slot order, their weights
     beside it, padded with zero rows at weight 0.  step solves every row from
     prev and makes the solution the next step's prev, keeping its evaluation
@@ -215,7 +216,9 @@ class _Rows:
         if self.coupled:
             weights = [() if p.cost is None else p.cost.weights for p in problems]
             self.weights = np.array(list(zip_longest(*weights, fillvalue=0.0)))[:, :, None]
-            self.a = np.repeat(2.0 * sum(self.weights, 0.0).ravel(), self.n)
+            a = np.repeat(2.0 * sum(self.weights, 0.0).ravel(), self.n)
+            # (a/2) and (2h/N) a, the products E and its derivatives take of a
+            self.half_a, self.step_a = 0.5 * a, (2.0 * self.h / self.n) * a
             frozen = [[f.positions for f in p.frozen] for p in problems]
             m, c = centred(self.weights, np.array(list(zip_longest(*frozen,
                                                                   fillvalue=np.zeros(self.n)))))
@@ -285,10 +288,10 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
     couplings = np.zeros(rows.count)
     if rows.coupled:
         d = x - rows.m
-        c = 0.5 * rows.a * d * d + rows.c
+        c = rows.half_a * d * d + rows.c
         couplings = np.add.reduce(c.reshape(rows.count, n), 1) / n  # as coupling_value
         values += h2 * couplings
-        grad += (h2 / n) * rows.a * d
+        grad += rows.step_a * d
     return _Point(values, energies, couplings, w2_sq, grad, energy_grad, curvature, gaps)
 
 
@@ -311,7 +314,7 @@ def _hessian_bands(rows: _Rows, at: _Point) -> tuple[np.ndarray, ...]:
     diag = 2.0 / rows.n + hq
     diag[1:] += hq[:-1]
     if rows.coupled:
-        diag += (h2 / rows.n) * rows.a
+        diag += rows.step_a
     return diag, -hq[:-1]
 
 

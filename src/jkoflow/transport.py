@@ -56,15 +56,21 @@ def centred(weights, partners) -> tuple[np.ndarray, np.ndarray]:
     """(m, c) such that sum_k w_k (x - y_k)^2 = (sum_k w_k)(x - m)^2 + c at each rank.
 
     The partners y_k come in slot order along axis 0 (of an array, or as a
-    sequence of arrays), the weights w_k beside them, scalars or arrays that
-    broadcast against a partner; the cost's curvature in x is a = 2 sum_k w_k.
-    Every sum runs over the slots in order from +0.0, the weight total's too
-    (a numpy reduction would sum pairwise), so a zero weight adds +0.0 and a
-    weight sum of 0 gives m = c = 0.
+    sequence of arrays, stacked into one), the weights w_k beside them,
+    scalars or arrays that broadcast against a partner; the cost's curvature
+    in x is a = 2 sum_k w_k.  w y, y - m and w (y - m)^2 are each one pass
+    over the whole table; every sum runs over the slots in order from +0.0,
+    the weight total's too (a numpy reduction would sum pairwise), so a zero
+    weight adds +0.0 and a weight sum of 0 gives m = c = 0.
     """
-    total = sum(weights, 0.0)
-    m = sum((w * y for w, y in zip(weights, partners)), 0.0) / np.where(total == 0.0, 1.0, total)
-    return m, sum((w * (y - m) ** 2 for w, y in zip(weights, partners)), 0.0)
+    y, w = np.asarray(partners), np.asarray(weights, dtype=float)
+    w = w.reshape(w.shape + (1,) * (y.ndim - w.ndim))  # slot k's weights beside y_k
+    total = sum(w, 0.0)
+    m = sum(w * y, 0.0) / np.where(total == 0.0, 1.0, total)
+    d = y - m
+    d *= d
+    d *= w
+    return m, sum(d, 0.0)
 
 
 def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) -> float:

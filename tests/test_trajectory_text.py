@@ -1,6 +1,9 @@
 """Trajectory CSV text: every float exactly as its repr, against the one-float-at-a-time oracle."""
 
 import io
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +64,9 @@ def test_seeded_batch_is_its_reprs():
     # repr is the exception: the fast path takes every value of its range below 2^32,
     # where V's many fraction bits leave no tie
     a = np.abs(values)
-    assert _trajectory_text._shortest(values[(a >= 1e-4) & (a < 2.0 ** 32)])[2].all()
+    fast = values[(a >= 1e-4) & (a < 2.0 ** 32)]
+    for block in np.split(fast, range(_trajectory_text.BLOCK, fast.size, _trajectory_text.BLOCK)):
+        assert _trajectory_text._shortest(block, _trajectory_text._work(block.size))[2].all()
 
 
 def test_hand_picked_values_are_their_reprs():
@@ -77,3 +82,64 @@ def test_hand_picked_values_are_their_reprs():
         *(k * h for h in steps for k in range(2001)),
     ]
     _assert_reprs([[v, -v] for v in values])
+
+
+def test_a_second_write_reuses_the_work_arrays(tmp_path):
+    # after one write, a write of the same trajectory allocates no array of its passes:
+    # its peak is the text of a few CHUNK values, under 64 bytes per value of its largest
+    # block, where arrays allocated per block took 236
+    rng = np.random.default_rng(32)
+    x = np.sort(rng.uniform(0.0, 1.0, (101, 128)), axis=1)
+    x[:, 0], x[:, -1] = 0.0, 1.0  # wall particles: uncertain values in every row
+    times = [k * 0.01 for k in range(101)]
+    largest = 51 * 129  # 101 rows of t and 128 positions, in two blocks of 51 and 50 rows
+    for run in range(2):
+        with open(tmp_path / f"run{run}.csv", "wb") as fh:
+            tracemalloc.start()
+            _trajectory_text.write(fh, times, x)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak <= 64 * largest
+    assert (tmp_path / "run1.csv").read_bytes() == trajectory_text(times, x)
+
+
+def test_work_arrays_serve_blocks_that_shrink_and_grow(tmp_path):
+    # one thread's arrays through blocks of 4100, 6579 and 6450, 4100 and 8 values, then
+    # of 8193, more than BLOCK, and of 8 again
+    rng = np.random.default_rng(33)
+    path = tmp_path / "trajectory_pop0.csv"
+    for shape in ((4, 1024), (101, 128), (4, 1024), (2, 3), (3, 8192), (2, 3)):
+        x = np.sort(rng.uniform(-1.0, 1.0, shape), axis=1)
+        times = [k * 0.1 for k in range(shape[0])]
+        trajectory_csv(FlowTrajectory(None, times, (x,), {}), 0, path)
+        assert path.read_bytes() == trajectory_text(times, x)
+
+
+def test_threads_writing_at_once_keep_their_own_work_arrays():
+    # four threads on two cores, switching every microsecond: with shared work arrays,
+    # one thread's pass would overwrite another's and a text would differ
+    rng = np.random.default_rng(34)
+    shapes = ((101, 128), (4, 1024), (101, 128), (4, 1024))
+    positions = [np.sort(rng.uniform(-1.0, 1.0, shape), axis=1) for shape in shapes]
+    times = [[k * 0.01 for k in range(shape[0])] for shape in shapes]
+    texts = [[] for _ in shapes]
+
+    def write(i):
+        for _ in range(5):
+            fh = io.BytesIO()
+            _trajectory_text.write(fh, times[i], positions[i])
+            texts[i].append(fh.getvalue())
+
+    threads = [threading.Thread(target=write, args=(i,)) for i in range(len(shapes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(len(shapes)):
+        assert texts[i] == [trajectory_text(times[i], positions[i])] * 5

@@ -133,6 +133,17 @@ def test_centred_sums_in_slot_order_to_the_bit(shape, weights, seed):
         for g, v in zip(got, want):
             assert np.shape(g) == shape and np.array_equal(g, np.broadcast_to(v, shape))
             assert np.array_equal(np.signbit(g), np.signbit(np.broadcast_to(v, shape)))
+    if len(shape) == 2:
+        # the kernel's refill: a (K, P, 1) table of weights that differ by row, row r
+        # keeping its first K - r mod K slots and zeros after, against (K, P, N) partners
+        k, p = len(weights), shape[0]
+        table = np.array([[weights[s] * (1 + r) if s < k - r % k else 0.0 for r in range(p)]
+                          for s in range(k)])[:, :, None]
+        got = centred(table, partners)
+        for r in range(p):
+            for g, v in zip(got, _slot_order(table[:, r, 0].tolist(), partners[:, r])):
+                assert np.shape(g) == shape and np.array_equal(g[r], v)
+                assert np.array_equal(np.signbit(g[r]), np.signbit(v))
 
 
 # ---------------------------------------------------------------- coupling value
