@@ -39,7 +39,9 @@ Form = Callable[[np.ndarray], np.ndarray]
 class InternalEnergy(NamedTuple):
     """The integrand f, the pressure p(s) = s f'(s) - f(s) and p', vectorized over s > 0.
 
-    All three are None for the zero energy, the one kind the kernels skip.
+    p and p' may return their argument itself or a scalar, as the entropy's do:
+    the gap pass only reads them.  All three are None for the zero energy, the
+    one kind the kernels skip.
     displacement_convex says whether F is displacement convex (McCann, 1997):
     in one dimension, whether r -> r f(1/r) is convex and nonincreasing.
     """
@@ -53,7 +55,7 @@ class InternalEnergy(NamedTuple):
 @cache  # built-in energies: one object per argument, so rows that share it share its evaluation
 def entropy_energy() -> InternalEnergy:
     """f(s) = s log s (Boltzmann entropy; linear diffusion): p = s, p' = 1."""
-    return InternalEnergy(lambda s: s * np.log(s), np.copy, np.ones_like, True)
+    return InternalEnergy(lambda s: s * np.log(s), lambda s: s, lambda s: 1.0, True)
 
 
 def power_law_energy(exponent: float, coefficient: float = 1.0) -> InternalEnergy:

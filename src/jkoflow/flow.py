@@ -350,6 +350,8 @@ def contraction_probe(
 
 # ------------------------------------------------------------------ weak form
 
+WEAK_FORM_BLOCK = 4096  # the most positions weak_form_residual takes in one block of steps
+
 
 class TestFunction(NamedTuple):
     """Space-time test function with analytic derivative bounds.
@@ -431,32 +433,43 @@ def weak_form_residual(
     i = _integer(population, "population")
     if not 0 <= i < len(config.populations):
         raise InvalidInputError(f"population {i} out of range")
-    p = config.populations[i]
-    # every step k -> k + 1 at once: row k of x_new is rho^{k+1}, of t_k its time t_k
     x = traj.positions[i]
-    x_new = x[1:]
-    times = np.array(traj.times)[:, None]
-    t_k, t_k1 = times[:-1], times[1:]
-    # Phi at both times in one call, so that a test function evaluates its
-    # spatial factor once; one that ignores t returns a single (steps, N) block
-    at_k1, at_k = np.broadcast_to(phi.value(np.array([t_k1, t_k]), x_new), (2, *x_new.shape))
-    moved = np.mean(at_k1 - at_k, axis=1)
-    drive = 0.0 if p.energy.f is None else x.shape[1] * _gap_gradient(  # zero energy: no drive
-        p.energy, x_new.reshape(-1), config.domain.length, len(x_new))[0].reshape(x_new.shape)
-    if p.coupling is not None:  # against the partners frozen at step k
-        weights = p.coupling.cost.weights
-        m, _ = centred(weights, [traj.positions[j][:-1] for j in p.coupling.partners])
-        drive = drive + 2.0 * sum(weights, 0.0) * (x_new - m)
-    pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
-    ends = [float(np.mean(phi.value(traj.times[0], x[0]))),
-            float(-np.mean(phi.value(traj.times[-1], x[-1])))]
-    total = math.fsum(moved.tolist() + pushed.tolist() + ends)  # exact, so in any order
+    # each step's terms depend on its row alone, so the steps go in blocks of
+    # rows, whose temporaries the allocator reuses from one call to the next
+    steps, rows = len(x) - 1, max(1, WEAK_FORM_BLOCK // x.shape[1])
+    terms = [float(np.mean(phi.value(traj.times[0], x[0]))),
+             float(-np.mean(phi.value(traj.times[-1], x[-1])))]
+    for a in range(0, steps, rows):
+        terms += _step_terms(traj, phi, i, a, min(a + rows, steps))
+    total = math.fsum(terms)  # exact, so in any order
     el_sum = math.fsum(traj.columns["el_residual"][:, i].tolist())
     w2_sum = math.fsum(traj.columns["w2_sq"][:, i].tolist())
     bound = phi.sup_dx * el_sum + 0.5 * phi.sup_dxx * w2_sum
     cushion = 1e-12 * (1.0 + bound)
     return WeakFormReport(population=i, residual=total, bound=bound,
                           satisfied=abs(total) <= bound + cushion)
+
+
+def _step_terms(traj: FlowTrajectory, phi: TestFunction, i: int, a: int, b: int) -> list:
+    """The weak form's terms of population i's steps k = a, ..., b - 1: <rho^{k+1},
+    Phi(t_{k+1}) - Phi(t_k)> of each step, then -h <rho^{k+1}, (N g + U) d_x Phi(t_k)> of each."""
+    config, x = traj.config, traj.positions[i]
+    p = config.populations[i]
+    # row k - a of x_new is rho^{k+1}, of t_k its time t_k
+    x_new, times = x[a + 1:b + 1], np.array(traj.times[a:b + 1])[:, None]
+    t_k, t_k1 = times[:-1], times[1:]
+    # Phi at both times in one call, so that a test function evaluates its
+    # spatial factor once; one that ignores t returns a single block
+    at_k1, at_k = np.broadcast_to(phi.value(np.array([t_k1, t_k]), x_new), (2, *x_new.shape))
+    moved = np.mean(at_k1 - at_k, axis=1)
+    drive = 0.0 if p.energy.f is None else x.shape[1] * _gap_gradient(  # zero energy: no drive
+        p.energy, x_new.reshape(-1), config.domain.length, b - a)[0].reshape(x_new.shape)
+    if p.coupling is not None:  # against the partners frozen at step k
+        weights = p.coupling.cost.weights
+        m, _ = centred(weights, [traj.positions[j][a:b] for j in p.coupling.partners])
+        drive = drive + 2.0 * sum(weights, 0.0) * (x_new - m)
+    pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
+    return moved.tolist() + pushed.tolist()
 
 
 # ------------------------------------------------------------------ CSV output

@@ -66,7 +66,7 @@ import numpy as np
 from .energy import InternalEnergy, gap_terms
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, accepted
-from .transport import QuadraticCost, centred
+from .transport import QuadraticCost, centred, weight_total
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
@@ -192,7 +192,9 @@ class _Rows:
     beside it, padded with zero rows at weight 0.  step solves every row from
     prev and makes the solution the next step's prev, keeping its evaluation
     as ``at``.  Given each row's partner rows (``partners``), it refills m and
-    c from the table of those rows' new states.
+    c from the table of those rows' new states.  What stays fixed is built
+    once: a/2, (2h/N) a and the divisor centred takes, and a read-only zero
+    vector, W2^2 at prev and the coupling values of an uncoupled kernel.
     """
 
     def __init__(self, problems: Sequence[StepProblem],
@@ -211,17 +213,20 @@ class _Rows:
         self.ends = [e for r in range(self.count) for e in (
             (r * self.n, r, -1.0, lower), ((r + 1) * self.n - 1, r, 1.0, upper))]
         self.starts = np.arange(0, self.count * self.n, self.n)  # each row's first index
+        self.zeros = np.zeros(self.count)
+        self.zeros.setflags(write=False)
         self.coupled = any(p.cost is not None for p in problems)
         self.partners = None  # each row's partner rows (K, P), padded with row 0, if refilled
         if self.coupled:
             weights = [() if p.cost is None else p.cost.weights for p in problems]
             self.weights = np.array(list(zip_longest(*weights, fillvalue=0.0)))[:, :, None]
-            a = np.repeat(2.0 * sum(self.weights, 0.0).ravel(), self.n)
+            total, self.divisor = weight_total(self.weights)
+            a = np.repeat(2.0 * total.ravel(), self.n)
             # (a/2) and (2h/N) a, the products E and its derivatives take of a
             self.half_a, self.step_a = 0.5 * a, (2.0 * self.h / self.n) * a
             frozen = [[f.positions for f in p.frozen] for p in problems]
-            m, c = centred(self.weights, np.array(list(zip_longest(*frozen,
-                                                                  fillvalue=np.zeros(self.n)))))
+            m, c = centred(self.weights, np.array(list(zip_longest(
+                *frozen, fillvalue=np.zeros(self.n)))), self.divisor)
             self.m, self.c = m.ravel(), c.ravel()
             if partners is not None:
                 self.partners = np.array(list(zip_longest(*partners, fillvalue=0)))
@@ -235,7 +240,7 @@ class _Rows:
         columns = _columns(self, block, at, res, iters)
         self.prev, self.at = x, at
         if self.partners is not None:
-            m, c = centred(self.weights, block[self.partners])
+            m, c = centred(self.weights, block[self.partners], self.divisor)
             self.m, self.c = m.ravel(), c.ravel()
         return _Step(block, columns)
 
@@ -278,14 +283,14 @@ def _evaluate(rows: _Rows, x: np.ndarray, reuse: _Point | None = None) -> _Point
     else:
         _, energies, _, _, _, energy_grad, curvature, gaps = reuse  # the terms of x alone
     if x is rows.prev:  # x - prev is +0.0 throughout: its terms are zeros, added as such
-        w2_sq, grad = np.zeros(rows.count), h2 * energy_grad + 0.0
+        w2_sq, grad = rows.zeros, h2 * energy_grad + 0.0
     else:
         step = x - rows.prev
         w2_sq = np.add.reduce((step * step).reshape(rows.count, n), 1) / n
         grad = h2 * energy_grad
         grad += (2.0 / n) * step
     values = w2_sq + h2 * energies
-    couplings = np.zeros(rows.count)
+    couplings = rows.zeros
     if rows.coupled:
         d = x - rows.m
         c = rows.half_a * d * d + rows.c
@@ -412,11 +417,13 @@ def _failure(rows: _Rows, message: str, res: list[float], *arrays,
     return NumericalFailureError(message, residual=res[row], row=row)
 
 
-def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> None:
-    if not (math.isfinite(sum(point.values.tolist()))
-            and np.logical_and.reduce(np.isfinite(point.grad))):
+def _require_finite(rows: _Rows, point: _Point, iteration: int, res: list[float]) -> list[float]:
+    """E of each row at ``point``, as floats, once E and dE/dx are found finite there."""
+    values = point.values.tolist()
+    if not (math.isfinite(sum(values)) and np.logical_and.reduce(np.isfinite(point.grad))):
         raise _failure(rows, "step solver met a non-finite objective or gradient "
                        f"at iteration {iteration}", res, point.values, point.grad)
+    return values
 
 
 def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Point, list, list]:
@@ -425,7 +432,7 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
     # the P-long per-row quantities are Python floats and bools: at the few
     # rows of a flow, a pass over them costs less than one numpy call
     count, n = rows.count, rows.n
-    _require_finite(rows, at, 0, [math.nan] * count)
+    values = _require_finite(rows, at, 0, [math.nan] * count)
     res = [math.sqrt(q) for q in _residuals(rows, x, at.grad)]
     moving = [r > t for r, t in zip(res, rows.tol)]
     iters, k = [0] * count, 0  # k: the iterations every moving row has taken
@@ -447,12 +454,12 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
         cand = cand2.reshape(-1)
         for j, wall in walls:
             cand[j] = wall
-        values, searching, sq = at.values.tolist(), moving, None
+        searching, sq = moving, None
         for trial in range(MAX_BACKTRACKS):
             trial_at = _evaluate(rows, cand)
-            _require_finite(rows, trial_at, k, res)
+            trial_values = _require_finite(rows, trial_at, k, res)
             searching = [s and v > v0 + ARMIJO_C1 * a * sl for s, v, v0, a, sl
-                         in zip(searching, trial_at.values.tolist(), values, alpha, slope)]
+                         in zip(searching, trial_values, values, alpha, slope)]
             if trial == 0 and any(searching):
                 # E sums about N terms, so its computed value may be off by up to
                 # N EPS |E|, and the Armijo test asks E to fall by c1 |slope|: where
@@ -473,7 +480,7 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
             raise _failure(rows, f"step solver line search failed at iteration {k}", res,
                            among=searching)
         # a row whose step does not move keeps its value to the bit: only then compare
-        stuck = [m and v == v0 for m, v, v0 in zip(moving, trial_at.values.tolist(), values)]
+        stuck = [m and v == v0 for m, v, v0 in zip(moving, trial_values, values)]
         if any(stuck):
             stuck = [s and not v for s, v in zip(stuck, (cand2 != x2).any(axis=1).tolist())]
         if any(stuck):
@@ -481,7 +488,7 @@ def _minimize(rows: _Rows, x: np.ndarray, at: _Point) -> tuple[np.ndarray, _Poin
                            "the accepted step does not move", res, among=stuck)
         if sq is None or trial > 0:
             sq = _residuals(rows, cand, trial_at.grad)
-        x, at, res = cand, trial_at, [math.sqrt(q) for q in sq]
+        x, at, values, res = cand, trial_at, trial_values, [math.sqrt(q) for q in sq]
         iters = [i + m for i, m in zip(iters, moving)]
         moving = [m and r > t for m, r, t in zip(moving, res, rows.tol)]
         k += 1

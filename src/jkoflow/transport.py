@@ -52,7 +52,14 @@ class QuadraticCost:
         return 2.0 * length * sum(self.weights)
 
 
-def centred(weights, partners) -> tuple[np.ndarray, np.ndarray]:
+def weight_total(weights) -> tuple:
+    """sum_k w_k over the slots along axis 0, in order from +0.0 (a numpy reduction would
+    sum pairwise), and the divisor that centred takes: that total with 1.0 in place of 0."""
+    total = sum(weights, 0.0)
+    return total, np.where(total == 0.0, 1.0, total)
+
+
+def centred(weights, partners, divisor=None) -> tuple[np.ndarray, np.ndarray]:
     """(m, c) such that sum_k w_k (x - y_k)^2 = (sum_k w_k)(x - m)^2 + c at each rank.
 
     The partners y_k come in slot order along axis 0 (of an array, or as a
@@ -60,13 +67,16 @@ def centred(weights, partners) -> tuple[np.ndarray, np.ndarray]:
     scalars or arrays that broadcast against a partner; the cost's curvature
     in x is a = 2 sum_k w_k.  w y, y - m and w (y - m)^2 are each one pass
     over the whole table; every sum runs over the slots in order from +0.0,
-    the weight total's too (a numpy reduction would sum pairwise), so a zero
-    weight adds +0.0 and a weight sum of 0 gives m = c = 0.
+    the weight total's too (weight_total), so a zero weight adds +0.0 and a
+    weight sum of 0 gives m = c = 0.  ``divisor`` is weight_total's divisor of
+    these weights, which a caller that centres on one set of weights again
+    and again holds; it is built from the weights when not given.
     """
     y, w = np.asarray(partners), np.asarray(weights, dtype=float)
     w = w.reshape(w.shape + (1,) * (y.ndim - w.ndim))  # slot k's weights beside y_k
-    total = sum(w, 0.0)
-    m = sum(w * y, 0.0) / np.where(total == 0.0, 1.0, total)
+    if divisor is None:
+        divisor = weight_total(w)[1]
+    m = sum(w * y, 0.0) / divisor
     d = y - m
     d *= d
     d *= w

@@ -10,9 +10,10 @@ value at displacement interpolations of two tuples against its chord, the
 sampling that ``jkoflow.convexity_probe`` states in closed form, and the
 rounding bound between the two.
 
-It also holds two oracles for the internal energies: a sampled test of
+It also holds three oracles for the internal energies: a sampled test of
 displacement convexity, against which each energy's closed-form flag is
-checked, and the power-law source solutions for every m > 1; the
+checked, the gap pass written out one gap at a time, and the power-law
+source solutions for every m > 1; the
 reference contract of ParticleDensity, entry by entry; and the per-step
 references of the probes' whole-array passes: the weak form assembled one
 step at a time from ParticleDensity states and each population's
@@ -46,6 +47,7 @@ from jkoflow import (
     profile_grid,
     w2_distance,
 )
+from jkoflow.energy import EPS_FLOOR
 
 EPS = float(np.finfo(float).eps)
 LP_SCALE_CAP = 1_000_000  # on l * prod(K_i); the LP is an oracle, not a solver
@@ -311,6 +313,57 @@ def mccann_check(e: InternalEnergy) -> McCannReport:
     if np.any(bad):
         return McCannReport(False, float(r[1:-1][bad][0]), "non-convex")
     return McCannReport(True)
+
+
+def gap_forms(kind: str, m: float = 1.0, c: float = 1.0):
+    """f, p and p' of an internal energy written out by formula, for one numpy float64 s at
+    a time (numpy's log and power, which Python's math module rounds differently for some s):
+    the entropy s log s, the power law c s^m, or None for the zero energy."""
+    if kind == "entropy":
+        return (lambda s: s * np.log(s), lambda s: s, lambda s: 1.0)
+    if kind == "power_law":
+        return (lambda s: c * np.power(s, m), lambda s: c * (m - 1.0) * np.power(s, m),
+                lambda s: c * m * (m - 1.0) * np.power(s, m - 1.0))
+    return None
+
+
+def per_gap_terms(forms, x: np.ndarray, length: float, rows: int = 1):
+    """``jkoflow.energy``'s gap pass one gap at a time, for ``rows`` populations of sorted
+    positions end to end and ``forms`` from gap_forms: each row's energy, the gradient, each
+    particle's curvature, the gaps, and whether any gap is at the floor.
+
+    The gap right of a particle is floored at EPS_FLOOR * length (a row's last particle
+    has none: its slot reads ``length``); s = 1 / (N gap).  Each gap adds its term
+    gap f(s) to its row's energy, pushes the particle right of it by -p(s) and the
+    particle left of it by p(s), and has curvature p'(s) / (N gap^2); a floored gap or a
+    row end pushes by +0.0 and has curvature 0.  A row's energy sums its N - 1 terms
+    in one numpy reduction, whose pairwise order the gap pass's row reduction has too.
+    """
+    x = np.asarray(x, dtype=float)  # its items are numpy float64 scalars
+    n = len(x) // rows
+    if forms is None:
+        return np.zeros(rows), np.zeros(len(x)), np.zeros(len(x)), None, False
+    f, p, dp = forms
+    floor = EPS_FLOOR * length
+    energies, grad, curvature, gaps, any_floored = [], [], [], [], False
+    for r in range(rows):
+        terms, left = [], 0.0  # the push of the gap left of the particle
+        for j in range(r * n, (r + 1) * n):
+            end = j == (r + 1) * n - 1
+            gap = np.float64(length) if end else x[j + 1] - x[j]
+            floored = end or not gap > floor
+            if floored and not end:
+                gap, any_floored = floor, True
+            s = 1.0 / (n * gap)
+            push = 0.0 if floored else 0.0 - p(s)
+            grad.append(left - push)
+            curvature.append(0.0 if floored else dp(s) / (n * gap * gap))
+            gaps.append(gap)
+            if not end:
+                terms.append(gap * f(s))
+            left = push
+        energies.append(np.add.reduce(np.array(terms)))
+    return np.array(energies), np.array(grad), np.array(curvature), np.array(gaps), any_floored
 
 
 def barenblatt_density_m(m: float, t: float):

@@ -6,10 +6,12 @@ import pytest
 from jkoflow import Domain, InvalidInputError, ParticleDensity
 from jkoflow.cli import ENERGY, EnergySpec
 from jkoflow.energy import (
+    _gap_gradient,
     energy_gradient,
     energy_value,
     entropy_energy,
     floored_gap_count,
+    gap_terms,
     power_law_energy,
     zero_energy,
 )
@@ -23,7 +25,7 @@ def midpoint_uniform(domain, n):
 
 
 from helpers import spread_particles
-from oracle import mccann_check
+from oracle import gap_forms, mccann_check, per_gap_terms
 
 # exponent x coefficient grid for the closed-form power laws, both signs of c (m - 1)
 EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -175,3 +177,40 @@ def test_power_law_entry_builds_the_cached_energy():
     assert given is power_law_energy(2.0)
     fast = ENERGY.build(EnergySpec("power_law", exponent=0.5, coefficient=-1.0))
     assert fast is power_law_energy(0.5, -1.0)
+
+
+# each energy with its forms written out: the entropy, porous-medium and fast diffusion
+GAP_ENERGIES = {
+    "entropy": (entropy_energy(), gap_forms("entropy")),
+    "porous": (power_law_energy(2.0), gap_forms("power_law", 2.0)),
+    "fast": (power_law_energy(0.5, -1.0), gap_forms("power_law", 0.5, -1.0)),
+    "zero": (zero_energy(), gap_forms("zero")),
+}
+
+
+@pytest.mark.parametrize("name", list(GAP_ENERGIES))
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("floored", [False, True], ids=["spread", "floored"])
+def test_gap_pass_matches_its_per_gap_reference_to_the_bit(name, rows, floored):
+    # the energies, gradient, curvatures and gaps of one gap pass against the same
+    # formulas one gap at a time, on [-1, 1]; with "floored", two particles of the last
+    # row coincide, so their gap is at the floor and gap_terms hands back no gaps
+    energy, forms = GAP_ENERGIES[name]
+    rng = np.random.default_rng(33)
+    n, length = 24, 2.0
+    x = np.sort(rng.uniform(-1.0, 1.0, (rows, n)), axis=1)
+    if floored:
+        x[-1, 8] = x[-1, 7]
+    x = x.ravel()
+    energies, grad, curvature, gaps, any_floored = per_gap_terms(forms, x, length, rows)
+    assert any_floored == (floored and forms is not None)
+    got = gap_terms(energy, x, length, rows)
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in (energies, grad, curvature)]
+    if any_floored or forms is None:
+        assert got[3] is None
+    else:
+        assert got[3].tobytes() == gaps.tobytes()
+    if forms is not None:
+        grad_only, (pass_gaps, *_) = _gap_gradient(energy, x, length, rows)
+        assert grad_only.tobytes() == grad.tobytes()
+        assert pass_gaps.tobytes() == gaps.tobytes()

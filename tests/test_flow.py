@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from jkoflow import (
     zero_energy,
     PRESETS,
 )
+import jkoflow.flow as flow_module
 import jkoflow.jko as jko_module
 from jkoflow.flow import _step_problem
 from jkoflow.jko import COLUMNS, StepProblem, StepSolution
@@ -630,6 +632,26 @@ def test_weak_form_equals_its_per_step_assembly(name):
     phi = bump_test_function(center, 0.35 * config.domain.length, 0.5 * config.horizon)
     for i in range(len(config.populations)):
         assert repr(weak_form_residual(traj, phi, i)) == repr(per_step_weak_form(traj, phi, i))
+
+
+@pytest.mark.parametrize("preset", [heat_flow_preset, barycenter3_preset],
+                         ids=["heat_flow", "barycenter3"])
+def test_weak_form_second_call_keeps_to_its_blocks(preset):
+    # (101, 128) positions, four blocks of steps: a second call's peak is at most 12
+    # float arrays of one block, where the whole-trajectory assembly's peaked at 836 424
+    # (heat_flow) and 1 041 480 bytes (barycenter3, whose drive goes through centred);
+    # the report is the per-step assembly's, to the bit
+    traj = run_flow(preset(n=128, n_steps=100))
+    phi = bump_test_function(0.5, 0.35, 0.5)
+    assert traj.positions[0].size > flow_module.WEAK_FORM_BLOCK
+    for i in range(len(traj.positions)):
+        weak_form_residual(traj, phi, i)
+        tracemalloc.start()
+        report = weak_form_residual(traj, phi, i)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 12 * 8 * flow_module.WEAK_FORM_BLOCK
+        assert repr(report) == repr(per_step_weak_form(traj, phi, i))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["mixed"])

@@ -235,8 +235,8 @@ def test_run_flows_calls_centred_once_at_the_build_and_once_per_step(monkeypatch
                                        for c in (0.35, 0.55, 0.65)])
     centred, tables, calls = jko_module.centred, [], []
     monkeypatch.setattr(jko_module, "centred",
-                        lambda weights, partners: tables.append(partners.shape)
-                        or centred(weights, partners))
+                        lambda weights, partners, *divisor: tables.append(partners.shape)
+                        or centred(weights, partners, *divisor))
     _refuse_cost_after_build(monkeypatch, calls, jko_module, flow_module)
     traj, rerun_traj = run_flows((config, rerun))
     assert calls == []
