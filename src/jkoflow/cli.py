@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from .energy import entropy_energy, power_law_energy, zero_energy
-from .errors import DomainError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .flow import (
     Coupling,
     FlowConfig,
@@ -370,7 +370,7 @@ def _probe_initials(scenario: Scenario, config: FlowConfig) -> tuple:
 
 # ------------------------------------------------------------------- running
 
-FAILURES = (InvalidInputError, DomainError, NumericalFailureError)
+FAILURES = (InvalidInputError, NumericalFailureError)
 
 def _exit_code(err: Exception) -> int:
     """Report a failure on stderr, with its residual if known; 3 if numerical, 2 for bad input."""

@@ -1,19 +1,16 @@
 """Shared exception types.
 
 Split by what the caller can do about the failure: fix the arguments
-(InvalidInputError, DomainError) or loosen tolerances / inspect the
-residual (NumericalFailureError).
+(InvalidInputError) or loosen tolerances / inspect the residual
+(NumericalFailureError).
 """
 
 from __future__ import annotations
 
 
 class InvalidInputError(ValueError):
-    """Structurally bad input: wrong shapes, unsorted positions, mismatched sizes."""
-
-
-class DomainError(ValueError):
-    """Scalar argument outside its admissible range (e.g. an interpolation time not in [0, 1])."""
+    """Bad input: wrong shapes, unsorted positions, mismatched sizes, or a scalar
+    outside its admissible range (e.g. an interpolation time not in [0, 1])."""
 
 
 class NumericalFailureError(RuntimeError):

@@ -34,7 +34,7 @@ from .energy import InternalEnergy, _gap_gradient, energy_value
 from .errors import InvalidInputError, NumericalFailureError
 from .geometry import Domain, ParticleDensity, _integer
 from .jko import COLUMNS, StepProblem, _Rows, _check_h_and_tol
-from .transport import QuadraticCost, centred
+from .transport import QuadraticCost, centred, weight_total
 
 
 @dataclass(frozen=True)
@@ -466,8 +466,9 @@ def _step_terms(traj: FlowTrajectory, phi: TestFunction, i: int, a: int, b: int)
         p.energy, x_new.reshape(-1), config.domain.length, b - a)[0].reshape(x_new.shape)
     if p.coupling is not None:  # against the partners frozen at step k
         weights = p.coupling.cost.weights
-        m, _ = centred(weights, [traj.positions[j][a:b] for j in p.coupling.partners])
-        drive = drive + 2.0 * sum(weights, 0.0) * (x_new - m)
+        total, divisor = weight_total(weights)
+        m, _ = centred(weights, [traj.positions[j][a:b] for j in p.coupling.partners], divisor)
+        drive = drive + 2.0 * total * (x_new - m)
     pushed = -config.h * np.mean(drive * phi.dx(t_k, x_new), axis=1)
     return moved.tolist() + pushed.tolist()
 

@@ -73,8 +73,6 @@ MAX_BACKTRACKS = 60
 MAX_ITERS = 100
 BOUNDARY_FRACTION = 0.995  # a shrinking gap keeps at least 0.5 % of itself per step
 EPS = np.finfo(float).eps
-# the per-row diagnostics of a step: _Step.columns' rows, StepSolution's fields after rho
-COLUMNS = ("energy", "coupling", "w2_sq", "residual", "el_residual", "objective", "iterations")
 
 
 def _load_dptsv():
@@ -154,10 +152,9 @@ class StepProblem:
 
 
 class StepSolution(NamedTuple):
-    """The new state and its diagnostics, one field per name of COLUMNS in that order:
-    F (``energy``), the rank-diagonal coupling value (0 when uncoupled), the squared
-    step length W2^2, the solver and Euler-Lagrange residuals, E (``objective``) and
-    the iteration count."""
+    """The new state and its diagnostics, whose names are COLUMNS: F (``energy``), the
+    rank-diagonal coupling value (0 when uncoupled), the squared step length W2^2, the
+    solver and Euler-Lagrange residuals, E (``objective``) and the iteration count."""
 
     rho: ParticleDensity
     energy: float
@@ -167,6 +164,9 @@ class StepSolution(NamedTuple):
     el_residual: float
     objective: float
     iterations: int
+
+
+COLUMNS = StepSolution._fields[1:]  # the per-row diagnostics of a step: _Step.columns' rows
 
 
 def project_ordered_box(domain: Domain, y: np.ndarray) -> np.ndarray:
@@ -332,8 +332,9 @@ def _newton_direction(rows: _Rows, x: np.ndarray, at: _Point, moving: list[bool]
     Holding cuts its row and column out of H in place: dptsv leaves the bands as they are.
     """
     diag, off = _hessian_bands(rows, at)
-    # diag sums each term of off; isfinite sets no flag, where inf * 0 would warn
-    if not np.logical_and.reduce(np.isfinite(diag) & np.isfinite(at.grad)):
+    # diag sums each term of off, and _require_finite has passed the gradient;
+    # isfinite sets no flag, where inf * 0 would warn
+    if not np.logical_and.reduce(np.isfinite(diag)):
         raise ValueError("Newton system must not contain infs or NaNs")
     if off.size == 0:
         off = np.zeros(1)  # one particle: the dptsv wrapper wants an off-diagonal

@@ -7,9 +7,10 @@ matches the j-th smallest particles of every marginal, is optimal (Carlier,
 J. Convex Anal. 2003), and a coupling value is the mean of the cost over
 the rank-diagonal tuples (``coupling_value``).  Each population sits in
 slot 0 of its own cost, a centred quadratic of its particle against its
-partners (``centred``), which is how the step solver evaluates it.  The
-exhaustive LP that checks this optimality, for any cost, is a test oracle
-and lives beside the tests.
+partners (``centred``), which is how the step solver evaluates it; its
+weights are summed in one place (``weight_total``).  The exhaustive LP that
+checks this optimality, for any cost, is a test oracle and lives beside the
+tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import ParticleDensity
 
 
@@ -54,28 +55,26 @@ class QuadraticCost:
 
 def weight_total(weights) -> tuple:
     """sum_k w_k over the slots along axis 0, in order from +0.0 (a numpy reduction would
-    sum pairwise), and the divisor that centred takes: that total with 1.0 in place of 0."""
+    sum pairwise), and the divisor that centred takes: that total with 1.0 in place of 0.
+    The one code that sums a cost's weights: the curvature a = 2 sum_k w_k is twice the total."""
     total = sum(weights, 0.0)
     return total, np.where(total == 0.0, 1.0, total)
 
 
-def centred(weights, partners, divisor=None) -> tuple[np.ndarray, np.ndarray]:
+def centred(weights, partners, divisor) -> tuple[np.ndarray, np.ndarray]:
     """(m, c) such that sum_k w_k (x - y_k)^2 = (sum_k w_k)(x - m)^2 + c at each rank.
 
     The partners y_k come in slot order along axis 0 (of an array, or as a
     sequence of arrays, stacked into one), the weights w_k beside them,
-    scalars or arrays that broadcast against a partner; the cost's curvature
-    in x is a = 2 sum_k w_k.  w y, y - m and w (y - m)^2 are each one pass
-    over the whole table; every sum runs over the slots in order from +0.0,
-    the weight total's too (weight_total), so a zero weight adds +0.0 and a
-    weight sum of 0 gives m = c = 0.  ``divisor`` is weight_total's divisor of
-    these weights, which a caller that centres on one set of weights again
-    and again holds; it is built from the weights when not given.
+    scalars or arrays that broadcast against a partner, and ``divisor`` is
+    weight_total's divisor of these weights, so that a caller sums them once
+    for the divisor and for the curvature a = 2 sum_k w_k.  w y, y - m and
+    w (y - m)^2 are each one pass over the whole table; every sum runs over
+    the slots in order from +0.0, so a zero weight adds +0.0 and a weight sum
+    of 0 gives m = c = 0.
     """
     y, w = np.asarray(partners), np.asarray(weights, dtype=float)
     w = w.reshape(w.shape + (1,) * (y.ndim - w.ndim))  # slot k's weights beside y_k
-    if divisor is None:
-        divisor = weight_total(w)[1]
     m = sum(w * y, 0.0) / divisor
     d = y - m
     d *= d
@@ -108,8 +107,9 @@ def coupling_value(cost: QuadraticCost, marginals: Sequence[ParticleDensity]) ->
 
 def _mean_cost(cost: QuadraticCost, columns: Sequence[np.ndarray]) -> float:
     """The cost's mean over the rank tuples of ``columns``, one column per slot."""
-    centre, c0 = centred(cost.weights, columns[1:])
-    d, a = columns[0] - centre, 2.0 * sum(cost.weights, 0.0)
+    total, divisor = weight_total(cost.weights)
+    centre, c0 = centred(cost.weights, columns[1:], divisor)
+    d, a = columns[0] - centre, 2.0 * total
     return float(np.add.reduce(0.5 * a * d * d + c0) / len(d))  # as the step kernel sums it
 
 
@@ -140,7 +140,7 @@ def convexity_probe(
         raise InvalidInputError("the two tuples differ in particle count or domain")
     ts = tuple(float(t) for t in t_samples)
     if not all(0.0 <= t <= 1.0 for t in ts):
-        raise DomainError(f"interpolation times {ts} not all in [0, 1]")
+        raise InvalidInputError(f"interpolation times {ts} not all in [0, 1]")
     q = _mean_cost(cost, [b.positions - a.positions for a, b in zip(tuple_a, tuple_b)])
     violations = tuple(0.0 - t * (1.0 - t) * q for t in ts)
     return ConvexityReport(ts, violations, max(violations, default=0.0), (value_a, value_b), q)

@@ -33,7 +33,6 @@ import numpy as np
 from jkoflow import (
     ConvexityReport,
     Domain,
-    DomainError,
     FlowTrajectory,
     GridDensity,
     InternalEnergy,
@@ -206,7 +205,7 @@ def displacement_interpolate(
     the domain box are preserved by convexity.
     """
     if not 0.0 <= t <= 1.0:
-        raise DomainError(f"interpolation time {t!r} outside [0, 1]")
+        raise InvalidInputError(f"interpolation time {t!r} outside [0, 1]")
     if rho0.n != rho1.n:
         raise InvalidInputError("particle counts differ")
     if rho0.domain != rho1.domain:

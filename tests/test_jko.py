@@ -46,7 +46,7 @@ from jkoflow.jko import (
     project_ordered_box,
     solve_step,
 )
-from jkoflow.transport import centred
+from jkoflow.transport import centred, weight_total
 from helpers import spread_particles, uniform_particles, wrong_sign_energy
 from oracle import CostFunction, difference_form
 
@@ -235,8 +235,8 @@ def test_run_flows_calls_centred_once_at_the_build_and_once_per_step(monkeypatch
                                        for c in (0.35, 0.55, 0.65)])
     centred, tables, calls = jko_module.centred, [], []
     monkeypatch.setattr(jko_module, "centred",
-                        lambda weights, partners, *divisor: tables.append(partners.shape)
-                        or centred(weights, partners, *divisor))
+                        lambda weights, partners, divisor: tables.append(partners.shape)
+                        or centred(weights, partners, divisor))
     _refuse_cost_after_build(monkeypatch, calls, jko_module, flow_module)
     traj, rerun_traj = run_flows((config, rerun))
     assert calls == []
@@ -263,7 +263,8 @@ def test_solution_carries_its_step_diagnostics(cost, draws):
     assert sol.iterations >= 1
     coupling = 0.0
     if cost is not None:  # the mean of the row's cost in slot 0 at the solution
-        m, c0 = centred(cost.weights, [f.positions for f in frozen])
+        m, c0 = centred(cost.weights, [f.positions for f in frozen],
+                        weight_total(cost.weights)[1])
         d = sol.rho.positions - m
         a = 2.0 * sum(cost.weights)
         coupling = float(np.add.reduce(0.5 * a * d * d + c0) / n)
@@ -827,11 +828,12 @@ def test_newton_direction_matches_dense_held_solve(case):
     np.testing.assert_allclose(d, _dense_held_solve(problem, g, q, held), rtol=1e-12, atol=1e-15)
 
 
-def test_newton_direction_refuses_nan_gradient():
+def test_newton_direction_refuses_nan_gap_curvature():
+    # a NaN gradient never gets here: _require_finite refuses its point first
     x, g, q, _ = _NEWTON_CASES["no-wall"]
     problem = StepProblem(prev=ParticleDensity(UNIT, x), energy=entropy_energy(), h=0.05)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _newton_direction(_Rows((problem,)), x, _at(np.r_[g[:3], np.nan, g[4:]], q), MOVING)
+        _newton_direction(_Rows((problem,)), x, _at(g, np.r_[q[:2], np.nan, q[3:]]), MOVING)
 
 
 def _fallback_dptsv(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from jkoflow import (
     Domain,
-    DomainError,
+    InvalidInputError,
     ParticleDensity,
     QuadraticCost,
     barenblatt_profile,
@@ -109,9 +109,9 @@ def test_interpolation_endpoints_exact():
     b = spread_particles(rng, UNIT, 9)
     assert displacement_interpolate(a, b, 0.0) is a
     assert displacement_interpolate(a, b, 1.0) is b
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError, match=r"^interpolation time 1\.5 outside \[0, 1\]$"):
         displacement_interpolate(a, b, 1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError, match=r"^interpolation time -0\.1 outside \[0, 1\]$"):
         displacement_interpolate(a, b, -0.1)
 
 

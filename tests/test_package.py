@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,19 @@ HEAVY = ("numpy.f2py", "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse"
 
 def test_every_export_resolves():
     assert [name for name in jkoflow.__all__ if not hasattr(jkoflow, name)] == []
+
+
+def test_exports_are_the_public_names_and_the_cli_keeps_its_own():
+    public = [name for name, value in vars(jkoflow).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(jkoflow.__all__) == sorted(public) and len(set(public)) == len(public)
+    gone = ("DomainError", "Scenario", "build_flow_config", "parse_scenario", "run_scenario")
+    assert [name for name in gone if hasattr(jkoflow, name)] == []
+    assert "__getattr__" not in vars(jkoflow)
+    assert [name for name in gone[1:] if not hasattr(cli, name)] == []
+    errors = [name for name, value in vars(jkoflow.errors).items()
+              if isinstance(value, type) and issubclass(value, Exception)]
+    assert sorted(errors) == ["InvalidInputError", "NumericalFailureError"]
 
 
 # the types whose constructor validates its fields (__post_init__), and FlowTrajectory,

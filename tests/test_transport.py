@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from jkoflow import (
     Domain,
-    DomainError,
     InvalidInputError,
     ParticleDensity,
     QuadraticCost,
     convexity_probe,
     coupling_value,
 )
-from jkoflow.transport import centred
+from jkoflow.transport import centred, weight_total
 from helpers import spread_particles, uniform_particles
 from oracle import CostFunction, difference_form, lp_convexity_violations
 
@@ -38,7 +37,8 @@ def atoms(*positions, domain=UNIT):
 def _terms(cost, xs):
     """Value, partial and curvature in slot 0 at the tuples xs (shape (..., arity)), from
     the centred form against the other columns."""
-    m, c0 = centred(cost.weights, [xs[..., k] for k in range(1, cost.arity)])
+    m, c0 = centred(cost.weights, [xs[..., k] for k in range(1, cost.arity)],
+                    weight_total(cost.weights)[1])
     a = 2.0 * sum(cost.weights)
     d = xs[..., 0] - m
     return 0.5 * a * d * d + c0, a * d, a
@@ -129,7 +129,7 @@ def test_centred_sums_in_slot_order_to_the_bit(shape, weights, seed):
     want = _slot_order(weights, partners)
     stacked = np.reshape(weights, (-1,) + (1,) * len(shape))
     for given_weights in (weights, stacked):
-        got = centred(given_weights, partners)
+        got = centred(given_weights, partners, weight_total(given_weights)[1])
         for g, v in zip(got, want):
             assert np.shape(g) == shape and np.array_equal(g, np.broadcast_to(v, shape))
             assert np.array_equal(np.signbit(g), np.signbit(np.broadcast_to(v, shape)))
@@ -139,7 +139,7 @@ def test_centred_sums_in_slot_order_to_the_bit(shape, weights, seed):
         k, p = len(weights), shape[0]
         table = np.array([[weights[s] * (1 + r) if s < k - r % k else 0.0 for r in range(p)]
                           for s in range(k)])[:, :, None]
-        got = centred(table, partners)
+        got = centred(table, partners, weight_total(table)[1])
         for r in range(p):
             for g, v in zip(got, _slot_order(table[:, r, 0].tolist(), partners[:, r])):
                 assert np.shape(g) == shape and np.array_equal(g[r], v)
@@ -233,9 +233,11 @@ def test_convexity_probe_refuses_uncertified_cost_past_lp_cap():
 
 def test_convexity_probe_validates_times():
     ta = (atoms(0.2), atoms(0.4))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^interpolation times \(1\.2,\) not all in \[0, 1\]$"):
         convexity_probe(QuadraticCost((1.0,)), (ta, ta), t_samples=(1.2,))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^interpolation times \(-0\.1,\) not all in \[0, 1\]$"):
         convexity_probe(QuadraticCost((1.0,)), (ta, ta), t_samples=(-0.1,))
 
 
